@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .textseg import split_sentences
-
 REAL = "real"
 FAKE = "fake"
 SATIRE = "satire"
@@ -129,15 +127,9 @@ class ValidationReport:
     duplicate_ids: list[str] = field(default_factory=list)
     empty_bodies: list[str] = field(default_factory=list)
     illegal_labels: list[str] = field(default_factory=list)
-    zero_sentence_bodies: list[str] = field(default_factory=list)
 
     def ok(self) -> bool:
-        return not (
-            self.duplicate_ids
-            or self.empty_bodies
-            or self.illegal_labels
-            or self.zero_sentence_bodies
-        )
+        return not (self.duplicate_ids or self.empty_bodies or self.illegal_labels)
 
     def as_text(self) -> str:
         if self.ok():
@@ -147,7 +139,6 @@ class ValidationReport:
             ("duplicate_id", self.duplicate_ids),
             ("empty_body", self.empty_bodies),
             ("illegal_label", self.illegal_labels),
-            ("zero_sentences", self.zero_sentence_bodies),
         ):
             for i in ids:
                 lines.append(f"{name}\t{i}")
@@ -164,8 +155,6 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
         seen.add(doc.id)
         if not doc.body.strip():
             report.empty_bodies.append(doc.id)
-        elif not split_sentences(doc.body):
-            report.zero_sentence_bodies.append(doc.id)
         if doc.label not in legal:
             report.illegal_labels.append(doc.id)
     return report

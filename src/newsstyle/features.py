@@ -104,10 +104,13 @@ def _word_tokens(tokens: list[ts.Token]) -> list[ts.Token]:
 
 def extract_complexity(
     tagged: list[pt.TaggedSentence],
-    trees: list[pt.ChunkNode],
+    metrics: list[tuple[int, int, int, int]],
     freq: lx.FrequencyTable,
 ) -> dict[str, float | None]:
-    """Readability indices, tree-depth medians, fluency, TTR, word length."""
+    """Readability indices, tree-depth medians, fluency, TTR, word length.
+
+    ``metrics`` holds ``pt.tree_metrics`` of each sentence's chunk tree.
+    """
     if not tagged:
         return {name: NA for name in COMPLEXITY_FEATURES}
     pairs = [(tok, t) for s in tagged for tok, t in s.tokens]
@@ -127,7 +130,6 @@ def extract_complexity(
         out["SMOG"] = 1.0430 * math.sqrt(poly * 30.0 / n_sent) + 3.1291
         out["TTR"] = len({tok.lower for tok, _ in words}) / n_words
         out["avg_wlen"] = sum(len(tok.norm) for tok, _ in words) / n_words
-    metrics = [pt.tree_metrics(t) for t in trees]
     out["med_depth"] = _median([m[0] for m in metrics]) if metrics else NA
     out["med_np_depth"] = _median([m[1] for m in metrics]) if metrics else NA
     out["med_vp_depth"] = _median([m[2] for m in metrics]) if metrics else NA
@@ -138,11 +140,15 @@ def extract_complexity(
 
 def extract_stylistic(
     tagged: list[pt.TaggedSentence],
-    trees: list[pt.ChunkNode],
+    metrics: list[tuple[int, int, int, int]],
+    cat_counts: dict[str, int],
     stopwords: frozenset[str],
-    categories: lx.CategoryLexicon,
 ) -> dict[str, float | None]:
-    """Word/sentence counts, folded POS counts, punctuation and casing."""
+    """Word/sentence counts, folded POS counts, punctuation and casing.
+
+    ``metrics`` holds ``pt.tree_metrics`` of each sentence's chunk tree and
+    ``cat_counts`` is ``lx.match_categories`` over the part's tokens.
+    """
     pairs = [(tok, t) for s in tagged for tok, t in s.tokens]
     tokens = [tok for tok, _ in pairs]
     words = _word_tokens(tokens)
@@ -168,22 +174,21 @@ def extract_stylistic(
         sum(1 for t in tokens if t.kind in (ts.PUNCT, ts.SYMBOL) and t.text in _QUOTE_CHARS)
     )
     out["exclaim"] = float(sum(1 for t in tokens if t.text == "!"))
-    out["#vps"] = float(sum(pt.tree_metrics(t)[3] for t in trees))
-    cat_counts = lx.match_categories(tokens, categories)
+    out["#vps"] = float(sum(m[3] for m in metrics))
     for name in STYLISTIC_CATEGORY_FEATURES:
         out[name] = float(cat_counts.get(name, 0))
     return out
 
 
 def extract_psychological(
-    tagged: list[pt.TaggedSentence],
     sentences: list[ts.Sentence],
-    categories: lx.CategoryLexicon,
+    cat_counts: dict[str, int],
     sentiment: lx.SentimentLexicon,
 ) -> dict[str, float | None]:
-    """Category counts plus average sentence-level sentiment strengths."""
-    tokens = [tok for s in tagged for tok, _ in s.tokens]
-    cat_counts = lx.match_categories(tokens, categories)
+    """Category counts plus average sentence-level sentiment strengths.
+
+    ``cat_counts`` is ``lx.match_categories`` over the part's tokens.
+    """
     out: dict[str, float | None] = {
         name: float(cat_counts.get(name, 0)) for name in PSYCH_CATEGORY_FEATURES
     }
@@ -198,7 +203,9 @@ def extract_psychological(
 def extract_all(doc: Document, part: str, resources: Resources) -> FeatureVector:
     """Every catalog feature for one document part.
 
-    An empty part yields a vector of all-undefined markers.
+    The part is split, tagged and chunked once; tree metrics and category
+    counts are computed once and shared by the three families. An empty
+    part yields a vector of all-undefined markers.
     """
     if part not in ("title", "body"):
         raise ValueError(f"part must be 'title' or 'body', got {part!r}")
@@ -209,11 +216,13 @@ def extract_all(doc: Document, part: str, resources: Resources) -> FeatureVector
         return vec
     sentences = ts.split_sentences(text)
     tagged = [pt.tag(s, resources.tagger) for s in sentences]
-    trees = [pt.chunk(t) for t in tagged]
+    metrics = [pt.tree_metrics(pt.chunk(t)) for t in tagged]
+    tokens = [tok for s in sentences for tok in s.tokens]
+    cat_counts = lx.match_categories(tokens, resources.categories)
     values: dict[str, float | None] = {}
-    values.update(extract_complexity(tagged, trees, resources.frequency))
-    values.update(extract_stylistic(tagged, trees, resources.stopwords, resources.categories))
-    values.update(extract_psychological(tagged, sentences, resources.categories, resources.sentiment))
+    values.update(extract_complexity(tagged, metrics, resources.frequency))
+    values.update(extract_stylistic(tagged, metrics, cat_counts, resources.stopwords))
+    values.update(extract_psychological(sentences, cat_counts, resources.sentiment))
     vec.values = {name: values[name] for name in CATALOG}
     return vec
 
@@ -268,7 +277,7 @@ def build_matrix(
 def _format_value(v: float | None) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return "NA"
-    if v == int(v) and abs(v) < 1e15:
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(float(v))
 

@@ -42,6 +42,22 @@ class CategoryLexicon:
     version: str
     exact: dict[str, dict[str, None]] = field(default_factory=dict)
     stems: dict[str, list[str]] = field(default_factory=dict)
+    # compiled at construction: word or stem -> indices of its categories
+    _exact_cats: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
+    _stem_cats: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
+    _longest_stem: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self):
+        exact: dict[str, list[int]] = {}
+        stems: dict[str, list[int]] = {}
+        for i, cat in enumerate(self.exact):
+            for word in self.exact[cat]:
+                exact.setdefault(word, []).append(i)
+            for stem in self.stems[cat]:
+                stems.setdefault(stem, []).append(i)
+        self._exact_cats = {w: tuple(ix) for w, ix in exact.items()}
+        self._stem_cats = {s: tuple(ix) for s, ix in stems.items()}
+        self._longest_stem = max(map(len, stems), default=0)
 
     @property
     def categories(self) -> list[str]:
@@ -50,11 +66,23 @@ class CategoryLexicon:
     def entry_count(self, category: str) -> int:
         return len(self.exact[category]) + len(self.stems[category])
 
+    def hits(self, word: str) -> list[str]:
+        """Categories of a lowercased word, in category order: those of its
+        exact entry plus those of every prefix that is a wildcard stem."""
+        found = set(self._exact_cats.get(word, ()))
+        for end in range(1, min(len(word), self._longest_stem) + 1):
+            found.update(self._stem_cats.get(word[:end], ()))
+        if not found:
+            return []
+        names = self.categories
+        return [names[i] for i in sorted(found)]
+
 
 def load_category_lexicon(path: str | Path | None = None) -> CategoryLexicon:
     """Parse a %-block category file into exact entries and wildcard stems."""
     path = Path(path) if path else _RESOURCE_DIR / "categories.dic"
-    lex = CategoryLexicon(name=path.stem, version="1")
+    exact: dict[str, dict[str, None]] = {}
+    stems: dict[str, list[str]] = {}
     current: str | None = None
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -64,10 +92,10 @@ def load_category_lexicon(path: str | Path | None = None) -> CategoryLexicon:
             name = line[1:].strip()
             if not name:
                 raise LexiconFormatError(path, lineno, "empty category name")
-            if name in lex.exact:
+            if name in exact:
                 raise LexiconFormatError(path, lineno, f"duplicate category {name!r}")
-            lex.exact[name] = {}
-            lex.stems[name] = []
+            exact[name] = {}
+            stems[name] = []
             current = name
             continue
         if current is None:
@@ -77,34 +105,21 @@ def load_category_lexicon(path: str | Path | None = None) -> CategoryLexicon:
             raise LexiconFormatError(path, lineno, f"wildcard only allowed as trailing *: {raw.strip()!r}")
         if entry.endswith("*"):
             stem = entry[:-1]
-            if stem not in lex.stems[current]:
-                lex.stems[current].append(stem)
+            if stem not in stems[current]:
+                stems[current].append(stem)
         else:
-            lex.exact[current][entry] = None
-    for cat in lex.stems:
-        lex.stems[cat].sort(key=len, reverse=True)
-    return lex
+            exact[current][entry] = None
+    return CategoryLexicon(name=path.stem, version="1", exact=exact, stems=stems)
 
 
 def match_categories(tokens: list[Token], lex: CategoryLexicon) -> dict[str, int]:
-    """Count word tokens per category (a token may hit several categories).
-
-    Exact entries beat wildcard stems; among stems the longest wins,
-    which only matters for counting a token at most once per category.
-    """
+    """Count word tokens per category (a token may hit several categories,
+    but each category at most once: by exact entry or by any stem)."""
     counts = {cat: 0 for cat in lex.exact}
     for tok in tokens:
-        if tok.kind != WORD:
-            continue
-        w = tok.lower
-        for cat in lex.exact:
-            if w in lex.exact[cat]:
+        if tok.kind == WORD:
+            for cat in lex.hits(tok.lower):
                 counts[cat] += 1
-            else:
-                for stem in lex.stems[cat]:
-                    if w.startswith(stem):
-                        counts[cat] += 1
-                        break
     return counts
 
 

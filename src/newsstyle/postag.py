@@ -433,18 +433,6 @@ def parse_bracketed(line: str) -> ChunkNode:
     return node
 
 
-def load_bracketed(path: str | Path) -> list[ChunkNode]:
-    trees = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not raw.strip():
-            continue
-        try:
-            trees.append(parse_bracketed(raw.strip()))
-        except TaggerError as e:
-            raise TaggerError(f"{path}:{lineno}: {e}") from None
-    return trees
-
-
 _DEFAULT_MODEL: TaggerModel | None = None
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
@@ -42,12 +43,12 @@ class Token:
     span: tuple[int, int]
     is_all_caps: bool = False
 
-    @property
+    @cached_property
     def norm(self) -> str:
         """Token text with curly quotes/apostrophes straightened."""
         return self.text.translate(_NORMALIZE)
 
-    @property
+    @cached_property
     def lower(self) -> str:
         return self.norm.lower()
 
@@ -56,9 +57,6 @@ class Token:
 class Sentence:
     tokens: tuple[Token, ...]
     index: int
-
-    def words(self) -> list[Token]:
-        return [t for t in self.tokens if t.kind == WORD]
 
 
 def _all_caps(text: str) -> bool:

@@ -1,14 +1,18 @@
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from conftest import write_synthetic_corpus
+from newsstyle.cli import main
 from newsstyle.corpus import Document
 from newsstyle.features import (
     CATALOG,
     FeatureVector,
     MatrixFormatError,
+    _format_value,
     build_matrix,
     extract_all,
     read_matrix,
@@ -201,3 +205,33 @@ class TestMatrix:
     def test_group_column(self, resources):
         m = self._matrix(resources)
         assert m.group_column("WC", "fake") == [4.0]
+
+    def test_infinite_values_round_trip(self, tmp_path):
+        assert _format_value(float("inf")) == "inf"
+        assert _format_value(float("-inf")) == "-inf"
+        vec = FeatureVector(doc_id="x", part="body",
+                            values={n: 1.0 for n in CATALOG} | {"WC": float("inf"),
+                                                                "TTR": float("-inf")})
+        p = tmp_path / "inf.csv"
+        write_matrix(build_matrix([vec], {"x": "real"}, "body"), p)
+        m = read_matrix(p)
+        assert m.column("WC") == [float("inf")]
+        assert m.column("TTR") == [float("-inf")]
+
+
+# sha256 of the CSVs `extract` writes for the seed-3 synthetic corpus (12 docs
+# per label). Any change to a feature value or to the CSV format changes them.
+GOLDEN_EXTRACT_SHA256 = {
+    "body": "4fba89af7b38b867f6c97d6d181a5957a463d89dfdf5a22e668c2479878ea161",
+    "title": "0b54802d939ba6af668d19c4ae11ddb278d9773e526142d462c07a32b0f238f9",
+}
+
+
+def test_golden_extract_output(tmp_path):
+    corpus = write_synthetic_corpus(tmp_path / "corpus",
+                                    {"real": 12, "fake": 12, "satire": 12}, seed=3)
+    for part, expected in GOLDEN_EXTRACT_SHA256.items():
+        out = tmp_path / f"{part}.csv"
+        assert main(["extract", "--corpus", str(corpus), "--dataset-id", "2",
+                     "--part", part, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, part

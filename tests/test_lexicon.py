@@ -1,5 +1,7 @@
+import string
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from newsstyle.lexicon import (
@@ -15,7 +17,7 @@ from newsstyle.lexicon import (
     match_categories,
     sentiment_strength,
 )
-from newsstyle.textseg import split_sentences, tokenize
+from newsstyle.textseg import WORD, split_sentences, tokenize
 
 
 class TestLoadCategoryLexicon:
@@ -92,6 +94,74 @@ class TestMatchCategories:
         c2 = match_categories(tokenize(t2), lex)["a"]
         both = match_categories(tokenize(t1 + " " + t2), lex)["a"]
         assert both == c1 + c2
+
+
+def _scan_hits(word, lex):
+    """Reference matcher: scan every category for an exact entry or a stem
+    the word starts with, so each category counts at most once."""
+    return [cat for cat in lex.categories
+            if word in lex.exact[cat] or any(word.startswith(s) for s in lex.stems[cat])]
+
+
+def _scan_counts(tokens, lex):
+    counts = {cat: 0 for cat in lex.categories}
+    for tok in tokens:
+        if tok.kind == WORD:
+            for cat in _scan_hits(tok.lower, lex):
+                counts[cat] += 1
+    return counts
+
+
+_SHIPPED = load_category_lexicon()
+_SHIPPED_ENTRIES = sorted(
+    {w for cat in _SHIPPED.categories for w in _SHIPPED.exact[cat]}
+    | {s for cat in _SHIPPED.categories for s in _SHIPPED.stems[cat]}
+)
+_words = hs.one_of(
+    hs.sampled_from(_SHIPPED_ENTRIES),
+    hs.tuples(hs.sampled_from(_SHIPPED_ENTRIES),
+              hs.text(alphabet=string.ascii_lowercase, min_size=1, max_size=5)).map("".join),
+    hs.text(alphabet=string.ascii_letters + "'-", min_size=1, max_size=12),
+)
+
+
+class TestCompiledLookup:
+    """The compiled word/stem maps must agree with the per-category scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hs.lists(_words, max_size=25))
+    def test_shipped_lexicon_counts_match_scan(self, words):
+        tokens = tokenize(" ".join(words))
+        assert match_categories(tokens, _SHIPPED) == _scan_counts(tokens, _SHIPPED)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_words)
+    def test_shipped_lexicon_hits_in_category_order(self, word):
+        word = word.lower()
+        assert _SHIPPED.hits(word) == _scan_hits(word, _SHIPPED)
+
+    def _lex(self, tmp_path, content):
+        f = tmp_path / "c.dic"
+        f.write_text(content)
+        return load_category_lexicon(f)
+
+    def test_nested_stems_count_once(self, tmp_path):
+        lex = self._lex(tmp_path, "%a\nab*\nabc*\nabcd\n%b\nx\n")
+        tokens = tokenize("abcde abcd ab a")
+        counts = match_categories(tokens, lex)
+        assert counts == {"a": 3, "b": 0}
+        assert counts == _scan_counts(tokens, lex)
+
+    def test_exact_in_one_category_stem_in_another(self, tmp_path):
+        lex = self._lex(tmp_path, "%a\nxy*\n%b\nxyz\n%c\nxyz*\nq\n")
+        assert lex.hits("xyz") == ["a", "b", "c"]
+        assert lex.hits("xyzzy") == ["a", "c"]
+        assert lex.hits("xy") == ["a"]
+        assert lex.hits("x") == []
+        tokens = tokenize("xyz xyzzy xy x q")
+        counts = match_categories(tokens, lex)
+        assert counts == {"a": 3, "b": 1, "c": 3}
+        assert counts == _scan_counts(tokens, lex)
 
 
 class TestFluency:

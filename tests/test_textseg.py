@@ -100,6 +100,18 @@ class TestSplitSentences:
         assert sent_tokens == tokenize(text)
 
 
+# every whitespace code point (U+3000 is the highest)
+_WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+
+
+class TestBlankText:
+    @settings(max_examples=500)
+    @given(hs.one_of(hs.text(), hs.text(alphabet=_WHITESPACE),
+                     hs.text(alphabet=_WHITESPACE + "x\u200b\ufeff")))
+    def test_no_sentences_iff_blank(self, text):
+        assert (split_sentences(text) == []) == (not text.strip())
+
+
 class TestSyllables:
     @pytest.mark.parametrize(
         "word,expected",
