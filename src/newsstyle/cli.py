@@ -176,6 +176,10 @@ def cmd_classify(args) -> int:
     report = ln.cross_validate(
         X, labels, k=args.folds, C=args.C, seed=args.seed, feature_names=names
     )
+    unconverged = report.fold_converged.count(False)
+    if unconverged:
+        print(f"{unconverged} of {report.k} folds stopped at max_epochs without reaching tol",
+              file=sys.stderr)
     lines = [
         f"schema_version={SCHEMA_VERSION}",
         f"part={matrix.part}",

@@ -271,8 +271,9 @@ def anova_oneway(groups: list[list[float]]) -> tuple[float, float]:
     k = len(groups)
     n_total = sum(len(g) for g in groups)
     grand = sum(sum(g) for g in groups) / n_total
-    ss_between = sum(len(g) * (_mean(g) - grand) ** 2 for g in groups)
-    ss_within = sum(sum((x - _mean(g)) ** 2 for x in g) for g in groups)
+    means = [_mean(g) for g in groups]
+    ss_between = sum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
+    ss_within = sum(sum((x - m) ** 2 for x in g) for g, m in zip(groups, means))
     df1, df2 = k - 1, n_total - k
     if ss_within == 0.0:
         if ss_between == 0.0:

@@ -1,12 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from newsstyle import features as ft
+from newsstyle.cli import main
 from newsstyle.learn import (
     PRESETS,
     CvReport,
     LearnError,
+    Standardizer,
     SvmModel,
     cross_validate,
     fit_standardizer,
@@ -154,6 +159,19 @@ class TestModelSerialization:
         assert np.array_equal(
             model.decision_values(X), loaded.decision_values(X))
 
+    def test_infinite_std_round_trip(self, tmp_path):
+        # the variance of this column overflows, so its std is inf
+        X = np.array([[1e308, 1.0], [-1e308, 2.0], [0.0, 4.0]])
+        std = fit_standardizer(X)
+        assert std.std[0] == np.inf
+        model = SvmModel(weights=np.array([0.5, -1.0, 0.25]), C=1.0,
+                         label_map={-1: "a", 1: "b"}, standardizer=std)
+        p = tmp_path / "m.json"
+        model.save(p)
+        loaded = SvmModel.load(p)
+        assert np.array_equal(loaded.standardizer.std, std.std)
+        assert np.array_equal(loaded.decision_values(X), model.decision_values(X))
+
     def test_wrong_format_rejected(self, tmp_path):
         p = tmp_path / "x.json"
         p.write_text('{"format": "something-else"}')
@@ -274,3 +292,135 @@ class TestPresets:
         from newsstyle.features import CATALOG
         for names in PRESETS.values():
             assert set(names) <= set(CATALOG)
+
+
+def _reference_train(X, y, C, tol, max_epochs, seed):
+    """The per-element numpy loop train_svm used before it ran on Python
+    floats; the update rule and the sweep order are the same."""
+    standardizer = fit_standardizer(X)
+    Z = standardizer.transform(X)
+    Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
+    n, d = Zb.shape
+    q = np.einsum("ij,ij->i", Zb, Zb)
+    q = np.where(q <= 0, 1.0, q)
+    alpha = np.zeros(n)
+    w = np.zeros(d)
+    rng = np.random.default_rng(seed)
+    epochs = 0
+    order = np.arange(n)
+    for _ in range(max_epochs):
+        rng.shuffle(order)
+        max_violation = 0.0
+        for i in order:
+            g = y[i] * (Zb[i] @ w) - 1.0
+            if alpha[i] <= 0.0:
+                pg = min(g, 0.0)
+            elif alpha[i] >= C:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            max_violation = max(max_violation, abs(pg))
+            if pg != 0.0:
+                new = min(max(alpha[i] - g / q[i], 0.0), C)
+                if new != alpha[i]:
+                    w += (new - alpha[i]) * y[i] * Zb[i]
+                    alpha[i] = new
+        epochs += 1
+        if max_violation < tol:
+            break
+    return w, alpha, epochs, standardizer
+
+
+def _overlapping(seed, n=60, d=4, shift=0.7):
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.normal(0.0, 1.0, (n, d)), rng.normal(shift, 1.0, (n, d))])
+    y = np.array([-1.0] * n + [1.0] * n)
+    perm = rng.permutation(2 * n)
+    return X[perm], y[perm]
+
+
+class TestPythonFloatSolver:
+    @pytest.mark.parametrize("C", [0.01, 1.0, 10.0])
+    def test_matches_numpy_reference_loop(self, C):
+        for seed in range(4):
+            X, y = _overlapping(seed)
+            train, test = slice(0, 90), slice(90, None)
+            w_ref, a_ref, epochs_ref, std = _reference_train(
+                X[train], y[train], C=C, tol=1e-4, max_epochs=40, seed=seed)
+            model = train_svm(X[train], y[train], C=C, tol=1e-4, max_epochs=40, seed=seed)
+            assert len(model.dual_objective_history) == epochs_ref
+            Zt = np.hstack([std.transform(X[test]), np.ones((30, 1))])
+            assert np.array_equal(np.sign(model.decision_values(X[test])), np.sign(Zt @ w_ref))
+            assert np.max(np.abs(model.weights - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+            assert np.max(np.abs(model.alpha - a_ref)) <= 1e-12 * C
+
+    def test_golden_weights(self):
+        # integer features and an identity standardizer: every input to the
+        # sweep is exact, so these bits hold on any IEEE-754 host
+        X = np.array([[3, -1, 2], [1, 0, -2], [-2, 4, 1], [0, 2, 3], [5, 1, -1], [-1, -3, 0],
+                      [2, 2, 2], [-4, 1, 3], [1, -2, 4], [3, 3, -3], [-2, -2, -1], [0, 5, 1]],
+                     dtype=float)
+        y = np.array([1, -1, -1, 1, 1, -1, 1, -1, 1, 1, -1, -1], dtype=float)
+        model = train_svm(X, y, C=1.0, seed=7, max_epochs=25,
+                          standardizer=Standardizer(np.zeros(3), np.ones(3)))
+        assert [float(v).hex() for v in model.weights] == [
+            "0x1.43705592032b6p+0", "-0x1.8daa1f330a902p-3",
+            "0x1.3536ae73ada78p-1", "-0x1.b19df783075c9p-2",
+        ]
+
+    def test_converged_flag(self):
+        X, y = _two_blobs(shift=6.0, seed=1)
+        model = train_svm(X, y, C=1.0, tol=1e-4, seed=0)
+        assert model.converged
+        assert model.max_violation < 1e-4
+        assert len(model.dual_objective_history) < 1000
+
+    def test_unconverged_flag(self):
+        X, y = _overlapping(0)
+        model = train_svm(X, y, C=10.0, tol=1e-4, max_epochs=3, seed=0)
+        assert not model.converged
+        assert model.max_violation >= 1e-4
+        assert len(model.dual_objective_history) == 3
+
+    def test_cv_report_carries_fold_convergence(self):
+        X, y = _overlapping(1)
+        labels = ["a" if v < 0 else "b" for v in y]
+        assert cross_validate(X, labels, k=3, C=0.01).fold_converged == [True] * 3
+        report = cross_validate(X, labels, k=3, C=10.0, max_epochs=2)
+        assert report.fold_converged == [False] * 3
+
+
+def _write_overlapping_matrix(path):
+    rng = np.random.default_rng(20170103)
+    rows, labels = [], []
+    for label, shift in (("fake", 0.0), ("real", 0.6)):
+        for _ in range(20):
+            nn, ttr, wc, quotes = rng.normal(shift, 1.0, 4)
+            rows.append([float(nn), float(ttr), float(round(300 + 80 * wc)), float(quotes)])
+            labels.append(label)
+    rows[3][1] = None
+    ft.write_matrix(ft.FeatureMatrix(
+        feature_names=("NN", "TTR", "WC", "quotes"),
+        doc_ids=tuple(f"d{i:02d}" for i in range(len(rows))),
+        labels=tuple(labels), part="body", rows=rows,
+    ), path)
+
+
+class TestClassifyCli:
+    def test_golden_cv_tsv(self, tmp_path, capsys):
+        # recorded before the solver moved to Python floats; two of the five
+        # folds stop at max_epochs, three converge
+        _write_overlapping_matrix(tmp_path / "m.csv")
+        out = tmp_path / "cv.tsv"
+        assert main(["classify", "--matrix", str(tmp_path / "m.csv"), "--pair", "fake:real",
+                     "--preset", "body4", "--C", "10", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "be452f0898e0ae7d76cea1d0f19b9845eb446bad89b8ac5ba4429a0064470637")
+        err = capsys.readouterr().err
+        assert err == "2 of 5 folds stopped at max_epochs without reaching tol\n"
+
+    def test_no_warning_when_every_fold_converges(self, tmp_path, capsys):
+        _write_overlapping_matrix(tmp_path / "m.csv")
+        assert main(["classify", "--matrix", str(tmp_path / "m.csv"), "--pair", "fake:real",
+                     "--preset", "body4", "--C", "0.01", "--out", str(tmp_path / "cv.tsv")]) == 0
+        assert capsys.readouterr().err == ""

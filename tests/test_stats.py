@@ -164,6 +164,32 @@ class TestAnova:
             assert f == pytest.approx(ref.statistic, abs=1e-6)
             assert p == pytest.approx(ref.pvalue, abs=1e-4)
 
+    def test_same_bits_as_per_element_mean_formula(self):
+        def old_anova(groups):  # the formula that recomputed each group mean per element
+            k = len(groups)
+            n_total = sum(len(g) for g in groups)
+            grand = sum(sum(g) for g in groups) / n_total
+            mean = lambda g: sum(g) / len(g)
+            ss_between = sum(len(g) * (mean(g) - grand) ** 2 for g in groups)
+            ss_within = sum(sum((x - mean(g)) ** 2 for x in g) for g in groups)
+            f = (ss_between / (k - 1)) / (ss_within / (n_total - k))
+            return f, f_sf(f, k - 1, n_total - k)
+
+        rng = random.Random(56)
+        for _ in range(30):
+            gs = [[rng.lognormvariate(rng.uniform(-1, 3), 1.5) for _ in range(rng.randint(2, 120))]
+                  for _ in range(rng.randint(2, 4))]
+            assert anova_oneway(gs) == old_anova(gs)
+
+    def test_matches_scipy_unequal_sizes(self):
+        rng = random.Random(57)
+        for sizes in ((3, 17, 400), (150, 110, 2740), (2, 2, 9, 60), (1000, 5)):
+            gs = [[rng.gauss(0.1 * j, 1 + j) for _ in range(n)] for j, n in enumerate(sizes)]
+            f, p = anova_oneway(gs)
+            ref = scipy.stats.f_oneway(*gs)
+            assert f == pytest.approx(ref.statistic, rel=1e-9)
+            assert p == pytest.approx(ref.pvalue, rel=1e-9, abs=1e-10)
+
     @settings(max_examples=100, deadline=None)
     @given(hs.floats(-50, 50), hs.floats(0.01, 10), hs.integers(0, 10_000))
     def test_shift_scale_invariance(self, shift, scale, seed):
