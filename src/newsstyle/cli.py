@@ -23,8 +23,6 @@ from . import stats as st
 
 SCHEMA_VERSION = "1"
 
-LABEL_ORDER = {cp.REAL: 0, cp.FAKE: 1, cp.SATIRE: 2}
-
 
 class CliError(Exception):
     pass
@@ -88,8 +86,8 @@ def cmd_extract(args) -> int:
 
 
 def _analyze_matrix(matrix: ft.FeatureMatrix, alpha: float) -> st.OrderingReport:
-    labels = sorted(set(matrix.labels), key=lambda l: LABEL_ORDER.get(l, 9))
-    report = st.OrderingReport(part=matrix.part, dataset_id=0, alpha=alpha)
+    labels = [label for label in cp.LABELS if label in matrix.labels]
+    report = st.OrderingReport(part=matrix.part, alpha=alpha)
     for feature in matrix.feature_names:
         groups = {label: matrix.group_column(feature, label) for label in labels}
         report.rows.append(st.compare_feature(feature, groups, alpha))
@@ -216,7 +214,7 @@ def cmd_report(args) -> int:
 
     matrix = ft.read_matrix(args.matrix)
     ci_lines = ["feature,label,n,mean,ci_lower,ci_upper"]
-    labels = sorted(set(matrix.labels), key=lambda l: LABEL_ORDER.get(l, 9))
+    labels = [label for label in cp.LABELS if label in matrix.labels]
     for feature in ci_features:
         for label in labels:
             vals = [v for v in matrix.group_column(feature, label) if v is not None]
@@ -252,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="newsstyle",
         description="Stylometric comparison of fake, real, and satire news",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker hint (processing is deterministic either way)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="load and validate a corpus directory")

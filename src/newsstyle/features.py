@@ -18,7 +18,7 @@ from pathlib import Path
 from . import lexicon as lx
 from . import postag as pt
 from . import textseg as ts
-from .corpus import Document
+from .corpus import LABELS, Document
 
 COMPLEXITY_FEATURES = (
     "GI", "SMOG", "FK", "med_depth", "med_np_depth", "med_vp_depth",
@@ -98,64 +98,63 @@ def _median(xs: list[float]) -> float:
     return (xs[mid - 1] + xs[mid]) / 2.0
 
 
-def _word_tokens(tokens: list[ts.Token]) -> list[ts.Token]:
-    return [t for t in tokens if t.kind == ts.WORD]
-
-
 def extract_complexity(
-    tagged: list[pt.TaggedSentence],
+    pairs: list[tuple[ts.Token, str]],
+    n_sent: int,
     metrics: list[tuple[int, int, int, int]],
     freq: lx.FrequencyTable,
 ) -> dict[str, float | None]:
     """Readability indices, tree-depth medians, fluency, TTR, word length.
 
-    ``metrics`` holds ``pt.tree_metrics`` of each sentence's chunk tree.
+    ``pairs`` holds the part's (token, tag) pairs over its ``n_sent``
+    sentences, and ``metrics`` holds ``pt.tree_metrics`` of each sentence's
+    chunk tree.
     """
-    if not tagged:
-        return {name: NA for name in COMPLEXITY_FEATURES}
-    pairs = [(tok, t) for s in tagged for tok, t in s.tokens]
     words = [(tok, t) for tok, t in pairs if tok.kind == ts.WORD]
-    tokens = [tok for tok, _ in pairs]
+    word_toks = [tok for tok, _ in words]
     out: dict[str, float | None] = {}
-    n_sent = len(tagged)
     n_words = len(words)
     if n_words == 0:
         out.update({name: NA for name in ("GI", "SMOG", "FK", "TTR", "avg_wlen")})
     else:
-        syllables = sum(ts.count_syllables(tok.lower) for tok, _ in words)
-        complex_words = sum(1 for tok, t in words if ts.is_complex_word(tok.norm, t))
-        poly = sum(1 for tok, _ in words if ts.count_syllables(tok.lower) >= 3)
+        counts = [ts.count_syllables(tok.lower) for tok in word_toks]
+        syllables = sum(counts)
+        poly = sum(1 for c in counts if c >= 3)
+        complex_words = sum(
+            1 for (tok, t), c in zip(words, counts) if c >= 3 and ts.is_complex_word(tok.norm, t)
+        )
         out["GI"] = 0.4 * (n_words / n_sent + 100.0 * complex_words / n_words)
         out["FK"] = 0.39 * n_words / n_sent + 11.8 * syllables / n_words - 15.59
         out["SMOG"] = 1.0430 * math.sqrt(poly * 30.0 / n_sent) + 3.1291
-        out["TTR"] = len({tok.lower for tok, _ in words}) / n_words
-        out["avg_wlen"] = sum(len(tok.norm) for tok, _ in words) / n_words
+        out["TTR"] = len({tok.lower for tok in word_toks}) / n_words
+        out["avg_wlen"] = sum(len(tok.norm) for tok in word_toks) / n_words
     out["med_depth"] = _median([m[0] for m in metrics]) if metrics else NA
     out["med_np_depth"] = _median([m[1] for m in metrics]) if metrics else NA
     out["med_vp_depth"] = _median([m[2] for m in metrics]) if metrics else NA
-    out["flu_coca_d"] = lx.fluency_doc(tokens, freq)
-    out["flu_coca_c"] = lx.fluency_least3(tokens, freq)
+    out["flu_coca_d"] = lx.fluency_doc(word_toks, freq)
+    out["flu_coca_c"] = lx.fluency_least3(word_toks, freq)
     return out
 
 
 def extract_stylistic(
-    tagged: list[pt.TaggedSentence],
+    pairs: list[tuple[ts.Token, str]],
+    n_sent: int,
     metrics: list[tuple[int, int, int, int]],
     cat_counts: dict[str, int],
     stopwords: frozenset[str],
 ) -> dict[str, float | None]:
     """Word/sentence counts, folded POS counts, punctuation and casing.
 
-    ``metrics`` holds ``pt.tree_metrics`` of each sentence's chunk tree and
-    ``cat_counts`` is ``lx.match_categories`` over the part's tokens.
+    ``pairs`` holds the part's (token, tag) pairs over its ``n_sent``
+    sentences, ``metrics`` holds ``pt.tree_metrics`` of each sentence's
+    chunk tree and ``cat_counts`` is ``lx.match_categories`` over the
+    part's tokens.
     """
-    pairs = [(tok, t) for s in tagged for tok, t in s.tokens]
     tokens = [tok for tok, _ in pairs]
-    words = _word_tokens(tokens)
+    words = [tok for tok in tokens if tok.kind == ts.WORD]
     out: dict[str, float | None] = {}
     wc = len(words)
     out["WC"] = float(wc)
-    n_sent = len(tagged)
     pos_counts = {name: 0 for name in POS_FEATURES}
     for _, t in pairs:
         folded = _TAG_FOLD.get(t)
@@ -203,9 +202,9 @@ def extract_psychological(
 def extract_all(doc: Document, part: str, resources: Resources) -> FeatureVector:
     """Every catalog feature for one document part.
 
-    The part is split, tagged and chunked once; tree metrics and category
-    counts are computed once and shared by the three families. An empty
-    part yields a vector of all-undefined markers.
+    The part is split, tagged and chunked once; its (token, tag) pairs,
+    tree metrics and category counts are computed once and shared by the
+    three families. An empty part yields a vector of all-undefined markers.
     """
     if part not in ("title", "body"):
         raise ValueError(f"part must be 'title' or 'body', got {part!r}")
@@ -217,11 +216,12 @@ def extract_all(doc: Document, part: str, resources: Resources) -> FeatureVector
     sentences = ts.split_sentences(text)
     tagged = [pt.tag(s, resources.tagger) for s in sentences]
     metrics = [pt.tree_metrics(pt.chunk(t)) for t in tagged]
-    tokens = [tok for s in sentences for tok in s.tokens]
-    cat_counts = lx.match_categories(tokens, resources.categories)
+    pairs = [pair for t in tagged for pair in t.tokens]
+    n_sent = len(sentences)
+    cat_counts = lx.match_categories([tok for tok, _ in pairs], resources.categories)
     values: dict[str, float | None] = {}
-    values.update(extract_complexity(tagged, metrics, resources.frequency))
-    values.update(extract_stylistic(tagged, metrics, cat_counts, resources.stopwords))
+    values.update(extract_complexity(pairs, n_sent, metrics, resources.frequency))
+    values.update(extract_stylistic(pairs, n_sent, metrics, cat_counts, resources.stopwords))
     values.update(extract_psychological(sentences, cat_counts, resources.sentiment))
     vec.values = {name: values[name] for name in CATALOG}
     return vec
@@ -309,9 +309,17 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
         for lineno, rec in enumerate(reader, 2):
             if len(rec) != len(names) + 3:
                 raise MatrixFormatError(f"{path}:{lineno}: ragged row")
+            if rec[1] not in LABELS:
+                raise MatrixFormatError(f"{path}:{lineno}: label {rec[1]!r} not in {LABELS}")
+            if rec[2] not in ("title", "body"):
+                raise MatrixFormatError(f"{path}:{lineno}: part {rec[2]!r} is not title or body")
+            part = part or rec[2]
+            if rec[2] != part:
+                raise MatrixFormatError(
+                    f"{path}:{lineno}: part {rec[2]!r} differs from the first row's {part!r}"
+                )
             ids.append(rec[0])
             labels.append(rec[1])
-            part = rec[2]
             rows.append([None if v == "NA" else float(v) for v in rec[3:]])
     return FeatureMatrix(
         feature_names=names, doc_ids=tuple(ids), labels=tuple(labels),

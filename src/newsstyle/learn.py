@@ -129,6 +129,8 @@ def train_svm(
     kernel is involved, so the weights are the same bits on any IEEE-754
     host.
     """
+    if not (math.isfinite(C) and C > 0):
+        raise LearnError(f"C must be finite and > 0, got {C!r}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if set(np.unique(y)) != {-1.0, 1.0}:

@@ -1,8 +1,8 @@
 """Part-of-speech tagging and shallow chunking.
 
 A greedy averaged-perceptron tagger over a Penn-style tagset, a
-longest-match chunk grammar producing NP/VP/PP/O phrases, and loaders for
-externally tagged or parsed input when higher-fidelity tools are on hand.
+longest-match chunk grammar producing NP/VP/PP/O phrases, and a loader for
+externally tagged input (token<TAB>tag lines), used to train the tagger.
 """
 
 from __future__ import annotations
@@ -311,41 +311,29 @@ def chunk(ts: TaggedSentence) -> ChunkNode:
     return ChunkNode("S", tuple(children))
 
 
-def _node_depth(node) -> int:
-    if not isinstance(node, ChunkNode):
-        return 0
-    if not node.children:
-        return 1
-    return 1 + max(_node_depth(c) for c in node.children)
-
-
-def _walk(node):
-    yield node
-    if isinstance(node, ChunkNode):
-        for c in node.children:
-            yield from _walk(c)
-
-
 def tree_metrics(tree: ChunkNode) -> tuple[int, int, int, int]:
     """(depth, np_depth, vp_depth, vp_count).
 
     Depth counts edges on the longest root-to-leaf path; np/vp depths are
     the deepest NP/VP subtree's internal depth (0 when absent).
     """
-    depth = _node_depth(tree)
     np_depth = vp_depth = vp_count = 0
-    for node in _walk(tree):
-        if isinstance(node, ChunkNode):
-            if node.label == "NP":
-                np_depth = max(np_depth, _node_depth(node))
-            elif node.label == "VP":
-                vp_depth = max(vp_depth, _node_depth(node))
-                vp_count += 1
-    return depth, np_depth, vp_depth, vp_count
+
+    def depth(node: ChunkNode) -> int:
+        nonlocal np_depth, vp_depth, vp_count
+        d = 1 + max((depth(c) for c in node.children if isinstance(c, ChunkNode)), default=0)
+        if node.label == "NP":
+            np_depth = max(np_depth, d)
+        elif node.label == "VP":
+            vp_depth = max(vp_depth, d)
+            vp_count += 1
+        return d
+
+    return depth(tree), np_depth, vp_depth, vp_count
 
 
 def leaf_count(tree: ChunkNode) -> int:
-    return sum(1 for n in _walk(tree) if not isinstance(n, ChunkNode))
+    return sum(leaf_count(c) if isinstance(c, ChunkNode) else 1 for c in tree.children)
 
 
 # ---------------------------------------------------------------------------
@@ -381,56 +369,6 @@ def load_pretagged(path: str | Path) -> list[TaggedSentence]:
     if current:
         sentences.append(TaggedSentence(tokens=tuple(current)))
     return sentences
-
-
-def parse_bracketed(line: str) -> ChunkNode:
-    """Parse one parenthesized tree, e.g. ``(S (NP Dogs) (VP bark) .)``.
-
-    Labels are arbitrary; bare words become leaves. Used to import
-    external parser output for depth metrics.
-    """
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(line) and line[pos].isspace():
-            pos += 1
-
-    def parse_node():
-        nonlocal pos
-        skip_ws()
-        if pos >= len(line):
-            raise TaggerError("unexpected end of tree string")
-        if line[pos] == "(":
-            pos += 1
-            skip_ws()
-            start = pos
-            while pos < len(line) and not line[pos].isspace() and line[pos] not in "()":
-                pos += 1
-            label = line[start:pos]
-            children = []
-            while True:
-                skip_ws()
-                if pos >= len(line):
-                    raise TaggerError("unbalanced parentheses in tree string")
-                if line[pos] == ")":
-                    pos += 1
-                    return ChunkNode(label or "S", tuple(children))
-                children.append(parse_node())
-        start = pos
-        while pos < len(line) and not line[pos].isspace() and line[pos] not in "()":
-            pos += 1
-        word = line[start:pos]
-        tok = Token(text=word, kind=WORD, span=(start, pos))
-        return (tok, "")
-
-    node = parse_node()
-    skip_ws()
-    if pos != len(line):
-        raise TaggerError(f"trailing text after tree: {line[pos:]!r}")
-    if not isinstance(node, ChunkNode):
-        raise TaggerError("tree must have a labeled root")
-    return node
 
 
 _DEFAULT_MODEL: TaggerModel | None = None

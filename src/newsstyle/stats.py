@@ -364,7 +364,6 @@ class TestResult:
 @dataclass
 class OrderingReport:
     part: str
-    dataset_id: int
     alpha: float
     rows: list[TestResult] = field(default_factory=list)
 

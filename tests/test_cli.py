@@ -116,6 +116,18 @@ class TestAnalyze:
         m.write_text("doc_id,label,part,BOGUS\nx,real,body,1\n")
         assert main(["analyze", "--matrix", str(m), "--out", str(tmp_path / "o")]) == 1
 
+    def test_unknown_labels_exit_1(self, tmp_path, capsys):
+        # labels outside LABELS have no fixed group order, so the sign of a
+        # two-group statistic would depend on set iteration order
+        m = tmp_path / "ab.csv"
+        rows = ["doc_id,label,part,med_vp_depth"]
+        rows += [f"d{i},{'alpha' if i < 30 else 'beta'},body,{i % 7 + (i >= 30)}"
+                 for i in range(60)]
+        m.write_text("\n".join(rows) + "\n")
+        assert main(["analyze", "--matrix", str(m), "--out", str(tmp_path / "o")]) == 1
+        assert f"{m}:2: label 'alpha'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "ordering.tsv").exists()
+
 
 class TestClassify:
     def test_cv_artifact(self, pipeline):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import write_synthetic_corpus
+import newsstyle.textseg as ts
 from newsstyle.cli import main
 from newsstyle.corpus import Document
 from newsstyle.features import (
@@ -111,6 +112,22 @@ class TestExtractAll:
         v = _vec('He said "no" and left.', resources)
         assert v["quotes"] == 2
 
+    def test_one_syllable_count_per_word(self, resources, monkeypatch):
+        text = "The beautiful education initiative flourished. Washington was wonderful!"
+        words = [t for s in ts.split_sentences(text) for t in s.tokens if t.kind == ts.WORD]
+        poly = sum(1 for t in words if ts.count_syllables(t.lower) >= 3)
+        calls = []
+        count_syllables = ts.count_syllables
+
+        def counting(word):
+            calls.append(word)
+            return count_syllables(word)
+
+        monkeypatch.setattr(ts, "count_syllables", counting)
+        extract_all(_doc(body=text), "body", resources)
+        assert poly > 0
+        assert 0 < len(calls) <= len(words) + poly
+
 
 class TestScalingProperties:
     BASE = "The governor denied the report. Officials were not amused!"
@@ -180,6 +197,17 @@ class TestMatrix:
         p = tmp_path / "bad.csv"
         p.write_text("doc_id,label,part,WC,TTR\nx,real,body,5\n")
         with pytest.raises(MatrixFormatError, match=":2:"):
+            read_matrix(p)
+
+    @pytest.mark.parametrize("rows, match", [
+        ("x,real,body,1\ny,alpha,body,2\n", ":3: label 'alpha'"),
+        ("x,real,body,1\ny,fake,title,2\n", ":3: part 'title'"),
+        ("x,real,abstract,1\n", ":2: part 'abstract'"),
+    ])
+    def test_bad_label_or_part_rejected(self, tmp_path, rows, match):
+        p = tmp_path / "bad.csv"
+        p.write_text("doc_id,label,part,WC\n" + rows)
+        with pytest.raises(MatrixFormatError, match=match):
             read_matrix(p)
 
     def test_bad_header_rejected(self, tmp_path):

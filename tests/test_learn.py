@@ -75,6 +75,12 @@ class TestTrainSvm:
         pred = np.where(model.decision_values(X) >= 0, 1.0, -1.0)
         assert np.mean(pred == y) <= 0.75
 
+    @pytest.mark.parametrize("C", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_C_rejected(self, C):
+        X, y = _two_blobs(seed=3)
+        with pytest.raises(LearnError, match="C must be finite and > 0"):
+            train_svm(X, y, C=C)
+
     def test_deterministic_for_seed(self):
         X, y = _two_blobs(seed=2)
         m1 = train_svm(X, y, seed=5)
@@ -418,6 +424,15 @@ class TestClassifyCli:
             "be452f0898e0ae7d76cea1d0f19b9845eb446bad89b8ac5ba4429a0064470637")
         err = capsys.readouterr().err
         assert err == "2 of 5 folds stopped at max_epochs without reaching tol\n"
+
+    @pytest.mark.parametrize("C", ["0", "-1", "nan", "inf"])
+    def test_invalid_C_exit_1(self, tmp_path, capsys, C):
+        _write_overlapping_matrix(tmp_path / "m.csv")
+        out = tmp_path / "cv.tsv"
+        assert main(["classify", "--matrix", str(tmp_path / "m.csv"), "--pair", "fake:real",
+                     "--preset", "body4", "--C", C, "--out", str(out)]) == 1
+        assert "C must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_warning_when_every_fold_converges(self, tmp_path, capsys):
         _write_overlapping_matrix(tmp_path / "m.csv")

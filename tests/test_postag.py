@@ -8,13 +8,13 @@ import newsstyle.postag
 TAGGED_CORPUS = Path(newsstyle.postag.__file__).parent / "resources" / "tagged_corpus.tsv"
 
 from newsstyle.postag import (
+    ChunkNode,
     TaggedSentence,
     TaggerError,
     chunk,
     default_model,
     leaf_count,
     load_pretagged,
-    parse_bracketed,
     tag,
     train_tagger,
     tree_metrics,
@@ -165,6 +165,77 @@ class TestTreeMetrics:
         assert depth == 3
         assert vps == 1
 
+    def test_arbitrary_labels(self):
+        leaf = (Token(text="deep", kind="word", span=(0, 4)), "NN")
+        tree = ChunkNode("ROOT", (ChunkNode("X", (ChunkNode("Y", (leaf,)),)),))
+        assert tree_metrics(tree) == (3, 0, 0, 0)
+        assert leaf_count(tree) == 1
+
+
+def _old_node_depth(node):
+    if not isinstance(node, ChunkNode):
+        return 0
+    if not node.children:
+        return 1
+    return 1 + max(_old_node_depth(c) for c in node.children)
+
+
+def _old_walk(node):
+    yield node
+    if isinstance(node, ChunkNode):
+        for c in node.children:
+            yield from _old_walk(c)
+
+
+def _old_tree_metrics(tree):
+    """The two-pass version: a depth recursion per NP/VP node over a full walk."""
+    depth = _old_node_depth(tree)
+    np_depth = vp_depth = vp_count = 0
+    for node in _old_walk(tree):
+        if isinstance(node, ChunkNode):
+            if node.label == "NP":
+                np_depth = max(np_depth, _old_node_depth(node))
+            elif node.label == "VP":
+                vp_depth = max(vp_depth, _old_node_depth(node))
+                vp_count += 1
+    return depth, np_depth, vp_depth, vp_count
+
+
+def _old_leaf_count(tree):
+    return sum(1 for n in _old_walk(tree) if not isinstance(n, ChunkNode))
+
+
+def _random_tree(rng, depth):
+    """Arbitrary labels, empty nodes and leaves at any level."""
+    kids = []
+    for _ in range(rng.randint(0, 4)):
+        if depth > 0 and rng.random() < 0.5:
+            kids.append(_random_tree(rng, depth - 1))
+        else:
+            kids.append((Token(text="w", kind="word", span=(0, 1)), "NN"))
+    return ChunkNode(rng.choice(["S", "NP", "VP", "PP", "O", "ROOT", "X"]), tuple(kids))
+
+
+class TestTreeMetricsDifferential:
+    """The one-pass walk against the two-pass version it replaced."""
+
+    def test_chunked_sequences(self):
+        rng = random.Random(11)
+        tags = ["DT", "PRP$", "JJ", "NN", "NNS", "NNP", "PRP", "CD", "VBD", "VBZ", "VB",
+                "RB", "IN", "TO", "CC", "PUNCT"]
+        for _ in range(2000):
+            seq = [(f"w{i}", rng.choice(tags)) for i in range(rng.randint(1, 25))]
+            tree = chunk(_tagged(seq))
+            assert tree_metrics(tree) == _old_tree_metrics(tree)
+            assert leaf_count(tree) == _old_leaf_count(tree) == len(seq)
+
+    def test_arbitrary_label_trees(self):
+        rng = random.Random(12)
+        for _ in range(2000):
+            tree = _random_tree(rng, rng.randint(0, 6))
+            assert tree_metrics(tree) == _old_tree_metrics(tree)
+            assert leaf_count(tree) == _old_leaf_count(tree)
+
 
 class TestLoadPretagged:
     def test_two_sentences(self, tmp_path):
@@ -190,18 +261,3 @@ class TestLoadPretagged:
         f = tmp_path / "t.tsv"
         f.write_text("")
         assert load_pretagged(f) == []
-
-
-class TestBracketedImport:
-    def test_parse_and_metrics(self):
-        tree = parse_bracketed("(S (NP Dogs) (VP bark) .)")
-        depth, np_d, vp_d, vps = tree_metrics(tree)
-        assert (depth, np_d, vp_d, vps) == (2, 1, 1, 1)
-
-    def test_arbitrary_labels(self):
-        tree = parse_bracketed("(ROOT (X (Y deep)))")
-        assert tree_metrics(tree)[0] == 3
-
-    def test_unbalanced(self):
-        with pytest.raises(TaggerError):
-            parse_bracketed("(S (NP Dogs)")

@@ -383,7 +383,7 @@ class TestOrderingReport:
             StatRow("b", "ranksum", 2.0, 0.04, {}, "", True),
             StatRow("c", "anova", 9.0, 0.001, {}, "", True),
         ]
-        rep = OrderingReport(part="body", dataset_id=1, alpha=0.05, rows=rows)
+        rep = OrderingReport(part="body", alpha=0.05, rows=rows)
         assert [r.feature for r in rep.sorted_rows()] == ["c", "b", "a"]
 
 
