@@ -5,7 +5,8 @@ End-to-end pipeline via the command line entry point
 Builds a tiny three-label corpus on disk, then drives the same five
 subcommands a shell user would: ingest, extract, analyze, classify,
 report. Every artifact is deterministic, so rerunning the script
-reproduces the files byte for byte.
+reproduces the files byte for byte. They live in a temporary directory
+that is removed when the script ends.
 """
 
 import sys
@@ -13,9 +14,6 @@ import tempfile
 from pathlib import Path
 
 from newsstyle.cli import main
-
-root = Path(tempfile.mkdtemp(prefix="newsstyle_demo_"))
-corpus = root / "corpus"
 
 ARTICLES = {
     "real": [
@@ -47,34 +45,38 @@ ARTICLES = {
     ],
 }
 
-for label, articles in ARTICLES.items():
-    d = corpus / label
-    d.mkdir(parents=True)
-    for i, (title, body) in enumerate(articles):
-        (d / f"{label}{i}.txt").write_text(f"{title}\n\n{body}\n")
+with tempfile.TemporaryDirectory(prefix="newsstyle_demo_") as tmp:
+    root = Path(tmp)
+    corpus = root / "corpus"
 
-steps = [
-    ["ingest", "--corpus", str(corpus), "--dataset-id", "2",
-     "--out", str(root / "ingest")],
-    ["extract", "--corpus", str(corpus), "--dataset-id", "2",
-     "--part", "body", "--out", str(root / "body.csv")],
-    ["analyze", "--matrix", str(root / "body.csv"),
-     "--out", str(root / "analysis")],
-    ["classify", "--matrix", str(root / "body.csv"), "--pair", "real:fake",
-     "--preset", "body4", "--folds", "2", "--out", str(root / "cv.tsv")],
-    ["report", "--matrix", str(root / "body.csv"),
-     "--analysis", str(root / "analysis" / "ordering.tsv"),
-     "--classification", str(root / "cv.tsv"),
-     "--out", str(root / "report")],
-]
+    for label, articles in ARTICLES.items():
+        d = corpus / label
+        d.mkdir(parents=True)
+        for i, (title, body) in enumerate(articles):
+            (d / f"{label}{i}.txt").write_text(f"{title}\n\n{body}\n")
 
-for argv in steps:
-    print(f"\n$ newsstyle {' '.join(argv)}")
-    code = main(argv)
-    if code != 0:
-        sys.exit(code)
+    steps = [
+        ["ingest", "--corpus", str(corpus), "--dataset-id", "2",
+         "--out", str(root / "ingest")],
+        ["extract", "--corpus", str(corpus), "--dataset-id", "2",
+         "--part", "body", "--out", str(root / "body.csv")],
+        ["analyze", "--matrix", str(root / "body.csv"),
+         "--out", str(root / "analysis")],
+        ["classify", "--matrix", str(root / "body.csv"), "--pair", "real:fake",
+         "--preset", "body4", "--folds", "2", "--out", str(root / "cv.tsv")],
+        ["report", "--matrix", str(root / "body.csv"),
+         "--analysis", str(root / "analysis" / "ordering.tsv"),
+         "--classification", str(root / "cv.tsv"),
+         "--out", str(root / "report")],
+    ]
 
-print(f"\nartifacts under {root}:")
-for p in sorted(root.rglob("*")):
-    if p.is_file():
-        print(" ", p.relative_to(root))
+    for argv in steps:
+        print(f"\n$ newsstyle {' '.join(argv)}")
+        code = main(argv)
+        if code != 0:
+            sys.exit(code)
+
+    print(f"\nartifacts under {root}:")
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            print(" ", p.relative_to(root))

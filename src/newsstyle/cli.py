@@ -3,6 +3,9 @@ report, each emitting deterministic static artifacts.
 
 Exit codes: 0 success, 1 input/structural error, 2 degenerate-statistics
 warning escalated by --strict-degenerate.
+
+Only ``classify`` imports numpy (through ``learn``), so the other
+subcommands start without it.
 """
 
 from __future__ import annotations
@@ -12,11 +15,8 @@ import hashlib
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as cp
 from . import features as ft
-from . import learn as ln
 from . import lexicon as lx
 from . import postag as pt
 from . import stats as st
@@ -147,7 +147,7 @@ def cmd_analyze(args) -> int:
 
 def _select_features(matrix: ft.FeatureMatrix, args) -> tuple[str, ...]:
     if args.preset:
-        return ln.PRESETS[args.preset]
+        return ft.PRESETS[args.preset]
     report = _analyze_matrix(matrix, args.alpha)
     top = st.rank_features(report.rows, args.top_k, args.alpha)
     if len(top) < args.top_k:
@@ -158,6 +158,10 @@ def _select_features(matrix: ft.FeatureMatrix, args) -> tuple[str, ...]:
 
 
 def cmd_classify(args) -> int:
+    import numpy as np
+
+    from . import learn as ln
+
     matrix = ft.read_matrix(args.matrix)
     pair = tuple(args.pair.split(":"))
     if len(pair) != 2 or not all(p in cp.LABELS for p in pair):
@@ -171,9 +175,12 @@ def cmd_classify(args) -> int:
         [[np.nan if matrix.rows[i][j] is None else matrix.rows[i][j] for j in cols] for i in keep]
     )
     labels = [matrix.labels[i] for i in keep]
-    report = ln.cross_validate(
-        X, labels, k=args.folds, C=args.C, seed=args.seed, feature_names=names
-    )
+    try:
+        report = ln.cross_validate(
+            X, labels, k=args.folds, C=args.C, seed=args.seed, feature_names=names
+        )
+    except ln.LearnError as e:
+        raise CliError(str(e)) from None
     unconverged = report.fold_converged.count(False)
     if unconverged:
         print(f"{unconverged} of {report.k} folds stopped at max_epochs without reaching tol",
@@ -277,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="cross-validate a linear SVM on selected features")
     p.add_argument("--matrix", required=True)
     p.add_argument("--pair", required=True, help="label pair, e.g. fake:real")
-    p.add_argument("--preset", choices=sorted(ln.PRESETS))
+    p.add_argument("--preset", choices=sorted(ft.PRESETS))
     p.add_argument("--top-k", type=int, default=4)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--folds", type=int, default=5)
@@ -302,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CliError, cp.CorpusError, ft.MatrixFormatError, lx.LexiconFormatError,
-            ln.LearnError, pt.TaggerError, FileNotFoundError) as e:
+            pt.TaggerError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

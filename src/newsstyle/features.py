@@ -47,6 +47,12 @@ CATALOG = (
     + ("str_neg", "str_pos")
 )
 
+# named top-4 feature sets for classification
+PRESETS = {
+    "body4": ("NN", "TTR", "WC", "quotes"),
+    "title4": ("per_stop", "NN", "avg_wlen", "FK"),
+}
+
 # Penn fine tags folded into the catalog's coarse counts
 _TAG_FOLD = {
     "NN": "NN", "NNS": "NN", "NNP": "NNP", "NNPS": "NNP",
@@ -305,10 +311,16 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
         if unknown:
             raise MatrixFormatError(f"{path}: unknown feature column(s) {unknown}")
         ids, labels, rows = [], [], []
+        first_line: dict[str, int] = {}  # doc_id -> line it was first seen on
         part = ""
         for lineno, rec in enumerate(reader, 2):
             if len(rec) != len(names) + 3:
                 raise MatrixFormatError(f"{path}:{lineno}: ragged row")
+            first = first_line.setdefault(rec[0], lineno)
+            if first != lineno:
+                raise MatrixFormatError(
+                    f"{path}:{lineno}: duplicate doc_id {rec[0]!r} (first on line {first})"
+                )
             if rec[1] not in LABELS:
                 raise MatrixFormatError(f"{path}:{lineno}: label {rec[1]!r} not in {LABELS}")
             if rec[2] not in ("title", "body"):
@@ -318,9 +330,16 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
                 raise MatrixFormatError(
                     f"{path}:{lineno}: part {rec[2]!r} differs from the first row's {part!r}"
                 )
+            try:
+                row = [None if v == "NA" else float(v) for v in rec[3:]]
+            except ValueError as e:
+                raise MatrixFormatError(f"{path}:{lineno}: {e}") from None
+            nan = [n for n, v in zip(names, row) if v != v]
+            if nan:
+                raise MatrixFormatError(f"{path}:{lineno}: nan in {nan}; an undefined value is NA")
             ids.append(rec[0])
             labels.append(rec[1])
-            rows.append([None if v == "NA" else float(v) for v in rec[3:]])
+            rows.append(row)
     return FeatureMatrix(
         feature_names=names, doc_ids=tuple(ids), labels=tuple(labels),
         part=part, rows=rows,

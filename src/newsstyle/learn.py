@@ -14,10 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-PRESETS = {
-    "body4": ("NN", "TTR", "WC", "quotes"),
-    "title4": ("per_stop", "NN", "avg_wlen", "FK"),
-}
+from .features import PRESETS  # noqa: F401  (re-exported)
 
 _STD_FLOOR = 1e-12
 

@@ -42,10 +42,11 @@ class CategoryLexicon:
     version: str
     exact: dict[str, dict[str, None]] = field(default_factory=dict)
     stems: dict[str, list[str]] = field(default_factory=dict)
-    # compiled at construction: word or stem -> indices of its categories
+    # compiled at construction: word or stem -> indices of its categories,
+    # and every non-empty prefix of every stem
     _exact_cats: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
     _stem_cats: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
-    _longest_stem: int = field(default=0, init=False, repr=False)
+    _stem_prefixes: frozenset[str] = field(default=frozenset(), init=False, repr=False)
 
     def __post_init__(self):
         exact: dict[str, list[int]] = {}
@@ -57,7 +58,7 @@ class CategoryLexicon:
                 stems.setdefault(stem, []).append(i)
         self._exact_cats = {w: tuple(ix) for w, ix in exact.items()}
         self._stem_cats = {s: tuple(ix) for s, ix in stems.items()}
-        self._longest_stem = max(map(len, stems), default=0)
+        self._stem_prefixes = frozenset(s[:end] for s in stems for end in range(1, len(s) + 1))
 
     @property
     def categories(self) -> list[str]:
@@ -70,8 +71,11 @@ class CategoryLexicon:
         """Categories of a lowercased word, in category order: those of its
         exact entry plus those of every prefix that is a wildcard stem."""
         found = set(self._exact_cats.get(word, ()))
-        for end in range(1, min(len(word), self._longest_stem) + 1):
-            found.update(self._stem_cats.get(word[:end], ()))
+        for end in range(1, len(word) + 1):
+            prefix = word[:end]
+            if prefix not in self._stem_prefixes:
+                break  # no stem starts with it, so none starts with a longer prefix
+            found.update(self._stem_cats.get(prefix, ()))
         if not found:
             return []
         names = self.categories

@@ -111,14 +111,20 @@ def _features(tokens: list[Token], i: int, prev: str, prev2: str) -> list[str]:
 
 
 def _predict(model: TaggerModel, feats: list[str]) -> str:
-    scores: dict[str, float] = defaultdict(float)
+    """Highest-scoring tag among those the features touch, ties to the
+    smallest tag name; "NN" when no feature has a weight."""
+    weights = model.weights
+    scores: dict[str, float] = {}
     for f in feats:
-        for tag, w in model.weights.get(f, {}).items():
-            scores[tag] += w
-    if not scores:
-        return "NN"
-    # deterministic argmax: score desc, tag name asc
-    return min(scores, key=lambda t: (-scores[t], t))
+        tag_weights = weights.get(f)
+        if tag_weights:
+            for t, w in tag_weights.items():
+                scores[t] = scores.get(t, 0.0) + w
+    best, best_score = "NN", None
+    for t, score in scores.items():
+        if best_score is None or score > best_score or (score == best_score and t < best):
+            best, best_score = t, score
+    return best
 
 
 def _fixed_tag(model: TaggerModel, tok: Token) -> str | None:

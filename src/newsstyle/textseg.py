@@ -8,8 +8,7 @@ deterministic: no probabilistic models, no language detection.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
@@ -25,53 +24,38 @@ _NORMALIZE = str.maketrans({"’": "'", "‘": "'", "“": '"', "”": '"'})
 
 _CLITICS = ("'s", "'re", "'ve", "'ll", "'d", "'m")
 
+# group names are the token kinds
 _TOKEN_RE = re.compile(
     r"""
     (?P<number>\d+(?:[.,]\d+)*)
   | (?P<word>[A-Za-z]+(?:[-'][A-Za-z]+)*)
-  | (?P<punct>[.,;:!?"'()\[\]{}–—-])
+  | (?P<punctuation>[.,;:!?"'()\[\]{}–—-])
   | (?P<symbol>\S)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     text: str
     kind: str
     span: tuple[int, int]
     is_all_caps: bool = False
+    # derived from text at construction; not part of equality or hashing
+    norm: str = field(init=False, compare=False, repr=False)  # curly quotes straightened
+    lower: str = field(init=False, compare=False, repr=False)  # norm, lowercased
 
-    @cached_property
-    def norm(self) -> str:
-        """Token text with curly quotes/apostrophes straightened."""
-        return self.text.translate(_NORMALIZE)
-
-    @cached_property
-    def lower(self) -> str:
-        return self.norm.lower()
+    def __post_init__(self):
+        norm = self.text.translate(_NORMALIZE)
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "lower", norm.lower())
 
 
 @dataclass(frozen=True)
 class Sentence:
     tokens: tuple[Token, ...]
     index: int
-
-
-def _all_caps(text: str) -> bool:
-    alpha = [c for c in text if c.isalpha()]
-    return len(text) >= 2 and bool(alpha) and all(c.isupper() for c in alpha)
-
-
-def _make_token(original: str, kind: str, start: int, end: int) -> Token:
-    text = original[start:end]
-    return Token(
-        text=text,
-        kind=kind,
-        span=(start, end),
-        is_all_caps=kind == WORD and _all_caps(text),
-    )
 
 
 def _split_clitic(norm_word: str) -> int | None:
@@ -85,6 +69,13 @@ def _split_clitic(norm_word: str) -> int | None:
     return None
 
 
+def _word_token(original: str, start: int, end: int) -> Token:
+    # letters are the only cased characters a word token can hold, so
+    # isupper() means "every letter is a capital"
+    text = original[start:end]
+    return Token(text, WORD, (start, end), len(text) >= 2 and text.isupper())
+
+
 def tokenize(text: str) -> list[Token]:
     """Split text into word/number/punctuation/symbol tokens with spans.
 
@@ -96,20 +87,17 @@ def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(normalized):
         kind = m.lastgroup
-        start, end = m.start(), m.end()
-        if kind == "number":
-            tokens.append(_make_token(text, NUMBER, start, end))
-        elif kind == "word":
-            cut = _split_clitic(m.group())
-            if cut is not None:
-                tokens.append(_make_token(text, WORD, start, start + cut))
-                tokens.append(_make_token(text, WORD, start + cut, end))
-            else:
-                tokens.append(_make_token(text, WORD, start, end))
-        elif kind == "punct":
-            tokens.append(_make_token(text, PUNCT, start, end))
+        start, end = m.span()
+        if kind != WORD:
+            tokens.append(Token(text[start:end], kind, (start, end)))
+            continue
+        word = m.group()
+        cut = _split_clitic(word) if "'" in word else None
+        if cut is None:
+            tokens.append(_word_token(text, start, end))
         else:
-            tokens.append(_make_token(text, SYMBOL, start, end))
+            tokens.append(_word_token(text, start, start + cut))
+            tokens.append(_word_token(text, start + cut, end))
     return tokens
 
 
@@ -134,6 +122,9 @@ def _abbreviations() -> frozenset[str]:
     return _DEFAULT_ABBREVIATIONS
 
 
+_NEXT_START = re.compile(r'\s+["\'(]*[A-Z0-9]')  # whitespace, then a sentence start
+
+
 def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[Sentence]:
     """Segment text into sentences over its token stream.
 
@@ -151,13 +142,9 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
 
     boundaries: set[int] = set()  # token index after which a sentence ends
     for i, tok in enumerate(tokens):
-        if tok.text not in (".", "!", "?"):
-            continue
-        end = tok.span[1]
-        rest = normalized[end:]
-        at_eot = not rest.strip()
-        follows = re.match(r'\s+["\'(]*[A-Z0-9]', rest)
-        if not (at_eot or follows):
+        # a terminator at the end of the text is the last token, which ends
+        # the last sentence whether or not it is marked
+        if tok.text not in (".", "!", "?") or not _NEXT_START.match(normalized, tok.span[1]):
             continue
         if tok.text == "." and i > 0:
             prev = tokens[i - 1]
@@ -181,14 +168,14 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
 
 
 _VOWELS = set("aeiouy")
+_VOWEL_GROUP = re.compile(r"[aeiouy]+")
 
 
 def count_syllables(word: str) -> int:
     """Heuristic syllable count: maximal vowel groups (a,e,i,o,u,y),
     dropping a terminal silent 'e' (but not '-le'), minimum 1."""
     w = word.lower()
-    groups = re.findall(r"[aeiouy]+", w)
-    n = len(groups)
+    n = len(_VOWEL_GROUP.findall(w))
     if n > 1 and w.endswith("e") and not w.endswith("le") and w[-2] not in _VOWELS:
         n -= 1
     return max(n, 1)

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from conftest import write_synthetic_corpus
 from newsstyle.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +135,50 @@ class TestAnalyze:
         assert main(["analyze", "--matrix", str(m), "--out", str(tmp_path / "o")]) == 1
         assert f"{m}:2: label 'alpha'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "ordering.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+@pytest.mark.parametrize("bad_row, message", [
+    ("d1,fake,body,nan,1,1,1", ":3: nan in ['NN']"),
+    ("d0,fake,body,5,1,1,1", ":3: duplicate doc_id 'd0' (first on line 2)"),
+    ("d1,fake,body,many,1,1,1", ":3: could not convert string to float: 'many'"),
+])
+def test_bad_matrix_row_exit_1(tmp_path, capsys, command, bad_row, message):
+    m = tmp_path / "m.csv"
+    rows = ["doc_id,label,part,NN,TTR,WC,quotes", "d0,real,body,4,0.5,120,2", bad_row]
+    rows += [f"d{i},{'real' if i % 2 else 'fake'},body,{i % 9},0.{i % 7},{100 + i},{i % 3}"
+             for i in range(2, 40)]
+    m.write_text("\n".join(rows) + "\n")
+    argv = {"analyze": ["analyze", "--matrix", str(m), "--out", str(tmp_path / "o")],
+            "classify": ["classify", "--matrix", str(m), "--pair", "fake:real",
+                         "--preset", "body4", "--out", str(tmp_path / "cv.tsv")]}[command]
+    assert main(argv) == 1
+    assert f"error: {m}{message}" in capsys.readouterr().err
+    assert not any(tmp_path.rglob("*.tsv"))
+
+
+def test_only_classify_loads_numpy(tmp_path):
+    m = tmp_path / "m.csv"
+    rows = ["doc_id,label,part,NN,TTR,WC,quotes"]
+    rows += [f"d{i},{'real' if i % 2 else 'fake'},body,{i % 9 + i % 2},0.{i % 7},{100 + i},{i % 3}"
+             for i in range(40)]
+    m.write_text("\n".join(rows) + "\n")
+    script = textwrap.dedent(f"""
+        import sys
+        from newsstyle.cli import main
+        assert "numpy" not in sys.modules
+        assert main(["analyze", "--matrix", {str(m)!r}, "--out", {str(tmp_path / "a")!r}]) == 0
+        assert "numpy" not in sys.modules
+        assert main(["classify", "--matrix", {str(m)!r}, "--pair", "fake:real",
+                     "--preset", "body4", "--out", {str(tmp_path / "cv.tsv")!r}]) == 0
+        assert "numpy" in sys.modules
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cv.tsv").read_text().startswith("schema_version=1\n")
 
 
 class TestClassify:

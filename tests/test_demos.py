@@ -21,3 +21,4 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("newsstyle_demo_*")), "demo left its temporary directory"

@@ -210,6 +210,18 @@ class TestMatrix:
         with pytest.raises(MatrixFormatError, match=match):
             read_matrix(p)
 
+    @pytest.mark.parametrize("rows, match", [
+        ("x,real,body,1,nan\n", r":2: nan in \['TTR'\]"),
+        ("x,real,body,1,2\ny,fake,body,-NaN,NA\n", r":3: nan in \['WC'\]"),
+        ("x,real,body,1,2\nx,fake,body,3,4\n", r":3: duplicate doc_id 'x' \(first on line 2\)"),
+        ("x,real,body,1,many\n", ":2: could not convert string to float: 'many'"),
+    ])
+    def test_nan_duplicate_or_text_cell_rejected(self, tmp_path, rows, match):
+        p = tmp_path / "bad.csv"
+        p.write_text("doc_id,label,part,WC,TTR\n" + rows)
+        with pytest.raises(MatrixFormatError, match=match):
+            read_matrix(p)
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("id,label,part,WC\nx,real,body,1\n")

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from newsstyle.postag import (
     train_tagger,
     tree_metrics,
 )
-from newsstyle.textseg import Sentence, Token, tokenize
+from newsstyle.textseg import Sentence, Token, split_sentences, tokenize
 
 
 def _sent(text):
@@ -58,6 +59,15 @@ class TestTrainTagger:
         ts = _tagged([("x", "BOGUS")])
         with pytest.raises(TaggerError, match="BOGUS"):
             train_tagger([ts], epochs=1, seed=0)
+
+    def test_reproduces_shipped_model(self):
+        # tools/build_tagger_model.py trains the shipped model this way, through
+        # the same scorer that tag() uses
+        model = train_tagger(load_pretagged(TAGGED_CORPUS), epochs=5, seed=7)
+        shipped = default_model()
+        assert model.weights == shipped.weights
+        assert model.vocab == shipped.vocab
+        assert model.lexical_backoff == shipped.lexical_backoff
 
     def test_heldout_accuracy(self):
         data = load_pretagged(TAGGED_CORPUS)
@@ -106,6 +116,104 @@ class TestTag:
             return c
 
         assert counts("The dog ran. The cat sat.") == counts("The cat sat. The dog ran.")
+
+
+# the tagging loop as it was before the per-token work was cut: feature
+# strings, a defaultdict of scores and a key-function argmax
+def _old_features(tokens, i, prev, prev2):
+    tok = tokens[i]
+    w, low = tok.norm, tok.lower
+    feats = [
+        "bias", f"w={w}", f"lw={low}", f"suf1={low[-1:]}", f"suf2={low[-2:]}",
+        f"suf3={low[-3:]}", f"p1={prev}", f"p2={prev2}|{prev}",
+        f"pw={tokens[i - 1].lower if i > 0 else '<s>'}",
+        f"nw={tokens[i + 1].lower if i + 1 < len(tokens) else '</s>'}",
+    ]
+    if tok.is_all_caps:
+        feats.append("allcaps")
+    if tok.kind == "number":
+        feats.append("num")
+    if w[:1].isupper():
+        feats.append("cap")
+    return feats
+
+
+def _old_predict(model, feats):
+    scores = defaultdict(float)
+    for f in feats:
+        for t, w in model.weights.get(f, {}).items():
+            scores[t] += w
+    if not scores:
+        return "NN"
+    return min(scores, key=lambda t: (-scores[t], t))
+
+
+def _old_tag(sentence, model):
+    tokens = list(sentence.tokens)
+    prev, prev2 = "<s>", "<s2>"
+    out = []
+    for i, tok in enumerate(tokens):
+        if tok.kind in ("punctuation", "symbol"):
+            t = "PUNCT"
+        elif tok.lower in model.lexical_backoff:
+            t = model.lexical_backoff[tok.lower]
+        elif tok.kind == "number":
+            t = "CD"
+        elif tok.lower not in model.vocab and tok.is_all_caps:
+            t = "NNP"
+        else:
+            t = _old_predict(model, _old_features(tokens, i, prev, prev2))
+        out.append(t)
+        prev2, prev = prev, t
+    return out
+
+
+def _random_text(rng, vocab):
+    words = []
+    for _ in range(rng.randint(1, 40)):
+        kind = rng.random()
+        if kind < 0.5:
+            w = rng.choice(vocab)
+            words.append(w.capitalize() if rng.random() < 0.2 else w)
+        elif kind < 0.65:  # unknown word
+            words.append("".join(rng.choice("abcdefghijklmnopqrstuvwxyz")
+                                 for _ in range(rng.randint(1, 11))))
+        elif kind < 0.72:
+            words.append(rng.choice(vocab).upper())
+        elif kind < 0.78:
+            words.append(str(rng.randint(0, 10**6)) + rng.choice(["", ".5", ",000"]))
+        elif kind < 0.86:
+            words.append(rng.choice(vocab) + rng.choice(["n't", "'s", "’s", "’re", "'ll", "’d"]))
+        elif kind < 0.93:
+            words.append(rng.choice(["“", "”", "‘", "’", '"', "(", ")", ",", ";", "—", "$"]))
+        else:
+            words.append(rng.choice([".", "!", "?"]))
+    return " ".join(words)
+
+
+class TestTagDifferential:
+    def test_matches_old_loop_on_random_sentences(self):
+        model = default_model()
+        vocab = sorted(model.vocab)
+        rng = random.Random(20170103)
+        n_tokens = 0
+        for _ in range(400):
+            for sent in split_sentences(_random_text(rng, vocab)):
+                assert tag(sent, model).tags() == _old_tag(sent, model)
+                n_tokens += len(sent.tokens)
+        assert n_tokens > 5000
+
+    def test_matches_old_loop_when_scores_tie(self):
+        # integer weights make equal top scores and zero scores common, so
+        # the tie rule (smallest tag name) decides many tokens
+        data = load_pretagged(TAGGED_CORPUS)[:60]
+        model = train_tagger(data, epochs=1, seed=3)
+        model.weights = {f: {t: round(w) for t, w in tw.items()} for f, tw in model.weights.items()}
+        rng = random.Random(5)
+        vocab = sorted(model.vocab)
+        for _ in range(200):
+            for sent in split_sentences(_random_text(rng, vocab)):
+                assert tag(sent, model).tags() == _old_tag(sent, model)
 
 
 class TestChunk:

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import string
 
 import pytest
@@ -68,6 +70,88 @@ class TestTokenize:
         assert toks == tokenize(text)  # deterministic
 
 
+class TestToken:
+    def test_norm_and_lower_straighten_curly_quotes(self):
+        tok = Token("Don’t", WORD, (0, 5))
+        assert (tok.norm, tok.lower) == ("Don't", "don't")
+        tok = Token("“Hi”", PUNCT, (0, 4))
+        assert (tok.norm, tok.lower) == ('"Hi"', '"hi"')
+        assert [(t.norm, t.lower) for t in tokenize("‘OK’ SAYS")] == [
+            ("'", "'"), ("OK", "ok"), ("'", "'"), ("SAYS", "says")]
+
+    def test_derived_fields_ignored_by_eq_hash_and_repr(self):
+        a, b = Token("Don’t", WORD, (0, 5)), Token("Don’t", WORD, (0, 5))
+        object.__setattr__(b, "lower", "something else")
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash(("Don’t", WORD, (0, 5), False))
+        assert "norm" not in repr(a) and "lower" not in repr(a)
+        with pytest.raises(TypeError):
+            Token("x", WORD, (0, 1), False, "x", "x")
+
+    def test_frozen_with_slots(self):
+        tok = Token("x", WORD, (0, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tok.lower = "y"
+        assert not hasattr(tok, "__dict__")
+
+
+# the tokenizer rules as they were before the fast paths: every word goes
+# through the clitic split, and all-caps is checked letter by letter
+_OLD_NORMALIZE = str.maketrans({"’": "'", "‘": "'", "“": '"', "”": '"'})
+_OLD_TOKEN_RE = re.compile(
+    r"""
+    (?P<number>\d+(?:[.,]\d+)*)
+  | (?P<word>[A-Za-z]+(?:[-'][A-Za-z]+)*)
+  | (?P<punct>[.,;:!?"'()\[\]{}–—-])
+  | (?P<symbol>\S)
+    """,
+    re.VERBOSE,
+)
+
+
+def _old_all_caps(text):
+    alpha = [c for c in text if c.isalpha()]
+    return len(text) >= 2 and bool(alpha) and all(c.isupper() for c in alpha)
+
+
+def _old_split_clitic(norm_word):
+    low = norm_word.lower()
+    if low.endswith("n't") and len(low) > 3:
+        return len(norm_word) - 3
+    for clitic in ("'s", "'re", "'ve", "'ll", "'d", "'m"):
+        if low.endswith(clitic) and len(low) > len(clitic):
+            return len(norm_word) - len(clitic)
+    return None
+
+
+def _old_tokenize(text):
+    kinds = {"number": "number", "word": WORD, "punct": PUNCT, "symbol": "symbol"}
+    out = []
+    for m in _OLD_TOKEN_RE.finditer(text.translate(_OLD_NORMALIZE)):
+        kind, start, end = kinds[m.lastgroup], m.start(), m.end()
+        cut = _old_split_clitic(m.group()) if kind == WORD else None
+        pieces = [(start, end)] if cut is None else [(start, start + cut), (start + cut, end)]
+        for a, b in pieces:
+            out.append((text[a:b], kind, (a, b), kind == WORD and _old_all_caps(text[a:b])))
+    return out
+
+
+_WORDS = hs.text(alphabet="aBcDeNsStT-'’‘", min_size=1, max_size=10)
+_CLITIC_WORDS = hs.tuples(hs.text(alphabet="aBcDeNsStT", max_size=5),
+                          hs.sampled_from(["n't", "’s", "'S", "'re", "’VE", "'ll", "'d", "’M",
+                                           "N’T", "'x", "’"])).map("".join)
+_SEPARATORS = hs.sampled_from([" ", "  ", ", ", ". ", "\u00a0", "—", "“", "” ", "35", "$"])
+
+
+class TestTokenizeDifferential:
+    @settings(max_examples=300)
+    @given(hs.lists(hs.tuples(hs.one_of(_WORDS, _CLITIC_WORDS), _SEPARATORS), max_size=10))
+    def test_matches_old_clitic_and_all_caps_rules(self, parts):
+        text = "".join(w + sep for w, sep in parts)
+        assert [(t.text, t.kind, t.span, t.is_all_caps) for t in tokenize(text)] == \
+            _old_tokenize(text)
+
+
 class TestSplitSentences:
     def test_two_sentences(self):
         assert len(split_sentences("The cat sat. The dog ran.")) == 2
@@ -110,6 +194,51 @@ class TestBlankText:
                      hs.text(alphabet=_WHITESPACE + "x\u200b\ufeff")))
     def test_no_sentences_iff_blank(self, text):
         assert (split_sentences(text) == []) == (not text.strip())
+
+
+def _old_boundaries(text, abbreviations):
+    """Token indices ending a sentence, by the old per-terminator slice of
+    the rest of the text."""
+    tokens = tokenize(text)
+    normalized = text.translate(_OLD_NORMALIZE)
+    boundaries = []
+    for i, tok in enumerate(tokens):
+        if tok.text not in (".", "!", "?"):
+            continue
+        rest = normalized[tok.span[1]:]
+        if not (not rest.strip() or re.match(r'\s+["\'(]*[A-Z0-9]', rest)):
+            continue
+        if tok.text == "." and i > 0:
+            prev = tokens[i - 1]
+            if prev.kind == WORD and (len(prev.text) == 1 or prev.lower + "." in abbreviations):
+                continue
+        boundaries.append(i)
+    return boundaries
+
+
+_SENTENCE_PARTS = hs.sampled_from([
+    "The", "cat", "Mr", "U", "S", "dr", "7", "sat", ".", "!", "?", "...", '"', "'", "(",
+    "“", "”", "‘", "’", " ", " ", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\u2028",
+])
+
+
+class TestSplitSentencesDifferential:
+    @settings(max_examples=500)
+    @given(hs.one_of(hs.lists(_SENTENCE_PARTS, max_size=30).map("".join),
+                     hs.text(alphabet="Ab7.!? \t“”‘’\"'(\u00a0\u3000\x85", max_size=40)))
+    def test_boundaries_match_old_slice_formula(self, text):
+        abbreviations = frozenset({"mr.", "dr."})
+        sentences = split_sentences(text, abbreviations)
+        ends, n = [], 0
+        for sent in sentences:
+            n += len(sent.tokens)
+            ends.append(n - 1)
+        tokens = tokenize(text)
+        expected = _old_boundaries(text, abbreviations)
+        if tokens and expected[-1:] != [len(tokens) - 1]:
+            expected.append(len(tokens) - 1)  # the unterminated last sentence
+        assert ends == expected
+        assert [t for s in sentences for t in s.tokens] == tokens
 
 
 class TestSyllables:
