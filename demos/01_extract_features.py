@@ -9,7 +9,7 @@ that separate the two writing styles.
 
 from newsstyle.corpus import Document
 from newsstyle.features import Resources, extract_all
-from newsstyle.postag import chunk, tag
+from newsstyle.postag import chunk, tag, tree_metrics
 from newsstyle.textseg import split_sentences, tokenize
 
 FAKE = "SHOCKING REPORT: Senator Caught Hiding MILLIONS In Offshore Accounts"
@@ -25,8 +25,13 @@ resources = Resources.default()
 for sentence in split_sentences(REAL):
     tagged = tag(sentence, resources.tagger)
     print([f"{tok.text}/{t}" for tok, t in tagged.tokens])
-    tree = chunk(tagged)
-    print("chunk tree:", tree)
+    # the chunker returns flat phrases over token indices, not a tree
+    phrases = chunk(tagged)
+    for label, start, end, complement in phrases:
+        words = " ".join(tok.text for tok, _ in tagged.tokens[start:end])
+        print(f"  {label:2} [{words}]  complement={complement or '-'}")
+    depth, np_depth, vp_depth, vps = tree_metrics(phrases)
+    print(f"  depth={depth} np_depth={np_depth} vp_depth={vp_depth} vps={vps}")
 
 # the headline contrast the toolkit is built around
 for name, title in (("fake-style", FAKE), ("real-style", REAL)):

@@ -64,15 +64,19 @@ def cmd_ingest(args) -> int:
 
 def cmd_extract(args) -> int:
     corpus, _ = cp.load_corpus(args.corpus, args.dataset_id)
+    labels: dict[str, str] = {}
+    for doc in corpus.documents:
+        if doc.id in labels:
+            raise CliError(f"duplicate doc_id {doc.id!r} (under {labels[doc.id]}/ and "
+                           f"{doc.label}/): matrix rows are keyed by doc_id")
+        labels[doc.id] = doc.label
     resources = _load_resources(args)
     vectors = []
-    labels = {}
     for doc in corpus.documents:
         text = doc.title if args.part == "title" else doc.body
         if args.part == "title" and not text.strip():
             continue  # unverified/absent titles are skipped, not zeroed
         vectors.append(ft.extract_all(doc, args.part, resources))
-        labels[doc.id] = doc.label
     if not vectors:
         raise CliError(f"no documents with a non-empty {args.part}")
     matrix = ft.build_matrix(vectors, labels, args.part)

@@ -114,7 +114,8 @@ def extract_complexity(
 
     ``pairs`` holds the part's (token, tag) pairs over its ``n_sent``
     sentences, and ``metrics`` holds ``pt.tree_metrics`` of each sentence's
-    chunk tree.
+    flat ``pt.chunk`` phrases (the depths of the tree they form under the
+    sentence root).
     """
     words = [(tok, t) for tok, t in pairs if tok.kind == ts.WORD]
     word_toks = [tok for tok, _ in words]
@@ -153,8 +154,8 @@ def extract_stylistic(
 
     ``pairs`` holds the part's (token, tag) pairs over its ``n_sent``
     sentences, ``metrics`` holds ``pt.tree_metrics`` of each sentence's
-    chunk tree and ``cat_counts`` is ``lx.match_categories`` over the
-    part's tokens.
+    flat ``pt.chunk`` phrases (``#vps`` sums their VP counts) and
+    ``cat_counts`` is ``lx.match_categories`` over the part's tokens.
     """
     tokens = [tok for tok, _ in pairs]
     words = [tok for tok in tokens if tok.kind == ts.WORD]

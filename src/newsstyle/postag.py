@@ -1,7 +1,7 @@
 """Part-of-speech tagging and shallow chunking.
 
 A greedy averaged-perceptron tagger over a Penn-style tagset, a
-longest-match chunk grammar producing NP/VP/PP/O phrases, and a loader for
+longest-match chunk grammar producing flat NP/VP/PP phrases, and a loader for
 externally tagged input (token<TAB>tag lines), used to train the tagger.
 """
 
@@ -112,10 +112,16 @@ def _features(tokens: list[Token], i: int, prev: str, prev2: str) -> list[str]:
 
 def _predict(model: TaggerModel, feats: list[str]) -> str:
     """Highest-scoring tag among those the features touch, ties to the
-    smallest tag name; "NN" when no feature has a weight."""
+    smallest tag name; "NN" when no feature has a weight.
+
+    The scores start as a copy of the first feature's weights (``bias``
+    in ``_features``), which equals adding them to 0.0; the rest are added
+    in feature order.
+    """
     weights = model.weights
-    scores: dict[str, float] = {}
-    for f in feats:
+    rest = iter(feats)
+    scores = dict(weights.get(next(rest), ()))
+    for f in rest:
         tag_weights = weights.get(f)
         if tag_weights:
             for t, w in tag_weights.items():
@@ -227,119 +233,106 @@ def train_tagger(
 # ---------------------------------------------------------------------------
 # chunking
 
-@dataclass(frozen=True)
-class ChunkNode:
-    label: str  # S, NP, VP, PP, O
-    children: tuple  # ChunkNode or (Token, tag) leaves
+_ADVERBS = frozenset({"RB", "RBR", "RBS"})
+_ADJECTIVES = frozenset({"JJ", "JJR", "JJS"})
+_NP_HEADS = NOUN_TAGS | {"PRP", "CD"}
+Phrase = tuple[str, int, int, str | None]  # (label, start, end, complement)
+
+# nesting depth a phrase's complement adds: PP := IN NP, and a VP holds an
+# NP or a PP
+_COMPLEMENT_DEPTH = {None: 0, "NP": 1, "PP": 2}
 
 
 def _match_np(tags: list[str], i: int) -> int | None:
+    """End of the NP starting at i, or None; ``tags`` ends in a sentinel
+    that is in no tag class, so no run needs a bounds check."""
     j = i
-    if j < len(tags) and tags[j] in ("DT", "PRP$"):
+    if tags[j] in ("DT", "PRP$"):
         j += 1
-    while j < len(tags) and tags[j] in ("JJ", "JJR", "JJS"):
+    while tags[j] in _ADJECTIVES:
         j += 1
     head = j
-    while j < len(tags) and (tags[j] in NOUN_TAGS or tags[j] in ("PRP", "CD")):
+    while tags[j] in _NP_HEADS:
         j += 1
     return j if j > head else None
 
 
-def _match_pp(tags: list[str], i: int) -> tuple[int, int] | None:
-    if i >= len(tags) or tags[i] != "IN":
-        return None
-    np_end = _match_np(tags, i + 1)
-    if np_end is None:
-        return None
-    return i + 1, np_end
-
-
-def _match_vp(tags: list[str], i: int) -> tuple[int, int, int] | None:
-    """Returns (verb_end, inner_start, end); inner_start == end when the
-    optional NP/PP complement is absent."""
-    j = i
-    while j < len(tags) and tags[j] in ("RB", "RBR", "RBS"):
-        j += 1
-    head = j
-    while j < len(tags) and tags[j] in VERB_TAGS:
-        j += 1
-    if j == head:
-        return None
-    verb_end = j
-    pp = _match_pp(tags, j)
-    np_end = _match_np(tags, j)
-    pp_end = pp[1] if pp else None
-    best = max(e for e in (np_end, pp_end, j) if e is not None)
-    return verb_end, j, best
-
-
-def chunk(ts: TaggedSentence) -> ChunkNode:
-    """Longest-match phrase grammar over the tag sequence.
+def chunk(ts: TaggedSentence) -> tuple[Phrase, ...]:
+    """Longest-match phrase grammar over the tag sequence, in one scan.
 
     NP := (DT|PRP$)? JJ* (noun|PRP|CD)+
     VP := RB* verb+ (NP|PP)?
     PP := IN NP
-    Unmatched tokens become O leaves directly under the root.
+
+    The three phrases start on disjoint tags, and so do a VP's two
+    complements, so at most one phrase can start at a position. Returns
+    the phrases in order, each over the tokens [start, end): complement
+    is "NP" or "PP" for a VP that has one, "NP" for a PP, and None
+    otherwise. Tokens in no phrase are left out.
     """
-    leaves = list(ts.tokens)
-    tags = [t for _, t in leaves]
-    children: list = []
+    tags = ts.tags()
+    n = len(tags)
+    tags.append("")  # ends every run in _match_np and below
+    phrases = []
     i = 0
-    while i < len(leaves):
-        candidates: list[tuple[int, ChunkNode]] = []
-        vp = _match_vp(tags, i)
-        if vp is not None:
-            verb_end, inner_start, end = vp
-            kids: list = list(leaves[i:verb_end])
-            if end > inner_start:
-                if tags[inner_start] == "IN":
-                    np_start, np_end = inner_start + 1, end
-                    pp_kids = [leaves[inner_start], ChunkNode("NP", tuple(leaves[np_start:np_end]))]
-                    kids.append(ChunkNode("PP", tuple(pp_kids)))
+    while i < n:
+        t = tags[i]
+        if t == "IN":
+            end = _match_np(tags, i + 1)
+            if end is not None:
+                phrases.append(("PP", i, end, "NP"))
+                i = end
+                continue
+        elif t in _ADVERBS or t in VERB_TAGS:
+            j = i
+            while tags[j] in _ADVERBS:
+                j += 1
+            verb_end = j
+            while tags[verb_end] in VERB_TAGS:
+                verb_end += 1
+            if verb_end > j:
+                if tags[verb_end] == "IN":
+                    end, complement = _match_np(tags, verb_end + 1), "PP"
                 else:
-                    kids.append(ChunkNode("NP", tuple(leaves[inner_start:end])))
-            candidates.append((end, ChunkNode("VP", tuple(kids))))
-        pp = _match_pp(tags, i)
-        if pp is not None:
-            np_start, end = pp
-            node = ChunkNode("PP", (leaves[i], ChunkNode("NP", tuple(leaves[np_start:end]))))
-            candidates.append((end, node))
-        np_end = _match_np(tags, i)
-        if np_end is not None:
-            candidates.append((np_end, ChunkNode("NP", tuple(leaves[i:np_end]))))
-        if candidates:
-            end, node = max(candidates, key=lambda c: c[0])
-            children.append(node)
-            i = end
+                    end, complement = _match_np(tags, verb_end), "NP"
+                if end is None:
+                    end, complement = verb_end, None
+                phrases.append(("VP", i, end, complement))
+                i = end
+                continue
         else:
-            children.append(leaves[i])
-            i += 1
-    return ChunkNode("S", tuple(children))
+            end = _match_np(tags, i)
+            if end is not None:
+                phrases.append(("NP", i, end, None))
+                i = end
+                continue
+        i += 1
+    return tuple(phrases)
 
 
-def tree_metrics(tree: ChunkNode) -> tuple[int, int, int, int]:
-    """(depth, np_depth, vp_depth, vp_count).
+def tree_metrics(chunks: tuple[Phrase, ...]) -> tuple[int, int, int, int]:
+    """(depth, np_depth, vp_depth, vp_count) of the tree the phrases form
+    under one sentence root.
 
-    Depth counts edges on the longest root-to-leaf path; np/vp depths are
-    the deepest NP/VP subtree's internal depth (0 when absent).
+    A phrase's depth is 1 plus its complement's: NP 1, PP 2, VP 1, 2 with
+    an NP and 3 with a PP. ``depth`` counts the root too; ``np_depth`` is 1
+    when any NP exists, inside a PP or a VP as well, and ``vp_depth`` is
+    the deepest VP's depth (0 when absent).
     """
-    np_depth = vp_depth = vp_count = 0
-
-    def depth(node: ChunkNode) -> int:
-        nonlocal np_depth, vp_depth, vp_count
-        d = 1 + max((depth(c) for c in node.children if isinstance(c, ChunkNode)), default=0)
-        if node.label == "NP":
-            np_depth = max(np_depth, d)
-        elif node.label == "VP":
-            vp_depth = max(vp_depth, d)
+    depth = np_depth = vp_depth = vp_count = 0
+    for label, _, _, complement in chunks:
+        d = 1 + _COMPLEMENT_DEPTH[complement]
+        if d > depth:
+            depth = d
+        if label == "VP":
             vp_count += 1
-        return d
-
-    return depth(tree), np_depth, vp_depth, vp_count
-
-
-def leaf_count(tree: ChunkNode) -> int:
-    return sum(leaf_count(c) if isinstance(c, ChunkNode) else 1 for c in tree.children)
+            if d > vp_depth:
+                vp_depth = d
+            if complement is not None:
+                np_depth = 1
+        else:
+            np_depth = 1
+    return 1 + depth, np_depth, vp_depth, vp_count
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,19 @@ class TestExtract:
                      "--part", "title", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 11
 
+    @pytest.mark.parametrize("part", ["body", "title"])
+    def test_duplicate_doc_id_exit_1(self, tmp_path, capsys, part):
+        corpus = write_synthetic_corpus(tmp_path / "c", {"real": 3, "fake": 3}, seed=1,
+                                        dataset_id=1)
+        (corpus / "fake" / "f001.txt").rename(corpus / "fake" / "r001.txt")
+        out = tmp_path / "m.csv"
+        assert main(["extract", "--corpus", str(corpus), "--dataset-id", "1",
+                     "--part", part, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: duplicate doc_id 'r001'")
+        assert "fake/" in err and "real/" in err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         corpus, out = pipeline
         again = tmp_path / "again.csv"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import write_synthetic_corpus
+import newsstyle.postag as pt
 import newsstyle.textseg as ts
 from newsstyle.cli import main
 from newsstyle.corpus import Document
@@ -127,6 +128,29 @@ class TestExtractAll:
         extract_all(_doc(body=text), "body", resources)
         assert poly > 0
         assert 0 < len(calls) <= len(words) + poly
+
+    def test_one_chunk_and_metrics_call_per_sentence(self, resources, monkeypatch):
+        # the benchmark's trace reads tree_metrics.calls as the sentence
+        # count, and wraps both names through the postag module
+        text = "The senator announced a plan. Critics rejected it in the city! Why?"
+        n_sent = len(ts.split_sentences(text))
+        chunk, tree_metrics = pt.chunk, pt.tree_metrics
+        chunked, measured = [], []
+
+        def counting_chunk(tagged):
+            chunked.append(chunk(tagged))
+            return chunked[-1]
+
+        def counting_metrics(phrases):
+            measured.append(phrases)
+            return tree_metrics(phrases)
+
+        monkeypatch.setattr(pt, "chunk", counting_chunk)
+        monkeypatch.setattr(pt, "tree_metrics", counting_metrics)
+        extract_all(_doc(body=text), "body", resources)
+        assert n_sent == 3
+        assert len(chunked) == n_sent
+        assert measured == chunked
 
 
 class TestScalingProperties:

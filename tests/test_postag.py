@@ -1,5 +1,6 @@
 import random
 from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -8,13 +9,15 @@ import newsstyle.postag
 
 TAGGED_CORPUS = Path(newsstyle.postag.__file__).parent / "resources" / "tagged_corpus.tsv"
 
+from conftest import write_synthetic_corpus
 from newsstyle.postag import (
-    ChunkNode,
+    NOUN_TAGS,
+    TAGSET,
+    VERB_TAGS,
     TaggedSentence,
     TaggerError,
     chunk,
     default_model,
-    leaf_count,
     load_pretagged,
     tag,
     train_tagger,
@@ -219,41 +222,47 @@ class TestTagDifferential:
 class TestChunk:
     def test_np_vp_o(self):
         ts = _tagged([("Dogs", "NN"), ("bark", "VB"), (".", "PUNCT")])
-        tree = chunk(ts)
-        labels = [c.label if hasattr(c, "label") else "leaf" for c in tree.children]
-        assert labels == ["NP", "VP", "leaf"]
+        assert chunk(ts) == (("NP", 0, 1, None), ("VP", 1, 2, None))
 
     def test_all_punct(self):
         ts = _tagged([(".", "PUNCT"), ("!", "PUNCT")])
-        tree = chunk(ts)
-        assert all(not hasattr(c, "label") for c in tree.children)
+        assert chunk(ts) == ()
 
     def test_np_of_three(self):
         ts = _tagged([("the", "DT"), ("big", "JJ"), ("dog", "NN"), ("ran", "VBD")])
-        tree = chunk(ts)
-        np_node, vp_node = tree.children
-        assert np_node.label == "NP" and len(np_node.children) == 3
-        assert vp_node.label == "VP" and len(vp_node.children) == 1
+        assert chunk(ts) == (("NP", 0, 3, None), ("VP", 3, 4, None))
 
     def test_vp_with_np_complement(self):
         ts = _tagged([("dogs", "NNS"), ("chase", "VBP"), ("cats", "NNS")])
-        tree = chunk(ts)
-        vp = tree.children[1]
-        assert vp.label == "VP"
-        assert any(hasattr(c, "label") and c.label == "NP" for c in vp.children)
+        assert chunk(ts) == (("NP", 0, 1, None), ("VP", 1, 3, "NP"))
+
+    def test_vp_with_pp_complement(self):
+        ts = _tagged([("soon", "RB"), ("sat", "VBD"), ("on", "IN"), ("the", "DT"),
+                      ("mat", "NN")])
+        assert chunk(ts) == (("VP", 0, 5, "PP"),)
 
     def test_pp(self):
         ts = _tagged([("in", "IN"), ("the", "DT"), ("house", "NN")])
-        tree = chunk(ts)
-        assert tree.children[0].label == "PP"
+        assert chunk(ts) == (("PP", 0, 3, "NP"),)
 
-    def test_no_token_loss(self):
-        random.seed(4)
-        tags = ["DT", "JJ", "NN", "VBD", "IN", "NNP", "RB", "PUNCT", "CD", "PRP"]
-        for _ in range(50):
-            seq = [(f"w{i}", random.choice(tags)) for i in range(random.randint(1, 12))]
-            ts = _tagged(seq)
-            assert leaf_count(chunk(ts)) == len(seq)
+    def test_unfinished_phrases_are_skipped(self):
+        # a determiner, an adverb or a preposition with no head after it
+        # starts no phrase, but the scan still finds the next one
+        ts = _tagged([("the", "DT"), ("very", "RB"), ("of", "IN"), (",", "PUNCT"),
+                      ("big", "JJ"), ("news", "NN"), ("broke", "VBD"), ("in", "IN"),
+                      (".", "PUNCT")])
+        assert chunk(ts) == (("NP", 4, 6, None), ("VP", 6, 7, None))
+
+    def test_phrases_tile_in_order(self):
+        rng = random.Random(4)
+        for _ in range(2000):
+            seq = [(f"w{i}", rng.choice(TAGSET)) for i in range(rng.randint(0, 20))]
+            end = 0
+            for label, start, stop, complement in chunk(_tagged(seq)):
+                assert end <= start < stop <= len(seq)
+                assert (label, complement) in {("NP", None), ("PP", "NP"), ("VP", None),
+                                               ("VP", "NP"), ("VP", "PP")}
+                end = stop
 
 
 class TestTreeMetrics:
@@ -273,76 +282,166 @@ class TestTreeMetrics:
         assert depth == 3
         assert vps == 1
 
-    def test_arbitrary_labels(self):
-        leaf = (Token(text="deep", kind="word", span=(0, 4)), "NN")
-        tree = ChunkNode("ROOT", (ChunkNode("X", (ChunkNode("Y", (leaf,)),)),))
-        assert tree_metrics(tree) == (3, 0, 0, 0)
-        assert leaf_count(tree) == 1
+    def test_phrase_depths(self):
+        assert tree_metrics(()) == (1, 0, 0, 0)
+        assert tree_metrics((("NP", 0, 1, None),)) == (2, 1, 0, 0)
+        assert tree_metrics((("PP", 0, 2, "NP"),)) == (3, 1, 0, 0)
+        assert tree_metrics((("VP", 0, 1, None),)) == (2, 0, 1, 1)
+        assert tree_metrics((("VP", 0, 2, "NP"),)) == (3, 1, 2, 1)
+        assert tree_metrics((("VP", 0, 3, "PP"), ("VP", 3, 4, None))) == (4, 1, 3, 2)
 
 
-def _old_node_depth(node):
-    if not isinstance(node, ChunkNode):
-        return 0
-    if not node.children:
-        return 1
-    return 1 + max(_old_node_depth(c) for c in node.children)
+# The tree chunker and the tree-metrics recursion that chunk/tree_metrics
+# replaced: the differential tests below hold the flat scan to them.
+@dataclass(frozen=True)
+class _OldNode:
+    label: str
+    children: tuple
 
 
-def _old_walk(node):
-    yield node
-    if isinstance(node, ChunkNode):
-        for c in node.children:
-            yield from _old_walk(c)
+def _old_match_np(tags, i):
+    j = i
+    if j < len(tags) and tags[j] in ("DT", "PRP$"):
+        j += 1
+    while j < len(tags) and tags[j] in ("JJ", "JJR", "JJS"):
+        j += 1
+    head = j
+    while j < len(tags) and (tags[j] in NOUN_TAGS or tags[j] in ("PRP", "CD")):
+        j += 1
+    return j if j > head else None
+
+
+def _old_match_pp(tags, i):
+    if i >= len(tags) or tags[i] != "IN":
+        return None
+    np_end = _old_match_np(tags, i + 1)
+    if np_end is None:
+        return None
+    return i + 1, np_end
+
+
+def _old_match_vp(tags, i):
+    j = i
+    while j < len(tags) and tags[j] in ("RB", "RBR", "RBS"):
+        j += 1
+    head = j
+    while j < len(tags) and tags[j] in VERB_TAGS:
+        j += 1
+    if j == head:
+        return None
+    verb_end = j
+    pp = _old_match_pp(tags, j)
+    np_end = _old_match_np(tags, j)
+    pp_end = pp[1] if pp else None
+    best = max(e for e in (np_end, pp_end, j) if e is not None)
+    return verb_end, j, best
+
+
+def _old_chunk(ts):
+    leaves = list(ts.tokens)
+    tags = [t for _, t in leaves]
+    children = []
+    i = 0
+    while i < len(leaves):
+        candidates = []
+        vp = _old_match_vp(tags, i)
+        if vp is not None:
+            verb_end, inner_start, end = vp
+            kids = list(leaves[i:verb_end])
+            if end > inner_start:
+                if tags[inner_start] == "IN":
+                    np_start, np_end = inner_start + 1, end
+                    pp_kids = [leaves[inner_start], _OldNode("NP", tuple(leaves[np_start:np_end]))]
+                    kids.append(_OldNode("PP", tuple(pp_kids)))
+                else:
+                    kids.append(_OldNode("NP", tuple(leaves[inner_start:end])))
+            candidates.append((end, _OldNode("VP", tuple(kids))))
+        pp = _old_match_pp(tags, i)
+        if pp is not None:
+            np_start, end = pp
+            node = _OldNode("PP", (leaves[i], _OldNode("NP", tuple(leaves[np_start:end]))))
+            candidates.append((end, node))
+        np_end = _old_match_np(tags, i)
+        if np_end is not None:
+            candidates.append((np_end, _OldNode("NP", tuple(leaves[i:np_end]))))
+        if candidates:
+            end, node = max(candidates, key=lambda c: c[0])
+            children.append(node)
+            i = end
+        else:
+            children.append(leaves[i])
+            i += 1
+    return _OldNode("S", tuple(children))
 
 
 def _old_tree_metrics(tree):
-    """The two-pass version: a depth recursion per NP/VP node over a full walk."""
-    depth = _old_node_depth(tree)
     np_depth = vp_depth = vp_count = 0
-    for node in _old_walk(tree):
-        if isinstance(node, ChunkNode):
-            if node.label == "NP":
-                np_depth = max(np_depth, _old_node_depth(node))
-            elif node.label == "VP":
-                vp_depth = max(vp_depth, _old_node_depth(node))
-                vp_count += 1
-    return depth, np_depth, vp_depth, vp_count
+
+    def depth(node):
+        nonlocal np_depth, vp_depth, vp_count
+        d = 1 + max((depth(c) for c in node.children if isinstance(c, _OldNode)), default=0)
+        if node.label == "NP":
+            np_depth = max(np_depth, d)
+        elif node.label == "VP":
+            vp_depth = max(vp_depth, d)
+            vp_count += 1
+        return d
+
+    return depth(tree), np_depth, vp_depth, vp_count
 
 
-def _old_leaf_count(tree):
-    return sum(1 for n in _old_walk(tree) if not isinstance(n, ChunkNode))
-
-
-def _random_tree(rng, depth):
-    """Arbitrary labels, empty nodes and leaves at any level."""
-    kids = []
-    for _ in range(rng.randint(0, 4)):
-        if depth > 0 and rng.random() < 0.5:
-            kids.append(_random_tree(rng, depth - 1))
+def _old_spans(tree):
+    """(label, start, end) of each top-level phrase of an old tree."""
+    spans, i = [], 0
+    for node in tree.children:
+        if isinstance(node, _OldNode):
+            n = sum(1 for _ in _old_leaves(node))
+            spans.append((node.label, i, i + n))
+            i += n
         else:
-            kids.append((Token(text="w", kind="word", span=(0, 1)), "NN"))
-    return ChunkNode(rng.choice(["S", "NP", "VP", "PP", "O", "ROOT", "X"]), tuple(kids))
+            i += 1
+    return spans
+
+
+def _old_leaves(node):
+    for c in node.children:
+        if isinstance(c, _OldNode):
+            yield from _old_leaves(c)
+        else:
+            yield c
+
+
+_GRAMMAR_TAGS = ("DT", "PRP$", "JJ", "JJS", "NN", "NNS", "NNP", "PRP", "CD", "VB", "VBD",
+                 "VBZ", "VBG", "RB", "RBR", "IN", "TO", "CC", "PUNCT")
 
 
 class TestTreeMetricsDifferential:
-    """The one-pass walk against the two-pass version it replaced."""
+    """The flat scan against the tree chunker and recursion it replaced."""
+
+    def _check(self, ts):
+        phrases = chunk(ts)
+        old = _old_chunk(ts)
+        assert tree_metrics(phrases) == _old_tree_metrics(old)
+        assert [p[:3] for p in phrases] == _old_spans(old)
 
     def test_chunked_sequences(self):
         rng = random.Random(11)
-        tags = ["DT", "PRP$", "JJ", "NN", "NNS", "NNP", "PRP", "CD", "VBD", "VBZ", "VB",
-                "RB", "IN", "TO", "CC", "PUNCT"]
-        for _ in range(2000):
-            seq = [(f"w{i}", rng.choice(tags)) for i in range(rng.randint(1, 25))]
-            tree = chunk(_tagged(seq))
-            assert tree_metrics(tree) == _old_tree_metrics(tree)
-            assert leaf_count(tree) == _old_leaf_count(tree) == len(seq)
+        for _ in range(20_000):
+            # half the sequences draw from the tags the grammar reads, so
+            # long phrases and VP complements are common
+            pool = TAGSET if rng.random() < 0.5 else _GRAMMAR_TAGS
+            self._check(_tagged([(f"w{i}", rng.choice(pool))
+                                 for i in range(rng.randint(0, 25))]))
 
-    def test_arbitrary_label_trees(self):
-        rng = random.Random(12)
-        for _ in range(2000):
-            tree = _random_tree(rng, rng.randint(0, 6))
-            assert tree_metrics(tree) == _old_tree_metrics(tree)
-            assert leaf_count(tree) == _old_leaf_count(tree)
+    def test_synthetic_corpus_sentences(self, tmp_path):
+        corpus = write_synthetic_corpus(tmp_path, {"real": 8, "fake": 8, "satire": 8}, seed=3)
+        model = default_model()
+        n_sent = 0
+        for path in sorted(corpus.rglob("*.txt")):
+            for sent in split_sentences(path.read_text(encoding="utf-8")):
+                self._check(tag(sent, model))
+                n_sent += 1
+        assert n_sent > 200
 
 
 class TestLoadPretagged:
