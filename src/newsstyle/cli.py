@@ -32,6 +32,11 @@ def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _check_probability(flag: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise CliError(f"{flag} must be in (0, 1), got {value!r}")
+
+
 def _load_resources(args) -> ft.Resources:
     return ft.Resources(
         tagger=pt.TaggerModel.load(args.tagger_model) if args.tagger_model else pt.default_model(),
@@ -134,6 +139,8 @@ def _write_ordering_table(report: st.OrderingReport, out: Path, bold_p: float) -
 
 
 def cmd_analyze(args) -> int:
+    _check_probability("--alpha", args.alpha)
+    _check_probability("--bold-p", args.bold_p)
     matrix = ft.read_matrix(args.matrix)
     report = _analyze_matrix(matrix, args.alpha)
     out = Path(args.out)
@@ -162,6 +169,9 @@ def _select_features(matrix: ft.FeatureMatrix, args) -> tuple[str, ...]:
 
 
 def cmd_classify(args) -> int:
+    _check_probability("--alpha", args.alpha)
+    if args.top_k < 1:
+        raise CliError(f"--top-k must be >= 1, got {args.top_k}")
     import numpy as np
 
     from . import learn as ln

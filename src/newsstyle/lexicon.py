@@ -20,10 +20,11 @@ Sentiment lexicon: TSV ``term<TAB>strength`` with ``%boosters`` and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .textseg import WORD, Sentence, Token
+from .textseg import WORD, WORD_MEMO_CAP, Sentence, Token
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
 
@@ -42,11 +43,15 @@ class CategoryLexicon:
     version: str
     exact: dict[str, dict[str, None]] = field(default_factory=dict)
     stems: dict[str, list[str]] = field(default_factory=dict)
-    # compiled at construction: word or stem -> indices of its categories,
-    # and every non-empty prefix of every stem
+    # compiled at construction: the category names, word or stem -> indices
+    # of its categories, and every non-empty prefix of every stem
+    _names: tuple[str, ...] = field(default=(), init=False, repr=False)
     _exact_cats: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
     _stem_cats: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
     _stem_prefixes: frozenset[str] = field(default=frozenset(), init=False, repr=False)
+    # word -> sorted category indices, filled as words are seen
+    _hit_memo: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         exact: dict[str, list[int]] = {}
@@ -56,6 +61,7 @@ class CategoryLexicon:
                 exact.setdefault(word, []).append(i)
             for stem in self.stems[cat]:
                 stems.setdefault(stem, []).append(i)
+        self._names = tuple(self.exact)
         self._exact_cats = {w: tuple(ix) for w, ix in exact.items()}
         self._stem_cats = {s: tuple(ix) for s, ix in stems.items()}
         self._stem_prefixes = frozenset(s[:end] for s in stems for end in range(1, len(s) + 1))
@@ -70,16 +76,21 @@ class CategoryLexicon:
     def hits(self, word: str) -> list[str]:
         """Categories of a lowercased word, in category order: those of its
         exact entry plus those of every prefix that is a wildcard stem."""
-        found = set(self._exact_cats.get(word, ()))
-        for end in range(1, len(word) + 1):
-            prefix = word[:end]
-            if prefix not in self._stem_prefixes:
-                break  # no stem starts with it, so none starts with a longer prefix
-            found.update(self._stem_cats.get(prefix, ()))
-        if not found:
-            return []
-        names = self.categories
-        return [names[i] for i in sorted(found)]
+        return [self._names[i] for i in self._hit_indices(word)]
+
+    def _hit_indices(self, word: str) -> tuple[int, ...]:
+        found = self._hit_memo.get(word)
+        if found is None:
+            cats = set(self._exact_cats.get(word, ()))
+            for end in range(1, len(word) + 1):
+                prefix = word[:end]
+                if prefix not in self._stem_prefixes:
+                    break  # no stem starts with it, so none starts with a longer prefix
+                cats.update(self._stem_cats.get(prefix, ()))
+            found = tuple(sorted(cats))
+            if len(self._hit_memo) < WORD_MEMO_CAP:
+                self._hit_memo[word] = found
+        return found
 
 
 def load_category_lexicon(path: str | Path | None = None) -> CategoryLexicon:
@@ -119,12 +130,11 @@ def load_category_lexicon(path: str | Path | None = None) -> CategoryLexicon:
 def match_categories(tokens: list[Token], lex: CategoryLexicon) -> dict[str, int]:
     """Count word tokens per category (a token may hit several categories,
     but each category at most once: by exact entry or by any stem)."""
-    counts = {cat: 0 for cat in lex.exact}
-    for tok in tokens:
-        if tok.kind == WORD:
-            for cat in lex.hits(tok.lower):
-                counts[cat] += 1
-    return counts
+    counts = [0] * len(lex._names)
+    for word, n in Counter(t.lower for t in tokens if t.kind == WORD).items():
+        for i in lex._hit_indices(word):
+            counts[i] += n
+    return dict(zip(lex._names, counts))
 
 
 @dataclass
@@ -162,7 +172,8 @@ def fluency_doc(tokens: list[Token], ft: FrequencyTable) -> float | None:
     words = [t for t in tokens if t.kind == WORD]
     if not words:
         return None
-    return sum(ft.lookup(t.lower) for t in words) / len(words)
+    freqs = ft.freqs  # the tokens' .lower is already lowercased, as its keys are
+    return sum(freqs.get(t.lower, 0.0) for t in words) / len(words)
 
 
 def fluency_least3(tokens: list[Token], ft: FrequencyTable) -> float | None:
@@ -171,8 +182,9 @@ def fluency_least3(tokens: list[Token], ft: FrequencyTable) -> float | None:
     types = sorted({t.lower for t in tokens if t.kind == WORD})
     if not types:
         return None
-    ranked = sorted(types, key=lambda w: (ft.lookup(w), w))[:3]
-    return sum(ft.lookup(w) for w in ranked) / len(ranked)
+    freqs = ft.freqs
+    ranked = sorted(types, key=lambda w: (freqs.get(w, 0.0), w))[:3]
+    return sum(freqs.get(w, 0.0) for w in ranked) / len(ranked)
 
 
 @dataclass

@@ -182,6 +182,8 @@ def t_ppf(q: float, df: int) -> float:
     lo, hi = -1e6, 1e6
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid  # the bracket cannot shrink; every further step returns mid too
         if cdf(mid) < q:
             lo = mid
         else:

@@ -9,9 +9,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
+
+# Syllable counts here and category hits in the lexicon are memoized per
+# word type; each memo holds at most this many words.
+WORD_MEMO_CAP = 1 << 16
 
 WORD = "word"
 NUMBER = "number"
@@ -47,7 +52,8 @@ class Token:
     lower: str = field(init=False, compare=False, repr=False)  # norm, lowercased
 
     def __post_init__(self):
-        norm = self.text.translate(_NORMALIZE)
+        # _NORMALIZE maps only non-ASCII characters
+        norm = self.text if self.text.isascii() else self.text.translate(_NORMALIZE)
         object.__setattr__(self, "norm", norm)
         object.__setattr__(self, "lower", norm.lower())
 
@@ -171,6 +177,7 @@ _VOWELS = set("aeiouy")
 _VOWEL_GROUP = re.compile(r"[aeiouy]+")
 
 
+@lru_cache(maxsize=WORD_MEMO_CAP)
 def count_syllables(word: str) -> int:
     """Heuristic syllable count: maximal vowel groups (a,e,i,o,u,y),
     dropping a terminal silent 'e' (but not '-le'), minimum 1."""

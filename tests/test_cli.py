@@ -170,6 +170,32 @@ def test_bad_matrix_row_exit_1(tmp_path, capsys, command, bad_row, message):
     assert not any(tmp_path.rglob("*.tsv"))
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("analyze", "--alpha", "7", "--alpha must be in (0, 1), got 7.0"),
+    ("analyze", "--alpha", "0", "--alpha must be in (0, 1), got 0.0"),
+    ("analyze", "--alpha", "nan", "--alpha must be in (0, 1), got nan"),
+    ("analyze", "--bold-p", "1", "--bold-p must be in (0, 1), got 1.0"),
+    ("analyze", "--bold-p", "-0.5", "--bold-p must be in (0, 1), got -0.5"),
+    ("classify", "--alpha", "1.5", "--alpha must be in (0, 1), got 1.5"),
+    ("classify", "--top-k", "-1", "--top-k must be >= 1, got -1"),
+    ("classify", "--top-k", "0", "--top-k must be >= 1, got 0"),
+])
+def test_bad_option_value_exit_1(tmp_path, capsys, command, flag, value, message):
+    # at --alpha 7 every feature was marked significant, and --top-k -1
+    # trained on every significant feature but the last
+    m = tmp_path / "m.csv"
+    rows = ["doc_id,label,part,NN,TTR,WC,quotes"]
+    rows += [f"d{i},{'real' if i % 2 else 'fake'},body,{i % 9 + i % 2},0.{i % 7},{100 + i},{i % 3}"
+             for i in range(40)]
+    m.write_text("\n".join(rows) + "\n")
+    argv = {"analyze": ["analyze", "--matrix", str(m), "--out", str(tmp_path / "o")],
+            "classify": ["classify", "--matrix", str(m), "--pair", "fake:real",
+                         "--out", str(tmp_path / "cv.tsv")]}[command]
+    assert main(argv + [flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.rglob("*.tsv"))
+
+
 def test_only_classify_loads_numpy(tmp_path):
     m = tmp_path / "m.csv"
     rows = ["doc_id,label,part,NN,TTR,WC,quotes"]

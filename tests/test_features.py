@@ -9,11 +9,12 @@ from conftest import write_synthetic_corpus
 import newsstyle.postag as pt
 import newsstyle.textseg as ts
 from newsstyle.cli import main
-from newsstyle.corpus import Document
+from newsstyle.corpus import Document, load_corpus
 from newsstyle.features import (
     CATALOG,
     FeatureVector,
     MatrixFormatError,
+    Resources,
     _format_value,
     build_matrix,
     extract_all,
@@ -299,3 +300,18 @@ def test_golden_extract_output(tmp_path):
         assert main(["extract", "--corpus", str(corpus), "--dataset-id", "2",
                      "--part", part, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, part
+
+
+def test_resources_reused_across_runs(tmp_path):
+    # the category and syllable memos fill on the first pass and answer the
+    # second; both passes must write the golden bytes
+    corpus, _ = load_corpus(write_synthetic_corpus(
+        tmp_path / "corpus", {"real": 12, "fake": 12, "satire": 12}, seed=3), 2)
+    labels = {doc.id: doc.label for doc in corpus.documents}
+    resources = Resources.default()
+    for run in range(2):
+        for part, expected in GOLDEN_EXTRACT_SHA256.items():
+            out = tmp_path / f"{part}{run}.csv"
+            vectors = [extract_all(doc, part, resources) for doc in corpus.documents]
+            write_matrix(build_matrix(vectors, labels, part), out)
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, (run, part)

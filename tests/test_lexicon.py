@@ -17,7 +17,7 @@ from newsstyle.lexicon import (
     match_categories,
     sentiment_strength,
 )
-from newsstyle.textseg import WORD, split_sentences, tokenize
+from newsstyle.textseg import WORD, WORD_MEMO_CAP, split_sentences, tokenize
 
 
 class TestLoadCategoryLexicon:
@@ -267,6 +267,73 @@ class TestSentimentFileFormat:
         f.write_text("good\t1\n")
         with pytest.raises(LexiconFormatError):
             load_sentiment_lexicon(f)
+
+
+# non-ASCII letters, curly quotes and hyphens, alone or as suffixes of entries
+_ODD_TEXT = hs.text(alphabet="abeorsyéÉüñßΣσ’‘“”'-", min_size=1, max_size=12)
+_memo_words = hs.one_of(
+    _words,
+    _ODD_TEXT,
+    hs.tuples(hs.sampled_from(_SHIPPED_ENTRIES), _ODD_TEXT).map("".join),
+)
+
+
+class TestHitMemo:
+    """Memoized category hits must equal the per-category scan's, first
+    time and from the memo."""
+
+    def _lex(self, tmp_path, name, content):
+        f = tmp_path / f"{name}.dic"
+        f.write_text(content)
+        return load_category_lexicon(f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hs.lists(_memo_words, max_size=25))
+    def test_hits_match_uncached(self, words):
+        for word in [w.lower() for w in words] * 2:
+            assert _SHIPPED.hits(word) == _scan_hits(word, _SHIPPED)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hs.lists(_memo_words, max_size=25))
+    def test_match_categories_match_uncached(self, words):
+        tokens = tokenize(" ".join(words))
+        for _ in range(2):
+            assert match_categories(tokens, _SHIPPED) == _scan_counts(tokens, _SHIPPED)
+
+    def test_hits_returns_a_fresh_list(self, tmp_path):
+        lex = self._lex(tmp_path, "c", "%a\nxy*\n%b\nxyz\n")
+        first = lex.hits("xyz")
+        assert first == ["a", "b"]
+        first.remove("a")
+        first.append("z")
+        again = lex.hits("xyz")
+        assert again == ["a", "b"]
+        assert again is not lex.hits("xyz")
+        assert lex.hits("q") is not lex.hits("q")
+        assert match_categories(tokenize("xyz xyzzy"), lex) == {"a": 2, "b": 1}
+
+    def test_lexicons_never_share_answers(self, tmp_path):
+        a = self._lex(tmp_path, "a", "%x\ncat*\n%y\ndog\n")
+        b = self._lex(tmp_path, "b", "%y\ncat\n%x\ndog*\n")
+        for word in ["cat", "cats", "dog", "dogs", "bird"] * 2:
+            for lex in (a, b):
+                assert lex.hits(word) == _scan_hits(word, lex)
+        assert (a.hits("cats"), b.hits("cats")) == (["x"], [])
+        assert (a.hits("dogs"), b.hits("dogs")) == ([], ["x"])
+        # the memo is not part of a lexicon's value
+        (tmp_path / "again").mkdir()
+        assert a == self._lex(tmp_path / "again", "a", "%x\ncat*\n%y\ndog\n")
+
+    def test_memo_stays_under_cap(self):
+        lex = load_category_lexicon()
+        stem = next(s for cat in lex.categories for s in lex.stems[cat])
+        words = [f"{stem}{i}" for i in range(WORD_MEMO_CAP + 100)]
+        for word in words:
+            lex.hits(word)
+        assert len(lex._hit_memo) == WORD_MEMO_CAP
+        # words past the cap are still answered, just not remembered
+        for word in (words[0], words[-1]):
+            assert lex.hits(word) == _scan_hits(word, lex) != []
 
 
 def test_stopwords_load():

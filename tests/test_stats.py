@@ -67,6 +67,29 @@ class TestSpecialFunctionAnchors:
         assert t_ppf(0.975, 10) == pytest.approx(2.2281388519, abs=1e-6)
         assert t_ppf(0.5, 7) == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize("df", [1, 2, 3, 7, 30, 149, 500, 1000, 2739])
+    def test_t_ppf_early_stop_matches_full_bisection(self, df):
+        # t_ppf stops once the bracket cannot shrink; the full 200 steps
+        # must give the same float
+        def full(q, df):
+            def cdf(t):
+                if t == 0.0:
+                    return 0.5
+                p = 0.5 * reg_incomplete_beta(df / (df + t * t), df / 2.0, 0.5)
+                return p if t < 0 else 1.0 - p
+
+            lo, hi = -1e6, 1e6
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if cdf(mid) < q:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        for q in (1e-12, 1e-6, 0.001, 0.025, 0.3, 0.5, 0.7, 0.975, 0.999, 1 - 1e-6, 1 - 1e-12):
+            assert t_ppf(q, df) == full(q, df), (q, df)
+
 
 class TestSpecialFunctionsAgainstScipy:
     def test_ln_gamma_sweep(self):

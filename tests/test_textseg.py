@@ -9,6 +9,7 @@ from hypothesis import strategies as hs
 from newsstyle.textseg import (
     PUNCT,
     WORD,
+    WORD_MEMO_CAP,
     Sentence,
     Token,
     count_syllables,
@@ -279,3 +280,42 @@ class TestComplexWord:
 
     def test_hyphenated_excluded(self):
         assert not is_complex_word("well-intentioned", "JJ")
+
+
+def _uncached_syllables(word):
+    """count_syllables as it was before it was memoized."""
+    w = word.lower()
+    n = len(re.findall(r"[aeiouy]+", w))
+    if n > 1 and w.endswith("e") and not w.endswith("le") and w[-2] not in "aeiouy":
+        n -= 1
+    return max(n, 1)
+
+
+# ASCII letters, non-ASCII letters (cased and not), curly and straight quotes
+_MEMO_TEXT = hs.text(alphabet="aEiOuYbcLmnrSt-'’‘“”éÉüÜñßøΣσЖж", min_size=1, max_size=14)
+
+
+class TestWordMemos:
+    """The syllable memo and the ASCII fast path of Token must answer
+    exactly as the uncached rules do."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MEMO_TEXT)
+    def test_count_syllables_matches_uncached(self, word):
+        assert count_syllables(word) == _uncached_syllables(word)
+        assert count_syllables(word) == _uncached_syllables(word)  # from the memo
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MEMO_TEXT)
+    def test_norm_and_lower_match_uncached(self, text):
+        tok = Token(text, WORD, (0, len(text)))
+        norm = text.translate(_OLD_NORMALIZE)
+        assert (tok.norm, tok.lower) == (norm, norm.lower())
+
+    def test_syllable_memo_stays_under_cap(self):
+        info = count_syllables.cache_info()
+        assert info.maxsize == WORD_MEMO_CAP
+        for i in range(WORD_MEMO_CAP + 100):
+            word = f"syl{i}able"
+            assert count_syllables(word) == _uncached_syllables(word)
+        assert count_syllables.cache_info().currsize == WORD_MEMO_CAP
