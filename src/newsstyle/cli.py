@@ -95,10 +95,15 @@ def cmd_extract(args) -> int:
 
 
 def _analyze_matrix(matrix: ft.FeatureMatrix, alpha: float) -> st.OrderingReport:
-    labels = [label for label in cp.LABELS if label in matrix.labels]
+    # split the rows by label once and transpose each label's rows, so every
+    # group's column is taken once, in matrix row order
+    columns = {
+        label: list(zip(*[row for row, l in zip(matrix.rows, matrix.labels) if l == label]))
+        for label in cp.LABELS if label in matrix.labels
+    }
     report = st.OrderingReport(part=matrix.part, alpha=alpha)
-    for feature in matrix.feature_names:
-        groups = {label: matrix.group_column(feature, label) for label in labels}
+    for j, feature in enumerate(matrix.feature_names):
+        groups = {label: list(cols[j]) for label, cols in columns.items()}
         report.rows.append(st.compare_feature(feature, groups, alpha))
     return report
 

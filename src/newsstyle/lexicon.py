@@ -192,7 +192,8 @@ class SentimentLexicon:
     terms: dict[str, int]          # word or trailing-* stem -> strength
     boosters: dict[str, int]       # word -> magnitude shift
     negators: frozenset[str]
-    _stems: list[tuple[str, int]] = field(default_factory=list)
+    # compiled at construction from the trailing-* terms, longest stem first
+    _stems: list[tuple[str, int]] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         self._stems = sorted(

@@ -206,10 +206,9 @@ def _moments(xs) -> tuple[float, float, float, float]:
     return m, m2, m3, m4
 
 
-def _skew_z(xs) -> float:
-    """D'Agostino (1970) transformed skewness statistic."""
-    n = len(xs)
-    _, m2, m3, _ = _moments(xs)
+def _skew_z(n: int, m2: float, m3: float) -> float:
+    """D'Agostino (1970) transformed skewness statistic from a sample's size
+    and central moments."""
     b1 = m3 / m2 ** 1.5
     y = b1 * math.sqrt((n + 1.0) * (n + 3.0) / (6.0 * (n - 2.0)))
     beta2 = (
@@ -223,10 +222,9 @@ def _skew_z(xs) -> float:
     return delta * math.log(y + math.sqrt(y * y + 1.0))
 
 
-def _kurt_z(xs) -> float:
-    """Anscombe-Glynn transformed kurtosis statistic."""
-    n = len(xs)
-    _, m2, _, m4 = _moments(xs)
+def _kurt_z(n: int, m2: float, m4: float) -> float:
+    """Anscombe-Glynn transformed kurtosis statistic from a sample's size and
+    central moments."""
     b2 = m4 / (m2 * m2)
     e = 3.0 * (n - 1.0) / (n + 1.0)
     var = 24.0 * n * (n - 2.0) * (n - 3.0) / ((n + 1.0) ** 2 * (n + 3.0) * (n + 5.0))
@@ -252,11 +250,11 @@ def normality_test(sample: list[float], alpha: float = ALPHA_DEFAULT) -> tuple[f
     n = len(sample)
     if n < 20:
         return 0.0, 0.0, False
-    _, m2, _, _ = _moments(sample)
+    _, m2, m3, m4 = _moments(sample)
     if m2 <= 0:
         return 0.0, 0.0, False
-    zs = _skew_z(sample)
-    zk = _kurt_z(sample)
+    zs = _skew_z(n, m2, m3)
+    zk = _kurt_z(n, m2, m4)
     k2 = zs * zs + zk * zk
     p = chi2_sf(k2, 2.0)
     return k2, p, p > alpha
@@ -286,20 +284,25 @@ def anova_oneway(groups: list[list[float]]) -> tuple[float, float]:
 
 
 def _midranks(pooled: list[float]) -> tuple[list[float], list[int]]:
-    order = sorted(range(len(pooled)), key=lambda i: pooled[i])
-    ranks = [0.0] * len(pooled)
+    """1-based ranks with ties averaged, and the length of each tie run."""
+    n = len(pooled)
+    order = sorted(range(n), key=pooled.__getitem__)
+    values = [pooled[i] for i in order]
+    ranks = [0.0] * n
     ties = []
     i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
+    while i < n:
+        j = i + 1
+        while j < n and values[j] == values[i]:
             j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for idx in order[i:j + 1]:
-            ranks[idx] = avg
-        if j > i:
-            ties.append(j - i + 1)
-        i = j + 1
+        if j - i == 1:
+            ranks[order[i]] = i + 1.0
+        else:
+            avg = (i + j - 1) / 2.0 + 1.0
+            for idx in order[i:j]:
+                ranks[idx] = avg
+            ties.append(j - i)
+        i = j
     return ranks, ties
 
 
@@ -330,6 +333,8 @@ def kruskal_wallis(groups: list[list[float]]) -> tuple[float, float]:
     """Kruskal-Wallis H with tie correction; p from chi-square df=k-1."""
     if len(groups) < 3:
         raise DomainError("kruskal_wallis needs >= 3 groups")
+    if any(len(g) == 0 for g in groups):
+        raise DomainError("kruskal_wallis requires non-empty samples")
     pooled = [x for g in groups for x in g]
     n = len(pooled)
     ranks, ties = _midranks(pooled)
@@ -406,8 +411,8 @@ def compare_feature(
     Undefined values are dropped per group; all groups normal -> ANOVA,
     otherwise rank-sum (2 groups) or Kruskal-Wallis (3+).
     """
-    clean = {
-        label: [float(v) for v in vals if v is not None and not math.isnan(v)]
+    clean = {  # v == v is False only for nan
+        label: [float(v) for v in vals if v is not None and v == v]
         for label, vals in groups.items()
     }
     small = [label for label, vals in clean.items() if len(vals) < 2]

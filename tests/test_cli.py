@@ -1,4 +1,7 @@
+import hashlib
+import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -7,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from conftest import write_synthetic_corpus
-from newsstyle.cli import main
+from newsstyle.cli import _analyze_matrix, main
+from newsstyle.corpus import LABELS
+from newsstyle.features import FeatureMatrix, read_matrix
+from newsstyle.stats import compare_feature
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -148,6 +154,105 @@ class TestAnalyze:
         assert main(["analyze", "--matrix", str(m), "--out", str(tmp_path / "o")]) == 1
         assert f"{m}:2: label 'alpha'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "ordering.tsv").exists()
+
+
+def _golden_matrix(path: Path, sizes: dict[str, int], seed: int) -> Path:
+    """Seeded matrix whose columns reach each route of the protocol.
+
+    Values come from ``random()``, ``math.fsum`` and float products only,
+    rounded to four places, so the CSV bytes depend neither on the host's
+    libm nor on the Python version's ``sum``.
+    """
+    rng = random.Random(seed)
+    shift = {"real": 0.0, "fake": 0.6, "satire": 0.3}
+    power = {"real": 1, "fake": 3, "satire": 2}
+
+    def near_normal() -> float:  # sum of 12 uniforms, correctly rounded
+        return math.fsum(rng.random() for _ in range(12)) - 6.0
+
+    columns = {
+        # near-normal in every group -> anova
+        "WC": lambda l: near_normal() + shift[l],
+        # heavy right skew -> rank test
+        "WPS": lambda l: 10.0 * math.prod([rng.random()] * 4) + shift[l],
+        # small integer counts: tie-heavy rank test
+        "quotes": lambda l: float(int(4 * math.prod([rng.random()] * power[l]))),
+        # constant -> degenerate rank test
+        "exclaim": lambda l: 0.0,
+        # near-normal with ~15% NA cells
+        "TTR": lambda l: None if rng.random() < 0.15 else near_normal() + 2.0 * shift[l],
+        # defined in one row of the last group only -> skipped
+        "all_caps": lambda l: None,
+        # overlapping near-normal groups: anova, not significant
+        "NN": lambda l: near_normal(),
+    }
+    last = list(sizes)[-1]
+    lines = ["doc_id,label,part," + ",".join(columns)]
+    for label, n in sizes.items():
+        for i in range(n):
+            cells = []
+            for name, draw in columns.items():
+                v = draw(label)
+                if name == "all_caps" and label == last and i == 0:
+                    v = 1.0
+                cells.append("NA" if v is None else repr(round(v, 4)))
+            lines.append(f"{label[0]}{i:03d},{label},body," + ",".join(cells))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+# sha256 of analyze's ordering.tsv and ordering.txt for the two seeded
+# matrices of `_golden_matrix`; any change to a statistic, p-value, ordering
+# or the report format changes them
+GOLDEN_ANALYZE_SHA256 = {
+    "three_labels": {
+        "ordering.tsv": "b027f122e982cd2520dbd3efa32c3776c0bc20bb4c1c02091472028d08ad6107",
+        "ordering.txt": "2ef014f1f51dc9c92409f14abe60aebab508a6443c94d2e13494a5878f2a1f07",
+    },
+    "two_labels": {
+        "ordering.tsv": "281c665ac09fd2e262c46b1805535e3b62bc15a92fed3418b5ad836daad6b76b",
+        "ordering.txt": "89ea18d31a20c229565cbb091977fdb71e9b303da15f040c271b9f94ecfb7c34",
+    },
+}
+_GOLDEN_ANALYZE_MATRICES = {
+    "three_labels": ({"real": 40, "fake": 35, "satire": 30}, 11),
+    "two_labels": ({"fake": 25, "real": 22}, 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYZE_SHA256))
+def test_golden_analyze_output(tmp_path, name):
+    sizes, seed = _GOLDEN_ANALYZE_MATRICES[name]
+    m = _golden_matrix(tmp_path / "m.csv", sizes, seed)
+    assert main(["analyze", "--matrix", str(m), "--out", str(tmp_path / "o")]) == 0
+    tests = [line.split("\t")[1] for line in
+             (tmp_path / "o" / "ordering.tsv").read_text().splitlines()[6:]]
+    routes = {"three_labels": {"anova", "kruskal", "skipped"},
+              "two_labels": {"anova", "ranksum", "skipped"}}[name]
+    assert set(tests) == routes
+    assert "degenerate" in (tmp_path / "o" / "ordering.tsv").read_text()
+    for artifact, expected in GOLDEN_ANALYZE_SHA256[name].items():
+        got = hashlib.sha256((tmp_path / "o" / artifact).read_bytes()).hexdigest()
+        assert got == expected, (name, artifact)
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_ANALYZE_MATRICES))
+def test_analyze_matrix_matches_group_columns(tmp_path, name):
+    # rows interleaved across labels: each group must keep matrix row order
+    sizes, seed = _GOLDEN_ANALYZE_MATRICES[name]
+    m = read_matrix(_golden_matrix(tmp_path / "m.csv", sizes, seed))
+    order = list(range(len(m.rows)))
+    random.Random(seed).shuffle(order)
+    m = FeatureMatrix(feature_names=m.feature_names, doc_ids=tuple(m.doc_ids[i] for i in order),
+                      labels=tuple(m.labels[i] for i in order), part=m.part,
+                      rows=[m.rows[i] for i in order])
+    labels = [label for label in LABELS if label in m.labels]
+    expected = [compare_feature(f, {label: m.group_column(f, label) for label in labels}, 0.05)
+                for f in m.feature_names]
+    rows = _analyze_matrix(m, 0.05).rows
+    assert any(None in m.group_column("TTR", label) for label in labels)
+    # float repr round-trips, so equal reprs mean the same bits
+    assert [repr(r) for r in rows] == [repr(r) for r in expected]
 
 
 @pytest.mark.parametrize("command", ["analyze", "classify"])

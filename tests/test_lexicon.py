@@ -251,6 +251,30 @@ class TestSentiment:
         with pytest.raises(ValueError):
             sentiment_strength([], self._lex())
 
+    def test_stems_not_a_constructor_argument(self):
+        # the stem list is compiled from `terms`; a passed one was overwritten
+        with pytest.raises(TypeError):
+            SentimentLexicon(terms={"bad*": -2}, boosters={}, negators=frozenset(),
+                             _stems=[("good", 3)])
+
+    @staticmethod
+    def _reference_strength(terms, word):
+        # exact term first, else the longest trailing-* stem that prefixes it
+        w = word.lower()
+        if w in terms:
+            return terms[w]
+        stems = [k[:-1] for k in terms if k.endswith("*") and w.startswith(k[:-1])]
+        return terms[max(stems, key=len) + "*"] if stems else None
+
+    def test_strength_matches_terms(self):
+        terms = {"bad*": -2, "badly": -3, "bad": -1, "ba*": 2, "good": 4, "goo*": 1}
+        sl = self._lex(terms=terms)
+        for word in ("bad", "Badly", "badness", "bark", "BA", "good", "goods", "go", "x"):
+            assert sl.strength(word) == self._reference_strength(terms, word), word
+        shipped = load_sentiment_lexicon()
+        for word in (*shipped.terms, "Horrific", "terrifying", "wonderfully", "table"):
+            assert shipped.strength(word) == self._reference_strength(shipped.terms, word), word
+
 
 class TestSentimentFileFormat:
     def test_round_trip_sections(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as hs
 from newsstyle.stats import (
     DomainError,
     OrderingReport,
+    _mean,
+    _midranks,
     anova_oneway,
     chi2_sf,
     compare_feature,
@@ -290,6 +293,11 @@ class TestKruskal:
     def test_all_tied(self):
         assert kruskal_wallis([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("groups", [[[], [1.0], [2.0]], [[1.0, 2.0], [3.0], []]])
+    def test_empty_sample(self, groups):
+        with pytest.raises(DomainError):
+            kruskal_wallis(groups)
+
 
 class TestBetaSymmetryProperty:
     @settings(max_examples=200, deadline=None)
@@ -424,3 +432,231 @@ class TestConfidenceInterval:
 
     def test_singleton(self):
         assert confidence_interval([3.0]) == (3.0, 3.0, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the protocol must give the same bits as these copies of
+# its earlier form, which took three moment passes per normality test and
+# ranked with a per-comparison index lookup
+
+
+def _old_moments(xs):
+    m = _mean(xs)
+    m2 = _mean([(x - m) ** 2 for x in xs])
+    m3 = _mean([(x - m) ** 3 for x in xs])
+    m4 = _mean([(x - m) ** 4 for x in xs])
+    return m, m2, m3, m4
+
+
+def _old_skew_z(xs):
+    n = len(xs)
+    _, m2, m3, _ = _old_moments(xs)
+    b1 = m3 / m2 ** 1.5
+    y = b1 * math.sqrt((n + 1.0) * (n + 3.0) / (6.0 * (n - 2.0)))
+    beta2 = (
+        3.0 * (n * n + 27.0 * n - 70.0) * (n + 1.0) * (n + 3.0)
+        / ((n - 2.0) * (n + 5.0) * (n + 7.0) * (n + 9.0))
+    )
+    w2 = -1.0 + math.sqrt(2.0 * (beta2 - 1.0))
+    delta = 1.0 / math.sqrt(0.5 * math.log(w2))
+    alpha = math.sqrt(2.0 / (w2 - 1.0))
+    y = y / alpha
+    return delta * math.log(y + math.sqrt(y * y + 1.0))
+
+
+def _old_kurt_z(xs):
+    n = len(xs)
+    _, m2, _, m4 = _old_moments(xs)
+    b2 = m4 / (m2 * m2)
+    e = 3.0 * (n - 1.0) / (n + 1.0)
+    var = 24.0 * n * (n - 2.0) * (n - 3.0) / ((n + 1.0) ** 2 * (n + 3.0) * (n + 5.0))
+    x = (b2 - e) / math.sqrt(var)
+    beta1 = (
+        6.0 * (n * n - 5.0 * n + 2.0) / ((n + 7.0) * (n + 9.0))
+        * math.sqrt(6.0 * (n + 3.0) * (n + 5.0) / (n * (n - 2.0) * (n - 3.0)))
+    )
+    a = 6.0 + 8.0 / beta1 * (2.0 / beta1 + math.sqrt(1.0 + 4.0 / (beta1 * beta1)))
+    num = 1.0 - 2.0 / a
+    denom = 1.0 + x * math.sqrt(2.0 / (a - 4.0))
+    term = ((num / denom) ** (1.0 / 3.0)) if denom > 0 else -((num / -denom) ** (1.0 / 3.0))
+    return ((1.0 - 2.0 / (9.0 * a)) - term) / math.sqrt(2.0 / (9.0 * a))
+
+
+def _old_normality_test(sample, alpha=0.05):
+    n = len(sample)
+    if n < 20:
+        return 0.0, 0.0, False
+    _, m2, _, _ = _old_moments(sample)
+    if m2 <= 0:
+        return 0.0, 0.0, False
+    zs = _old_skew_z(sample)
+    zk = _old_kurt_z(sample)
+    k2 = zs * zs + zk * zk
+    p = chi2_sf(k2, 2.0)
+    return k2, p, p > alpha
+
+
+def _old_midranks(pooled):
+    order = sorted(range(len(pooled)), key=lambda i: pooled[i])
+    ranks = [0.0] * len(pooled)
+    ties = []
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
+            j += 1
+        avg = (i + j) / 2.0 + 1.0
+        for idx in order[i:j + 1]:
+            ranks[idx] = avg
+        if j > i:
+            ties.append(j - i + 1)
+        i = j + 1
+    return ranks, ties
+
+
+def _old_ranksum(a, b):
+    n1, n2 = len(a), len(b)
+    ranks, ties = _old_midranks(list(a) + list(b))
+    w = sum(ranks[:n1])
+    n = n1 + n2
+    mean = n1 * (n + 1) / 2.0
+    tie_term = sum(t ** 3 - t for t in ties) / (n * (n - 1.0)) if n > 1 else 0.0
+    var = n1 * n2 / 12.0 * ((n + 1.0) - tie_term)
+    if var <= 0:
+        return 0.0, 1.0
+    z = (w - mean) / math.sqrt(var)
+    p = 2.0 * (1.0 - normal_cdf(abs(z)))
+    return z, min(p, 1.0)
+
+
+def _old_kruskal_wallis(groups):
+    pooled = [x for g in groups for x in g]
+    n = len(pooled)
+    ranks, ties = _old_midranks(pooled)
+    h = 0.0
+    offset = 0
+    for g in groups:
+        r = sum(ranks[offset:offset + len(g)])
+        h += r * r / len(g)
+        offset += len(g)
+    h = 12.0 / (n * (n + 1.0)) * h - 3.0 * (n + 1.0)
+    correction = 1.0 - sum(t ** 3 - t for t in ties) / (n ** 3 - n)
+    if correction <= 0:
+        return 0.0, 1.0
+    h /= correction
+    return h, chi2_sf(h, len(groups) - 1.0)
+
+
+def _old_compare_feature(feature, groups, alpha=0.05):
+    clean = {
+        label: [float(v) for v in vals if v is not None and not math.isnan(v)]
+        for label, vals in groups.items()
+    }
+    small = [label for label, vals in clean.items() if len(vals) < 2]
+    if len(clean) < 2 or small:
+        return StatRow(
+            feature=feature, test_used="skipped", statistic=0.0, p_value=1.0,
+            group_means={}, ordering="", significant=False,
+            skipped_reason=f"insufficient defined values in group(s): {', '.join(small) or 'n/a'}",
+        )
+    means = {label: _mean(vals) for label, vals in clean.items()}
+    all_normal = all(_old_normality_test(vals, alpha)[2] for vals in clean.values())
+    samples = list(clean.values())
+    degenerate = False
+    if all_normal:
+        test_used = "anova"
+        stat, p = anova_oneway(samples)
+    elif len(clean) == 2:
+        test_used = "ranksum"
+        stat, p = _old_ranksum(samples[0], samples[1])
+        degenerate = stat == 0.0 and p == 1.0 and len({x for s in samples for x in s}) == 1
+    else:
+        test_used = "kruskal"
+        stat, p = _old_kruskal_wallis(samples)
+        degenerate = stat == 0.0 and p == 1.0 and len({x for s in samples for x in s}) == 1
+    labels = sorted(means, key=lambda l: (-means[l], l))
+    parts = [labels[0].capitalize()]
+    for prev, cur in zip(labels, labels[1:]):
+        parts.append(">" if _old_ranksum(clean[prev], clean[cur])[1] < alpha else "=")
+        parts.append(cur.capitalize())
+    return StatRow(
+        feature=feature, test_used=test_used, statistic=stat, p_value=p,
+        group_means=means, ordering=" ".join(parts), significant=p < alpha,
+        degenerate=degenerate,
+    )
+
+
+def _bits(obj):
+    """A value with every float replaced by its hex form, so that == tells
+    apart -0.0 from 0.0 and any last-bit difference."""
+    if dataclasses.is_dataclass(obj):
+        return _bits(dataclasses.asdict(obj))
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    return obj
+
+
+def _draw(rng, kind, n, shift=0.0):
+    if kind == "continuous":
+        return [rng.lognormvariate(shift, 0.8) if rng.random() < 0.5 else rng.gauss(shift, 1.0)
+                for _ in range(n)]
+    if kind == "gaussian":
+        return [rng.gauss(shift, 1.0) for _ in range(n)]
+    if kind == "counts":  # tie-heavy integer counts
+        return [float(rng.randint(0, 3 + int(shift))) for _ in range(n)]
+    if kind == "signed_zeros":
+        return [rng.choice((-0.0, 0.0, 0.0, -0.0, 1.0, -1.0 - shift)) for _ in range(n)]
+    assert kind == "constant"
+    return [2.5] * n
+
+
+_KINDS = ("continuous", "gaussian", "counts", "signed_zeros", "constant")
+_SIZES = (19, 20, 21, 60)
+
+
+class TestSameBitsAsBefore:
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("n", _SIZES)
+    def test_normality_test(self, kind, n):
+        rng = random.Random(f"{kind}{n}")
+        for seed in range(20):
+            xs = _draw(rng, kind, n, shift=seed / 10.0)
+            assert _bits(normality_test(xs)) == _bits(_old_normality_test(xs))
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_midranks(self, kind):
+        rng = random.Random(kind)
+        for n in (0, 1, 2, 19, 20, 200):
+            xs = _draw(rng, kind, n)
+            assert _bits(_midranks(xs)) == _bits(_old_midranks(xs))
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("n", _SIZES)
+    def test_rank_tests(self, kind, n):
+        rng = random.Random(f"{kind}{n}")
+        for seed in range(10):
+            a = _draw(rng, kind, n)
+            b = _draw(rng, kind, n + seed, shift=0.5)
+            c = _draw(rng, kind, max(1, n - seed), shift=1.0)
+            assert _bits(ranksum(a, b)) == _bits(_old_ranksum(a, b))
+            assert _bits(ranksum(c, a)) == _bits(_old_ranksum(c, a))
+            assert _bits(kruskal_wallis([a, b, c])) == _bits(_old_kruskal_wallis([a, b, c]))
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("n", _SIZES)
+    @pytest.mark.parametrize("labels", [("real", "fake"), ("fake", "real", "satire")])
+    def test_compare_feature(self, kind, n, labels):
+        rng = random.Random(f"{kind}{n}{labels}")
+        for seed in range(10):
+            groups = {}
+            for i, label in enumerate(labels):
+                vals = _draw(rng, kind, n + i * (seed % 3), shift=i * seed / 20.0)
+                # undefined cells: None and nan, dropped by both
+                groups[label] = [None if rng.random() < 0.05 else
+                                 math.nan if rng.random() < 0.05 else v for v in vals]
+            new = compare_feature("x", groups)
+            assert _bits(new) == _bits(_old_compare_feature("x", groups))
