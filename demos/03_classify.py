@@ -10,7 +10,7 @@ corpora.
 
 import numpy as np
 
-from newsstyle.learn import PRESETS, cross_validate, predict, train_svm
+from newsstyle.learn import PRESETS, cross_validate, train_svm
 
 rng = np.random.default_rng(0)
 
@@ -21,18 +21,18 @@ X = np.vstack([
 ])
 labels = ["real"] * 75 + ["fake"] * 75
 
-report = cross_validate(X, labels, k=5, C=1.0, seed=0,
-                        feature_names=("f1", "f2", "f3", "f4"))
+report = cross_validate(X, labels, k=5, C=1.0, seed=0)
 print(f"5-fold accuracies: {[f'{a:.2f}' for a in report.fold_accuracies]}")
 print(f"mean accuracy:     {report.mean_accuracy:.1%}")
 print(f"majority baseline: {report.baseline:.1%}")
 
 # a single trained model exposes its optimizer trace and weights
 y = np.array([-1.0] * 75 + [1.0] * 75)
-model = train_svm(X, y, C=1.0, seed=0, label_map={-1: "real", 1: "fake"})
+model = train_svm(X, y, C=1.0, seed=0)
 print(f"dual objective over epochs: {model.dual_objective_history[:3]} ...")
-print(f"bias weight: {model.bias:.3f}")
-label, value = predict(model, X[0])
+print(f"bias weight: {model.weights[-1]:.3f}")
+value = model.decision_values(X[0])[0]
+label = "fake" if value >= 0 else "real"  # y = +1 is fake; zero goes to +1
 print(f"first article -> {label} (decision value {value:.3f})")
 
 # the preset top-4 feature sets used when classifying real articles

@@ -195,9 +195,7 @@ def cmd_classify(args) -> int:
     )
     labels = [matrix.labels[i] for i in keep]
     try:
-        report = ln.cross_validate(
-            X, labels, k=args.folds, C=args.C, seed=args.seed, feature_names=names
-        )
+        report = ln.cross_validate(X, labels, k=args.folds, C=args.C, seed=args.seed)
     except ln.LearnError as e:
         raise CliError(str(e)) from None
     unconverged = report.fold_converged.count(False)

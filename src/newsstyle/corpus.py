@@ -1,4 +1,4 @@
-"""Labeled news corpora: loading, validation, and group splitting.
+"""Labeled news corpora: loading and validation.
 
 On-disk layout: ``<root>/<label>/<id>.txt`` (UTF-8, first line title,
 blank line, body), with an optional ``<id>.meta`` sidecar carrying
@@ -59,9 +59,6 @@ class Corpus:
 class LoadReport:
     """Per-document load errors; loading continues past them."""
     errors: list[tuple[str, str]] = field(default_factory=list)  # (path, reason)
-
-    def ok(self) -> bool:
-        return not self.errors
 
 
 def _read_article(path: Path) -> tuple[str, str]:
@@ -158,17 +155,3 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
         if doc.label not in legal:
             report.illegal_labels.append(doc.id)
     return report
-
-
-def split_groups(corpus: Corpus, labels: list[str]) -> list[list[Document]]:
-    """Partition the corpus into per-label groups in the requested order.
-
-    Raises KeyError naming any requested label absent from the corpus.
-    """
-    groups = []
-    for label in labels:
-        group = [d for d in corpus.documents if d.label == label]
-        if not group:
-            raise KeyError(f"label {label!r} absent from corpus")
-        groups.append(group)
-    return groups

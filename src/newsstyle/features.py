@@ -73,7 +73,7 @@ class Resources:
     """Everything extraction needs, loaded once and shared."""
     tagger: pt.TaggerModel
     categories: lx.CategoryLexicon
-    frequency: lx.FrequencyTable
+    frequency: dict[str, float]  # word -> frequency per million
     sentiment: lx.SentimentLexicon
     stopwords: frozenset[str]
 
@@ -108,7 +108,7 @@ def extract_complexity(
     pairs: list[tuple[ts.Token, str]],
     n_sent: int,
     metrics: list[tuple[int, int, int, int]],
-    freq: lx.FrequencyTable,
+    freq: dict[str, float],
 ) -> dict[str, float | None]:
     """Readability indices, tree-depth medians, fluency, TTR, word length.
 
@@ -311,6 +311,9 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
         unknown = [n for n in names if n not in CATALOG]
         if unknown:
             raise MatrixFormatError(f"{path}: unknown feature column(s) {unknown}")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise MatrixFormatError(f"{path}:1: repeated feature column(s) {repeated}")
         ids, labels, rows = [], [], []
         first_line: dict[str, int] = {}  # doc_id -> line it was first seen on
         part = ""
@@ -341,6 +344,8 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
             ids.append(rec[0])
             labels.append(rec[1])
             rows.append(row)
+    if not rows:
+        raise MatrixFormatError(f"{path}: no rows after the header")
     return FeatureMatrix(
         feature_names=names, doc_ids=tuple(ids), labels=tuple(labels),
         part=part, rows=rows,

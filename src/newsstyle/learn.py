@@ -5,12 +5,10 @@ top-4 feature presets.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -53,53 +51,16 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
 @dataclass
 class SvmModel:
     weights: np.ndarray  # includes appended bias weight as last entry
-    C: float
-    label_map: dict[int, str]
     standardizer: Standardizer
-    feature_names: tuple[str, ...] = ()
-    seed: int = 0
     dual_objective_history: list[float] = field(default_factory=list)
     alpha: np.ndarray | None = None
     converged: bool = False  # set by train_svm: the last epoch met tol
     max_violation: float = math.nan  # largest projected-gradient violation in the last epoch
 
-    @property
-    def bias(self) -> float:
-        return float(self.weights[-1])
-
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         Z = self.standardizer.transform(np.atleast_2d(np.asarray(X, dtype=float)))
         Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
         return Zb @ self.weights
-
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "format": "newsstyle-svm",
-            "version": "1",
-            "feature_names": list(self.feature_names),
-            "mean": self.standardizer.mean.tolist(),
-            "std": [("inf" if not np.isfinite(s) else s) for s in self.standardizer.std],
-            "weights": self.weights.tolist(),
-            "C": self.C,
-            "seed": self.seed,
-            "label_map": {str(k): v for k, v in self.label_map.items()},
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SvmModel":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != "newsstyle-svm":
-            raise LearnError(f"{path}: not an SVM model file")
-        std = np.array([np.inf if s == "inf" else float(s) for s in payload["std"]])
-        return cls(
-            weights=np.array(payload["weights"], dtype=float),
-            C=float(payload["C"]),
-            label_map={int(k): v for k, v in payload["label_map"].items()},
-            standardizer=Standardizer(np.array(payload["mean"], dtype=float), std),
-            feature_names=tuple(payload["feature_names"]),
-            seed=int(payload["seed"]),
-        )
 
 
 def train_svm(
@@ -109,8 +70,6 @@ def train_svm(
     tol: float = 1e-4,
     max_epochs: int = 1000,
     seed: int = 0,
-    label_map: dict[int, str] | None = None,
-    feature_names: tuple[str, ...] = (),
     standardizer: Standardizer | None = None,
 ) -> SvmModel:
     """L1-loss linear SVM by dual coordinate descent (Hsieh et al. 2008).
@@ -180,19 +139,10 @@ def train_svm(
         if max_violation < tol:
             break
     return SvmModel(
-        weights=np.array(w), C=C,
-        label_map=label_map or {-1: "-1", 1: "+1"},
-        standardizer=standardizer, feature_names=feature_names, seed=seed,
+        weights=np.array(w), standardizer=standardizer,
         dual_objective_history=history, alpha=np.array(alpha),
         converged=max_violation < tol, max_violation=max_violation,
     )
-
-
-def predict(model: SvmModel, x: np.ndarray) -> tuple[str, float]:
-    """Label and decision value for one feature row; an exact zero
-    decision value goes to the positive class."""
-    value = float(model.decision_values(np.atleast_2d(x))[0])
-    return model.label_map[1 if value >= 0 else -1], value
 
 
 def stratified_kfold(labels, k: int, seed: int = 0) -> list[list[int]]:
@@ -225,8 +175,6 @@ class CvReport:
     baseline: float
     k: int
     seed: int
-    feature_names: tuple[str, ...]
-    pair: tuple[str, str] = ("", "")
     fold_converged: list[bool] = field(default_factory=list)
 
 
@@ -236,7 +184,6 @@ def cross_validate(
     k: int = 5,
     C: float = 1.0,
     seed: int = 0,
-    feature_names: tuple[str, ...] = (),
     tol: float = 1e-4,
     max_epochs: int = 1000,
 ) -> CvReport:
@@ -249,7 +196,6 @@ def cross_validate(
         raise LearnError(f"cross_validate expects a binary task, got {classes}")
     if min(labels.count(c) for c in classes) < k:
         raise LearnError("need at least k samples per class")
-    lmap = {-1: classes[0], 1: classes[1]}
     y = np.array([1.0 if l == classes[1] else -1.0 for l in labels])
 
     folds = stratified_kfold(labels, k, seed)
@@ -258,11 +204,9 @@ def cross_validate(
         test = np.array(fold, dtype=int)
         held_out = set(fold)
         train = np.array([i for i in range(len(labels)) if i not in held_out], dtype=int)
-        model = train_svm(
-            X[train], y[train], C=C, tol=tol, max_epochs=max_epochs,
-            seed=seed, label_map=lmap, feature_names=feature_names,
-        )
+        model = train_svm(X[train], y[train], C=C, tol=tol, max_epochs=max_epochs, seed=seed)
         values = model.decision_values(X[test])
+        # an exact zero decision value goes to the positive class
         pred = np.where(values >= 0, 1.0, -1.0)
         accuracies.append(float(np.mean(pred == y[test])))
         converged.append(model.converged)
@@ -270,6 +214,5 @@ def cross_validate(
         fold_accuracies=accuracies,
         mean_accuracy=float(np.mean(accuracies)),
         baseline=majority_baseline(labels),
-        k=k, seed=seed, feature_names=feature_names,
-        pair=(classes[0], classes[1]), fold_converged=converged,
+        k=k, seed=seed, fold_converged=converged,
     )

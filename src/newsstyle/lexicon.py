@@ -20,6 +20,7 @@ Sentiment lexicon: TSV ``term<TAB>strength`` with ``%boosters`` and
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,8 +40,6 @@ class LexiconFormatError(ValueError):
 
 @dataclass
 class CategoryLexicon:
-    name: str
-    version: str
     exact: dict[str, dict[str, None]] = field(default_factory=dict)
     stems: dict[str, list[str]] = field(default_factory=dict)
     # compiled at construction: the category names, word or stem -> indices
@@ -66,19 +65,9 @@ class CategoryLexicon:
         self._stem_cats = {s: tuple(ix) for s, ix in stems.items()}
         self._stem_prefixes = frozenset(s[:end] for s in stems for end in range(1, len(s) + 1))
 
-    @property
-    def categories(self) -> list[str]:
-        return list(self.exact)
-
-    def entry_count(self, category: str) -> int:
-        return len(self.exact[category]) + len(self.stems[category])
-
-    def hits(self, word: str) -> list[str]:
-        """Categories of a lowercased word, in category order: those of its
-        exact entry plus those of every prefix that is a wildcard stem."""
-        return [self._names[i] for i in self._hit_indices(word)]
-
     def _hit_indices(self, word: str) -> tuple[int, ...]:
+        """Category indices of a lowercased word, ascending: those of its
+        exact entry plus those of every prefix that is a wildcard stem."""
         found = self._hit_memo.get(word)
         if found is None:
             cats = set(self._exact_cats.get(word, ()))
@@ -124,7 +113,7 @@ def load_category_lexicon(path: str | Path | None = None) -> CategoryLexicon:
                 stems[current].append(stem)
         else:
             exact[current][entry] = None
-    return CategoryLexicon(name=path.stem, version="1", exact=exact, stems=stems)
+    return CategoryLexicon(exact=exact, stems=stems)
 
 
 def match_categories(tokens: list[Token], lex: CategoryLexicon) -> dict[str, int]:
@@ -137,16 +126,8 @@ def match_categories(tokens: list[Token], lex: CategoryLexicon) -> dict[str, int
     return dict(zip(lex._names, counts))
 
 
-@dataclass
-class FrequencyTable:
-    corpus_name: str
-    freqs: dict[str, float]
-
-    def lookup(self, word: str) -> float:
-        return self.freqs.get(word.lower(), 0.0)
-
-
-def load_frequency_table(path: str | Path | None = None) -> FrequencyTable:
+def load_frequency_table(path: str | Path | None = None) -> dict[str, float]:
+    """Lowercased word -> frequency per million."""
     path = Path(path) if path else _RESOURCE_DIR / "frequency.tsv"
     freqs: dict[str, float] = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
@@ -157,14 +138,18 @@ def load_frequency_table(path: str | Path | None = None) -> FrequencyTable:
         if len(parts) != 2:
             raise LexiconFormatError(path, lineno, f"expected word<TAB>freq, got {raw!r}")
         word, freq = parts
-        value = float(freq)
-        if value < 0:
-            raise LexiconFormatError(path, lineno, f"negative frequency for {word!r}")
+        try:
+            value = float(freq)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= 0):
+            raise LexiconFormatError(
+                path, lineno, f"frequency for {word!r} must be a finite number >= 0, got {freq!r}")
         freqs[word.lower()] = value
-    return FrequencyTable(corpus_name=path.stem, freqs=freqs)
+    return freqs
 
 
-def fluency_doc(tokens: list[Token], ft: FrequencyTable) -> float | None:
+def fluency_doc(tokens: list[Token], freqs: dict[str, float]) -> float | None:
     """Mean per-million frequency over word tokens; unknown words count 0.
 
     Returns None when the token list has no words (undefined feature).
@@ -172,17 +157,16 @@ def fluency_doc(tokens: list[Token], ft: FrequencyTable) -> float | None:
     words = [t for t in tokens if t.kind == WORD]
     if not words:
         return None
-    freqs = ft.freqs  # the tokens' .lower is already lowercased, as its keys are
+    # the tokens' .lower is already lowercased, as the table's keys are
     return sum(freqs.get(t.lower, 0.0) for t in words) / len(words)
 
 
-def fluency_least3(tokens: list[Token], ft: FrequencyTable) -> float | None:
+def fluency_least3(tokens: list[Token], freqs: dict[str, float]) -> float | None:
     """Mean frequency of the 3 rarest distinct word types (fewer if the
     document has fewer types); frequency ties broken alphabetically."""
     types = sorted({t.lower for t in tokens if t.kind == WORD})
     if not types:
         return None
-    freqs = ft.freqs
     ranked = sorted(types, key=lambda w: (freqs.get(w, 0.0), w))[:3]
     return sum(freqs.get(w, 0.0) for w in ranked) / len(ranked)
 
@@ -233,7 +217,12 @@ def load_sentiment_lexicon(path: str | Path | None = None) -> SentimentLexicon:
             continue
         if len(parts) != 2:
             raise LexiconFormatError(path, lineno, f"expected term<TAB>value, got {raw!r}")
-        word, value = parts[0].lower(), int(parts[1])
+        word = parts[0].lower()
+        try:
+            value = int(parts[1])
+        except ValueError:
+            raise LexiconFormatError(
+                path, lineno, f"value for {word!r} must be an integer, got {parts[1]!r}") from None
         if section == "terms":
             if not (2 <= abs(value) <= 5):
                 raise LexiconFormatError(path, lineno, f"strength out of range: {value}")

@@ -52,16 +52,22 @@ class TaggerModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerModel":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != "newsstyle-tagger":
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as e:
+            raise TaggerError(f"{path}:{e.lineno}: not JSON: {e.msg}") from None
+        if not isinstance(payload, dict) or payload.get("format") != "newsstyle-tagger":
             raise TaggerError(f"{path}: not a tagger model file")
-        return cls(
-            tagset=tuple(payload["tagset"]),
-            weights=payload["weights"],
-            lexical_backoff=payload["lexical_backoff"],
-            version=payload["version"],
-            vocab=set(payload["vocab"]),
-        )
+        try:
+            return cls(
+                tagset=tuple(payload["tagset"]),
+                weights=payload["weights"],
+                lexical_backoff=payload["lexical_backoff"],
+                version=payload["version"],
+                vocab=set(payload["vocab"]),
+            )
+        except KeyError as e:
+            raise TaggerError(f"{path}: tagger model file lacks key {e}") from None
 
 
 @dataclass(frozen=True)

@@ -368,6 +368,11 @@ class TestResult:
     degenerate: bool = False
 
 
+def _rank_key(r: TestResult) -> tuple[float, float, str]:
+    """Ascending p, then larger |statistic|, then feature name."""
+    return r.p_value, -abs(r.statistic), r.feature
+
+
 @dataclass
 class OrderingReport:
     part: str
@@ -377,7 +382,7 @@ class OrderingReport:
     def sorted_rows(self) -> list[TestResult]:
         tested = [r for r in self.rows if r.test_used != "skipped"]
         skipped = [r for r in self.rows if r.test_used == "skipped"]
-        tested.sort(key=lambda r: (r.p_value, -abs(r.statistic), r.feature))
+        tested.sort(key=_rank_key)
         return tested + skipped
 
 
@@ -446,10 +451,10 @@ def compare_feature(
 
 
 def rank_features(results: list[TestResult], k: int, alpha: float = ALPHA_DEFAULT) -> list[str]:
-    """Top-k features by ascending p (ties: larger |statistic|, then name);
-    only features significant at alpha qualify."""
+    """Top-k features in ``_rank_key`` order; only features significant at
+    alpha qualify."""
     eligible = [r for r in results if r.test_used != "skipped" and r.p_value < alpha]
-    eligible.sort(key=lambda r: (r.p_value, -abs(r.statistic), r.feature))
+    eligible.sort(key=_rank_key)
     return [r.feature for r in eligible[:k]]
 
 

@@ -61,7 +61,6 @@ class Token:
 @dataclass(frozen=True)
 class Sentence:
     tokens: tuple[Token, ...]
-    index: int
 
 
 def _split_clitic(norm_word: str) -> int | None:
@@ -170,7 +169,7 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
             current = []
     if current:
         sentences.append(current)
-    return [Sentence(tokens=tuple(s), index=i) for i, s in enumerate(sentences)]
+    return [Sentence(tokens=tuple(s)) for s in sentences]
 
 
 _VOWELS = set("aeiouy")

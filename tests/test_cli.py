@@ -275,6 +275,58 @@ def test_bad_matrix_row_exit_1(tmp_path, capsys, command, bad_row, message):
     assert not any(tmp_path.rglob("*.tsv"))
 
 
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+@pytest.mark.parametrize("header, n_rows, message", [
+    # a repeated column would give ordering.tsv two rows for one feature
+    ("doc_id,label,part,NN,TTR,WC,WC", 40, ":1: repeated feature column(s) ['WC']"),
+    # with no rows there is no part, and analyze would write `part=`
+    ("doc_id,label,part,NN,TTR,WC,quotes", 0, ": no rows after the header"),
+])
+def test_bad_matrix_header_exit_1(tmp_path, capsys, command, header, n_rows, message):
+    m = tmp_path / "m.csv"
+    lines = [header]
+    lines += [f"d{i},{'real' if i % 2 else 'fake'},body,{i % 9},0.{i % 7},{100 + i},{i % 3}"
+              for i in range(n_rows)]
+    m.write_text("\n".join(lines) + "\n")
+    argv = {"analyze": ["analyze", "--matrix", str(m), "--out", str(tmp_path / "o")],
+            "classify": ["classify", "--matrix", str(m), "--pair", "fake:real",
+                         "--preset", "body4", "--out", str(tmp_path / "cv.tsv")]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {m}{message}\n"
+    assert not any(tmp_path.rglob("*.tsv"))
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--frequency-table", "the\t5\nfoo\tabc\n",
+     ":2: frequency for 'foo' must be a finite number >= 0, got 'abc'"),
+    # nan passes a `< 0` check, and would make flu_coca_d NA on every row with "the"
+    ("--frequency-table", "the\tnan\n",
+     ":1: frequency for 'the' must be a finite number >= 0, got 'nan'"),
+    ("--frequency-table", "the\tinf\n",
+     ":1: frequency for 'the' must be a finite number >= 0, got 'inf'"),
+    ("--frequency-table", "the\t-2\n",
+     ":1: frequency for 'the' must be a finite number >= 0, got '-2'"),
+    ("--sentiment-lexicon", "bad\t-3\ngood\tx\n",
+     ":2: value for 'good' must be an integer, got 'x'"),
+    ("--sentiment-lexicon", "%boosters\nvery\t1.5\n",
+     ":2: value for 'very' must be an integer, got '1.5'"),
+    ("--tagger-model", "tagset: [NN]\n", ":1: not JSON: Expecting value"),
+    ("--tagger-model", '{"format": "newsstyle-tagger"}',
+     ": tagger model file lacks key 'tagset'"),
+    ("--tagger-model", "[]", ": not a tagger model file"),
+])
+def test_bad_resource_file_exit_1(tmp_path, capsys, flag, content, message):
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
+                                    dataset_id=1)
+    res = tmp_path / "resource"
+    res.write_text(content, encoding="utf-8")
+    out = tmp_path / "m.csv"
+    assert main(["extract", "--corpus", str(corpus), "--dataset-id", "1", "--part", "body",
+                 "--out", str(out), flag, str(res)]) == 1
+    assert capsys.readouterr().err == f"error: {res}{message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, value, message", [
     ("analyze", "--alpha", "7", "--alpha must be in (0, 1), got 7.0"),
     ("analyze", "--alpha", "0", "--alpha must be in (0, 1), got 0.0"),

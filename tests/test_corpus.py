@@ -6,7 +6,6 @@ from newsstyle.corpus import (
     Document,
     Manifest,
     load_corpus,
-    split_groups,
     validate_corpus,
 )
 
@@ -25,7 +24,7 @@ class TestLoadCorpus:
             _write(tmp_path, "fake", f"f{i:02d}")
         corpus, report = load_corpus(tmp_path, 1)
         assert corpus.manifest.counts == {"real": 36, "fake": 35, "satire": 0}
-        assert report.ok()
+        assert report.errors == []
 
     def test_dataset2_counts(self, tmp_path):
         for label in ("real", "fake", "satire"):
@@ -68,7 +67,7 @@ class TestLoadCorpus:
     def test_empty_title_retained(self, tmp_path):
         _write(tmp_path, "real", "notitle", title="")
         corpus, report = load_corpus(tmp_path, 3)
-        assert report.ok()
+        assert report.errors == []
         assert corpus.documents[0].title == ""
 
 
@@ -99,23 +98,3 @@ class TestValidateCorpus:
         report = validate_corpus(_corpus([_doc("w", "real", body="   ")]))
         assert "w" in report.empty_bodies
 
-
-class TestSplitGroups:
-    def test_three_groups(self):
-        docs = [_doc(f"r{i}", "real") for i in range(4)]
-        docs += [_doc(f"f{i}", "fake") for i in range(3)]
-        docs += [_doc(f"s{i}", "satire") for i in range(2)]
-        groups = split_groups(_corpus(docs), ["real", "fake", "satire"])
-        assert [len(g) for g in groups] == [4, 3, 2]
-        ids = [d.id for g in groups for d in g]
-        assert len(ids) == len(set(ids)) == 9
-
-    def test_single_label(self):
-        docs = [_doc("a", "real"), _doc("b", "fake")]
-        (group,) = split_groups(_corpus(docs), ["real"])
-        assert [d.id for d in group] == ["a"]
-
-    def test_absent_label_errors(self):
-        docs = [_doc("a", "real"), _doc("b", "satire")]
-        with pytest.raises(KeyError, match="fake"):
-            split_groups(_corpus(docs, dataset_id=3), ["fake"])

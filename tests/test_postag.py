@@ -27,7 +27,7 @@ from newsstyle.textseg import Sentence, Token, split_sentences, tokenize
 
 
 def _sent(text):
-    return Sentence(tokens=tuple(tokenize(text)), index=0)
+    return Sentence(tokens=tuple(tokenize(text)))
 
 
 def _tagged(pairs):
@@ -45,7 +45,7 @@ class TestTrainTagger:
     def test_memorizes_single_sentence(self):
         ts = _tagged([("dogs", "NNS"), ("chase", "VBP"), ("cats", "NNS")])
         model = train_tagger([ts, ts], epochs=5, seed=1, backoff={})
-        sent = Sentence(tokens=tuple(t for t, _ in ts.tokens), index=0)
+        sent = Sentence(tokens=tuple(t for t, _ in ts.tokens))
         assert tag(sent, model).tags() == ["NNS", "VBP", "NNS"]
 
     def test_deterministic_for_seed(self):
@@ -79,7 +79,7 @@ class TestTrainTagger:
         model = train_tagger(data[:cut], epochs=5, seed=7)
         correct = total = 0
         for ts in data[cut:]:
-            sent = Sentence(tokens=tuple(t for t, _ in ts.tokens), index=0)
+            sent = Sentence(tokens=tuple(t for t, _ in ts.tokens))
             for (_, gold), (_, pred) in zip(ts.tokens, tag(sent, model).tokens):
                 total += 1
                 correct += gold == pred
