@@ -7,3 +7,10 @@ SVM on the top-ranked features.
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(Exception):
+    """Common base of the errors that bad input raises: a corpus, matrix,
+    lexicon or tagger file, or a command-line value. ``newsstyle.cli``
+    reports each with exit 1 and never needs to import the layer that
+    defines it."""

@@ -4,31 +4,38 @@ report, each emitting deterministic static artifacts.
 Exit codes: 0 success, 1 input/structural error, 2 degenerate-statistics
 warning escalated by --strict-degenerate.
 
-Only ``classify`` imports numpy (through ``learn``), so the other
-subcommands start without it.
+Each subcommand imports only the layers it runs. All of them load
+``corpus`` and ``matrix`` (the parser's ``--preset`` choices come from
+``matrix``). Only ``extract`` loads the text stack (``textseg``,
+``lexicon``, ``postag``) and ``features``; ``analyze``, ``classify`` and
+``report`` load ``stats``; only ``classify`` loads ``learn`` and numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+from . import InputError
 from . import corpus as cp
-from . import features as ft
-from . import lexicon as lx
-from . import postag as pt
-from . import stats as st
+from . import matrix as mx
+
+if TYPE_CHECKING:
+    from . import features as ft
+    from . import stats as st
 
 SCHEMA_VERSION = "1"
 
 
-class CliError(Exception):
+class CliError(InputError):
     pass
 
 
 def _sha256(path: str | Path) -> str:
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -38,6 +45,10 @@ def _check_probability(flag: str, value: float) -> None:
 
 
 def _load_resources(args) -> ft.Resources:
+    from . import features as ft
+    from . import lexicon as lx
+    from . import postag as pt
+
     return ft.Resources(
         tagger=pt.TaggerModel.load(args.tagger_model) if args.tagger_model else pt.default_model(),
         categories=lx.load_category_lexicon(args.category_lexicon),
@@ -68,6 +79,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from . import features as ft
+
     corpus, _ = cp.load_corpus(args.corpus, args.dataset_id)
     labels: dict[str, str] = {}
     for doc in corpus.documents:
@@ -84,9 +97,9 @@ def cmd_extract(args) -> int:
         vectors.append(ft.extract_all(doc, args.part, resources))
     if not vectors:
         raise CliError(f"no documents with a non-empty {args.part}")
-    matrix = ft.build_matrix(vectors, labels, args.part)
+    matrix = mx.build_matrix(vectors, labels, args.part)
     all_na = sum(1 for row in matrix.rows if all(v is None for v in row))
-    ft.write_matrix(matrix, args.out)
+    mx.write_matrix(matrix, args.out)
     print(f"wrote {args.out}: {len(matrix.rows)} rows x {len(matrix.feature_names)} features")
     if all_na > 0.1 * len(matrix.rows):
         print(f"{all_na} all-undefined rows (> 10%)", file=sys.stderr)
@@ -94,7 +107,9 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _analyze_matrix(matrix: ft.FeatureMatrix, alpha: float) -> st.OrderingReport:
+def _analyze_matrix(matrix: mx.FeatureMatrix, alpha: float) -> st.OrderingReport:
+    from . import stats as st
+
     # split the rows by label once and transpose each label's rows, so every
     # group's column is taken once, in matrix row order
     columns = {
@@ -146,7 +161,7 @@ def _write_ordering_table(report: st.OrderingReport, out: Path, bold_p: float) -
 def cmd_analyze(args) -> int:
     _check_probability("--alpha", args.alpha)
     _check_probability("--bold-p", args.bold_p)
-    matrix = ft.read_matrix(args.matrix)
+    matrix = mx.read_matrix(args.matrix)
     report = _analyze_matrix(matrix, args.alpha)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,9 +176,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _select_features(matrix: ft.FeatureMatrix, args) -> tuple[str, ...]:
+def _select_features(matrix: mx.FeatureMatrix, args) -> tuple[str, ...]:
+    from . import stats as st
+
     if args.preset:
-        return ft.PRESETS[args.preset]
+        return mx.PRESETS[args.preset]
     report = _analyze_matrix(matrix, args.alpha)
     top = st.rank_features(report.rows, args.top_k, args.alpha)
     if len(top) < args.top_k:
@@ -181,7 +198,7 @@ def cmd_classify(args) -> int:
 
     from . import learn as ln
 
-    matrix = ft.read_matrix(args.matrix)
+    matrix = mx.read_matrix(args.matrix)
     pair = tuple(args.pair.split(":"))
     if len(pair) != 2 or not all(p in cp.LABELS for p in pair):
         raise CliError(f"--pair must be label:label from {cp.LABELS}, got {args.pair!r}")
@@ -226,6 +243,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import stats as st
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ci_features = args.ci_features.split(",")
@@ -236,7 +255,7 @@ def cmd_report(args) -> int:
     for path in [args.matrix, *args.analysis, *args.classification]:
         lines.append(f"input\t{path}\t{_sha256(path)}")
 
-    matrix = ft.read_matrix(args.matrix)
+    matrix = mx.read_matrix(args.matrix)
     ci_lines = ["feature,label,n,mean,ci_lower,ci_upper"]
     labels = [label for label in cp.LABELS if label in matrix.labels]
     for feature in ci_features:
@@ -301,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="cross-validate a linear SVM on selected features")
     p.add_argument("--matrix", required=True)
     p.add_argument("--pair", required=True, help="label pair, e.g. fake:real")
-    p.add_argument("--preset", choices=sorted(ft.PRESETS))
+    p.add_argument("--preset", choices=sorted(mx.PRESETS))
     p.add_argument("--top-k", type=int, default=4)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--folds", type=int, default=5)
@@ -325,8 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, cp.CorpusError, ft.MatrixFormatError, lx.LexiconFormatError,
-            pt.TaggerError, FileNotFoundError) as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import InputError
+
 REAL = "real"
 FAKE = "fake"
 SATIRE = "satire"
@@ -23,7 +25,7 @@ DATASET_LABELS = {
 }
 
 
-class CorpusError(Exception):
+class CorpusError(InputError):
     """Structural problem that prevents building a corpus at all."""
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import PRESETS  # noqa: F401  (re-exported)
+from .matrix import PRESETS  # noqa: F401  (re-exported)
 
 _STD_FLOOR = 1e-12
 

@@ -25,17 +25,28 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import InputError
 from .textseg import WORD, WORD_MEMO_CAP, Sentence, Token
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
 
 
-class LexiconFormatError(ValueError):
-    """Raised for malformed lexicon files; carries the line number."""
+class LexiconFormatError(ValueError, InputError):
+    """Raised for malformed lexicon files; carries the line number, if any."""
 
-    def __init__(self, path, lineno: int, message: str):
-        super().__init__(f"{path}:{lineno}: {message}")
+    def __init__(self, path, lineno: int | None, message: str):
+        super().__init__(f"{path}: {message}" if lineno is None else f"{path}:{lineno}: {message}")
         self.lineno = lineno
+
+
+def _read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 text file."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise LexiconFormatError(path, None, f"not UTF-8 (line {line}: {e.reason})") from None
 
 
 @dataclass
@@ -88,7 +99,7 @@ def load_category_lexicon(path: str | Path | None = None) -> CategoryLexicon:
     exact: dict[str, dict[str, None]] = {}
     stems: dict[str, list[str]] = {}
     current: str | None = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_lines(path), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -130,7 +141,7 @@ def load_frequency_table(path: str | Path | None = None) -> dict[str, float]:
     """Lowercased word -> frequency per million."""
     path = Path(path) if path else _RESOURCE_DIR / "frequency.tsv"
     freqs: dict[str, float] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_lines(path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -202,7 +213,7 @@ def load_sentiment_lexicon(path: str | Path | None = None) -> SentimentLexicon:
     boosters: dict[str, int] = {}
     negators: set[str] = set()
     section = "terms"
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_lines(path), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -271,7 +282,7 @@ def sentiment_strength(sentences: list[Sentence], sl: SentimentLexicon) -> tuple
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     path = Path(path) if path else _RESOURCE_DIR / "stopwords.txt"
     words = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in _read_lines(path):
         line = line.strip()
         if line and not line.startswith("#"):
             words.add(line.lower())

@@ -1,0 +1,164 @@
+"""The feature catalog and the feature matrix: one row per document part,
+one column per catalog feature, read and written as CSV.
+
+This layer needs only ``corpus``, so the subcommands that read a matrix
+(``analyze``, ``classify``, ``report``) start without the text stack that
+``features`` extraction loads.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from dataclasses import dataclass
+from pathlib import Path
+
+from . import InputError
+from .corpus import LABELS
+
+COMPLEXITY_FEATURES = (
+    "GI", "SMOG", "FK", "med_depth", "med_np_depth", "med_vp_depth",
+    "flu_coca_c", "flu_coca_d", "TTR", "avg_wlen",
+)
+POS_FEATURES = (
+    "NN", "NNP", "PRP", "PRP$", "WP", "DT", "WDT", "CD", "RB", "UH",
+    "VB", "JJ", "VBD", "VBG", "VBN", "VBP", "VBZ",
+)
+STYLISTIC_CATEGORY_FEATURES = (
+    "focuspast", "focusfuture", "i", "we", "you", "shehe", "quant",
+    "compare", "negate", "swear", "netspeak", "interrog",
+)
+PSYCH_CATEGORY_FEATURES = (
+    "analytic", "insight", "cause", "discrep", "tentat", "certain",
+    "differ", "affil", "power", "reward", "risk", "personal", "tone",
+    "affect",
+)
+CATALOG = (
+    COMPLEXITY_FEATURES
+    + ("WC", "WPS")
+    + POS_FEATURES
+    + STYLISTIC_CATEGORY_FEATURES
+    + ("exclaim", "all_caps", "per_stop", "allPunc", "quotes", "#vps")
+    + PSYCH_CATEGORY_FEATURES
+    + ("str_neg", "str_pos")
+)
+
+# named top-4 feature sets for classification
+PRESETS = {
+    "body4": ("NN", "TTR", "WC", "quotes"),
+    "title4": ("per_stop", "NN", "avg_wlen", "FK"),
+}
+
+
+class MatrixFormatError(ValueError, InputError):
+    pass
+
+
+@dataclass
+class FeatureMatrix:
+    feature_names: tuple[str, ...]
+    doc_ids: tuple[str, ...]
+    labels: tuple[str, ...]
+    part: str
+    rows: list[list[float | None]]
+
+    def column(self, feature: str) -> list[float | None]:
+        try:
+            j = self.feature_names.index(feature)
+        except ValueError:
+            raise MatrixFormatError(f"unknown feature {feature!r}") from None
+        return [row[j] for row in self.rows]
+
+    def group_column(self, feature: str, label: str) -> list[float | None]:
+        col = self.column(feature)
+        return [v for v, l in zip(col, self.labels) if l == label]
+
+
+def build_matrix(vectors: list, labels: dict[str, str], part: str) -> FeatureMatrix:
+    """One row per ``features.FeatureVector``, its label looked up by doc_id."""
+    names = CATALOG
+    rows = []
+    ids = []
+    labs = []
+    for vec in vectors:
+        missing = [n for n in names if n not in vec.values]
+        if missing:
+            raise MatrixFormatError(f"{vec.doc_id}: missing features {missing}")
+        rows.append([vec.values[n] for n in names])
+        ids.append(vec.doc_id)
+        labs.append(labels[vec.doc_id])
+    return FeatureMatrix(
+        feature_names=tuple(names), doc_ids=tuple(ids), labels=tuple(labs),
+        part=part, rows=rows,
+    )
+
+
+def _format_value(v: float | None) -> str:
+    if v is None or (isinstance(v, float) and math.isnan(v)):
+        return "NA"
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    return repr(float(v))
+
+
+def write_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
+    """CSV with header doc_id,label,part,<features>; NA marks undefined."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["doc_id", "label", "part", *matrix.feature_names])
+        for doc_id, label, row in zip(matrix.doc_ids, matrix.labels, matrix.rows):
+            writer.writerow([doc_id, label, matrix.part, *[_format_value(v) for v in row]])
+
+
+def read_matrix(path: str | Path) -> FeatureMatrix:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MatrixFormatError(f"{path}: empty file") from None
+        if header[:3] != ["doc_id", "label", "part"]:
+            raise MatrixFormatError(f"{path}: bad header {header[:3]}")
+        names = tuple(header[3:])
+        unknown = [n for n in names if n not in CATALOG]
+        if unknown:
+            raise MatrixFormatError(f"{path}: unknown feature column(s) {unknown}")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise MatrixFormatError(f"{path}:1: repeated feature column(s) {repeated}")
+        ids, labels, rows = [], [], []
+        first_line: dict[str, int] = {}  # doc_id -> line it was first seen on
+        part = ""
+        for lineno, rec in enumerate(reader, 2):
+            if len(rec) != len(names) + 3:
+                raise MatrixFormatError(f"{path}:{lineno}: ragged row")
+            first = first_line.setdefault(rec[0], lineno)
+            if first != lineno:
+                raise MatrixFormatError(
+                    f"{path}:{lineno}: duplicate doc_id {rec[0]!r} (first on line {first})"
+                )
+            if rec[1] not in LABELS:
+                raise MatrixFormatError(f"{path}:{lineno}: label {rec[1]!r} not in {LABELS}")
+            if rec[2] not in ("title", "body"):
+                raise MatrixFormatError(f"{path}:{lineno}: part {rec[2]!r} is not title or body")
+            part = part or rec[2]
+            if rec[2] != part:
+                raise MatrixFormatError(
+                    f"{path}:{lineno}: part {rec[2]!r} differs from the first row's {part!r}"
+                )
+            try:
+                row = [None if v == "NA" else float(v) for v in rec[3:]]
+            except ValueError as e:
+                raise MatrixFormatError(f"{path}:{lineno}: {e}") from None
+            nan = [n for n, v in zip(names, row) if v != v]
+            if nan:
+                raise MatrixFormatError(f"{path}:{lineno}: nan in {nan}; an undefined value is NA")
+            ids.append(rec[0])
+            labels.append(rec[1])
+            rows.append(row)
+    if not rows:
+        raise MatrixFormatError(f"{path}: no rows after the header")
+    return FeatureMatrix(
+        feature_names=names, doc_ids=tuple(ids), labels=tuple(labels),
+        part=part, rows=rows,
+    )

@@ -13,6 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import InputError
 from .textseg import NUMBER, PUNCT, SYMBOL, WORD, Sentence, Token
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
@@ -27,8 +28,18 @@ VERB_TAGS = frozenset({"VB", "VBD", "VBG", "VBN", "VBP", "VBZ"})
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 
 
-class TaggerError(ValueError):
+class TaggerError(ValueError, InputError):
     pass
+
+
+def _read_text(path: Path) -> str:
+    """The text of a UTF-8 file."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise TaggerError(f"{path}: not UTF-8 (line {line}: {e.reason})") from None
 
 
 @dataclass
@@ -53,21 +64,47 @@ class TaggerModel:
     @classmethod
     def load(cls, path: str | Path) -> "TaggerModel":
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            payload = json.loads(_read_text(Path(path)))
         except json.JSONDecodeError as e:
             raise TaggerError(f"{path}:{e.lineno}: not JSON: {e.msg}") from None
         if not isinstance(payload, dict) or payload.get("format") != "newsstyle-tagger":
             raise TaggerError(f"{path}: not a tagger model file")
-        try:
-            return cls(
-                tagset=tuple(payload["tagset"]),
-                weights=payload["weights"],
-                lexical_backoff=payload["lexical_backoff"],
-                version=payload["version"],
-                vocab=set(payload["vocab"]),
-            )
-        except KeyError as e:
-            raise TaggerError(f"{path}: tagger model file lacks key {e}") from None
+        for key, valid, shape in _MODEL_FIELDS:
+            if key not in payload:
+                raise TaggerError(f"{path}: tagger model file lacks key {key!r}")
+            if not valid(payload[key]):
+                raise TaggerError(f"{path}: {key} must be {shape}")
+        return cls(
+            tagset=tuple(payload["tagset"]),
+            weights=payload["weights"],
+            lexical_backoff=payload["lexical_backoff"],
+            version=payload["version"],
+            vocab=set(payload["vocab"]),
+        )
+
+
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
+
+
+def _is_weight_table(x) -> bool:
+    # JSON object keys are always strings; bool is an int but not a weight
+    return (isinstance(x, dict) and all(type(row) is dict for row in x.values())
+            and {type(w) for row in x.values() for w in row.values()} <= {int, float})
+
+
+def _is_str_map(x) -> bool:
+    return isinstance(x, dict) and all(isinstance(v, str) for v in x.values())
+
+
+# each key of a model file, what its value must satisfy, and how to say so
+_MODEL_FIELDS = (
+    ("tagset", _is_str_list, "a list of strings"),
+    ("weights", _is_weight_table, "an object of objects of numbers"),
+    ("lexical_backoff", _is_str_map, "an object mapping strings to strings"),
+    ("version", lambda x: isinstance(x, str), "a string"),
+    ("vocab", _is_str_list, "a list of strings"),
+)
 
 
 @dataclass(frozen=True)
@@ -82,7 +119,7 @@ def load_closed_class(path: str | Path | None = None) -> dict[str, str]:
     """word<TAB>tag backoff list for closed-class words."""
     path = Path(path) if path else _RESOURCE_DIR / "closed_class.tsv"
     backoff = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in _read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -350,7 +387,7 @@ def load_pretagged(path: str | Path) -> list[TaggedSentence]:
     sentences: list[TaggedSentence] = []
     current: list[tuple[Token, str]] = []
     offset = 0
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         if not raw.strip():
             if current:
                 sentences.append(TaggedSentence(tokens=tuple(current)))

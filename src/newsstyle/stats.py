@@ -390,17 +390,20 @@ def derive_ordering(
     group_means: dict[str, float],
     groups: dict[str, list[float]],
     alpha: float = ALPHA_DEFAULT,
+    pair_p: float | None = None,
 ) -> str:
     """Ordering text like ``Real > Fake = Satire``.
 
     Groups are sorted by mean descending; adjacent pairs are separated by
     ``>`` when their pairwise rank-sum is significant at alpha, ``=``
-    otherwise.
+    otherwise. ``pair_p`` is the rank-sum p of exactly two groups when the
+    caller has it already: midranks are multiples of 0.5, so swapping the
+    samples negates ``w - mean`` exactly and leaves p the same bits.
     """
     labels = sorted(group_means, key=lambda l: (-group_means[l], l))
     parts = [labels[0].capitalize()]
     for prev, cur in zip(labels, labels[1:]):
-        _, p = ranksum(groups[prev], groups[cur])
+        p = ranksum(groups[prev], groups[cur])[1] if pair_p is None else pair_p
         parts.append(">" if p < alpha else "=")
         parts.append(cur.capitalize())
     return " ".join(parts)
@@ -442,7 +445,7 @@ def compare_feature(
         test_used = "kruskal"
         stat, p = kruskal_wallis(samples)
         degenerate = stat == 0.0 and p == 1.0 and len({x for s in samples for x in s}) == 1
-    ordering = derive_ordering(means, clean, alpha)
+    ordering = derive_ordering(means, clean, alpha, p if test_used == "ranksum" else None)
     return TestResult(
         feature=feature, test_used=test_used, statistic=stat, p_value=p,
         group_means=means, ordering=ordering, significant=p < alpha,

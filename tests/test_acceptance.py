@@ -152,7 +152,7 @@ def test_criterion_5_directional_reproduction(resources):
     body WC Real > Fake, body TTR Fake > Real, title NNP Fake > Real,
     title per_stop Real > Fake, each with p < 0.05."""
     from newsstyle.corpus import load_corpus
-    from newsstyle.features import build_matrix
+    from newsstyle.matrix import build_matrix
 
     checks = []
     for dataset_id, sub in ((1, "dataset1"), (2, "dataset2")):

@@ -12,7 +12,7 @@ import pytest
 from conftest import write_synthetic_corpus
 from newsstyle.cli import _analyze_matrix, main
 from newsstyle.corpus import LABELS
-from newsstyle.features import FeatureMatrix, read_matrix
+from newsstyle.matrix import FeatureMatrix, read_matrix
 from newsstyle.stats import compare_feature
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -125,7 +125,7 @@ class TestAnalyze:
             (out / "analysis" / "ordering.tsv").read_bytes()
 
     def test_strict_degenerate_exit_2(self, tmp_path):
-        from newsstyle.features import CATALOG
+        from newsstyle.matrix import CATALOG
         header = "doc_id,label,part," + ",".join(CATALOG)
         rows = [header]
         for i in range(6):
@@ -236,6 +236,26 @@ def test_golden_analyze_output(tmp_path, name):
         assert got == expected, (name, artifact)
 
 
+def test_two_labels_run_one_ranksum_per_feature(tmp_path, monkeypatch):
+    # the rank-sum route's test is the ordering's pairwise rank-sum too, so a
+    # two-label analysis runs ranksum once per tested feature on either route
+    import newsstyle.stats
+
+    calls = []
+    ranksum = newsstyle.stats.ranksum
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return ranksum(a, b)
+
+    monkeypatch.setattr(newsstyle.stats, "ranksum", counted)
+    sizes, seed = _GOLDEN_ANALYZE_MATRICES["two_labels"]
+    rows = _analyze_matrix(read_matrix(_golden_matrix(tmp_path / "m.csv", sizes, seed)), 0.05).rows
+    routes = [r.test_used for r in rows]
+    assert routes.count("ranksum") >= 2 and "anova" in routes
+    assert len(calls) == len(routes) - routes.count("skipped")
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN_ANALYZE_MATRICES))
 def test_analyze_matrix_matches_group_columns(tmp_path, name):
     # rows interleaved across labels: each group must keep matrix row order
@@ -314,16 +334,45 @@ def test_bad_matrix_header_exit_1(tmp_path, capsys, command, header, n_rows, mes
     ("--tagger-model", '{"format": "newsstyle-tagger"}',
      ": tagger model file lacks key 'tagset'"),
     ("--tagger-model", "[]", ": not a tagger model file"),
+    # latin-1 bytes: each loader names the file instead of raising UnicodeDecodeError
+    ("--category-lexicon", "%cause\ncafé\n".encode("latin-1"),
+     ": not UTF-8 (line 2: invalid continuation byte)"),
+    ("--frequency-table", "the\t5\ncafé\t2\n".encode("latin-1"),
+     ": not UTF-8 (line 2: invalid continuation byte)"),
+    ("--sentiment-lexicon", "café\t2\n".encode("latin-1"),
+     ": not UTF-8 (line 1: invalid continuation byte)"),
+    ("--stoplist", "the\ncafé".encode("latin-1"), ": not UTF-8 (line 2: unexpected end of data)"),
+    ("--tagger-model", '{"vocab": ["café"]}'.encode("latin-1"),
+     ": not UTF-8 (line 1: invalid continuation byte)"),
 ])
 def test_bad_resource_file_exit_1(tmp_path, capsys, flag, content, message):
     corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
                                     dataset_id=1)
     res = tmp_path / "resource"
-    res.write_text(content, encoding="utf-8")
+    if isinstance(content, bytes):
+        res.write_bytes(content)
+    else:
+        res.write_text(content, encoding="utf-8")
     out = tmp_path / "m.csv"
     assert main(["extract", "--corpus", str(corpus), "--dataset-id", "1", "--part", "body",
                  "--out", str(out), flag, str(res)]) == 1
     assert capsys.readouterr().err == f"error: {res}{message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--tagger-model", "--category-lexicon", "--frequency-table",
+                                  "--sentiment-lexicon", "--stoplist"])
+def test_resource_path_is_directory_exit_1(tmp_path, capsys, flag):
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
+                                    dataset_id=1)
+    res = tmp_path / "resources"
+    res.mkdir()
+    out = tmp_path / "m.csv"
+    assert main(["extract", "--corpus", str(corpus), "--dataset-id", "1", "--part", "body",
+                 "--out", str(out), flag, str(res)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(res) in err
     assert not out.exists()
 
 
@@ -375,6 +424,109 @@ def test_only_classify_loads_numpy(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "cv.tsv").read_text().startswith("schema_version=1\n")
+
+
+
+def _small_matrix(path: Path) -> Path:
+    rows = ["doc_id,label,part,NN,TTR,WC,quotes"]
+    rows += [f"d{i},{'real' if i % 2 else 'fake'},body,{i % 9 + i % 2},0.{i % 7},{100 + i},{i % 3}"
+             for i in range(40)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def _run_fresh(args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+_TEXT_STACK = ("newsstyle.textseg", "newsstyle.lexicon", "newsstyle.postag")
+_MATRIX_ONLY = _TEXT_STACK + ("newsstyle.features", "newsstyle.learn", "numpy")
+# subcommand -> (modules it must load, modules it must not load)
+_LAYERS = {
+    "ingest": (("newsstyle.corpus",),
+               _TEXT_STACK + ("newsstyle.features", "newsstyle.stats", "newsstyle.learn",
+                              "numpy", "json")),
+    "extract": (_TEXT_STACK + ("newsstyle.features",),
+                ("newsstyle.stats", "newsstyle.learn", "numpy")),
+    "analyze": (("newsstyle.matrix", "newsstyle.stats"), _MATRIX_ONLY),
+    "classify": (("newsstyle.stats", "newsstyle.learn", "numpy"), _TEXT_STACK),
+    "report": (("newsstyle.matrix", "newsstyle.stats"), _MATRIX_ONLY),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LAYERS))
+def test_each_subcommand_loads_only_its_layers(tmp_path, command):
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
+                                    dataset_id=1)
+    m = str(_small_matrix(tmp_path / "m.csv"))
+    argv = {
+        "ingest": ["ingest", "--corpus", str(corpus), "--dataset-id", "1",
+                   "--out", str(tmp_path / "i")],
+        "extract": ["extract", "--corpus", str(corpus), "--dataset-id", "1", "--part", "title",
+                    "--out", str(tmp_path / "t.csv")],
+        "analyze": ["analyze", "--matrix", m, "--out", str(tmp_path / "a")],
+        "classify": ["classify", "--matrix", m, "--pair", "fake:real", "--preset", "body4",
+                     "--out", str(tmp_path / "cv.tsv")],
+        "report": ["report", "--matrix", m, "--ci-features", "NN,WC", "--out", str(tmp_path / "r")],
+    }[command]
+    modules = tmp_path / "modules.txt"
+    script = textwrap.dedent(f"""
+        import sys
+        from newsstyle.cli import main
+        code = main({argv!r})
+        with open({str(modules)!r}, "w") as fh:
+            fh.write("\\n".join(sorted(sys.modules)))
+        sys.exit(code)
+    """)
+    proc = _run_fresh(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(modules.read_text().split())
+    needed, unneeded = _LAYERS[command]
+    assert set(needed) <= loaded
+    assert sorted(loaded & set(unneeded)) == []
+
+
+def test_input_errors_share_one_base():
+    from newsstyle import InputError
+    from newsstyle.cli import CliError
+    from newsstyle.corpus import CorpusError
+    from newsstyle.lexicon import LexiconFormatError
+    from newsstyle.matrix import MatrixFormatError
+    from newsstyle.postag import TaggerError
+
+    for error in (CliError, CorpusError):
+        assert issubclass(error, InputError)
+    for error in (MatrixFormatError, LexiconFormatError, TaggerError):
+        assert issubclass(error, InputError) and issubclass(error, ValueError)
+
+
+@pytest.mark.parametrize("error", ["CliError", "CorpusError", "MatrixFormatError",
+                                   "LexiconFormatError", "TaggerError"])
+def test_input_error_exit_1_in_a_fresh_process(tmp_path, error):
+    # main catches every input error without importing the layer that raises it
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
+                                    dataset_id=1)
+    bad = tmp_path / "bad"
+    extract = ["extract", "--corpus", str(corpus), "--dataset-id", "1", "--part", "body",
+               "--out", str(tmp_path / "b.csv")]
+    argv, message = {
+        "CliError": (["analyze", "--matrix", str(_small_matrix(tmp_path / "m.csv")),
+                      "--alpha", "7", "--out", str(tmp_path / "a")], "--alpha must be in (0, 1)"),
+        "CorpusError": (["ingest", "--corpus", str(tmp_path / "none"), "--dataset-id", "1",
+                         "--out", str(tmp_path / "i")], "is not a directory"),
+        "MatrixFormatError": (["report", "--matrix", str(bad), "--out", str(tmp_path / "r")],
+                              f"{bad}: bad header"),
+        "LexiconFormatError": (extract + ["--stoplist", str(bad)], f"{bad}: not UTF-8"),
+        "TaggerError": (extract + ["--tagger-model", str(bad)], f"{bad}:1: not JSON"),
+    }[error]
+    bad.write_bytes(b"x\xe9" if error == "LexiconFormatError" else b"doc,label,part\n")
+    proc = _run_fresh(["-m", "newsstyle.cli", *argv])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert message in proc.stderr
 
 
 class TestClassify:

@@ -10,14 +10,12 @@ import newsstyle.postag as pt
 import newsstyle.textseg as ts
 from newsstyle.cli import main
 from newsstyle.corpus import Document, load_corpus
-from newsstyle.features import (
+from newsstyle.features import FeatureVector, Resources, extract_all
+from newsstyle.matrix import (
     CATALOG,
-    FeatureVector,
     MatrixFormatError,
-    Resources,
     _format_value,
     build_matrix,
-    extract_all,
     read_matrix,
     write_matrix,
 )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from newsstyle import features as ft
+from newsstyle import matrix as ft
 from newsstyle.cli import main
 from newsstyle.learn import (
     PRESETS,
@@ -260,7 +260,7 @@ class TestPresets:
         assert PRESETS["title4"] == ("per_stop", "NN", "avg_wlen", "FK")
 
     def test_presets_are_catalog_features(self):
-        from newsstyle.features import CATALOG
+        from newsstyle.matrix import CATALOG
         for names in PRESETS.values():
             assert set(names) <= set(CATALOG)
 

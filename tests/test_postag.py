@@ -1,3 +1,4 @@
+import json
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from newsstyle.postag import (
     VERB_TAGS,
     TaggedSentence,
     TaggerError,
+    TaggerModel,
     chunk,
     default_model,
     load_pretagged,
@@ -468,3 +470,69 @@ class TestLoadPretagged:
         f = tmp_path / "t.tsv"
         f.write_text("")
         assert load_pretagged(f) == []
+
+    def test_not_utf8(self, tmp_path):
+        f = tmp_path / "t.tsv"
+        f.write_bytes("the\tDT\ncaf\u00e9\tNN\n".encode("latin-1"))
+        with pytest.raises(TaggerError, match=r"t\.tsv: not UTF-8 \(line 2: "):
+            load_pretagged(f)
+
+
+_VALID_MODEL = {"format": "newsstyle-tagger", "tagset": ["NN", "DT"],
+                "weights": {"bias": {"NN": 1.0, "DT": -1}}, "lexical_backoff": {"the": "DT"},
+                "version": "1", "vocab": ["dog"]}
+
+
+class TestTaggerModelLoad:
+    def _load(self, tmp_path, **changes):
+        f = tmp_path / "model.json"
+        f.write_text(json.dumps(_VALID_MODEL | changes), encoding="utf-8")
+        return TaggerModel.load(f)
+
+    def test_valid_file_loads(self, tmp_path):
+        model = self._load(tmp_path)
+        assert model.tagset == ("NN", "DT")
+        assert model.weights == {"bias": {"NN": 1.0, "DT": -1}}
+        assert model.lexical_backoff == {"the": "DT"}
+        assert model.vocab == {"dog"}
+
+    def test_shipped_model_round_trips(self, tmp_path):
+        shipped = default_model()
+        shipped.save(tmp_path / "m.json")
+        assert TaggerModel.load(tmp_path / "m.json") == shipped
+
+    @pytest.mark.parametrize("value", [5, "NN", [1], ["NN", None], {"NN": 1}])
+    def test_tagset_not_list_of_strings(self, tmp_path, value):
+        with pytest.raises(TaggerError, match=r"model\.json: tagset must be a list of strings"):
+            self._load(tmp_path, tagset=value)
+
+    @pytest.mark.parametrize("value", [5, [], {"bias": 5}, {"bias": {"NN": "1"}},
+                                       {"bias": {"NN": True}}, {"bias": {"NN": None}}])
+    def test_weights_not_object_of_objects_of_numbers(self, tmp_path, value):
+        # 5 used to load and then fail inside tag() with AttributeError
+        with pytest.raises(TaggerError,
+                           match=r"model\.json: weights must be an object of objects of numbers"):
+            self._load(tmp_path, weights=value)
+
+    @pytest.mark.parametrize("value", [5, ["the"], {"the": 1}, {"the": None}])
+    def test_lexical_backoff_not_string_map(self, tmp_path, value):
+        with pytest.raises(TaggerError, match=r"model\.json: lexical_backoff must be an object "
+                                              r"mapping strings to strings"):
+            self._load(tmp_path, lexical_backoff=value)
+
+    @pytest.mark.parametrize("value", [5, "dog", [3], {"dog": 1}])
+    def test_vocab_not_list_of_strings(self, tmp_path, value):
+        with pytest.raises(TaggerError, match=r"model\.json: vocab must be a list of strings"):
+            self._load(tmp_path, vocab=value)
+
+    @pytest.mark.parametrize("value", [1, 1.0, None, ["1"]])
+    def test_version_not_string(self, tmp_path, value):
+        with pytest.raises(TaggerError, match=r"model\.json: version must be a string"):
+            self._load(tmp_path, version=value)
+
+    def test_not_utf8(self, tmp_path):
+        f = tmp_path / "model.json"
+        f.write_bytes(json.dumps(_VALID_MODEL | {"vocab": ["caf\u00e9"]},
+                                 ensure_ascii=False).encode("latin-1"))
+        with pytest.raises(TaggerError, match=r"model\.json: not UTF-8 \(line 1: "):
+            TaggerModel.load(f)
