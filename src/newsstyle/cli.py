@@ -98,12 +98,8 @@ def cmd_extract(args) -> int:
     if not vectors:
         raise CliError(f"no documents with a non-empty {args.part}")
     matrix = mx.build_matrix(vectors, labels, args.part)
-    all_na = sum(1 for row in matrix.rows if all(v is None for v in row))
     mx.write_matrix(matrix, args.out)
     print(f"wrote {args.out}: {len(matrix.rows)} rows x {len(matrix.feature_names)} features")
-    if all_na > 0.1 * len(matrix.rows):
-        print(f"{all_na} all-undefined rows (> 10%)", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -180,7 +176,11 @@ def _select_features(matrix: mx.FeatureMatrix, args) -> tuple[str, ...]:
     from . import stats as st
 
     if args.preset:
-        return mx.PRESETS[args.preset]
+        names = mx.PRESETS[args.preset]
+        missing = [n for n in names if n not in matrix.feature_names]
+        if missing:
+            raise CliError(f"{args.matrix}: no column(s) {missing} for --preset {args.preset}")
+        return names
     report = _analyze_matrix(matrix, args.alpha)
     top = st.rank_features(report.rows, args.top_k, args.alpha)
     if len(top) < args.top_k:
@@ -245,36 +245,31 @@ def cmd_classify(args) -> int:
 def cmd_report(args) -> int:
     from . import stats as st
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ci_features = args.ci_features.split(",")
     lines = [
         f"schema_version={SCHEMA_VERSION}",
         "section=inputs",
     ]
     for path in [args.matrix, *args.analysis, *args.classification]:
         lines.append(f"input\t{path}\t{_sha256(path)}")
-
     matrix = mx.read_matrix(args.matrix)
+    for section, paths in (("analysis", args.analysis), ("classification", args.classification)):
+        lines.append(f"section={section}")
+        for path in paths:
+            lines += CliError.read_text(path).splitlines()
+
     ci_lines = ["feature,label,n,mean,ci_lower,ci_upper"]
     labels = [label for label in cp.LABELS if label in matrix.labels]
-    for feature in ci_features:
+    for feature in args.ci_features.split(","):
         for label in labels:
             vals = [v for v in matrix.group_column(feature, label) if v is not None]
             if len(vals) < 2:
                 continue
             mean, lo, hi = st.confidence_interval(vals, 0.95)
             ci_lines.append(f"{feature},{label},{len(vals)},{mean:.6g},{lo:.6g},{hi:.6g}")
-    (out / "ci_plot_data.csv").write_text("\n".join(ci_lines) + "\n", encoding="utf-8")
 
-    lines.append("section=analysis")
-    for path in args.analysis:
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            lines.append(raw)
-    lines.append("section=classification")
-    for path in args.classification:
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            lines.append(raw)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "ci_plot_data.csv").write_text("\n".join(ci_lines) + "\n", encoding="utf-8")
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out / 'report.txt'} and {out / 'ci_plot_data.csv'}")
     return 0

@@ -69,8 +69,7 @@ def _read_article(path: Path) -> tuple[str, str]:
     return first.strip(), rest.strip()
 
 
-def _read_source(path: Path) -> str:
-    meta = path.with_suffix(".meta")
+def _read_source(meta: Path) -> str:
     if not meta.exists():
         return ""
     for line in meta.read_text(encoding="utf-8").splitlines():
@@ -98,10 +97,13 @@ def load_corpus(root_dir: str | Path, dataset_id: int) -> tuple[Corpus, LoadRepo
         label = label_dir.name
         for path in sorted(label_dir.glob("*.txt")):
             doc_id = path.stem
+            reading = path
             try:
                 title, body = _read_article(path)
+                reading = path.with_suffix(".meta")
+                source = _read_source(reading)
             except (OSError, UnicodeDecodeError) as e:
-                report.errors.append((str(path), str(e)))
+                report.errors.append((str(reading), str(e)))
                 continue
             if not body:
                 report.errors.append((str(path), "empty body"))
@@ -110,7 +112,7 @@ def load_corpus(root_dir: str | Path, dataset_id: int) -> tuple[Corpus, LoadRepo
                 Document(
                     id=doc_id,
                     dataset_id=dataset_id,
-                    source=_read_source(path),
+                    source=source,
                     label=label,
                     title=title,
                     body=body,

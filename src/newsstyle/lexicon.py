@@ -32,21 +32,7 @@ _RESOURCE_DIR = Path(__file__).parent / "resources"
 
 
 class LexiconFormatError(ValueError, InputError):
-    """Raised for malformed lexicon files; carries the line number, if any."""
-
-    def __init__(self, path, lineno: int | None, message: str):
-        super().__init__(f"{path}: {message}" if lineno is None else f"{path}:{lineno}: {message}")
-        self.lineno = lineno
-
-
-def _read_lines(path: Path) -> list[str]:
-    """The lines of a UTF-8 text file."""
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as e:
-        line = data.count(b"\n", 0, e.start) + 1
-        raise LexiconFormatError(path, None, f"not UTF-8 (line {line}: {e.reason})") from None
+    """Raised for malformed lexicon files."""
 
 
 @dataclass
@@ -99,25 +85,26 @@ def load_category_lexicon(path: str | Path | None = None) -> CategoryLexicon:
     exact: dict[str, dict[str, None]] = {}
     stems: dict[str, list[str]] = {}
     current: str | None = None
-    for lineno, raw in enumerate(_read_lines(path), 1):
+    for lineno, raw in enumerate(LexiconFormatError.read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("%"):
             name = line[1:].strip()
             if not name:
-                raise LexiconFormatError(path, lineno, "empty category name")
+                raise LexiconFormatError(f"{path}:{lineno}: empty category name")
             if name in exact:
-                raise LexiconFormatError(path, lineno, f"duplicate category {name!r}")
+                raise LexiconFormatError(f"{path}:{lineno}: duplicate category {name!r}")
             exact[name] = {}
             stems[name] = []
             current = name
             continue
         if current is None:
-            raise LexiconFormatError(path, lineno, "entry before any %category header")
+            raise LexiconFormatError(f"{path}:{lineno}: entry before any %category header")
         entry = line.lower()
         if "*" in entry[:-1] or entry == "*":
-            raise LexiconFormatError(path, lineno, f"wildcard only allowed as trailing *: {raw.strip()!r}")
+            raise LexiconFormatError(
+                f"{path}:{lineno}: wildcard only allowed as trailing *: {raw.strip()!r}")
         if entry.endswith("*"):
             stem = entry[:-1]
             if stem not in stems[current]:
@@ -141,13 +128,13 @@ def load_frequency_table(path: str | Path | None = None) -> dict[str, float]:
     """Lowercased word -> frequency per million."""
     path = Path(path) if path else _RESOURCE_DIR / "frequency.tsv"
     freqs: dict[str, float] = {}
-    for lineno, raw in enumerate(_read_lines(path), 1):
+    for lineno, raw in enumerate(LexiconFormatError.read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise LexiconFormatError(path, lineno, f"expected word<TAB>freq, got {raw!r}")
+            raise LexiconFormatError(f"{path}:{lineno}: expected word<TAB>freq, got {raw!r}")
         word, freq = parts
         try:
             value = float(freq)
@@ -155,7 +142,8 @@ def load_frequency_table(path: str | Path | None = None) -> dict[str, float]:
             value = math.nan
         if not (math.isfinite(value) and value >= 0):
             raise LexiconFormatError(
-                path, lineno, f"frequency for {word!r} must be a finite number >= 0, got {freq!r}")
+                f"{path}:{lineno}: frequency for {word!r} must be a finite number >= 0, "
+                f"got {freq!r}")
         freqs[word.lower()] = value
     return freqs
 
@@ -213,34 +201,35 @@ def load_sentiment_lexicon(path: str | Path | None = None) -> SentimentLexicon:
     boosters: dict[str, int] = {}
     negators: set[str] = set()
     section = "terms"
-    for lineno, raw in enumerate(_read_lines(path), 1):
+    for lineno, raw in enumerate(LexiconFormatError.read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("%"):
             section = line[1:].strip()
             if section not in ("terms", "boosters", "negators"):
-                raise LexiconFormatError(path, lineno, f"unknown section {section!r}")
+                raise LexiconFormatError(f"{path}:{lineno}: unknown section {section!r}")
             continue
         parts = line.split("\t")
         if section == "negators":
             negators.add(parts[0].lower())
             continue
         if len(parts) != 2:
-            raise LexiconFormatError(path, lineno, f"expected term<TAB>value, got {raw!r}")
+            raise LexiconFormatError(f"{path}:{lineno}: expected term<TAB>value, got {raw!r}")
         word = parts[0].lower()
         try:
             value = int(parts[1])
         except ValueError:
             raise LexiconFormatError(
-                path, lineno, f"value for {word!r} must be an integer, got {parts[1]!r}") from None
+                f"{path}:{lineno}: value for {word!r} must be an integer, "
+                f"got {parts[1]!r}") from None
         if section == "terms":
             if not (2 <= abs(value) <= 5):
-                raise LexiconFormatError(path, lineno, f"strength out of range: {value}")
+                raise LexiconFormatError(f"{path}:{lineno}: strength out of range: {value}")
             terms[word] = value
         else:
             if abs(value) not in (1, 2):
-                raise LexiconFormatError(path, lineno, f"booster shift out of range: {value}")
+                raise LexiconFormatError(f"{path}:{lineno}: booster shift out of range: {value}")
             boosters[word] = value
     return SentimentLexicon(terms=terms, boosters=boosters, negators=frozenset(negators))
 
@@ -282,7 +271,7 @@ def sentiment_strength(sentences: list[Sentence], sl: SentimentLexicon) -> tuple
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     path = Path(path) if path else _RESOURCE_DIR / "stopwords.txt"
     words = set()
-    for line in _read_lines(path):
+    for line in LexiconFormatError.read_text(path).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             words.add(line.lower())

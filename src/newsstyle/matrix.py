@@ -9,6 +9,7 @@ This layer needs only ``corpus``, so the subcommands that read a matrix
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,51 +112,51 @@ def write_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
 
 
 def read_matrix(path: str | Path) -> FeatureMatrix:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    # csv splits the lines itself, as it does on a file opened with newline=""
+    reader = csv.reader(io.StringIO(MatrixFormatError.read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MatrixFormatError(f"{path}: empty file") from None
+    if header[:3] != ["doc_id", "label", "part"]:
+        raise MatrixFormatError(f"{path}: bad header {header[:3]}")
+    names = tuple(header[3:])
+    unknown = [n for n in names if n not in CATALOG]
+    if unknown:
+        raise MatrixFormatError(f"{path}: unknown feature column(s) {unknown}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise MatrixFormatError(f"{path}:1: repeated feature column(s) {repeated}")
+    ids, labels, rows = [], [], []
+    first_line: dict[str, int] = {}  # doc_id -> line it was first seen on
+    part = ""
+    for lineno, rec in enumerate(reader, 2):
+        if len(rec) != len(names) + 3:
+            raise MatrixFormatError(f"{path}:{lineno}: ragged row")
+        first = first_line.setdefault(rec[0], lineno)
+        if first != lineno:
+            raise MatrixFormatError(
+                f"{path}:{lineno}: duplicate doc_id {rec[0]!r} (first on line {first})"
+            )
+        if rec[1] not in LABELS:
+            raise MatrixFormatError(f"{path}:{lineno}: label {rec[1]!r} not in {LABELS}")
+        if rec[2] not in ("title", "body"):
+            raise MatrixFormatError(f"{path}:{lineno}: part {rec[2]!r} is not title or body")
+        part = part or rec[2]
+        if rec[2] != part:
+            raise MatrixFormatError(
+                f"{path}:{lineno}: part {rec[2]!r} differs from the first row's {part!r}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MatrixFormatError(f"{path}: empty file") from None
-        if header[:3] != ["doc_id", "label", "part"]:
-            raise MatrixFormatError(f"{path}: bad header {header[:3]}")
-        names = tuple(header[3:])
-        unknown = [n for n in names if n not in CATALOG]
-        if unknown:
-            raise MatrixFormatError(f"{path}: unknown feature column(s) {unknown}")
-        repeated = sorted({n for n in names if names.count(n) > 1})
-        if repeated:
-            raise MatrixFormatError(f"{path}:1: repeated feature column(s) {repeated}")
-        ids, labels, rows = [], [], []
-        first_line: dict[str, int] = {}  # doc_id -> line it was first seen on
-        part = ""
-        for lineno, rec in enumerate(reader, 2):
-            if len(rec) != len(names) + 3:
-                raise MatrixFormatError(f"{path}:{lineno}: ragged row")
-            first = first_line.setdefault(rec[0], lineno)
-            if first != lineno:
-                raise MatrixFormatError(
-                    f"{path}:{lineno}: duplicate doc_id {rec[0]!r} (first on line {first})"
-                )
-            if rec[1] not in LABELS:
-                raise MatrixFormatError(f"{path}:{lineno}: label {rec[1]!r} not in {LABELS}")
-            if rec[2] not in ("title", "body"):
-                raise MatrixFormatError(f"{path}:{lineno}: part {rec[2]!r} is not title or body")
-            part = part or rec[2]
-            if rec[2] != part:
-                raise MatrixFormatError(
-                    f"{path}:{lineno}: part {rec[2]!r} differs from the first row's {part!r}"
-                )
-            try:
-                row = [None if v == "NA" else float(v) for v in rec[3:]]
-            except ValueError as e:
-                raise MatrixFormatError(f"{path}:{lineno}: {e}") from None
-            nan = [n for n, v in zip(names, row) if v != v]
-            if nan:
-                raise MatrixFormatError(f"{path}:{lineno}: nan in {nan}; an undefined value is NA")
-            ids.append(rec[0])
-            labels.append(rec[1])
-            rows.append(row)
+            row = [None if v == "NA" else float(v) for v in rec[3:]]
+        except ValueError as e:
+            raise MatrixFormatError(f"{path}:{lineno}: {e}") from None
+        nan = [n for n, v in zip(names, row) if v != v]
+        if nan:
+            raise MatrixFormatError(f"{path}:{lineno}: nan in {nan}; an undefined value is NA")
+        ids.append(rec[0])
+        labels.append(rec[1])
+        rows.append(row)
     if not rows:
         raise MatrixFormatError(f"{path}: no rows after the header")
     return FeatureMatrix(

@@ -32,16 +32,6 @@ class TaggerError(ValueError, InputError):
     pass
 
 
-def _read_text(path: Path) -> str:
-    """The text of a UTF-8 file."""
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line = data.count(b"\n", 0, e.start) + 1
-        raise TaggerError(f"{path}: not UTF-8 (line {line}: {e.reason})") from None
-
-
 @dataclass
 class TaggerModel:
     tagset: tuple[str, ...]
@@ -64,7 +54,7 @@ class TaggerModel:
     @classmethod
     def load(cls, path: str | Path) -> "TaggerModel":
         try:
-            payload = json.loads(_read_text(Path(path)))
+            payload = json.loads(TaggerError.read_text(path))
         except json.JSONDecodeError as e:
             raise TaggerError(f"{path}:{e.lineno}: not JSON: {e.msg}") from None
         if not isinstance(payload, dict) or payload.get("format") != "newsstyle-tagger":
@@ -119,7 +109,7 @@ def load_closed_class(path: str | Path | None = None) -> dict[str, str]:
     """word<TAB>tag backoff list for closed-class words."""
     path = Path(path) if path else _RESOURCE_DIR / "closed_class.tsv"
     backoff = {}
-    for line in _read_text(path).splitlines():
+    for line in TaggerError.read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -387,7 +377,7 @@ def load_pretagged(path: str | Path) -> list[TaggedSentence]:
     sentences: list[TaggedSentence] = []
     current: list[tuple[Token, str]] = []
     offset = 0
-    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
+    for lineno, raw in enumerate(TaggerError.read_text(path).splitlines(), 1):
         if not raw.strip():
             if current:
                 sentences.append(TaggedSentence(tokens=tuple(current)))

@@ -316,6 +316,55 @@ def test_bad_matrix_header_exit_1(tmp_path, capsys, command, header, n_rows, mes
     assert not any(tmp_path.rglob("*.tsv"))
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("analyze", "--matrix"),
+    ("classify", "--matrix"),
+    ("report", "--matrix"),
+    ("report", "--analysis"),
+    ("report", "--classification"),
+])
+def test_input_file_not_utf8_exit_1(tmp_path, capsys, command, flag):
+    # a latin-1 doc_id on line 3: the reader names the file and the line
+    # instead of raising UnicodeDecodeError
+    matrix = _small_matrix(tmp_path / "m.csv")
+    analysis = tmp_path / "ordering.tsv"
+    analysis.write_text("schema_version=1\npart=body\n")
+    classification = tmp_path / "cv_in.tsv"
+    classification.write_text("schema_version=1\npair=fake:real\n")
+    files = {"--matrix": matrix, "--analysis": analysis, "--classification": classification}
+    bad = tmp_path / "bad"
+    bad.write_bytes(matrix.read_bytes().replace(b"\nd1,", b"\nd\xe91,"))
+    files[flag] = bad
+    out = tmp_path / "out"
+    argv = {
+        "analyze": ["analyze"],
+        "classify": ["classify", "--pair", "fake:real", "--preset", "body4"],
+        "report": ["report", "--analysis", str(files["--analysis"]),
+                   "--classification", str(files["--classification"])],
+    }[command] + ["--matrix", str(files["--matrix"]), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: {bad}: not UTF-8 (line 3: invalid continuation byte)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, missing", [
+    ("body4", ["TTR", "quotes"]),
+    ("title4", ["per_stop", "avg_wlen", "FK"]),
+])
+def test_preset_column_missing_exit_1(tmp_path, capsys, preset, missing):
+    m = tmp_path / "m.csv"
+    rows = ["doc_id,label,part,WC,NN"]
+    rows += [f"d{i},{'real' if i % 2 else 'fake'},body,{100 + i},{i % 9}" for i in range(40)]
+    m.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "cv.tsv"
+    assert main(["classify", "--matrix", str(m), "--pair", "fake:real", "--preset", preset,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {m}: no column(s) {missing} for --preset {preset}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, content, message", [
     ("--frequency-table", "the\t5\nfoo\tabc\n",
      ":2: frequency for 'foo' must be a finite number >= 0, got 'abc'"),
@@ -504,7 +553,8 @@ def test_input_errors_share_one_base():
 
 
 @pytest.mark.parametrize("error", ["CliError", "CorpusError", "MatrixFormatError",
-                                   "LexiconFormatError", "TaggerError"])
+                                   "MatrixFormatError-not-UTF-8", "LexiconFormatError",
+                                   "TaggerError"])
 def test_input_error_exit_1_in_a_fresh_process(tmp_path, error):
     # main catches every input error without importing the layer that raises it
     corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
@@ -519,10 +569,13 @@ def test_input_error_exit_1_in_a_fresh_process(tmp_path, error):
                          "--out", str(tmp_path / "i")], "is not a directory"),
         "MatrixFormatError": (["report", "--matrix", str(bad), "--out", str(tmp_path / "r")],
                               f"{bad}: bad header"),
+        "MatrixFormatError-not-UTF-8": (
+            ["analyze", "--matrix", str(bad), "--out", str(tmp_path / "a")],
+            f"{bad}: not UTF-8 (line 1: unexpected end of data)"),
         "LexiconFormatError": (extract + ["--stoplist", str(bad)], f"{bad}: not UTF-8"),
         "TaggerError": (extract + ["--tagger-model", str(bad)], f"{bad}:1: not JSON"),
     }[error]
-    bad.write_bytes(b"x\xe9" if error == "LexiconFormatError" else b"doc,label,part\n")
+    bad.write_bytes(b"x\xe9" if "not UTF-8" in message else b"doc,label,part\n")
     proc = _run_fresh(["-m", "newsstyle.cli", *argv])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

@@ -64,6 +64,18 @@ class TestLoadCorpus:
         corpus, _ = load_corpus(tmp_path, 1)
         assert corpus.documents[0].source == "Ending the Fed"
 
+    def test_meta_sidecar_not_utf8_goes_to_load_report(self, tmp_path):
+        _write(tmp_path, "fake", "a1")
+        _write(tmp_path, "fake", "a2")
+        meta = tmp_path / "fake" / "a1.meta"
+        meta.write_bytes("source=Café News\n".encode("latin-1"))
+        corpus, report = load_corpus(tmp_path, 1)
+        assert [d.id for d in corpus.documents] == ["a2"]
+        assert len(report.errors) == 1
+        path, reason = report.errors[0]
+        assert path == str(meta)
+        assert "invalid continuation byte" in reason
+
     def test_empty_title_retained(self, tmp_path):
         _write(tmp_path, "real", "notitle", title="")
         corpus, report = load_corpus(tmp_path, 3)
