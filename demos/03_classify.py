@@ -8,17 +8,15 @@ majority baseline, plus the named preset feature sets used for real
 corpora.
 """
 
-import numpy as np
+import random
 
 from newsstyle.learn import PRESETS, cross_validate, train_svm
 
-rng = np.random.default_rng(0)
+rng = random.Random(0)
 
-# two classes, 75 articles each, four features shifted by one sigma
-X = np.vstack([
-    rng.normal(0.0, 1.0, size=(75, 4)),
-    rng.normal(1.0, 1.0, size=(75, 4)),
-])
+# two classes, 75 articles each, four features shifted by one sigma; a row
+# is a list of floats
+X = [[rng.gauss(mu, 1.0) for _ in range(4)] for mu in [0.0] * 75 + [1.0] * 75]
 labels = ["real"] * 75 + ["fake"] * 75
 
 report = cross_validate(X, labels, k=5, C=1.0, seed=0)
@@ -27,11 +25,11 @@ print(f"mean accuracy:     {report.mean_accuracy:.1%}")
 print(f"majority baseline: {report.baseline:.1%}")
 
 # a single trained model exposes its optimizer trace and weights
-y = np.array([-1.0] * 75 + [1.0] * 75)
+y = [-1.0] * 75 + [1.0] * 75
 model = train_svm(X, y, C=1.0, seed=0)
 print(f"dual objective over epochs: {model.dual_objective_history[:3]} ...")
 print(f"bias weight: {model.weights[-1]:.3f}")
-value = model.decision_values(X[0])[0]
+value = model.decision_values(X[:1])[0]
 label = "fake" if value >= 0 else "real"  # y = +1 is fake; zero goes to +1
 print(f"first article -> {label} (decision value {value:.3f})")
 

@@ -8,12 +8,13 @@ Each subcommand imports only the layers it runs. All of them load
 ``corpus`` and ``matrix`` (the parser's ``--preset`` choices come from
 ``matrix``). Only ``extract`` loads the text stack (``textseg``,
 ``lexicon``, ``postag``) and ``features``; ``analyze``, ``classify`` and
-``report`` load ``stats``; only ``classify`` loads ``learn`` and numpy.
+``report`` load ``stats``; only ``classify`` loads ``learn``.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -42,6 +43,12 @@ def _sha256(path: str | Path) -> str:
 def _check_probability(flag: str, value: float) -> None:
     if not 0.0 < value < 1.0:
         raise CliError(f"{flag} must be in (0, 1), got {value!r}")
+
+
+def _check_columns(path: str, matrix: mx.FeatureMatrix, names, flag: str) -> None:
+    missing = [n for n in names if n not in matrix.feature_names]
+    if missing:
+        raise CliError(f"{path}: no column(s) {missing} for {flag}")
 
 
 def _load_resources(args) -> ft.Resources:
@@ -177,9 +184,7 @@ def _select_features(matrix: mx.FeatureMatrix, args) -> tuple[str, ...]:
 
     if args.preset:
         names = mx.PRESETS[args.preset]
-        missing = [n for n in names if n not in matrix.feature_names]
-        if missing:
-            raise CliError(f"{args.matrix}: no column(s) {missing} for --preset {args.preset}")
+        _check_columns(args.matrix, matrix, names, f"--preset {args.preset}")
         return names
     report = _analyze_matrix(matrix, args.alpha)
     top = st.rank_features(report.rows, args.top_k, args.alpha)
@@ -194,8 +199,8 @@ def cmd_classify(args) -> int:
     _check_probability("--alpha", args.alpha)
     if args.top_k < 1:
         raise CliError(f"--top-k must be >= 1, got {args.top_k}")
-    import numpy as np
-
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     from . import learn as ln
 
     matrix = mx.read_matrix(args.matrix)
@@ -207,9 +212,8 @@ def cmd_classify(args) -> int:
         raise CliError(f"no rows with labels {pair}")
     names = _select_features(matrix, args)
     cols = [matrix.feature_names.index(n) for n in names]
-    X = np.array(
-        [[np.nan if matrix.rows[i][j] is None else matrix.rows[i][j] for j in cols] for i in keep]
-    )
+    X = [[math.nan if matrix.rows[i][j] is None else matrix.rows[i][j] for j in cols]
+         for i in keep]
     labels = [matrix.labels[i] for i in keep]
     try:
         report = ln.cross_validate(X, labels, k=args.folds, C=args.C, seed=args.seed)
@@ -256,10 +260,12 @@ def cmd_report(args) -> int:
         lines.append(f"section={section}")
         for path in paths:
             lines += CliError.read_text(path).splitlines()
+    ci_features = args.ci_features.split(",")
+    _check_columns(args.matrix, matrix, ci_features, "--ci-features")
 
     ci_lines = ["feature,label,n,mean,ci_lower,ci_upper"]
     labels = [label for label in cp.LABELS if label in matrix.labels]
-    for feature in args.ci_features.split(","):
+    for feature in ci_features:
         for label in labels:
             vals = [v for v in matrix.group_column(feature, label) if v is not None]
             if len(vals) < 2:

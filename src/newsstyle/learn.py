@@ -1,71 +1,113 @@
 """Linear SVM classification protocol: standardization, dual coordinate
 descent training, stratified k-fold cross-validation, and the named
 top-4 feature presets.
+
+Everything runs on plain Python floats. A row is a sequence of floats,
+with NA as ``math.nan``. Every sum over a column or a row is
+``math.fsum``, which is exactly rounded, so no result depends on the
+order of a reduction or on the host. Every random order comes from
+``shuffle``, a Fisher-Yates over ``random.Random(seed).random()``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import warnings
+import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import reduce
 
 from .matrix import PRESETS  # noqa: F401  (re-exported)
 
 _STD_FLOOR = 1e-12
+
+Rows = Sequence[Sequence[float]]  # one row per sample, NA as math.nan
 
 
 class LearnError(ValueError):
     pass
 
 
+def shuffle(items: list, rand) -> None:
+    """Fisher-Yates in place, with ``j = int(rand() * (i + 1))`` for i from
+    the last index down to 1.
+
+    ``rand`` is ``random.Random(seed).random``: Python keeps that sequence
+    the same for a seed across versions, which it does not promise for
+    ``random.shuffle`` or ``randrange``. The relative bias of each draw is
+    below n / 2**53.
+    """
+    for i in range(len(items) - 1, 0, -1):
+        j = int(rand() * (i + 1))
+        items[i], items[j] = items[j], items[i]
+
+
+def _sum(values: list[float]) -> float:
+    """``math.fsum``, except where it raises: an inf with a -inf, or a total
+    past the float range, gives the left-to-right float sum (nan or +-inf)."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return reduce(operator.add, values, 0.0)
+
+
 @dataclass
 class Standardizer:
-    mean: np.ndarray
-    std: np.ndarray
+    mean: list[float]
+    std: list[float]
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        X = np.where(np.isnan(X), self.mean, X)  # NA -> training mean
-        return (X - self.mean) / self.std
+    def transform(self, X: Rows) -> list[list[float]]:
+        """z-scored rows; an NA cell becomes the training mean, so its z is 0."""
+        return [
+            [((m if v != v else v) - m) / s for v, m, s in zip(map(float, row), self.mean, self.std)]
+            for row in X
+        ]
 
 
-def fit_standardizer(X: np.ndarray) -> Standardizer:
-    """Per-feature z-scoring fitted on training rows only; NaN cells are
-    ignored when estimating, constant features collapse to zero."""
-    X = np.asarray(X, dtype=float)
-    if X.size == 0:
+def fit_standardizer(X: Rows) -> Standardizer:
+    """Per-feature z-scoring fitted on training rows only.
+
+    A column's mean and population std are exactly rounded sums over its
+    non-NA cells. A column with no such cell gets mean 0. A std below 1e-12
+    or undefined gets that floor, so a constant column maps to 0; an
+    infinite std maps the column to 0 as well.
+    """
+    rows = [list(map(float, row)) for row in X]
+    if not rows or not rows[0]:
         raise LearnError("cannot fit standardizer on empty matrix")
-    with np.errstate(invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
-        mean = np.nanmean(X, axis=0)
-        std = np.nanstd(X, axis=0)
-    mean = np.where(np.isnan(mean), 0.0, mean)
-    # constant feature: values equal the mean exactly, so 0 / floor == 0
-    std = np.where(np.isnan(std) | (std < _STD_FLOOR), _STD_FLOOR, std)
+    mean, std = [], []
+    for column in zip(*rows):
+        cells = [v for v in column if v == v]
+        if cells:
+            m = _sum(cells) / len(cells)
+            s = math.sqrt(_sum([(v - m) * (v - m) for v in cells]) / len(cells))
+        else:
+            m = s = math.nan
+        mean.append(0.0 if m != m else m)
+        # constant feature: values equal the mean exactly, so 0 / floor == 0
+        std.append(s if s >= _STD_FLOOR else _STD_FLOOR)
     return Standardizer(mean=mean, std=std)
 
 
 @dataclass
 class SvmModel:
-    weights: np.ndarray  # includes appended bias weight as last entry
+    weights: list[float]  # includes appended bias weight as last entry
     standardizer: Standardizer
     dual_objective_history: list[float] = field(default_factory=list)
-    alpha: np.ndarray | None = None
+    alpha: list[float] | None = None
     converged: bool = False  # set by train_svm: the last epoch met tol
     max_violation: float = math.nan  # largest projected-gradient violation in the last epoch
 
-    def decision_values(self, X: np.ndarray) -> np.ndarray:
-        Z = self.standardizer.transform(np.atleast_2d(np.asarray(X, dtype=float)))
-        Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
-        return Zb @ self.weights
+    def decision_values(self, X: Rows) -> list[float]:
+        """One exactly rounded w . [z, 1] per row of X."""
+        w, mul = self.weights, operator.mul
+        return [_sum([*map(mul, z, w), w[-1]]) for z in self.standardizer.transform(X)]
 
 
 def train_svm(
-    X: np.ndarray,
-    y: np.ndarray,
+    X: Rows,
+    y: Sequence[float],
     C: float = 1.0,
     tol: float = 1e-4,
     max_epochs: int = 1000,
@@ -75,43 +117,40 @@ def train_svm(
     """L1-loss linear SVM by dual coordinate descent (Hsieh et al. 2008).
 
     The bias is an appended constant feature, so the dual has simple box
-    constraints alpha_i in [0, C]. Sweep order is seeded-shuffled per
-    epoch; training stops when the largest projected-gradient violation
-    falls below tol, or after max_epochs (then ``converged`` is False).
+    constraints alpha_i in [0, C]. Each epoch sweeps the rows in a new
+    order: one ``random.Random(seed)`` stream reshuffles the same index
+    list with ``shuffle``. Training stops when the largest
+    projected-gradient violation falls below tol, or after max_epochs
+    (then ``converged`` is False).
 
-    The sweep runs on Python floats. Each gradient is the correctly
+    Each gradient and each entry of the Gram diagonal is the correctly
     rounded sum (``math.fsum``) of correctly rounded products, and each
-    update is a rounded product and a rounded sum per weight. No BLAS
-    kernel is involved, so the weights are the same bits on any IEEE-754
-    host.
+    update is a rounded product and a rounded sum per weight. So the
+    weights are the same bits on any IEEE-754 host.
     """
     if not (math.isfinite(C) and C > 0):
         raise LearnError(f"C must be finite and > 0, got {C!r}")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if set(np.unique(y)) != {-1.0, 1.0}:
+    y = [float(v) for v in y]
+    if set(y) != {-1.0, 1.0}:
         raise LearnError("train_svm requires both classes (-1 and +1) present")
     if standardizer is None:
         standardizer = fit_standardizer(X)
-    Z = standardizer.transform(X)
-    Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
-    n, d = Zb.shape
-    q = np.einsum("ij,ij->i", Zb, Zb)  # diagonal of the Gram matrix
-    q = np.where(q <= 0, 1.0, q).tolist()
-
-    # y is +-1, so y_i * z_i is exact and the label folds into each row
-    rows = [tuple(r) for r in (y[:, None] * Zb).tolist()]
-    alpha = [0.0] * n
-    w = [0.0] * d
     fsum, mul = math.fsum, operator.mul
-    rng = np.random.default_rng(seed)
+    # y is +-1, so y_i * z_i is exact and the label folds into each row; the
+    # row ends with the bias feature y_i, so every q_i >= 1 and none is 0
+    rows = [tuple([yi * v for v in z] + [yi]) for z, yi in zip(standardizer.transform(X), y)]
+    q = [fsum(map(mul, row, row)) for row in rows]  # diagonal of the Gram matrix
+    n = len(rows)
+    alpha = [0.0] * n
+    w = [0.0] * len(rows[0])
+    rand = random.Random(seed).random
     history: list[float] = []
-    order = np.arange(n)
+    order = list(range(n))
     max_violation = math.inf  # max_epochs == 0 leaves the model unconverged
     for _ in range(max_epochs):
-        rng.shuffle(order)
+        shuffle(order, rand)
         max_violation = 0.0
-        for i in order.tolist():
+        for i in order:
             row = rows[i]
             a = alpha[i]
             g = fsum(map(mul, row, w)) - 1.0
@@ -139,22 +178,23 @@ def train_svm(
         if max_violation < tol:
             break
     return SvmModel(
-        weights=np.array(w), standardizer=standardizer,
-        dual_objective_history=history, alpha=np.array(alpha),
+        weights=w, standardizer=standardizer,
+        dual_objective_history=history, alpha=alpha,
         converged=max_violation < tol, max_violation=max_violation,
     )
 
 
 def stratified_kfold(labels, k: int, seed: int = 0) -> list[list[int]]:
-    """k disjoint index folds; per-class counts differ by at most 1."""
+    """k disjoint index folds; per-class counts differ by at most 1. One
+    ``random.Random(seed)`` stream shuffles each class in sorted order."""
     labels = list(labels)
     if k < 2:
         raise LearnError("k must be >= 2")
-    rng = np.random.default_rng(seed)
+    rand = random.Random(seed).random
     folds: list[list[int]] = [[] for _ in range(k)]
     for cls in sorted(set(labels)):
         idx = [i for i, l in enumerate(labels) if l == cls]
-        rng.shuffle(idx)
+        shuffle(idx, rand)
         for j, i in enumerate(idx):
             folds[j % k].append(i)
     return [sorted(f) for f in folds]
@@ -179,7 +219,7 @@ class CvReport:
 
 
 def cross_validate(
-    X: np.ndarray,
+    X: Rows,
     labels,
     k: int = 5,
     C: float = 1.0,
@@ -189,30 +229,29 @@ def cross_validate(
 ) -> CvReport:
     """Stratified k-fold CV of the linear SVM; the standardizer is refit
     on each fold's training rows only."""
-    X = np.asarray(X, dtype=float)
     labels = list(labels)
     classes = sorted(set(labels))
     if len(classes) != 2:
         raise LearnError(f"cross_validate expects a binary task, got {classes}")
     if min(labels.count(c) for c in classes) < k:
         raise LearnError("need at least k samples per class")
-    y = np.array([1.0 if l == classes[1] else -1.0 for l in labels])
+    y = [1.0 if l == classes[1] else -1.0 for l in labels]
 
     folds = stratified_kfold(labels, k, seed)
     accuracies, converged = [], []
     for fold in folds:
-        test = np.array(fold, dtype=int)
         held_out = set(fold)
-        train = np.array([i for i in range(len(labels)) if i not in held_out], dtype=int)
-        model = train_svm(X[train], y[train], C=C, tol=tol, max_epochs=max_epochs, seed=seed)
-        values = model.decision_values(X[test])
+        train = [i for i in range(len(labels)) if i not in held_out]
+        model = train_svm([X[i] for i in train], [y[i] for i in train],
+                          C=C, tol=tol, max_epochs=max_epochs, seed=seed)
+        values = model.decision_values([X[i] for i in fold])
         # an exact zero decision value goes to the positive class
-        pred = np.where(values >= 0, 1.0, -1.0)
-        accuracies.append(float(np.mean(pred == y[test])))
+        hits = sum((v >= 0.0) == (y[i] > 0.0) for v, i in zip(values, fold))
+        accuracies.append(hits / len(fold))
         converged.append(model.converged)
     return CvReport(
         fold_accuracies=accuracies,
-        mean_accuracy=float(np.mean(accuracies)),
+        mean_accuracy=math.fsum(accuracies) / k,
         baseline=majority_baseline(labels),
         k=k, seed=seed, fold_converged=converged,
     )

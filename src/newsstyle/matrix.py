@@ -151,8 +151,11 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
             row = [None if v == "NA" else float(v) for v in rec[3:]]
         except ValueError as e:
             raise MatrixFormatError(f"{path}:{lineno}: {e}") from None
-        nan = [n for n, v in zip(names, row) if v != v]
-        if nan:
+        # float() reads a cell as nan exactly when its text holds "nan" in
+        # some case, so one search of the row's text stands in for a scan of
+        # its values
+        if "nan" in ",".join(rec[3:]).lower():
+            nan = [n for n, v in zip(names, row) if v != v]
             raise MatrixFormatError(f"{path}:{lineno}: nan in {nan}; an undefined value is NA")
         ids.append(rec[0])
         labels.append(rec[1])

@@ -215,14 +215,15 @@ def test_criterion_7_svm_optimizer_properties():
         if not all(b <= a + 1e-9 for a, b in zip(hist, hist[1:])):
             ok, detail = False, f"trial {trial}: dual objective increased"
             break
-        if not (np.all(model.alpha >= -1e-12) and np.all(model.alpha <= C + 1e-12)):
+        if not (np.all(np.asarray(model.alpha) >= -1e-12)
+                and np.all(np.asarray(model.alpha) <= C + 1e-12)):
             ok, detail = False, f"trial {trial}: alpha out of box"
             break
         Z = model.standardizer.transform(X)
         Zb = np.hstack([Z, np.ones((n, 1))])
-        g = y * (Zb @ model.weights) - 1.0
-        pg = np.where(model.alpha <= 0, np.minimum(g, 0),
-                      np.where(model.alpha >= C, np.maximum(g, 0), g))
+        g = y * (Zb @ np.asarray(model.weights)) - 1.0
+        pg = np.where(np.asarray(model.alpha) <= 0, np.minimum(g, 0),
+                      np.where(np.asarray(model.alpha) >= C, np.maximum(g, 0), g))
         if np.max(np.abs(pg)) >= 10 * tol:
             ok, detail = False, f"trial {trial}: KKT residual {np.max(np.abs(pg)):.2e}"
             break

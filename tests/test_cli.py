@@ -365,6 +365,18 @@ def test_preset_column_missing_exit_1(tmp_path, capsys, preset, missing):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, missing", [
+    (["--ci-features", "NN,FK,WC,GI"], ["FK", "GI"]),
+    ([], ["all_caps", "NNP", "per_stop"]),  # the default list
+])
+def test_ci_feature_column_missing_exit_1(tmp_path, capsys, flags, missing):
+    m = _small_matrix(tmp_path / "m.csv")
+    out = tmp_path / "r"
+    assert main(["report", "--matrix", str(m), *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {m}: no column(s) {missing} for --ci-features\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, content, message", [
     ("--frequency-table", "the\t5\nfoo\tabc\n",
      ":2: frequency for 'foo' must be a finite number >= 0, got 'abc'"),
@@ -434,6 +446,7 @@ def test_resource_path_is_directory_exit_1(tmp_path, capsys, flag):
     ("classify", "--alpha", "1.5", "--alpha must be in (0, 1), got 1.5"),
     ("classify", "--top-k", "-1", "--top-k must be >= 1, got -1"),
     ("classify", "--top-k", "0", "--top-k must be >= 1, got 0"),
+    ("classify", "--seed", "-1", "--seed must be >= 0, got -1"),
 ])
 def test_bad_option_value_exit_1(tmp_path, capsys, command, flag, value, message):
     # at --alpha 7 every feature was marked significant, and --top-k -1
@@ -451,37 +464,25 @@ def test_bad_option_value_exit_1(tmp_path, capsys, command, flag, value, message
     assert not any(tmp_path.rglob("*.tsv"))
 
 
-def test_only_classify_loads_numpy(tmp_path):
-    m = tmp_path / "m.csv"
-    rows = ["doc_id,label,part,NN,TTR,WC,quotes"]
-    rows += [f"d{i},{'real' if i % 2 else 'fake'},body,{i % 9 + i % 2},0.{i % 7},{100 + i},{i % 3}"
-             for i in range(40)]
-    m.write_text("\n".join(rows) + "\n")
-    script = textwrap.dedent(f"""
-        import sys
-        from newsstyle.cli import main
-        assert "numpy" not in sys.modules
-        assert main(["analyze", "--matrix", {str(m)!r}, "--out", {str(tmp_path / "a")!r}]) == 0
-        assert "numpy" not in sys.modules
-        assert main(["classify", "--matrix", {str(m)!r}, "--pair", "fake:real",
-                     "--preset", "body4", "--out", {str(tmp_path / "cv.tsv")!r}]) == 0
-        assert "numpy" in sys.modules
-    """)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "cv.tsv").read_text().startswith("schema_version=1\n")
-
-
-
 def _small_matrix(path: Path) -> Path:
     rows = ["doc_id,label,part,NN,TTR,WC,quotes"]
     rows += [f"d{i},{'real' if i % 2 else 'fake'},body,{i % 9 + i % 2},0.{i % 7},{100 + i},{i % 3}"
              for i in range(40)]
     path.write_text("\n".join(rows) + "\n")
     return path
+
+
+def _matrix_commands(m: str, tmp_path: Path) -> list[list[str]]:
+    """analyze, ranked classify, --preset classify and report on matrix m;
+    NN is the one feature of _small_matrix with p < 0.5."""
+    return [
+        ["analyze", "--matrix", m, "--out", str(tmp_path / "a")],
+        ["classify", "--matrix", m, "--pair", "fake:real", "--alpha", "0.5",
+         "--out", str(tmp_path / "cv_ranked.tsv")],
+        ["classify", "--matrix", m, "--pair", "fake:real", "--preset", "body4",
+         "--out", str(tmp_path / "cv_preset.tsv")],
+        ["report", "--matrix", m, "--ci-features", "NN,WC", "--out", str(tmp_path / "r")],
+    ]
 
 
 def _run_fresh(args: list[str]) -> subprocess.CompletedProcess:
@@ -501,7 +502,8 @@ _LAYERS = {
     "extract": (_TEXT_STACK + ("newsstyle.features",),
                 ("newsstyle.stats", "newsstyle.learn", "numpy")),
     "analyze": (("newsstyle.matrix", "newsstyle.stats"), _MATRIX_ONLY),
-    "classify": (("newsstyle.stats", "newsstyle.learn", "numpy"), _TEXT_STACK),
+    "classify": (("newsstyle.stats", "newsstyle.learn"), _TEXT_STACK + ("numpy",)),
+    "classify-ranked": (("newsstyle.stats", "newsstyle.learn"), _TEXT_STACK + ("numpy",)),
     "report": (("newsstyle.matrix", "newsstyle.stats"), _MATRIX_ONLY),
 }
 
@@ -519,6 +521,8 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, command):
         "analyze": ["analyze", "--matrix", m, "--out", str(tmp_path / "a")],
         "classify": ["classify", "--matrix", m, "--pair", "fake:real", "--preset", "body4",
                      "--out", str(tmp_path / "cv.tsv")],
+        "classify-ranked": ["classify", "--matrix", m, "--pair", "fake:real", "--alpha", "0.5",
+                            "--out", str(tmp_path / "cv.tsv")],
         "report": ["report", "--matrix", m, "--ci-features", "NN,WC", "--out", str(tmp_path / "r")],
     }[command]
     modules = tmp_path / "modules.txt"
@@ -536,6 +540,51 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, command):
     needed, unneeded = _LAYERS[command]
     assert set(needed) <= loaded
     assert sorted(loaded & set(unneeded)) == []
+
+
+def test_no_subcommand_loads_numpy(tmp_path):
+    m = str(_small_matrix(tmp_path / "m.csv"))
+    script = textwrap.dedent(f"""
+        import sys
+        from newsstyle.cli import main
+        assert "numpy" not in sys.modules
+        for argv in {_matrix_commands(m, tmp_path)!r}:
+            assert main(argv) == 0, argv
+            assert "numpy" not in sys.modules, argv
+    """)
+    proc = _run_fresh(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    for out in ("cv_ranked.tsv", "cv_preset.tsv"):
+        assert (tmp_path / out).read_text().startswith("schema_version=1\n")
+
+
+def test_classify_runs_where_numpy_cannot_be_imported(tmp_path):
+    m = str(_small_matrix(tmp_path / "m.csv"))
+    script = textwrap.dedent(f"""
+        import sys
+
+        class RefuseNumpy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" or name.startswith("numpy."):
+                    raise ImportError(f"{{name}} is blocked")
+                return None
+
+        sys.meta_path.insert(0, RefuseNumpy())
+        try:
+            import numpy
+        except ImportError:
+            pass
+        else:
+            sys.exit("numpy was imported")
+        from newsstyle.cli import main
+        for argv in {_matrix_commands(m, tmp_path)[1:3]!r}:
+            assert main(argv) == 0, argv
+    """)
+    proc = _run_fresh(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    for out in ("cv_ranked.tsv", "cv_preset.tsv"):
+        assert (tmp_path / out).read_text().startswith("schema_version=1\n")
+
 
 
 def test_input_errors_share_one_base():

@@ -245,6 +245,18 @@ class TestMatrix:
         with pytest.raises(MatrixFormatError, match=match):
             read_matrix(p)
 
+    @pytest.mark.parametrize("cell", [
+        "nan", " +NaN ", "-nAn", "NAN", "inf", "-Infinity", "1e5", "1_0", "-0.5E-3", "NA",
+    ])
+    def test_nan_found_in_every_spelling_float_accepts(self, tmp_path, cell):
+        p = tmp_path / "m.csv"
+        p.write_text(f"doc_id,label,part,WC,TTR\nx,real,body,{cell},1\n")
+        if cell != "NA" and math.isnan(float(cell)):
+            with pytest.raises(MatrixFormatError, match=r":2: nan in \['WC'\]"):
+                read_matrix(p)
+        else:
+            assert read_matrix(p).column("WC") == [None if cell == "NA" else float(cell)]
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("id,label,part,WC\nx,real,body,1\n")

@@ -1,4 +1,7 @@
 import hashlib
+import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from newsstyle.learn import (
     cross_validate,
     fit_standardizer,
     majority_baseline,
+    shuffle,
     stratified_kfold,
     train_svm,
 )
@@ -34,20 +38,20 @@ class TestStandardizer:
     def test_zero_mean_unit_std(self):
         rng = np.random.default_rng(3)
         X = rng.normal(5.0, 2.0, size=(200, 3))
-        Z = fit_standardizer(X).transform(X)
+        Z = np.asarray(fit_standardizer(X).transform(X))
         assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(Z.std(axis=0), 1.0, atol=1e-10)
 
     def test_constant_column_maps_to_zero(self):
         X = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
-        Z = fit_standardizer(X).transform(X)
+        Z = np.asarray(fit_standardizer(X).transform(X))
         assert np.all(Z[:, 1] == 0.0)
 
     def test_nan_cells_imputed_with_training_mean(self):
         X = np.array([[1.0], [3.0], [np.nan]])
         s = fit_standardizer(X)
         assert s.mean[0] == 2.0
-        Z = s.transform(X)
+        Z = np.asarray(s.transform(X))
         assert Z[2, 0] == 0.0  # imputed to the mean, then centered
 
     def test_all_nan_column(self):
@@ -64,21 +68,99 @@ class TestStandardizer:
         X = np.array([[1e308, 1.0], [-1e308, 2.0], [0.0, 4.0]])
         s = fit_standardizer(X)
         assert s.std[0] == np.inf
-        assert np.all(s.transform(X)[:, 0] == 0.0)
+        assert np.all(np.asarray(s.transform(X))[:, 0] == 0.0)
+
+
+def _na_matrix(seed):
+    """Columns whose means sit well away from 0, about 15% NA cells."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 200)), int(rng.integers(1, 6))
+    loc = rng.choice([-1.0, 1.0], d) * rng.uniform(2, 6, d)
+    X = rng.normal(loc, rng.uniform(0.1, 1.0, d), size=(n, d))
+    X[rng.random((n, d)) < 0.15] = np.nan
+    return X
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestStandardizerOracle:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_numpy_nanmean_nanstd(self, seed):
+        X = _na_matrix(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NA columns
+            mean = np.nanmean(X, axis=0)
+            std = np.nanstd(X, axis=0)
+        mean = np.where(np.isnan(mean), 0.0, mean)
+        std = np.where(np.isnan(std) | (std < 1e-12), 1e-12, std)
+        s = fit_standardizer(X)
+        np.testing.assert_allclose(s.mean, mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(s.std, std, rtol=1e-12, atol=0)
+        Z = (np.where(np.isnan(X), mean, X) - mean) / std
+        np.testing.assert_allclose(s.transform(X), Z, rtol=1e-12, atol=1e-12)
+
+    # column -> (mean, std, transform of the column): the bits numpy's
+    # nanmean/nanstd gave. fsum raises on an inf with a -inf (ValueError) and
+    # on [1e308, 1e308] (OverflowError), where numpy's sum gave nan and inf
+    @pytest.mark.parametrize("column, mean, std, z", [
+        ([7.0, 7.0, 7.0], 7.0, 1e-12, [0.0, 0.0, 0.0]),
+        ([math.nan, math.nan], 0.0, 1e-12, [0.0, 0.0]),
+        ([5.0], 5.0, 1e-12, [0.0]),
+        ([math.inf, 1.0, 2.0], math.inf, 1e-12, [math.nan, -math.inf, -math.inf]),
+        ([-math.inf, 1.0, 2.0], -math.inf, 1e-12, [math.nan, math.inf, math.inf]),
+        ([math.inf, -math.inf], 0.0, 1e-12, [math.inf, -math.inf]),
+        ([math.inf, -math.inf, 1.0], 0.0, 1e-12, [math.inf, -math.inf, 1e12]),
+        ([1e308, 1e308], math.inf, math.inf, [math.nan, math.nan]),
+        ([1e308, -1e308, 0.0], 0.0, math.inf, [0.0, -0.0, 0.0]),
+    ])
+    def test_edge_column(self, column, mean, std, z):
+        s = fit_standardizer([[v] for v in column])
+        assert _hex(s.mean + s.std) == _hex([mean, std])
+        assert _hex(row[0] for row in s.transform([[v] for v in column])) == _hex(z)
+
+
+class TestShuffle:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 208])
+    def test_permutation_and_same_orders_for_a_seed(self, n):
+        for seed in range(5):
+            a, b = list(range(n)), list(range(n))
+            rand_a, rand_b = random.Random(seed).random, random.Random(seed).random
+            for _ in range(4):
+                shuffle(a, rand_a)
+                shuffle(b, rand_b)
+                assert sorted(a) == list(range(n))
+                assert a == b
+
+    def test_seed_0_orders_pinned(self):
+        # random.Random(0).random() starts 0.844, 0.758, 0.421, ...: j = 6, 5, 2, ...
+        rand = random.Random(0).random
+        order = list(range(8))
+        orders = []
+        for _ in range(3):
+            shuffle(order, rand)
+            orders.append(list(order))
+        assert orders == [[0, 3, 4, 7, 1, 2, 5, 6], [2, 3, 0, 6, 1, 5, 7, 4],
+                          [7, 2, 0, 6, 4, 5, 3, 1]]
+
+    def test_stratified_folds_pinned_for_seed_0(self):
+        assert stratified_kfold(["a"] * 5 + ["b"] * 5, 2, seed=0) == [[1, 2, 4, 7, 8, 9],
+                                                                     [0, 3, 5, 6]]
 
 
 class TestTrainSvm:
     def test_separable_data_perfect_fit(self):
         X, y = _two_blobs(shift=6.0, seed=1)
         model = train_svm(X, y, C=1.0, seed=0)
-        pred = np.where(model.decision_values(X) >= 0, 1.0, -1.0)
+        pred = np.where(np.asarray(model.decision_values(X)) >= 0, 1.0, -1.0)
         assert np.mean(pred == y) == 1.0
 
     def test_xor_not_linearly_separable(self):
         X = np.array([[0, 0], [1, 1], [0, 1], [1, 0]] * 10, dtype=float)
         y = np.array([-1.0, -1.0, 1.0, 1.0] * 10)
         model = train_svm(X, y, C=1.0, seed=0)
-        pred = np.where(model.decision_values(X) >= 0, 1.0, -1.0)
+        pred = np.where(np.asarray(model.decision_values(X)) >= 0, 1.0, -1.0)
         assert np.mean(pred == y) <= 0.75
 
     @pytest.mark.parametrize("C", [0.0, -1.0, float("nan"), float("inf")])
@@ -106,8 +188,8 @@ class TestTrainSvm:
     def test_alpha_in_box(self):
         X, y = _two_blobs(shift=0.5, seed=5)
         model = train_svm(X, y, C=0.7, seed=0)
-        assert np.all(model.alpha >= -1e-12)
-        assert np.all(model.alpha <= 0.7 + 1e-12)
+        assert np.all(np.asarray(model.alpha) >= -1e-12)
+        assert np.all(np.asarray(model.alpha) <= 0.7 + 1e-12)
 
     def test_kkt_residual_random_problems(self):
         rng = np.random.default_rng(9)
@@ -121,9 +203,10 @@ class TestTrainSvm:
             model = train_svm(X, y, C=1.0, tol=tol, seed=0)
             Z = model.standardizer.transform(X)
             Zb = np.hstack([Z, np.ones((n, 1))])
-            g = y * (Zb @ model.weights) - 1.0
-            pg = np.where(model.alpha <= 0, np.minimum(g, 0),
-                          np.where(model.alpha >= 1.0, np.maximum(g, 0), g))
+            g = y * (Zb @ np.asarray(model.weights)) - 1.0
+            alpha = np.asarray(model.alpha)
+            pg = np.where(alpha <= 0, np.minimum(g, 0),
+                          np.where(alpha >= 1.0, np.maximum(g, 0), g))
             assert np.max(np.abs(pg)) < 10 * tol
 
 
@@ -146,8 +229,8 @@ class TestPredict:
     def test_negated_weights_flip_prediction(self):
         X, y = _two_blobs(shift=6.0, seed=7)
         model = train_svm(X, y, seed=0)
-        flipped = SvmModel(weights=-model.weights, standardizer=model.standardizer)
-        v1, v2 = model.decision_values(X[0])[0], flipped.decision_values(X[0])[0]
+        flipped = SvmModel(weights=[-v for v in model.weights], standardizer=model.standardizer)
+        v1, v2 = model.decision_values(X[:1])[0], flipped.decision_values(X[:1])[0]
         assert v2 == -v1 and (v1 >= 0) != (v2 >= 0)
 
 
@@ -236,7 +319,7 @@ class TestCrossValidate:
 class TestPipelineInvariances:
     def _accuracy(self, X, y):
         model = train_svm(X, y, C=1.0, seed=0)
-        pred = np.where(model.decision_values(X) >= 0, 1.0, -1.0)
+        pred = np.where(np.asarray(model.decision_values(X)) >= 0, 1.0, -1.0)
         return np.mean(pred == y)
 
     @settings(max_examples=25, deadline=None)
@@ -267,20 +350,21 @@ class TestPresets:
 
 def _reference_train(X, y, C, tol, max_epochs, seed):
     """The per-element numpy loop train_svm used before it ran on Python
-    floats; the update rule and the sweep order are the same."""
+    floats; the update rule and the sweep order (``shuffle`` over one
+    ``random.Random(seed)`` stream) are the same."""
     standardizer = fit_standardizer(X)
-    Z = standardizer.transform(X)
+    Z = np.asarray(standardizer.transform(X))
     Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
     n, d = Zb.shape
     q = np.einsum("ij,ij->i", Zb, Zb)
     q = np.where(q <= 0, 1.0, q)
     alpha = np.zeros(n)
     w = np.zeros(d)
-    rng = np.random.default_rng(seed)
+    rand = random.Random(seed).random
     epochs = 0
-    order = np.arange(n)
+    order = list(range(n))
     for _ in range(max_epochs):
-        rng.shuffle(order)
+        shuffle(order, rand)
         max_violation = 0.0
         for i in order:
             g = y[i] * (Zb[i] @ w) - 1.0
@@ -335,8 +419,8 @@ class TestPythonFloatSolver:
         model = train_svm(X, y, C=1.0, seed=7, max_epochs=25,
                           standardizer=Standardizer(np.zeros(3), np.ones(3)))
         assert [float(v).hex() for v in model.weights] == [
-            "0x1.43705592032b6p+0", "-0x1.8daa1f330a902p-3",
-            "0x1.3536ae73ada78p-1", "-0x1.b19df783075c9p-2",
+            "0x1.48403f5646604p+0", "-0x1.c6bb3ec507ffap-3",
+            "0x1.2bbd130380fb8p-1", "-0x1.b27ba7ceba9f6p-2",
         ]
 
     def test_converged_flag(self):
@@ -379,14 +463,15 @@ def _write_overlapping_matrix(path):
 
 class TestClassifyCli:
     def test_golden_cv_tsv(self, tmp_path, capsys):
-        # recorded before the solver moved to Python floats; two of the five
-        # folds stop at max_epochs, three converge
+        # recorded with the Fisher-Yates folds and sweep orders over
+        # random.Random(seed); two of the five folds stop at max_epochs,
+        # three converge
         _write_overlapping_matrix(tmp_path / "m.csv")
         out = tmp_path / "cv.tsv"
         assert main(["classify", "--matrix", str(tmp_path / "m.csv"), "--pair", "fake:real",
                      "--preset", "body4", "--C", "10", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "be452f0898e0ae7d76cea1d0f19b9845eb446bad89b8ac5ba4429a0064470637")
+            "f9abea304a07286ffc9d0a77719565dbb1839bc40176579e928db428cd2f56c2")
         err = capsys.readouterr().err
         assert err == "2 of 5 folds stopped at max_epochs without reaching tol\n"
 
