@@ -110,19 +110,23 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _analyze_matrix(matrix: mx.FeatureMatrix, alpha: float) -> st.OrderingReport:
-    from . import stats as st
-
+def _feature_groups(matrix: mx.FeatureMatrix):
+    """(feature, {label: column}) per feature, labels in ``cp.LABELS`` order."""
     # split the rows by label once and transpose each label's rows, so every
     # group's column is taken once, in matrix row order
     columns = {
         label: list(zip(*[row for row, l in zip(matrix.rows, matrix.labels) if l == label]))
         for label in cp.LABELS if label in matrix.labels
     }
-    report = st.OrderingReport(part=matrix.part, alpha=alpha)
     for j, feature in enumerate(matrix.feature_names):
-        groups = {label: list(cols[j]) for label, cols in columns.items()}
-        report.rows.append(st.compare_feature(feature, groups, alpha))
+        yield feature, {label: list(cols[j]) for label, cols in columns.items()}
+
+
+def _analyze_matrix(matrix: mx.FeatureMatrix, alpha: float) -> st.OrderingReport:
+    from . import stats as st
+
+    report = st.OrderingReport(part=matrix.part, alpha=alpha)
+    report.rows = [st.compare_feature(f, groups, alpha) for f, groups in _feature_groups(matrix)]
     return report
 
 
@@ -186,8 +190,9 @@ def _select_features(matrix: mx.FeatureMatrix, args) -> tuple[str, ...]:
         names = mx.PRESETS[args.preset]
         _check_columns(args.matrix, matrix, names, f"--preset {args.preset}")
         return names
-    report = _analyze_matrix(matrix, args.alpha)
-    top = st.rank_features(report.rows, args.top_k, args.alpha)
+    # the ranking reads only the tests, so the orderings are not derived
+    results = [st.route_feature(f, groups, args.alpha) for f, groups in _feature_groups(matrix)]
+    top = st.rank_features(results, args.top_k, args.alpha)
     if len(top) < args.top_k:
         print(f"only {len(top)} significant feature(s) available", file=sys.stderr)
     if not top:
@@ -207,13 +212,22 @@ def cmd_classify(args) -> int:
     pair = tuple(args.pair.split(":"))
     if len(pair) != 2 or not all(p in cp.LABELS for p in pair):
         raise CliError(f"--pair must be label:label from {cp.LABELS}, got {args.pair!r}")
+    if pair[0] == pair[1]:
+        raise CliError(f"--pair needs two different labels, got {args.pair!r}")
     keep = [i for i, l in enumerate(matrix.labels) if l in pair]
-    if not keep:
-        raise CliError(f"no rows with labels {pair}")
+    for label in pair:
+        if label not in matrix.labels:
+            raise CliError(f"{args.matrix}: no rows labelled {label!r} for --pair {args.pair}")
     names = _select_features(matrix, args)
     cols = [matrix.feature_names.index(n) for n in names]
     X = [[math.nan if matrix.rows[i][j] is None else matrix.rows[i][j] for j in cols]
          for i in keep]
+    for i, row in zip(keep, X):
+        # one infinite cell makes its column's training mean infinite, and
+        # then every weight nan
+        infinite = [n for n, v in zip(names, row) if math.isinf(v)]
+        if infinite:
+            raise CliError(f"{args.matrix}:{i + 2}: inf in {infinite}")
     labels = [matrix.labels[i] for i in keep]
     try:
         report = ln.cross_validate(X, labels, k=args.folds, C=args.C, seed=args.seed)

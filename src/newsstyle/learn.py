@@ -6,7 +6,9 @@ Everything runs on plain Python floats. A row is a sequence of floats,
 with NA as ``math.nan``. Every sum over a column or a row is
 ``math.fsum``, which is exactly rounded, so no result depends on the
 order of a reduction or on the host. Every random order comes from
-``shuffle``, a Fisher-Yates over ``random.Random(seed).random()``.
+``shuffle``, a Fisher-Yates over ``random.Random(seed).random()``; the
+sweep orders of ``train_svm`` are drawn once per (n, seed) and kept in a
+bounded memo, so the folds of one cross-validation share them.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ import operator
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .matrix import PRESETS  # noqa: F401  (re-exported)
 
 _STD_FLOOR = 1e-12
+# most row indices the sweep-order memo holds: 2**19 tuple slots, ~4 MiB
+ORDER_MEMO_CAP = 2 ** 19
 
 Rows = Sequence[Sequence[float]]  # one row per sample, NA as math.nan
 
@@ -41,6 +45,52 @@ def shuffle(items: list, rand) -> None:
     for i in range(len(items) - 1, 0, -1):
         j = int(rand() * (i + 1))
         items[i], items[j] = items[j], items[i]
+
+
+class _SweepOrders:
+    """The per-epoch sweep orders of ``train_svm`` for one (n, seed).
+
+    Epoch e's order is the e-th ``shuffle`` of ``range(n)`` over one
+    ``random.Random(seed).random`` stream. The first ``ORDER_MEMO_CAP // n``
+    orders are drawn on first use and stored as tuples. An epoch past them
+    goes on from a copy of the frontier, the last stored order and the
+    stream's state, which no later draw moves.
+    """
+
+    def __init__(self, n: int, seed: int) -> None:
+        self.n = n
+        self.stored = ORDER_MEMO_CAP // n  # epochs held
+        self.rng = random.Random(seed)
+        self.orders: list[tuple[int, ...]] = []
+        self.frontier_state: tuple | None = None
+
+    def epochs(self, count: int):
+        """The first ``count`` orders, lazily, one per epoch."""
+        orders = self.orders
+        for e in range(min(count, self.stored)):
+            if e == len(orders):
+                order = list(orders[-1] if orders else range(self.n))
+                shuffle(order, self.rng.random)
+                orders.append(tuple(order))
+            yield orders[e]
+        if count <= self.stored:
+            return
+        if self.frontier_state is None:
+            self.frontier_state = self.rng.getstate()
+        rng = random.Random()
+        rng.setstate(self.frontier_state)
+        order = list(orders[-1] if orders else range(self.n))
+        for _ in range(count - self.stored):
+            shuffle(order, rng.random)
+            yield order
+
+
+# the folds of one stratified cross-validation that share a training size
+# run one after another, so a single slot serves every fold that can reuse
+# orders, and the memo never holds more than ORDER_MEMO_CAP indices
+@lru_cache(maxsize=1)
+def _sweep_orders(n: int, seed: int) -> _SweepOrders:
+    return _SweepOrders(n, seed)
 
 
 def _sum(values: list[float]) -> float:
@@ -119,9 +169,12 @@ def train_svm(
     The bias is an appended constant feature, so the dual has simple box
     constraints alpha_i in [0, C]. Each epoch sweeps the rows in a new
     order: one ``random.Random(seed)`` stream reshuffles the same index
-    list with ``shuffle``. Training stops when the largest
-    projected-gradient violation falls below tol, or after max_epochs
-    (then ``converged`` is False).
+    list with ``shuffle``. Those orders depend only on (n, seed), so they
+    are drawn once and shared by every call with the same n and seed (see
+    ``_SweepOrders``); the result is the same bits as a call that shuffles
+    its own list. Training stops when the largest projected-gradient
+    violation falls below tol, or after max_epochs (then ``converged`` is
+    False).
 
     Each gradient and each entry of the Gram diagonal is the correctly
     rounded sum (``math.fsum``) of correctly rounded products, and each
@@ -143,12 +196,9 @@ def train_svm(
     n = len(rows)
     alpha = [0.0] * n
     w = [0.0] * len(rows[0])
-    rand = random.Random(seed).random
     history: list[float] = []
-    order = list(range(n))
     max_violation = math.inf  # max_epochs == 0 leaves the model unconverged
-    for _ in range(max_epochs):
-        shuffle(order, rand)
+    for order in _sweep_orders(n, seed).epochs(max_epochs):
         max_violation = 0.0
         for i in order:
             row = rows[i]

@@ -409,20 +409,28 @@ def derive_ordering(
     return " ".join(parts)
 
 
-def compare_feature(
+def route_feature(
     feature: str,
     groups: dict[str, list[float | None]],
     alpha: float = ALPHA_DEFAULT,
 ) -> TestResult:
-    """Route one feature through the normality gate and derive its ordering.
+    """The test part of ``compare_feature``: its result without the ordering
+    (``ordering`` is empty), so no pairwise rank-sum runs.
 
     Undefined values are dropped per group; all groups normal -> ANOVA,
     otherwise rank-sum (2 groups) or Kruskal-Wallis (3+).
     """
-    clean = {  # v == v is False only for nan
+    return _route(feature, _clean(groups), alpha)
+
+
+def _clean(groups: dict[str, list[float | None]]) -> dict[str, list[float]]:
+    return {  # v == v is False only for nan
         label: [float(v) for v in vals if v is not None and v == v]
         for label, vals in groups.items()
     }
+
+
+def _route(feature: str, clean: dict[str, list[float]], alpha: float) -> TestResult:
     small = [label for label, vals in clean.items() if len(vals) < 2]
     if len(clean) < 2 or small:
         return TestResult(
@@ -445,17 +453,32 @@ def compare_feature(
         test_used = "kruskal"
         stat, p = kruskal_wallis(samples)
         degenerate = stat == 0.0 and p == 1.0 and len({x for s in samples for x in s}) == 1
-    ordering = derive_ordering(means, clean, alpha, p if test_used == "ranksum" else None)
     return TestResult(
         feature=feature, test_used=test_used, statistic=stat, p_value=p,
-        group_means=means, ordering=ordering, significant=p < alpha,
+        group_means=means, ordering="", significant=p < alpha,
         degenerate=degenerate,
     )
 
 
+def compare_feature(
+    feature: str,
+    groups: dict[str, list[float | None]],
+    alpha: float = ALPHA_DEFAULT,
+) -> TestResult:
+    """Route one feature through the normality gate (``route_feature``) and
+    derive its ordering; a skipped feature has no ordering."""
+    clean = _clean(groups)
+    result = _route(feature, clean, alpha)
+    if result.test_used != "skipped":
+        pair_p = result.p_value if result.test_used == "ranksum" else None
+        result.ordering = derive_ordering(result.group_means, clean, alpha, pair_p)
+    return result
+
+
 def rank_features(results: list[TestResult], k: int, alpha: float = ALPHA_DEFAULT) -> list[str]:
     """Top-k features in ``_rank_key`` order; only features significant at
-    alpha qualify."""
+    alpha qualify. Reads only the test part, so ``route_feature`` results
+    rank the same as ``compare_feature`` ones."""
     eligible = [r for r in results if r.test_used != "skipped" and r.p_value < alpha]
     eligible.sort(key=_rank_key)
     return [r.feature for r in eligible[:k]]

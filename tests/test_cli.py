@@ -256,6 +256,31 @@ def test_two_labels_run_one_ranksum_per_feature(tmp_path, monkeypatch):
     assert len(calls) == len(routes) - routes.count("skipped")
 
 
+def test_ranked_classify_derives_no_ordering(tmp_path, monkeypatch):
+    # the ranking reads only each feature's test, so a three-label matrix,
+    # whose tests are ANOVA or Kruskal-Wallis, needs no pairwise rank-sum
+    import newsstyle.stats
+
+    calls = []
+    ranksum = newsstyle.stats.ranksum
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return ranksum(a, b)
+
+    sizes, seed = _GOLDEN_ANALYZE_MATRICES["three_labels"]
+    m = _golden_matrix(tmp_path / "m.csv", sizes, seed)
+    rows = _analyze_matrix(read_matrix(m), 0.05).rows
+    routes = {r.feature: r.test_used for r in rows}
+    expected = newsstyle.stats.rank_features(rows, 4, 0.05)
+    assert "kruskal" in {routes[f] for f in expected}
+    monkeypatch.setattr(newsstyle.stats, "ranksum", counted)
+    out = tmp_path / "cv.tsv"
+    assert main(["classify", "--matrix", str(m), "--pair", "fake:real", "--out", str(out)]) == 0
+    assert calls == []
+    assert f"features={','.join(expected)}" in out.read_text().splitlines()
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN_ANALYZE_MATRICES))
 def test_analyze_matrix_matches_group_columns(tmp_path, name):
     # rows interleaved across labels: each group must keep matrix row order
@@ -629,6 +654,68 @@ def test_input_error_exit_1_in_a_fresh_process(tmp_path, error):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert message in proc.stderr
+
+
+def _inf_matrix(path: Path, cells: dict[tuple[int, str], str]) -> Path:
+    names = ["NN", "TTR", "WC", "quotes", "exclaim"]
+    rows = ["doc_id,label,part," + ",".join(names)]
+    for i in range(40):
+        label = "satire" if i == 39 else ("real" if i % 2 else "fake")
+        values = [str(i % 9 + i % 2), f"0.{i % 7}", str(100 + i), str(i % 3), str(i % 4)]
+        for (row, name), value in cells.items():
+            if row == i:
+                values[names.index(name)] = value
+        rows.append(f"d{i},{label},body," + ",".join(values))
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("cells, message", [
+    ({(5, "quotes"): "inf", (9, "NN"): "-inf"}, ":7: inf in ['quotes']"),
+    ({(9, "NN"): "-inf"}, ":11: inf in ['NN']"),
+    ({(3, "quotes"): "inf", (3, "WC"): "-inf"}, ":5: inf in ['WC', 'quotes']"),
+])
+def test_infinite_cell_in_a_selected_column_exit_1(tmp_path, capsys, cells, message):
+    # one inf made a column's training mean infinite, every weight nan and
+    # every fold score the 50% baseline
+    m = _inf_matrix(tmp_path / "m.csv", cells)
+    out = tmp_path / "cv.tsv"
+    assert main(["classify", "--matrix", str(m), "--pair", "fake:real", "--preset", "body4",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {m}{message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cells", [
+    {(5, "exclaim"): "inf"},  # not a body4 column
+    {(39, "NN"): "-inf"},  # a satire row, outside the pair
+])
+def test_infinite_cell_outside_the_training_data_exit_0(tmp_path, cells):
+    m = _inf_matrix(tmp_path / "m.csv", cells)
+    out = tmp_path / "cv.tsv"
+    assert main(["classify", "--matrix", str(m), "--pair", "fake:real", "--preset", "body4",
+                 "--out", str(out)]) == 0
+    assert "mean_accuracy=" in out.read_text()
+
+
+@pytest.mark.parametrize("preset", [["--preset", "body4"], []])
+@pytest.mark.parametrize("pair, message", [
+    ("fake:satire", "{m}: no rows labelled 'satire' for --pair fake:satire"),
+    ("satire:real", "{m}: no rows labelled 'satire' for --pair satire:real"),
+    ("fake:fake", "--pair needs two different labels, got 'fake:fake'"),
+])
+def test_pair_without_two_labelled_groups_exit_1(tmp_path, capsys, monkeypatch, preset,
+                                                 pair, message):
+    # both used to end in "cross_validate expects a binary task", a ranked
+    # run only after the whole ranking
+    import newsstyle.stats
+
+    m = _small_matrix(tmp_path / "m.csv")
+    monkeypatch.setattr(newsstyle.stats, "normality_test", None)  # no ranking may run
+    out = tmp_path / "cv.tsv"
+    assert main(["classify", "--matrix", str(m), "--pair", pair, *preset, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(m=m)}\n"
+    assert not out.exists()
 
 
 class TestClassify:

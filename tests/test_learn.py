@@ -1,5 +1,6 @@
 import hashlib
 import math
+import operator
 import random
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from newsstyle import learn
 from newsstyle import matrix as ft
 from newsstyle.cli import main
 from newsstyle.learn import (
@@ -443,6 +445,134 @@ class TestPythonFloatSolver:
         assert cross_validate(X, labels, k=3, C=0.01).fold_converged == [True] * 3
         report = cross_validate(X, labels, k=3, C=10.0, max_epochs=2)
         assert report.fold_converged == [False] * 3
+
+
+def _per_call_train(X, y, C, tol, max_epochs, seed):
+    """train_svm's sweep as it was when every call shuffled its own index
+    list: the same rows, update rule and stopping rule, with the orders
+    drawn here from a fresh ``random.Random(seed)`` stream."""
+    fsum, mul = math.fsum, operator.mul
+    standardizer = fit_standardizer(X)
+    rows = [tuple([yi * v for v in z] + [yi]) for z, yi in zip(standardizer.transform(X), y)]
+    q = [fsum(map(mul, row, row)) for row in rows]
+    n = len(rows)
+    alpha = [0.0] * n
+    w = [0.0] * len(rows[0])
+    rand = random.Random(seed).random
+    history = []
+    order = list(range(n))
+    max_violation = math.inf
+    for _ in range(max_epochs):
+        shuffle(order, rand)
+        max_violation = 0.0
+        for i in order:
+            row = rows[i]
+            a = alpha[i]
+            g = fsum(map(mul, row, w)) - 1.0
+            if a <= 0.0:
+                pg = min(g, 0.0)
+            elif a >= C:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if pg != 0.0:
+                max_violation = max(max_violation, abs(pg))
+                new = min(max(a - g / q[i], 0.0), C)
+                if new != a:
+                    w = [wj + (new - a) * rj for wj, rj in zip(w, row)]
+                    alpha[i] = new
+        history.append(0.5 * fsum(map(mul, w, w)) - fsum(alpha))
+        if max_violation < tol:
+            break
+    return w, alpha, history, max_violation, max_violation < tol
+
+
+def _fold_problems(n_per_class, k=5):
+    """Training rows of each stratified fold of seeded overlapping data, in
+    the order cross_validate trains them."""
+    for seed in range(2):
+        X, y = _overlapping(seed, n=n_per_class)
+        X, y = X.tolist(), y.tolist()
+        for fold in stratified_kfold(y, k, seed=seed):
+            held_out = set(fold)
+            train = [i for i in range(len(y)) if i not in held_out]
+            yield [X[i] for i in train], [y[i] for i in train], seed
+
+
+def _stored_indices(n, seed):
+    return sum(map(len, learn._sweep_orders(n, seed).orders))
+
+
+class TestSweepOrderMemo:
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        learn._sweep_orders.cache_clear()
+        yield
+        learn._sweep_orders.cache_clear()
+
+    def _assert_same_as_per_call(self, C):
+        for X, y, seed in self.problems:
+            model = train_svm(X, y, C=C, tol=1e-4, max_epochs=30, seed=seed)
+            w, alpha, history, max_violation, converged = _per_call_train(
+                X, y, C=C, tol=1e-4, max_epochs=30, seed=seed)
+            assert _hex(model.weights) == _hex(w)
+            assert _hex(model.alpha) == _hex(alpha)
+            assert _hex(model.dual_objective_history) == _hex(history)
+            assert _hex([model.max_violation]) == _hex([max_violation])
+            assert model.converged == converged
+            assert _stored_indices(len(y), seed) <= learn.ORDER_MEMO_CAP
+
+    # 30 rows per class: five training folds of 48; 32 per class: 50, 50,
+    # 52, 52, 52, so the memo changes (n, seed) inside one cross-validation
+    @pytest.mark.parametrize("n_per_class", [30, 32])
+    @pytest.mark.parametrize("C", [0.01, 1.0, 10.0])
+    def test_same_bits_as_per_call_shuffles(self, C, n_per_class):
+        self.problems = list(_fold_problems(n_per_class))
+        self._assert_same_as_per_call(C)
+        assert _stored_indices(52 if n_per_class == 32 else 48, 1) > 0
+
+    # a cap of 1 stores no order; 150 stores 3 (n = 48, 50) or 2 (n = 52)
+    @pytest.mark.parametrize("cap", [1, 150])
+    @pytest.mark.parametrize("n_per_class", [30, 32])
+    @pytest.mark.parametrize("C", [0.01, 1.0, 10.0])
+    def test_same_bits_past_the_cap(self, monkeypatch, C, n_per_class, cap):
+        monkeypatch.setattr(learn, "ORDER_MEMO_CAP", cap)
+        self.problems = list(_fold_problems(n_per_class))
+        self._assert_same_as_per_call(C)
+
+    def test_cross_validate_draws_each_order_once(self, monkeypatch):
+        shuffles, epochs = [], []
+        original_shuffle, original_train = learn.shuffle, learn.train_svm
+
+        def counted_shuffle(items, rand):
+            shuffles.append(len(items))
+            original_shuffle(items, rand)
+
+        def recorded_train(*args, **kwargs):
+            model = original_train(*args, **kwargs)
+            epochs.append(len(model.dual_objective_history))
+            return model
+
+        monkeypatch.setattr(learn, "shuffle", counted_shuffle)
+        monkeypatch.setattr(learn, "train_svm", recorded_train)
+        X, y = _overlapping(3, n=30)
+        labels = ["a" if v < 0 else "b" for v in y]
+        report = cross_validate(X, labels, k=5, C=10.0, max_epochs=40)
+        assert report.fold_converged == [False] * 5
+        assert epochs == [40] * 5
+        assert len(shuffles) <= max(epochs) + 2
+
+    # a cap of 100 stores no order of 140 rows; 500 stores 8 of 60, 7 of 64
+    @pytest.mark.parametrize("cap", [100, 500, 2 ** 19])
+    def test_stored_indices_within_the_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(learn, "ORDER_MEMO_CAP", cap)
+        for n_per_class in (30, 32, 70):
+            X, y = _overlapping(0, n=n_per_class)
+            n = len(y)
+            model = train_svm(X, y, C=10.0, max_epochs=40, seed=0)
+            epochs = len(model.dual_objective_history)
+            assert learn._sweep_orders.cache_info().currsize == 1
+            assert _stored_indices(n, 0) == min(cap // n, epochs) * n <= cap
 
 
 def _write_overlapping_matrix(path):
