@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import InputError
-from .textseg import NUMBER, PUNCT, SYMBOL, WORD, Sentence, Token
+from .textseg import NUMBER, PUNCT, SYMBOL, WORD, WORD_MEMO_CAP, Sentence, Token
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
 
@@ -39,6 +40,10 @@ class TaggerModel:
     lexical_backoff: dict[str, str]
     version: str = "1"
     vocab: set[str] = field(default_factory=set)
+    # built by the first tag() over these weights, rebuilt when they are
+    # reassigned
+    _word_scores: _WordScores | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -64,9 +69,18 @@ class TaggerModel:
                 raise TaggerError(f"{path}: tagger model file lacks key {key!r}")
             if not valid(payload[key]):
                 raise TaggerError(f"{path}: {key} must be {shape}")
+        weights = payload["weights"]
+        # NaN fails the comparison; an int past the float range would
+        # overflow when added to a score
+        if not all(abs(w) <= sys.float_info.max for row in weights.values() for w in row.values()):
+            raise TaggerError(f"{path}: weights must be finite numbers")
+        used = set().union(*weights.values(), payload["lexical_backoff"].values())
+        unknown = used - set(payload["tagset"])
+        if unknown:
+            raise TaggerError(f"{path}: tag {min(unknown)!r} not in tagset")
         return cls(
             tagset=tuple(payload["tagset"]),
-            weights=payload["weights"],
+            weights=weights,
             lexical_backoff=payload["lexical_backoff"],
             version=payload["version"],
             vocab=set(payload["vocab"]),
@@ -109,26 +123,31 @@ def load_closed_class(path: str | Path | None = None) -> dict[str, str]:
     """word<TAB>tag backoff list for closed-class words."""
     path = Path(path) if path else _RESOURCE_DIR / "closed_class.tsv"
     backoff = {}
-    for line in TaggerError.read_text(path).splitlines():
-        line = line.strip()
+    for lineno, raw in enumerate(TaggerError.read_text(path).splitlines(), 1):
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        word, tag = line.split("\t")
-        backoff[word.lower()] = tag
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise TaggerError(f"{path}:{lineno}: expected word<TAB>tag, got {raw!r}")
+        word, t = parts
+        if t not in TAGSET:
+            raise TaggerError(f"{path}:{lineno}: tag {t!r} not in tagset")
+        backoff[word.lower()] = t
     return backoff
 
 
-def _features(tokens: list[Token], i: int, prev: str, prev2: str) -> list[str]:
-    tok = tokens[i]
-    w = tok.norm
+def _word_features(tok: Token) -> list[str]:
+    """The features of a token's own text: they depend on its norm alone."""
     low = tok.lower
+    return ["bias", f"w={tok.norm}", f"lw={low}",
+            f"suf1={low[-1:]}", f"suf2={low[-2:]}", f"suf3={low[-3:]}"]
+
+
+def _context_features(tokens: list[Token], i: int, prev: str, prev2: str) -> list[str]:
+    """The features of a token's neighbours and tag history, then its shape."""
+    tok = tokens[i]
     feats = [
-        "bias",
-        f"w={w}",
-        f"lw={low}",
-        f"suf1={low[-1:]}",
-        f"suf2={low[-2:]}",
-        f"suf3={low[-3:]}",
         f"p1={prev}",
         f"p2={prev2}|{prev}",
         f"pw={tokens[i - 1].lower if i > 0 else '<s>'}",
@@ -138,32 +157,76 @@ def _features(tokens: list[Token], i: int, prev: str, prev2: str) -> list[str]:
         feats.append("allcaps")
     if tok.kind == NUMBER:
         feats.append("num")
-    if w[:1].isupper():
+    if tok.norm[:1].isupper():
         feats.append("cap")
     return feats
 
 
-def _predict(model: TaggerModel, feats: list[str]) -> str:
-    """Highest-scoring tag among those the features touch, ties to the
-    smallest tag name; "NN" when no feature has a weight.
+def _features(tokens: list[Token], i: int, prev: str, prev2: str) -> list[str]:
+    return _word_features(tokens[i]) + _context_features(tokens, i, prev, prev2)
 
-    The scores start as a copy of the first feature's weights (``bias``
-    in ``_features``), which equals adding them to 0.0; the rest are added
-    in feature order.
-    """
-    weights = model.weights
-    rest = iter(feats)
-    scores = dict(weights.get(next(rest), ()))
-    for f in rest:
+
+def _accumulate(weights: dict[str, dict[str, float]], scores: dict[str, float],
+                feats) -> dict[str, float]:
+    """Add each feature's weights to ``scores`` in feature order, so each
+    tag's score is a left-to-right sum; returns ``scores``."""
+    for f in feats:
         tag_weights = weights.get(f)
         if tag_weights:
             for t, w in tag_weights.items():
                 scores[t] = scores.get(t, 0.0) + w
+    return scores
+
+
+def _pick(scores: dict[str, float]) -> str:
+    """Highest-scoring tag, ties to the smallest tag name; "NN" when no
+    feature had a weight. The result does not depend on dict order."""
     best, best_score = "NN", None
     for t, score in scores.items():
         if best_score is None or score > best_score or (score == best_score and t < best):
             best, best_score = t, score
     return best
+
+
+class _WordScores:
+    """Each word's scores over its ``_word_features``, memoized.
+
+    The tag scores are sums in feature order and the word features come
+    first, so a copy of these partial scores plus the context features
+    gives the same bits as scoring every feature. A word whose lowercase
+    form has no ``w=``/``lw=`` weight scores only on ``bias`` and its
+    suffixes, all functions of its last three lowercase letters, so it is
+    keyed by those in a namespace of its own; other words are keyed by
+    their norm, since ``w=`` is case-sensitive. Keys whose weighted word
+    features are the same share one score table. At most
+    ``WORD_MEMO_CAP`` keys are remembered; past that, new words are
+    scored but not kept.
+    """
+
+    def __init__(self, weights: dict[str, dict[str, float]]):
+        self.weights = weights
+        self._lexical = frozenset(
+            f[3:] if f.startswith("lw=") else f[2:].lower()
+            for f in weights if f.startswith(("w=", "lw=")))
+        self._by_norm: dict[str, dict[str, float]] = {}
+        self._by_suffix: dict[str, dict[str, float]] = {}
+        # the weighted word features -> their scores, one table per set
+        self._tables: dict[tuple[str, ...], dict[str, float]] = {}
+
+    def __call__(self, tok: Token) -> dict[str, float]:
+        """The partial scores of ``tok``, shared: copy before adding."""
+        if tok.lower in self._lexical:
+            memo, key = self._by_norm, tok.norm
+        else:
+            memo, key = self._by_suffix, tok.lower[-3:]
+        scores = memo.get(key)
+        if scores is None:
+            weights = self.weights
+            feats = tuple(f for f in _word_features(tok) if weights.get(f))
+            scores = _accumulate(weights, {}, feats)
+            if len(self._by_norm) + len(self._by_suffix) < WORD_MEMO_CAP:
+                scores = memo[key] = self._tables.setdefault(feats, scores)
+        return scores
 
 
 def _fixed_tag(model: TaggerModel, tok: Token) -> str | None:
@@ -181,16 +244,24 @@ def _fixed_tag(model: TaggerModel, tok: Token) -> str | None:
 
 def tag(sentence: Sentence, model: TaggerModel) -> TaggedSentence:
     """Greedy left-to-right tagging with closed-class backoff and
-    unknown-word fallbacks (all-caps -> NNP, numbers -> CD)."""
+    unknown-word fallbacks (all-caps -> NNP, numbers -> CD).
+
+    Scores the features of ``_features``, as ``train_tagger`` does, with
+    each word's own part taken from the model's memo for its current
+    weights: reassign ``model.weights`` rather than editing it in place.
+    """
+    weights = model.weights
+    word_scores = model._word_scores
+    if word_scores is None or word_scores.weights is not weights:
+        word_scores = model._word_scores = _WordScores(weights)
     tokens = list(sentence.tokens)
     prev, prev2 = "<s>", "<s2>"
     out = []
     for i, tok in enumerate(tokens):
-        fixed = _fixed_tag(model, tok)
-        if fixed is not None:
-            t = fixed
-        else:
-            t = _predict(model, _features(tokens, i, prev, prev2))
+        t = _fixed_tag(model, tok)
+        if t is None:
+            scores = dict(word_scores(tok))
+            t = _pick(_accumulate(weights, scores, _context_features(tokens, i, prev, prev2)))
         out.append((tok, t))
         prev2, prev = prev, t
     return TaggedSentence(tokens=tuple(out))
@@ -241,7 +312,7 @@ def train_tagger(
                 else:
                     step += 1
                     feats = _features(tokens, i, prev, prev2)
-                    guess = _predict(model, feats)
+                    guess = _pick(_accumulate(model.weights, {}, feats))
                     if guess != gold:
                         for f in feats:
                             bump(f, gold, +1.0)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import random
@@ -16,6 +17,7 @@ from newsstyle.matrix import FeatureMatrix, read_matrix
 from newsstyle.stats import compare_feature
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+SHIPPED_TAGGER_MODEL = Path(SRC) / "newsstyle" / "resources" / "tagger_model.json"
 
 
 @pytest.fixture(scope="module")
@@ -443,6 +445,35 @@ def test_bad_resource_file_exit_1(tmp_path, capsys, flag, content, message):
     assert main(["extract", "--corpus", str(corpus), "--dataset-id", "1", "--part", "body",
                  "--out", str(out), flag, str(res)]) == 1
     assert capsys.readouterr().err == f"error: {res}{message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("weight", math.nan, "weights must be finite numbers"),
+    ("weight", math.inf, "weights must be finite numbers"),
+    ("weight", -math.inf, "weights must be finite numbers"),
+    ("weight tag", "ZZ", "tag 'ZZ' not in tagset"),
+    ("backoff tag", "ZZ", "tag 'ZZ' not in tagset"),
+])
+def test_tagger_model_bad_value_exit_1(tmp_path, capsys, where, value, message):
+    # the shipped model with one value changed; json.dumps writes NaN,
+    # Infinity and -Infinity, which json.loads reads back, and a NaN weight
+    # used to load and change title.csv
+    model = json.loads(SHIPPED_TAGGER_MODEL.read_text(encoding="utf-8"))
+    if where == "weight":
+        model["weights"]["bias"]["NN"] = value
+    elif where == "weight tag":
+        model["weights"]["bias"][value] = 1.0
+    else:
+        model["lexical_backoff"]["the"] = value
+    res = tmp_path / "model.json"
+    res.write_text(json.dumps(model), encoding="utf-8")
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
+                                    dataset_id=1)
+    out = tmp_path / "m.csv"
+    assert main(["extract", "--corpus", str(corpus), "--dataset-id", "1", "--part", "title",
+                 "--out", str(out), "--tagger-model", str(res)]) == 1
+    assert capsys.readouterr().err == f"error: {res}: {message}\n"
     assert not out.exists()
 
 

@@ -1,7 +1,8 @@
 import json
+import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -20,11 +21,14 @@ from newsstyle.postag import (
     TaggerModel,
     chunk,
     default_model,
+    load_closed_class,
     load_pretagged,
     tag,
     train_tagger,
     tree_metrics,
 )
+from newsstyle.corpus import load_corpus
+from newsstyle.features import Resources, extract_all
 from newsstyle.textseg import Sentence, Token, split_sentences, tokenize
 
 
@@ -219,6 +223,107 @@ class TestTagDifferential:
         for _ in range(200):
             for sent in split_sentences(_random_text(rng, vocab)):
                 assert tag(sent, model).tags() == _old_tag(sent, model)
+
+
+def _fresh_model():
+    """The shipped model in a new object, so its word-score memo starts empty."""
+    shipped = default_model()
+    return TaggerModel(tagset=shipped.tagset, weights=shipped.weights,
+                       lexical_backoff=shipped.lexical_backoff, vocab=shipped.vocab)
+
+
+def _memo_keys(model):
+    memo = model._word_scores
+    return len(memo._by_norm) + len(memo._by_suffix)
+
+
+class TestWordScoreMemo:
+    def test_lexical_word_and_unknown_suffix_keep_their_own_scores(self):
+        # "new" has w=/lw= weights and is keyed by its norm; "zqnew" has none
+        # and is keyed by its last three letters, also "new". Their tags
+        # differ, so one memo for both kinds of key would give the second
+        # word seen the first one's scores, in either order.
+        for lexical, context in [("new", "The {} was here ."), ("old", "The {} was here ."),
+                                 ("met", "They {} it ."), ("won", "They {} it .")]:
+            pair = [_sent(context.format(w)) for w in (lexical, "zq" + lexical)]
+            for order in (pair, pair[::-1]):
+                model = _fresh_model()
+                tags = [tag(s, model).tags() for s in order]
+                assert tags == [_old_tag(s, model) for s in order]
+                assert tags[0] != tags[1]
+
+    def test_lexical_words_come_from_the_weights(self):
+        # "Zqx" has only a case-sensitive w= weight, and the vocab does not
+        # list it: it is still a lexical word, and its unknown lowercase form
+        # and "aazqx" share the suffix key "zqx"
+        model = TaggerModel(tagset=("NN", "VB"), lexical_backoff={}, vocab={"aazqx"},
+                            weights={"bias": {"NN": 1.0}, "w=Zqx": {"VB": 5.0}})
+        sents = [_sent(text) for text in ("aazqx", "Zqx", "zqx", "Zqx aazqx")]
+        assert [tag(s, model).tags() for s in sents] == [_old_tag(s, model) for s in sents]
+        assert [_old_tag(s, model) for s in sents] == [["NN"], ["VB"], ["NN"], ["VB", "NN"]]
+
+    def test_short_words_and_casing_variants_match_old_loop(self):
+        model = _fresh_model()
+        words = ["q", "zq", "Q", "ZQ", "x", "ox", "qox", "new", "New", "NEW", "nEw", "neW",
+                 "old", "Old", "OLD", "zqold", "Zqold", "w", "lw", "suf"]
+        rng = random.Random(11)
+        for _ in range(300):
+            text = " ".join(rng.choice(words) for _ in range(rng.randint(1, 8))) + " ."
+            for sent in split_sentences(text):
+                assert tag(sent, model).tags() == _old_tag(sent, model)
+
+    def test_reassigned_weights_are_used(self):
+        model = _fresh_model()
+        vocab = sorted(model.vocab)
+        rng = random.Random(8)
+        sents = [s for _ in range(100) for s in split_sentences(_random_text(rng, vocab))]
+        shipped_tags = [tag(s, model).tags() for s in sents]
+        model.weights = train_tagger(load_pretagged(TAGGED_CORPUS)[:60], epochs=1, seed=3).weights
+        new_tags = [tag(s, model).tags() for s in sents]
+        assert new_tags == [_old_tag(s, model) for s in sents]
+        assert new_tags != shipped_tags
+
+    def test_cap_bounds_the_memo_and_keeps_the_tags(self, monkeypatch):
+        monkeypatch.setattr(newsstyle.postag, "WORD_MEMO_CAP", 5)
+        model = _fresh_model()
+        vocab = sorted(model.vocab)
+        rng = random.Random(12)
+        for _ in range(100):
+            for sent in split_sentences(_random_text(rng, vocab)):
+                assert tag(sent, model).tags() == _old_tag(sent, model)
+                assert _memo_keys(model) <= 5
+        assert _memo_keys(model) == 5
+        assert len(model._word_scores._tables) <= 5
+
+    def test_warm_and_fresh_models_give_the_same_rows(self, tmp_path):
+        corpus, _ = load_corpus(write_synthetic_corpus(
+            tmp_path / "corpus", {"real": 6, "fake": 6, "satire": 6}, seed=4), 2)
+        resources = replace(Resources.default(), tagger=_fresh_model())
+
+        def rows():
+            return [extract_all(doc, part, resources).values
+                    for doc in corpus.documents for part in ("title", "body")]
+
+        cold = rows()
+        assert _memo_keys(resources.tagger) > 0
+        assert rows() == cold
+        resources.tagger = _fresh_model()
+        assert rows() == cold
+
+    def test_equal_word_scores_are_shared(self):
+        model = _fresh_model()
+        tag(_sent("zzqing"), model)
+        memo = model._word_scores
+        # same last three letters: one key
+        assert memo(tokenize("yyqing")[0]) is memo(tokenize("zzqing")[0])
+        # suffixes the model has no suf3 or suf2 weight for, the same last
+        # letter: two keys, the same weighted features, one table
+        for suffix in ("qxs", "zxs"):
+            assert f"suf3={suffix}" not in model.weights
+        assert "suf2=xs" not in model.weights
+        a, b = memo(tokenize("aaqxs")[0]), memo(tokenize("aazxs")[0])
+        assert a is b
+        assert {"qxs", "zxs"} <= set(memo._by_suffix)
 
 
 class TestChunk:
@@ -478,6 +583,32 @@ class TestLoadPretagged:
             load_pretagged(f)
 
 
+class TestLoadClosedClass:
+    def test_shipped_list_loads(self):
+        backoff = load_closed_class()
+        assert backoff["the"] == "DT"
+        assert set(backoff.values()) <= set(TAGSET)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        f = tmp_path / "cc.tsv"
+        f.write_text("# closed class\n\nThe\tDT\n  of\tIN  \n")
+        assert load_closed_class(f) == {"the": "DT", "of": "IN"}
+
+    @pytest.mark.parametrize("line", ["the DT", "the\tDT\tx"])
+    def test_malformed_line(self, tmp_path, line):
+        # used to end in a bare ValueError from unpacking the split
+        f = tmp_path / "cc.tsv"
+        f.write_text(f"of\tIN\n{line}\n")
+        with pytest.raises(TaggerError, match=r"cc\.tsv:2: expected word<TAB>tag, got "):
+            load_closed_class(f)
+
+    def test_unknown_tag(self, tmp_path):
+        f = tmp_path / "cc.tsv"
+        f.write_text("of\tIN\nthe\tZZ\n")
+        with pytest.raises(TaggerError, match=r"cc\.tsv:2: tag 'ZZ' not in tagset"):
+            load_closed_class(f)
+
+
 _VALID_MODEL = {"format": "newsstyle-tagger", "tagset": ["NN", "DT"],
                 "weights": {"bias": {"NN": 1.0, "DT": -1}}, "lexical_backoff": {"the": "DT"},
                 "version": "1", "vocab": ["dog"]}
@@ -536,3 +667,23 @@ class TestTaggerModelLoad:
                                  ensure_ascii=False).encode("latin-1"))
         with pytest.raises(TaggerError, match=r"model\.json: not UTF-8 \(line 1: "):
             TaggerModel.load(f)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_weight_not_finite(self, tmp_path, value):
+        # json.dumps writes NaN, Infinity and -Infinity, and json.loads reads
+        # them back; a NaN weight used to load and change the tags
+        with pytest.raises(TaggerError, match=r"model\.json: weights must be finite numbers$"):
+            self._load(tmp_path, weights={"bias": {"NN": 1.0, "DT": value}})
+
+    @pytest.mark.parametrize("changes", [
+        {"weights": {"bias": {"NN": 1.0, "ZZ": 2.0}}},
+        {"lexical_backoff": {"the": "ZZ"}},
+    ])
+    def test_tag_not_in_tagset(self, tmp_path, changes):
+        with pytest.raises(TaggerError, match=r"model\.json: tag 'ZZ' not in tagset$"):
+            self._load(tmp_path, **changes)
+
+    def test_shipped_model_tags_in_its_tagset(self):
+        shipped = default_model()
+        used = {t for row in shipped.weights.values() for t in row}
+        assert used | set(shipped.lexical_backoff.values()) <= set(shipped.tagset)
