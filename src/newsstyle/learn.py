@@ -9,6 +9,9 @@ order of a reduction or on the host. Every random order comes from
 ``shuffle``, a Fisher-Yates over ``random.Random(seed).random()``; the
 sweep orders of ``train_svm`` are drawn once per (n, seed) and kept in a
 bounded memo, so the folds of one cross-validation share them.
+``train_svm`` skips the coordinate steps that a rounding-safe bound
+certifies to be no-ops, so it returns the same bits as the sweep that
+computes every step.
 """
 
 from __future__ import annotations
@@ -23,6 +26,12 @@ from functools import lru_cache, reduce
 from .matrix import PRESETS  # noqa: F401  (re-exported)
 
 _STD_FLOOR = 1e-12
+# the screen of train_svm (see its docstring): the factors that round its
+# bounds toward failing, the least step of the path bound, and the range of
+# |g| it certifies
+_GROW, _SHRINK = 1.0 + 2.0 ** -40, 1.0 - 2.0 ** -40
+_PATH_FLOOR = 2.0 ** -1000
+_G_MIN, _G_MAX = 2.0 ** -10, 2.0 ** 900
 # most row indices the sweep-order memo holds: 2**19 tuple slots, ~4 MiB
 ORDER_MEMO_CAP = 2 ** 19
 
@@ -31,6 +40,13 @@ Rows = Sequence[Sequence[float]]  # one row per sample, NA as math.nan
 
 class LearnError(ValueError):
     pass
+
+
+def _check_width(X: Rows, width: int) -> None:
+    """Raise LearnError naming the first row of X without ``width`` values."""
+    for index, row in enumerate(X):
+        if len(row) != width:
+            raise LearnError(f"row {index} has {len(row)} values, expected {width}")
 
 
 def shuffle(items: list, rand) -> None:
@@ -108,7 +124,9 @@ class Standardizer:
     std: list[float]
 
     def transform(self, X: Rows) -> list[list[float]]:
-        """z-scored rows; an NA cell becomes the training mean, so its z is 0."""
+        """z-scored rows; an NA cell becomes the training mean, so its z is 0.
+        A row whose length is not the standardizer's raises LearnError."""
+        _check_width(X, len(self.mean))
         return [
             [((m if v != v else v) - m) / s for v, m, s in zip(map(float, row), self.mean, self.std)]
             for row in X
@@ -121,11 +139,13 @@ def fit_standardizer(X: Rows) -> Standardizer:
     A column's mean and population std are exactly rounded sums over its
     non-NA cells. A column with no such cell gets mean 0. A std below 1e-12
     or undefined gets that floor, so a constant column maps to 0; an
-    infinite std maps the column to 0 as well.
+    infinite std maps the column to 0 as well. Rows of unequal length raise
+    LearnError.
     """
     rows = [list(map(float, row)) for row in X]
     if not rows or not rows[0]:
         raise LearnError("cannot fit standardizer on empty matrix")
+    _check_width(rows, len(rows[0]))
     mean, std = [], []
     for column in zip(*rows):
         cells = [v for v in column if v == v]
@@ -180,50 +200,106 @@ def train_svm(
     rounded sum (``math.fsum``) of correctly rounded products, and each
     update is a rounded product and a rounded sum per weight. So the
     weights are the same bits on any IEEE-754 host.
+
+    Steps certified to be no-ops are skipped. When alpha_i sits at a bound
+    and the computed g points out of the box (alpha_i <= 0 < g, or g < 0
+    with alpha_i >= C), the projected gradient is 0 and the step changes
+    nothing. If also 2**-10 <= |g| <= 2**900, the visit stores
+    ``until[i] = (path + |g| / nu_i) * (1 - 2**-40)``, rounded, and a later
+    visit with ``path < until[i]`` is skipped: the g it would compute has
+    the same strict sign, and alpha_i is where it was, as only a visit of
+    row i moves it. So w, alpha, max_violation and the history are the
+    same bits as when every step is computed. The proof, with u = 2**-53,
+    r the signed row of length d (bias entry included), ||.|| the 2-norm,
+    and every quantity the computed float:
+
+    1. Path. ``nu_i = sqrt(q_i) * (1 + 2**-40) >= (1 + u)**4 ||r_i||``. An
+       update w'_j = fl(w_j + fl(delta r_j)) moves w by at most
+       (1 + u)**2 |delta| ||r|| + u ||w|| + d 2**-1074, and
+       ``path' = (path + |delta| nu_i + 2**-1000) * (1 + 2**-40)`` exceeds
+       path by more: the factor covers u path and the four roundings, the
+       2**-1000 the underflow, and a bound that overflows is inf. As w and
+       path start at 0, ||w|| <= path, and ||w1 - w0|| <= path1 - path0
+       between any two visits. A path that is not finite stays so and
+       passes no ``path < until[i]``.
+    2. Gradient. fsum returns the rounding of P = sum_j fl(r_j w_j), and
+       |P - r.w| <= u ||r|| ||w|| + d 2**-1075. So from the certifying
+       visit (0) to a later one (1),
+       |P1 - P0| <= ||r|| (path1 - path0) + u ||r|| (path0 + path1) + d 2**-1074.
+    3. Sign. g1 = fl(fl(P1) - 1) has the strict sign of g0 if P1 lies past
+       the rounding gap around 1 on g0's side, which holds whenever
+       |P1 - P0| < |g0| (1 - 2**-40) + d 2**-1074: with |g0| >= 2**-10 the
+       factor covers the gap and the roundings of P0 and g0.
+    4. Budget. The rounded until[i] is at most
+       path0 (1 - u) / (1 + u) + |g0| (1 - 2**-40) / (||r|| (1 + u)): nu_i
+       and the factor 1 - 2**-40 cover its three roundings. So
+       path1 < until[i] makes the bound of 2 less than that of 3. (A
+       quotient |g0| / nu_i below 2**-1022 may round by 2**-1075: the slack
+       on a nonzero path0 >= 2**-1000 covers that, and with path0 = 0 the
+       test passes only while path = 0, when w has not moved.) And
+       |g0| <= 2**900 bounds each product of a skipped visit by 2**941, so
+       the skipped sum could not have overflowed.
     """
     if not (math.isfinite(C) and C > 0):
         raise LearnError(f"C must be finite and > 0, got {C!r}")
     y = [float(v) for v in y]
+    if len(X) != len(y):
+        raise LearnError(f"train_svm got {len(X)} rows and {len(y)} labels")
     if set(y) != {-1.0, 1.0}:
         raise LearnError("train_svm requires both classes (-1 and +1) present")
     if standardizer is None:
         standardizer = fit_standardizer(X)
     fsum, mul = math.fsum, operator.mul
+    # the screen's constants, as locals for the sweep
+    grow, shrink, path_floor, g_min, g_max = _GROW, _SHRINK, _PATH_FLOOR, _G_MIN, _G_MAX
     # y is +-1, so y_i * z_i is exact and the label folds into each row; the
     # row ends with the bias feature y_i, so every q_i >= 1 and none is 0
     rows = [tuple([yi * v for v in z] + [yi]) for z, yi in zip(standardizer.transform(X), y)]
     q = [fsum(map(mul, row, row)) for row in rows]  # diagonal of the Gram matrix
+    nu = [math.sqrt(v) * grow for v in q]  # upper bounds on the row norms
     n = len(rows)
     alpha = [0.0] * n
     w = [0.0] * len(rows[0])
+    path = 0.0  # bound on the summed norms of the weight updates
+    until = [0.0] * n  # path below which row i's step is certified a no-op
     history: list[float] = []
     max_violation = math.inf  # max_epochs == 0 leaves the model unconverged
     for order in _sweep_orders(n, seed).epochs(max_epochs):
         max_violation = 0.0
         for i in order:
+            if path < until[i]:
+                continue
             row = rows[i]
             a = alpha[i]
             g = fsum(map(mul, row, w)) - 1.0
-            # min/max and the clamps are spelled out as the same comparisons,
-            # without the cost of a builtin call
-            if a <= 0.0:
-                pg = 0.0 if g > 0.0 else g
-            elif a >= C:
-                pg = 0.0 if g < 0.0 else g
-            else:
-                pg = g
-            if pg != 0.0:
-                if abs(pg) > max_violation:
-                    max_violation = abs(pg)
-                new = a - g / q[i]
-                if new < 0.0:
-                    new = 0.0
-                if new > C:
-                    new = C
-                if new != a:
-                    delta = new - a
-                    w = [wj + delta * rj for wj, rj in zip(w, row)]
-                    alpha[i] = new
+            # a projected gradient of 0 ends the visit; one pointing out of
+            # the box is certified to stay so for a while
+            if g > 0.0:
+                if a <= 0.0:
+                    if g_min <= g <= g_max:
+                        until[i] = (path + g / nu[i]) * shrink
+                    continue
+            elif g < 0.0:
+                if a >= C:
+                    if g_min <= -g <= g_max:
+                        until[i] = (path - g / nu[i]) * shrink
+                    continue
+            elif g == 0.0:
+                continue
+            # the projected gradient is g (a nan g included); the clamps are
+            # spelled out as comparisons, without the cost of a builtin call
+            if abs(g) > max_violation:
+                max_violation = abs(g)
+            new = a - g / q[i]
+            if new < 0.0:
+                new = 0.0
+            if new > C:
+                new = C
+            if new != a:
+                delta = new - a
+                w = [wj + delta * rj for wj, rj in zip(w, row)]
+                alpha[i] = new
+                path = (path + abs(delta) * nu[i] + path_floor) * grow
         history.append(0.5 * fsum(map(mul, w, w)) - fsum(alpha))
         if max_violation < tol:
             break
@@ -278,13 +354,17 @@ def cross_validate(
     max_epochs: int = 1000,
 ) -> CvReport:
     """Stratified k-fold CV of the linear SVM; the standardizer is refit
-    on each fold's training rows only."""
+    on each fold's training rows only. X must have one row per label, all
+    of one length."""
     labels = list(labels)
+    if len(X) != len(labels):
+        raise LearnError(f"cross_validate got {len(X)} rows and {len(labels)} labels")
     classes = sorted(set(labels))
     if len(classes) != 2:
         raise LearnError(f"cross_validate expects a binary task, got {classes}")
     if min(labels.count(c) for c in classes) < k:
         raise LearnError("need at least k samples per class")
+    _check_width(X, len(X[0]))
     y = [1.0 if l == classes[1] else -1.0 for l in labels]
 
     folds = stratified_kfold(labels, k, seed)

@@ -273,7 +273,8 @@ def train_tagger(
     seed: int = 0,
     backoff: dict[str, str] | None = None,
 ) -> TaggerModel:
-    """Averaged-perceptron training, deterministic for a fixed seed."""
+    """Averaged-perceptron training, deterministic for a fixed seed. A tag
+    outside TAGSET, in the sentences or in ``backoff``, raises TaggerError."""
     if not annotated:
         raise TaggerError("empty training set")
     for sent in annotated:
@@ -281,6 +282,9 @@ def train_tagger(
             if t not in TAGSET:
                 raise TaggerError(f"tag {t!r} not in tagset")
     backoff = dict(backoff) if backoff is not None else load_closed_class()
+    unknown = set(backoff.values()) - set(TAGSET)
+    if unknown:
+        raise TaggerError(f"tag {min(unknown)!r} not in tagset")
 
     model = TaggerModel(
         tagset=tuple(TAGSET), weights={}, lexical_backoff=backoff, version="1"

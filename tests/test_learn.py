@@ -2,6 +2,7 @@ import hashlib
 import math
 import operator
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -210,6 +211,39 @@ class TestTrainSvm:
             pg = np.where(alpha <= 0, np.minimum(g, 0),
                           np.where(alpha >= 1.0, np.maximum(g, 0), g))
             assert np.max(np.abs(pg)) < 10 * tol
+
+
+class TestInputShapes:
+    def test_ragged_rows_rejected_by_train_svm(self):
+        with pytest.raises(LearnError, match="row 1 has 1 values, expected 2"):
+            train_svm([[1, 2], [3], [0.5, 1], [2, 5]], [1, -1, 1, -1])
+
+    def test_ragged_rows_rejected_by_fit_standardizer(self):
+        with pytest.raises(LearnError, match="row 2 has 3 values, expected 2"):
+            fit_standardizer([[1, 2], [3, 4], [5, 6, 7]])
+
+    def test_transform_rejects_a_row_of_another_length(self):
+        model = train_svm([[1, 2], [3, 1], [0.5, 1], [2, 5]], [1, -1, 1, -1])
+        with pytest.raises(LearnError, match="row 1 has 3 values, expected 2"):
+            model.decision_values([[1, 2], [1, 2, 3]])
+        with pytest.raises(LearnError, match="row 0 has 1 values, expected 2"):
+            model.standardizer.transform([[1]])
+
+    def test_train_svm_rows_and_labels_must_match(self):
+        X, y = _two_blobs(n=3)
+        with pytest.raises(LearnError, match="train_svm got 5 rows and 4 labels"):
+            train_svm(X[:5], [-1, -1, -1, 1])
+
+    def test_cross_validate_rows_and_labels_must_match(self):
+        X, _ = _two_blobs(n=6)
+        with pytest.raises(LearnError, match="cross_validate got 12 rows and 10 labels"):
+            cross_validate(X, ["a"] * 5 + ["b"] * 5, k=2)
+
+    def test_cross_validate_names_the_ragged_row(self):
+        X = _two_blobs(n=6)[0].tolist()
+        X[7] = X[7][:2]
+        with pytest.raises(LearnError, match="row 7 has 2 values, expected 4"):
+            cross_validate(X, ["a"] * 6 + ["b"] * 6, k=2)
 
 
 class TestPredict:
@@ -573,6 +607,106 @@ class TestSweepOrderMemo:
             epochs = len(model.dual_objective_history)
             assert learn._sweep_orders.cache_info().currsize == 1
             assert _stored_indices(n, 0) == min(cap // n, epochs) * n <= cap
+
+
+def _integer_problem(seed, n=40, d=3):
+    """Rows of small integers, half of them repeated, with random labels.
+
+    With an identity standardizer every product in the sweep is exact at
+    first, and a repeat of a row just stepped on can land its g exactly on
+    0 at a bound."""
+    rng = random.Random(seed)
+    X = [[float(rng.choice((-1, 0, 1, 1, 2))) for _ in range(d)] for _ in range(n)]
+    y = [rng.choice((-1.0, 1.0)) for _ in range(n)]
+    y[0], y[1] = -1.0, 1.0
+    return X + X[: n // 2], y + y[: n // 2]
+
+
+def _identity(d):
+    return Standardizer([0.0] * d, [1.0] * d)
+
+
+def _outcome(train):
+    """The hex bits of a training result, or the exception it raised."""
+    try:
+        w, alpha, history, max_violation, converged = train()
+    except (ArithmeticError, ValueError) as e:
+        return type(e).__name__
+    return _hex(w), _hex(alpha), _hex(history), _hex([max_violation]), converged
+
+
+class TestScreenDifferential:
+    """train_svm skips steps certified to be no-ops; the unscreened sweep of
+    ``_per_call_train`` computes every step. Both must give the same bits."""
+
+    C_VALUES = [1e-6, 0.01, 1.0, 10.0, 1e6]
+
+    def _assert_same_as_unscreened(self, X, y, C, max_epochs, seed, standardizer=None):
+        def screened():
+            model = train_svm(X, y, C=C, tol=1e-4, max_epochs=max_epochs, seed=seed,
+                              standardizer=standardizer)
+            return (model.weights, model.alpha, model.dual_objective_history,
+                    model.max_violation, model.converged)
+
+        def unscreened():
+            with pytest.MonkeyPatch.context() as m:
+                if standardizer is not None:
+                    # the oracle fits its own standardizer: hand it this one
+                    m.setattr(sys.modules[__name__], "fit_standardizer", lambda rows: standardizer)
+                return _per_call_train(X, y, C=C, tol=1e-4, max_epochs=max_epochs, seed=seed)
+
+        assert _outcome(screened) == _outcome(unscreened)
+
+    @pytest.mark.parametrize("C", C_VALUES)
+    def test_integer_rows_identity_standardizer(self, C):
+        for seed in range(3):
+            X, y = _integer_problem(seed)
+            self._assert_same_as_unscreened(X, y, C, 300, seed, _identity(3))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-170])
+    @pytest.mark.parametrize("C", C_VALUES)
+    def test_scaled_rows(self, C, scale):
+        # 1e-170 makes products underflow into subnormals and to 0
+        for seed in range(2):
+            X, y = _integer_problem(seed)
+            X = [[v * scale for v in row] for row in X]
+            self._assert_same_as_unscreened(X, y, C, 300, seed, _identity(3))
+            self._assert_same_as_unscreened(X, y, C, 300, seed)
+
+    @pytest.mark.parametrize("C", C_VALUES)
+    def test_rows_with_nan_and_inf(self, C):
+        for seed, bad in enumerate([math.nan, math.inf, -math.inf]):
+            X, y = _integer_problem(seed)
+            X[5] = [X[5][0], bad, X[5][2]]
+            X[17][0] = -bad
+            self._assert_same_as_unscreened(X, y, C, 50, seed, _identity(3))
+            self._assert_same_as_unscreened(X, y, C, 50, seed)
+
+    @pytest.mark.parametrize("C", C_VALUES)
+    def test_overlapping_long_runs(self, C):
+        # 400 epochs: rows are certified, skipped, and checked again once
+        # the path has used up their budget
+        for seed in range(2):
+            X, y = _overlapping(seed, n=30, shift=1.5)
+            self._assert_same_as_unscreened(X.tolist(), y.tolist(), C, 400, seed)
+
+    def test_screen_skips_gradients(self, monkeypatch):
+        # the unscreened sweep computes epochs * n gradients; the screen
+        # computes under half of them on these problems (0.46 when this
+        # was written), besides the Gram diagonal, two sums per epoch for
+        # the dual objective and two per column for the standardizer
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(learn.math, "fsum", lambda values: calls.append(1) or fsum(values))
+        gradients = visits = 0
+        for seed in range(4):
+            X, y = _overlapping(seed, n=60, shift=1.5)
+            calls.clear()
+            model = train_svm(X.tolist(), y.tolist(), C=10.0, max_epochs=200, seed=seed)
+            epochs, (n, d) = len(model.dual_objective_history), X.shape
+            gradients += len(calls) - n - 2 * epochs - 2 * d
+            visits += epochs * n
+        assert gradients < 0.5 * visits
 
 
 def _write_overlapping_matrix(path):

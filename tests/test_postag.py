@@ -69,6 +69,13 @@ class TestTrainTagger:
         with pytest.raises(TaggerError, match="BOGUS"):
             train_tagger([ts], epochs=1, seed=0)
 
+    def test_unknown_backoff_tag_rejected(self):
+        # a model trained with it would tag "The" as ZZ, and its saved file
+        # would fail TaggerModel.load
+        ts = _tagged([("The", "DT"), ("dogs", "NNS")])
+        with pytest.raises(TaggerError, match="tag 'ZZ' not in tagset"):
+            train_tagger([ts], epochs=1, seed=0, backoff={"the": "ZZ", "a": "DT"})
+
     def test_reproduces_shipped_model(self):
         # tools/build_tagger_model.py trains the shipped model this way, through
         # the same scorer that tag() uses
