@@ -24,10 +24,13 @@ print(f"5-fold accuracies: {[f'{a:.2f}' for a in report.fold_accuracies]}")
 print(f"mean accuracy:     {report.mean_accuracy:.1%}")
 print(f"majority baseline: {report.baseline:.1%}")
 
-# a single trained model exposes its optimizer trace and weights
+# a single trained model exposes its optimizer trace and weights: the dual
+# objective after each coordinate descent epoch and each step of the exact
+# finish, and the relative duality gap where training ended
 y = [-1.0] * 75 + [1.0] * 75
 model = train_svm(X, y, C=1.0, seed=0)
-print(f"dual objective over epochs: {model.dual_objective_history[:3]} ...")
+print(f"dual objective over epochs and steps: {model.dual_objective_history[:3]} ...")
+print(f"relative duality gap: {model.gap:.1e}")
 print(f"bias weight: {model.weights[-1]:.3f}")
 value = model.decision_values(X[:1])[0]
 label = "fake" if value >= 0 else "real"  # y = +1 is fake; zero goes to +1

@@ -233,10 +233,10 @@ def cmd_classify(args) -> int:
         report = ln.cross_validate(X, labels, k=args.folds, C=args.C, seed=args.seed)
     except ln.LearnError as e:
         raise CliError(str(e)) from None
-    unconverged = report.fold_converged.count(False)
-    if unconverged:
-        print(f"{unconverged} of {report.k} folds stopped at max_epochs without reaching tol",
-              file=sys.stderr)
+    for i, (converged, gap) in enumerate(zip(report.fold_converged, report.fold_gaps)):
+        if not converged:
+            print(f"fold {i} did not converge to tol within max_epochs "
+                  f"(relative duality gap {gap:.3g})", file=sys.stderr)
     lines = [
         f"schema_version={SCHEMA_VERSION}",
         f"part={matrix.part}",

@@ -1,17 +1,19 @@
-"""Linear SVM classification protocol: standardization, dual coordinate
-descent training, stratified k-fold cross-validation, and the named
-top-4 feature presets.
+"""Linear SVM classification protocol: standardization, SVM training,
+stratified k-fold cross-validation, and the named top-4 feature presets.
 
 Everything runs on plain Python floats. A row is a sequence of floats,
 with NA as ``math.nan``. Every sum over a column or a row is
 ``math.fsum``, which is exactly rounded, so no result depends on the
 order of a reduction or on the host. Every random order comes from
-``shuffle``, a Fisher-Yates over ``random.Random(seed).random()``; the
-sweep orders of ``train_svm`` are drawn once per (n, seed) and kept in a
-bounded memo, so the folds of one cross-validation share them.
-``train_svm`` skips the coordinate steps that a rounding-safe bound
-certifies to be no-ops, so it returns the same bits as the sweep that
-computes every step.
+``shuffle``, a Fisher-Yates over ``random.Random(seed).random()``.
+
+``train_svm`` solves the dual in two phases: dual coordinate descent
+until the set of dual variables at 0 and at C stops changing, then an
+exact active-set solve from there. The sweep orders of the first phase
+are drawn once per (n, seed) and kept in a bounded memo, so the folds of
+one cross-validation share them, and the sweep skips the coordinate steps
+that a rounding-safe bound certifies to be no-ops, so it gives the same
+bits as the sweep that computes every step.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import lru_cache, reduce
 from .matrix import PRESETS  # noqa: F401  (re-exported)
 
 _STD_FLOOR = 1e-12
-# the screen of train_svm (see its docstring): the factors that round its
+# the screen of _sweep (see its docstring): the factors that round its
 # bounds toward failing, the least step of the path bound, and the range of
 # |g| it certifies
 _GROW, _SHRINK = 1.0 + 2.0 ** -40, 1.0 - 2.0 ** -40
@@ -166,8 +168,9 @@ class SvmModel:
     standardizer: Standardizer
     dual_objective_history: list[float] = field(default_factory=list)
     alpha: list[float] | None = None
-    converged: bool = False  # set by train_svm: the last epoch met tol
-    max_violation: float = math.nan  # largest projected-gradient violation in the last epoch
+    converged: bool = False  # set by train_svm: max_violation < tol
+    max_violation: float = math.nan  # largest projected gradient of the returned alpha
+    gap: float = math.nan  # relative duality gap (P - D) / P of the returned w and alpha
 
     def decision_values(self, X: Rows) -> list[float]:
         """One exactly rounded w . [z, 1] per row of X."""
@@ -184,22 +187,96 @@ def train_svm(
     seed: int = 0,
     standardizer: Standardizer | None = None,
 ) -> SvmModel:
-    """L1-loss linear SVM by dual coordinate descent (Hsieh et al. 2008).
+    """L1-loss linear SVM: dual coordinate descent (Hsieh et al. 2008)
+    until the bound pattern settles, then an exact active-set solve.
 
-    The bias is an appended constant feature, so the dual has simple box
-    constraints alpha_i in [0, C]. Each epoch sweeps the rows in a new
-    order: one ``random.Random(seed)`` stream reshuffles the same index
-    list with ``shuffle``. Those orders depend only on (n, seed), so they
-    are drawn once and shared by every call with the same n and seed (see
-    ``_SweepOrders``); the result is the same bits as a call that shuffles
-    its own list. Training stops when the largest projected-gradient
-    violation falls below tol, or after max_epochs (then ``converged`` is
-    False).
+    The bias is an appended constant feature, so the dual
+    min 1/2 ||sum_i alpha_i r_i||**2 - sum_i alpha_i has simple box
+    constraints alpha_i in [0, C], with r_i the signed row.
 
-    Each gradient and each entry of the Gram diagonal is the correctly
-    rounded sum (``math.fsum``) of correctly rounded products, and each
-    update is a rounded product and a rounded sum per weight. So the
-    weights are the same bits on any IEEE-754 host.
+    Phase 1 (``_sweep``) sweeps the rows in a new order each epoch. It
+    stops when the largest projected-gradient violation falls below tol,
+    and the result is then the sweep's own. It also stops at the first
+    epoch that moves no alpha between 0, (0, C) and C: coordinate descent
+    finds which alpha sit at a bound quickly, but closes in on the
+    optimum slowly. Phase 2 (``_finish``) then solves the dual exactly,
+    from the sweep's alpha, with at most d = len(r_i) free alpha (Moré &
+    Toraldo 1991). Sweep epochs and phase-2 steps together number at most
+    max_epochs, and each adds the dual objective to the history. If the
+    budget runs out first, ``converged`` is False.
+
+    Every sum is an fsum of correctly rounded products, and the small
+    linear solves of phase 2 are plain IEEE-754 arithmetic in a fixed
+    order. So the weights are the same bits on any IEEE-754 host.
+    ``gap`` is (P - D) / P at the returned weights and alpha.
+    """
+    if not (math.isfinite(C) and C > 0):
+        raise LearnError(f"C must be finite and > 0, got {C!r}")
+    y = [float(v) for v in y]
+    if len(X) != len(y):
+        raise LearnError(f"train_svm got {len(X)} rows and {len(y)} labels")
+    if set(y) != {-1.0, 1.0}:
+        raise LearnError("train_svm requires both classes (-1 and +1) present")
+    if standardizer is None:
+        standardizer = fit_standardizer(X)
+    fsum, mul = math.fsum, operator.mul
+    rows = _signed_rows(standardizer.transform(X), y)
+    w, alpha = [0.0] * len(rows[0]), [0.0] * len(rows)
+    history: list[float] = []
+    max_violation, settled = math.inf, False  # max_epochs == 0 leaves the model unconverged
+    for w, alpha, max_violation, settled in _sweep(rows, C, max_epochs, seed):
+        history.append(0.5 * fsum(map(mul, w, w)) - fsum(alpha))
+        if max_violation < tol or settled:
+            break
+    if settled and not max_violation < tol and len(history) < max_epochs:
+        w, alpha, g, max_violation = _finish(rows, C, tol, alpha, max_epochs - len(history), history)
+    else:
+        g = _gradients(rows, w)
+    return SvmModel(
+        weights=w, standardizer=standardizer,
+        dual_objective_history=history, alpha=alpha,
+        converged=max_violation < tol, max_violation=max_violation,
+        gap=_relative_gap(w, alpha, g, C),
+    )
+
+
+def _signed_rows(Z: Rows, y: list[float]) -> list[tuple[float, ...]]:
+    """Each z-scored row times its label, with the label appended as the
+    bias feature. y is +-1, so every product is exact, and every row has
+    a squared norm of at least 1."""
+    return [tuple([yi * v for v in z] + [yi]) for z, yi in zip(Z, y)]
+
+
+def _gradients(rows, w) -> list[float]:
+    """The dual gradient g_i = r_i . w - 1 of every row."""
+    fsum, mul = math.fsum, operator.mul
+    return [fsum(map(mul, row, w)) - 1.0 for row in rows]
+
+
+def _relative_gap(w, alpha, g, C) -> float:
+    """(P - D) / P for P = ||w||**2 / 2 + C sum_i max(0, -g_i) and
+    D = sum_i alpha_i - ||w||**2 / 2, each sum an fsum."""
+    fsum = math.fsum
+    half_sq = 0.5 * fsum([v * v for v in w])
+    primal = half_sq + C * fsum([-v for v in g if v < 0.0])
+    return (primal - (fsum(alpha) - half_sq)) / primal
+
+
+def _sweep(rows, C: float, max_epochs: int, seed: int):
+    """Phase 1 of ``train_svm``: dual coordinate descent from alpha = 0.
+
+    Yields after each of at most max_epochs epochs: w, alpha (one list,
+    updated in place), the epoch's largest projected-gradient violation,
+    and whether the epoch moved no alpha between 0, (0, C) and C.
+
+    Each epoch sweeps the rows in a new order: one ``random.Random(seed)``
+    stream reshuffles the same index list with ``shuffle``. Those orders
+    depend only on (n, seed), so they are drawn once and shared by every
+    call with the same n and seed (see ``_SweepOrders``); the result is
+    the same bits as a sweep that shuffles its own list. Each gradient and
+    each entry of the Gram diagonal is the correctly rounded sum
+    (``math.fsum``) of correctly rounded products, and each update is a
+    rounded product and a rounded sum per weight.
 
     Steps certified to be no-ops are skipped. When alpha_i sits at a bound
     and the computed g points out of the box (alpha_i <= 0 < g, or g < 0
@@ -208,10 +285,10 @@ def train_svm(
     ``until[i] = (path + |g| / nu_i) * (1 - 2**-40)``, rounded, and a later
     visit with ``path < until[i]`` is skipped: the g it would compute has
     the same strict sign, and alpha_i is where it was, as only a visit of
-    row i moves it. So w, alpha, max_violation and the history are the
-    same bits as when every step is computed. The proof, with u = 2**-53,
-    r the signed row of length d (bias entry included), ||.|| the 2-norm,
-    and every quantity the computed float:
+    row i moves it. So w, alpha and the violation are the same bits as
+    when every step is computed. The proof, with u = 2**-53, r the signed
+    row of length d (bias entry included), ||.|| the 2-norm, and every
+    quantity the computed float:
 
     1. Path. ``nu_i = sqrt(q_i) * (1 + 2**-40) >= (1 + u)**4 ||r_i||``. An
        update w'_j = fl(w_j + fl(delta r_j)) moves w by at most
@@ -240,21 +317,9 @@ def train_svm(
        |g0| <= 2**900 bounds each product of a skipped visit by 2**941, so
        the skipped sum could not have overflowed.
     """
-    if not (math.isfinite(C) and C > 0):
-        raise LearnError(f"C must be finite and > 0, got {C!r}")
-    y = [float(v) for v in y]
-    if len(X) != len(y):
-        raise LearnError(f"train_svm got {len(X)} rows and {len(y)} labels")
-    if set(y) != {-1.0, 1.0}:
-        raise LearnError("train_svm requires both classes (-1 and +1) present")
-    if standardizer is None:
-        standardizer = fit_standardizer(X)
     fsum, mul = math.fsum, operator.mul
     # the screen's constants, as locals for the sweep
     grow, shrink, path_floor, g_min, g_max = _GROW, _SHRINK, _PATH_FLOOR, _G_MIN, _G_MAX
-    # y is +-1, so y_i * z_i is exact and the label folds into each row; the
-    # row ends with the bias feature y_i, so every q_i >= 1 and none is 0
-    rows = [tuple([yi * v for v in z] + [yi]) for z, yi in zip(standardizer.transform(X), y)]
     q = [fsum(map(mul, row, row)) for row in rows]  # diagonal of the Gram matrix
     nu = [math.sqrt(v) * grow for v in q]  # upper bounds on the row norms
     n = len(rows)
@@ -262,10 +327,9 @@ def train_svm(
     w = [0.0] * len(rows[0])
     path = 0.0  # bound on the summed norms of the weight updates
     until = [0.0] * n  # path below which row i's step is certified a no-op
-    history: list[float] = []
-    max_violation = math.inf  # max_epochs == 0 leaves the model unconverged
     for order in _sweep_orders(n, seed).epochs(max_epochs):
         max_violation = 0.0
+        settled = True
         for i in order:
             if path < until[i]:
                 continue
@@ -296,18 +360,136 @@ def train_svm(
             if new > C:
                 new = C
             if new != a:
+                # a step from or to a bound (or nan) moves the row between
+                # 0, (0, C) and C; one inside (0, C) does not
+                if settled and not (0.0 < a < C and 0.0 < new < C):
+                    settled = False
                 delta = new - a
                 w = [wj + delta * rj for wj, rj in zip(w, row)]
                 alpha[i] = new
                 path = (path + abs(delta) * nu[i] + path_floor) * grow
-        history.append(0.5 * fsum(map(mul, w, w)) - fsum(alpha))
-        if max_violation < tol:
+        yield w, alpha, max_violation, settled
+
+
+def _finish(rows, C: float, tol: float, alpha: list[float], budget: int, history: list[float]):
+    """Phase 2 of ``train_svm``: an active-set solve of the dual from the
+    sweep's alpha, in at most ``budget`` steps, each adding the dual
+    objective to ``history``.
+
+    ``free`` is a list of linearly independent rows whose alpha the solve
+    moves; every other alpha stays where it is. Each step either takes
+    the Newton step of the dual restricted to ``free`` (its Gram matrix is
+    positive definite), or, once the free gradients are 0, moves one more
+    row j: the sweep's rows in (0, C) first, then the row with the
+    largest projected gradient. Row j moves along the line that keeps the
+    free gradients at 0, to the dual's minimum on that line. A step stops
+    at the first alpha to reach 0 or C, and that row leaves ``free``; row
+    j joins it otherwise. If row j lies in the span of the free rows, the
+    dual is linear on its line, so some alpha always stops the step, and
+    j can only take the place of a free row. (A row whose residual against
+    that span is a rounding error has its line minimum far past the box.)
+    So ``free`` never gains a dependent row and has at most d rows, its
+    Gram matrix stays regular, and each step moves one row between 0,
+    (0, C) and C.
+
+    The solve ends when no gradient exceeds ``tol * 2**-20`` against the
+    box, after ``budget`` steps, or on a pivot of 0. That threshold lies
+    far below tol, so the solve stops at the optimum, up to rounding, and
+    not at the first alpha whose violations tol would accept. w is the
+    exactly rounded sum_i alpha_i r_i throughout.
+
+    Returns w, alpha, the gradients and their largest violation.
+    """
+    fsum, mul = math.fsum, operator.mul
+    columns = list(zip(*rows))
+    threshold = tol * 2.0 ** -20
+    alpha = list(alpha)
+    w = [fsum(map(mul, alpha, col)) for col in columns]
+    free: list[int] = []
+    pending = [j for j in range(len(alpha) - 1, -1, -1) if 0.0 < alpha[j] < C]  # next one last
+    g = None
+    for _ in range(budget):
+        gram = [[fsum(map(mul, rows[a], rows[b])) for b in free] for a in free]
+        g_free = [fsum(map(mul, rows[k], w)) - 1.0 for k in free]
+        if any(abs(v) > threshold for v in g_free):
+            p = _solve(gram, [-v for v in g_free])
+            move, limit = free, 1.0
+        else:
+            j, g_j = -1, 0.0
+            while pending:
+                k = pending.pop()
+                g_k = fsum(map(mul, rows[k], w)) - 1.0
+                if abs(g_k) > threshold:
+                    j, g_j = k, g_k
+                    break
+            if j < 0:
+                g = _gradients(rows, w)
+                members = set(free)
+                worst = threshold
+                for i, (a, v) in enumerate(zip(alpha, g)):
+                    if (v < -worst and a < C or v > worst and a > 0.0) and i not in members:
+                        j, g_j, worst = i, v, abs(v)
+                if j < 0:
+                    break
+            row = rows[j]
+            c = _solve(gram, [fsum(map(mul, rows[k], row)) for k in free])
+            if c is None:
+                break
+            # the squared norm of row j's residual against the free rows
+            s = fsum([fsum([row[m], *(-v * rows[k][m] for v, k in zip(c, free))]) ** 2
+                      for m in range(len(row))])
+            sign = -1.0 if g_j > 0.0 else 1.0
+            p = [-v * sign for v in c] + [sign]
+            move = free + [j]
+            limit = abs(g_j) / s if s > 0.0 else math.inf
+        if p is None:
             break
-    return SvmModel(
-        weights=w, standardizer=standardizer,
-        dual_objective_history=history, alpha=alpha,
-        converged=max_violation < tol, max_violation=max_violation,
-    )
+        # the ratio test: the first alpha of the step to reach 0 or C
+        t, blocker, end = limit, -1, 0.0
+        for k, v in zip(move, p):
+            if v > 0.0:
+                tk, bound = (C - alpha[k]) / v, C
+            elif v < 0.0:
+                tk, bound = alpha[k] / -v, 0.0
+            else:
+                continue
+            if tk < t:
+                t, blocker, end = tk, k, bound
+        for k, v in zip(move, p):
+            a = alpha[k] + t * v
+            alpha[k] = 0.0 if a < 0.0 else C if a > C else a
+        if blocker >= 0:
+            alpha[blocker] = end
+        free = [k for k in move if k != blocker]
+        w = [fsum(map(mul, alpha, col)) for col in columns]
+        history.append(0.5 * fsum(map(mul, w, w)) - fsum(alpha))
+        g = None
+    if g is None:
+        g = _gradients(rows, w)
+    max_violation = max(abs(min(v, 0.0) if a <= 0.0 else max(v, 0.0) if a >= C else v)
+                        for a, v in zip(alpha, g))
+    return w, alpha, g, max_violation
+
+
+def _solve(A: list[list[float]], b: list[float]) -> list[float] | None:
+    """x with A x = b, by Gaussian elimination with partial pivoting (the
+    first largest pivot); None when a pivot is 0 or not finite. Each back
+    substitution is an fsum."""
+    m = len(b)
+    M = [[*row, v] for row, v in zip(A, b)]
+    for k in range(m):
+        p = max(range(k, m), key=lambda i: abs(M[i][k]))
+        M[k], M[p] = M[p], M[k]
+        pivot = M[k][k]
+        if not (pivot != 0.0 and math.isfinite(pivot)):
+            return None
+        for i in range(k + 1, m):
+            f = M[i][k] / pivot
+            M[i] = [u - f * v for u, v in zip(M[i], M[k])]
+    x = [0.0] * m
+    for k in range(m - 1, -1, -1):
+        x[k] = math.fsum([M[k][m], *(-M[k][j] * x[j] for j in range(k + 1, m))]) / M[k][k]
+    return x
 
 
 def stratified_kfold(labels, k: int, seed: int = 0) -> list[list[int]]:
@@ -342,6 +524,7 @@ class CvReport:
     k: int
     seed: int
     fold_converged: list[bool] = field(default_factory=list)
+    fold_gaps: list[float] = field(default_factory=list)  # each fold's SvmModel.gap
 
 
 def cross_validate(
@@ -368,7 +551,7 @@ def cross_validate(
     y = [1.0 if l == classes[1] else -1.0 for l in labels]
 
     folds = stratified_kfold(labels, k, seed)
-    accuracies, converged = [], []
+    accuracies, converged, gaps = [], [], []
     for fold in folds:
         held_out = set(fold)
         train = [i for i in range(len(labels)) if i not in held_out]
@@ -379,9 +562,10 @@ def cross_validate(
         hits = sum((v >= 0.0) == (y[i] > 0.0) for v, i in zip(values, fold))
         accuracies.append(hits / len(fold))
         converged.append(model.converged)
+        gaps.append(model.gap)
     return CvReport(
         fold_accuracies=accuracies,
         mean_accuracy=math.fsum(accuracies) / k,
         baseline=majority_baseline(labels),
-        k=k, seed=seed, fold_converged=converged,
+        k=k, seed=seed, fold_converged=converged, fold_gaps=gaps,
     )
