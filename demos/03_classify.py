@@ -10,7 +10,8 @@ corpora.
 
 import random
 
-from newsstyle.learn import PRESETS, cross_validate, train_svm
+from newsstyle.learn import cross_validate, train_svm
+from newsstyle.matrix import PRESETS
 
 rng = random.Random(0)
 

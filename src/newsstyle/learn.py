@@ -1,5 +1,5 @@
-"""Linear SVM classification protocol: standardization, SVM training,
-stratified k-fold cross-validation, and the named top-4 feature presets.
+"""Linear SVM classification protocol: standardization, SVM training and
+stratified k-fold cross-validation.
 
 Everything runs on plain Python floats. A row is a sequence of floats,
 with NA as ``math.nan``. Every sum over a column or a row is
@@ -11,9 +11,7 @@ order of a reduction or on the host. Every random order comes from
 until the set of dual variables at 0 and at C stops changing, then an
 exact active-set solve from there. The sweep orders of the first phase
 are drawn once per (n, seed) and kept in a bounded memo, so the folds of
-one cross-validation share them, and the sweep skips the coordinate steps
-that a rounding-safe bound certifies to be no-ops, so it gives the same
-bits as the sweep that computes every step.
+one cross-validation share them.
 """
 
 from __future__ import annotations
@@ -25,15 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
-from .matrix import PRESETS  # noqa: F401  (re-exported)
-
 _STD_FLOOR = 1e-12
-# the screen of _sweep (see its docstring): the factors that round its
-# bounds toward failing, the least step of the path bound, and the range of
-# |g| it certifies
-_GROW, _SHRINK = 1.0 + 2.0 ** -40, 1.0 - 2.0 ** -40
-_PATH_FLOOR = 2.0 ** -1000
-_G_MIN, _G_MAX = 2.0 ** -10, 2.0 ** 900
 # most row indices the sweep-order memo holds: 2**19 tuple slots, ~4 MiB
 ORDER_MEMO_CAP = 2 ** 19
 
@@ -277,76 +267,26 @@ def _sweep(rows, C: float, max_epochs: int, seed: int):
     each entry of the Gram diagonal is the correctly rounded sum
     (``math.fsum``) of correctly rounded products, and each update is a
     rounded product and a rounded sum per weight.
-
-    Steps certified to be no-ops are skipped. When alpha_i sits at a bound
-    and the computed g points out of the box (alpha_i <= 0 < g, or g < 0
-    with alpha_i >= C), the projected gradient is 0 and the step changes
-    nothing. If also 2**-10 <= |g| <= 2**900, the visit stores
-    ``until[i] = (path + |g| / nu_i) * (1 - 2**-40)``, rounded, and a later
-    visit with ``path < until[i]`` is skipped: the g it would compute has
-    the same strict sign, and alpha_i is where it was, as only a visit of
-    row i moves it. So w, alpha and the violation are the same bits as
-    when every step is computed. The proof, with u = 2**-53, r the signed
-    row of length d (bias entry included), ||.|| the 2-norm, and every
-    quantity the computed float:
-
-    1. Path. ``nu_i = sqrt(q_i) * (1 + 2**-40) >= (1 + u)**4 ||r_i||``. An
-       update w'_j = fl(w_j + fl(delta r_j)) moves w by at most
-       (1 + u)**2 |delta| ||r|| + u ||w|| + d 2**-1074, and
-       ``path' = (path + |delta| nu_i + 2**-1000) * (1 + 2**-40)`` exceeds
-       path by more: the factor covers u path and the four roundings, the
-       2**-1000 the underflow, and a bound that overflows is inf. As w and
-       path start at 0, ||w|| <= path, and ||w1 - w0|| <= path1 - path0
-       between any two visits. A path that is not finite stays so and
-       passes no ``path < until[i]``.
-    2. Gradient. fsum returns the rounding of P = sum_j fl(r_j w_j), and
-       |P - r.w| <= u ||r|| ||w|| + d 2**-1075. So from the certifying
-       visit (0) to a later one (1),
-       |P1 - P0| <= ||r|| (path1 - path0) + u ||r|| (path0 + path1) + d 2**-1074.
-    3. Sign. g1 = fl(fl(P1) - 1) has the strict sign of g0 if P1 lies past
-       the rounding gap around 1 on g0's side, which holds whenever
-       |P1 - P0| < |g0| (1 - 2**-40) + d 2**-1074: with |g0| >= 2**-10 the
-       factor covers the gap and the roundings of P0 and g0.
-    4. Budget. The rounded until[i] is at most
-       path0 (1 - u) / (1 + u) + |g0| (1 - 2**-40) / (||r|| (1 + u)): nu_i
-       and the factor 1 - 2**-40 cover its three roundings. So
-       path1 < until[i] makes the bound of 2 less than that of 3. (A
-       quotient |g0| / nu_i below 2**-1022 may round by 2**-1075: the slack
-       on a nonzero path0 >= 2**-1000 covers that, and with path0 = 0 the
-       test passes only while path = 0, when w has not moved.) And
-       |g0| <= 2**900 bounds each product of a skipped visit by 2**941, so
-       the skipped sum could not have overflowed.
     """
     fsum, mul = math.fsum, operator.mul
-    # the screen's constants, as locals for the sweep
-    grow, shrink, path_floor, g_min, g_max = _GROW, _SHRINK, _PATH_FLOOR, _G_MIN, _G_MAX
     q = [fsum(map(mul, row, row)) for row in rows]  # diagonal of the Gram matrix
-    nu = [math.sqrt(v) * grow for v in q]  # upper bounds on the row norms
     n = len(rows)
     alpha = [0.0] * n
     w = [0.0] * len(rows[0])
-    path = 0.0  # bound on the summed norms of the weight updates
-    until = [0.0] * n  # path below which row i's step is certified a no-op
     for order in _sweep_orders(n, seed).epochs(max_epochs):
         max_violation = 0.0
         settled = True
         for i in order:
-            if path < until[i]:
-                continue
             row = rows[i]
             a = alpha[i]
             g = fsum(map(mul, row, w)) - 1.0
-            # a projected gradient of 0 ends the visit; one pointing out of
-            # the box is certified to stay so for a while
+            # a projected gradient of 0 ends the visit: g pointing out of
+            # the box at a bound, or g == 0
             if g > 0.0:
                 if a <= 0.0:
-                    if g_min <= g <= g_max:
-                        until[i] = (path + g / nu[i]) * shrink
                     continue
             elif g < 0.0:
                 if a >= C:
-                    if g_min <= -g <= g_max:
-                        until[i] = (path - g / nu[i]) * shrink
                     continue
             elif g == 0.0:
                 continue
@@ -367,7 +307,6 @@ def _sweep(rows, C: float, max_epochs: int, seed: int):
                 delta = new - a
                 w = [wj + delta * rj for wj, rj in zip(w, row)]
                 alpha[i] = new
-                path = (path + abs(delta) * nu[i] + path_floor) * grow
         yield w, alpha, max_violation, settled
 
 

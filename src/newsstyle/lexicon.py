@@ -212,11 +212,22 @@ def load_sentiment_lexicon(path: str | Path | None = None) -> SentimentLexicon:
             continue
         parts = line.split("\t")
         if section == "negators":
-            negators.add(parts[0].lower())
-            continue
-        if len(parts) != 2:
+            if len(parts) != 1:
+                raise LexiconFormatError(f"{path}:{lineno}: expected one negator, got {raw!r}")
+        elif len(parts) != 2:
             raise LexiconFormatError(f"{path}:{lineno}: expected term<TAB>value, got {raw!r}")
         word = parts[0].lower()
+        # a term may end in a * after a stem; boosters and negators are
+        # looked up exactly
+        if section != "terms" and "*" in word:
+            raise LexiconFormatError(
+                f"{path}:{lineno}: wildcard not allowed in %{section}: {word!r}")
+        if "*" in word[:-1] or word == "*":
+            raise LexiconFormatError(
+                f"{path}:{lineno}: wildcard only allowed as trailing * after a stem: {word!r}")
+        if section == "negators":
+            negators.add(word)
+            continue
         try:
             value = int(parts[1])
         except ValueError:

@@ -14,8 +14,9 @@ from pathlib import Path
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
 
-# Syllable counts here and category hits in the lexicon are memoized per
-# word type; each memo holds at most this many words.
+# Syllable counts here, category hits in the lexicon and the tagger's
+# word-feature scores (postag._WordScores) are memoized per word type; each
+# memo holds at most this many words.
 WORD_MEMO_CAP = 1 << 16
 
 WORD = "word"

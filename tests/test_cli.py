@@ -418,6 +418,14 @@ def test_ci_feature_column_missing_exit_1(tmp_path, capsys, flags, missing):
      ":2: value for 'good' must be an integer, got 'x'"),
     ("--sentiment-lexicon", "%boosters\nvery\t1.5\n",
      ":2: value for 'very' must be an integer, got '1.5'"),
+    # a bare * would give every word its strength
+    ("--sentiment-lexicon", "*\t3\n", ":1: wildcard only allowed as trailing * after a stem: '*'"),
+    ("--sentiment-lexicon", "da*mn\t-3\n",
+     ":1: wildcard only allowed as trailing * after a stem: 'da*mn'"),
+    ("--sentiment-lexicon", "%boosters\nvery*\t1\n",
+     ":2: wildcard not allowed in %boosters: 'very*'"),
+    ("--sentiment-lexicon", "%negators\nnot*\n", ":2: wildcard not allowed in %negators: 'not*'"),
+    ("--sentiment-lexicon", "%negators\nnot\t1\n", ":2: expected one negator, got 'not\\t1'"),
     ("--tagger-model", "tagset: [NN]\n", ":1: not JSON: Expecting value"),
     ("--tagger-model", '{"format": "newsstyle-tagger"}',
      ": tagger model file lacks key 'tagset'"),

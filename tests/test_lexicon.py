@@ -299,6 +299,24 @@ class TestSentimentFileFormat:
         with pytest.raises(LexiconFormatError):
             load_sentiment_lexicon(f)
 
+    @pytest.mark.parametrize("content, message", [
+        # a bare * would be the empty stem, a prefix of every word
+        ("good\t3\n*\t3\n", ":2: wildcard only allowed as trailing * after a stem: '*'"),
+        ("da*mn\t-3\n", ":1: wildcard only allowed as trailing * after a stem: 'da*mn'"),
+        ("*bad\t-3\n", ":1: wildcard only allowed as trailing * after a stem: '*bad'"),
+        ("bad**\t-3\n", ":1: wildcard only allowed as trailing * after a stem: 'bad**'"),
+        ("%boosters\nvery*\t1\n", ":2: wildcard not allowed in %boosters: 'very*'"),
+        ("%negators\nno*\n", ":2: wildcard not allowed in %negators: 'no*'"),
+        ("%negators\n*\n", ":2: wildcard not allowed in %negators: '*'"),
+        ("%negators\nnot\t1\n", ":2: expected one negator, got 'not\\t1'"),
+    ])
+    def test_malformed_wildcard_or_negator(self, tmp_path, content, message):
+        f = tmp_path / "s.tsv"
+        f.write_text(content)
+        with pytest.raises(LexiconFormatError) as info:
+            load_sentiment_lexicon(f)
+        assert str(info.value) == f"{f}{message}"
+
 
 # non-ASCII letters, curly quotes and hyphens, alone or as suffixes of entries
 _ODD_TEXT = hs.text(alphabet="abeorsyéÉüñßΣσ’‘“”'-", min_size=1, max_size=12)
