@@ -15,9 +15,10 @@ from newsstyle.textseg import split_sentences, tokenize
 FAKE = "SHOCKING REPORT: Senator Caught Hiding MILLIONS In Offshore Accounts"
 REAL = "Senate committee reviews the annual budget proposal for education"
 
-# tokenization keeps character spans into the original string
-for tok in tokenize(FAKE)[:6]:
-    print(f"{tok.text!r:14} kind={tok.kind:12} all_caps={tok.is_all_caps}")
+# tokenization pairs each token's record, shared by every token of its
+# type, with its character span in the original string
+for tok, (start, end) in tokenize(FAKE)[:6]:
+    print(f"{tok.text!r:14} kind={tok.kind:12} all_caps={tok.is_all_caps} span={start}-{end}")
 
 # one shared Resources object: tagger model, lexicons, stop list
 resources = Resources.default()

@@ -98,12 +98,12 @@ def extract_complexity(
     if n_words == 0:
         out.update({name: NA for name in ("GI", "SMOG", "FK", "TTR", "avg_wlen")})
     else:
-        counts = [ts.count_syllables(tok.lower) for tok in word_toks]
+        # a record's count is 0 until ts.syllables stores it
+        counts = [tok.syllables or ts.syllables(tok) for tok in word_toks]
         syllables = sum(counts)
         poly = sum(1 for c in counts if c >= 3)
-        complex_words = sum(
-            1 for (tok, t), c in zip(words, counts) if c >= 3 and ts.is_complex_word(tok.norm, t)
-        )
+        complex_words = sum(1 for (tok, t), c in zip(words, counts)
+                            if c >= 3 and ts.is_complex_word(tok.norm, t, c))
         out["GI"] = 0.4 * (n_words / n_sent + 100.0 * complex_words / n_words)
         out["FK"] = 0.39 * n_words / n_sent + 11.8 * syllables / n_words - 15.59
         out["SMOG"] = 1.0430 * math.sqrt(poly * 30.0 / n_sent) + 3.1291

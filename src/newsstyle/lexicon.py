@@ -21,12 +21,11 @@ Sentiment lexicon: TSV ``term<TAB>strength`` with ``%boosters`` and
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import InputError
-from .textseg import WORD, WORD_MEMO_CAP, Sentence, Token
+from .textseg import WORD, Sentence, Token
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
 
@@ -45,9 +44,6 @@ class CategoryLexicon:
     _exact_cats: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
     _stem_cats: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
     _stem_prefixes: frozenset[str] = field(default=frozenset(), init=False, repr=False)
-    # word -> sorted category indices, filled as words are seen
-    _hit_memo: dict[str, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         exact: dict[str, list[int]] = {}
@@ -62,20 +58,19 @@ class CategoryLexicon:
         self._stem_cats = {s: tuple(ix) for s, ix in stems.items()}
         self._stem_prefixes = frozenset(s[:end] for s in stems for end in range(1, len(s) + 1))
 
-    def _hit_indices(self, word: str) -> tuple[int, ...]:
-        """Category indices of a lowercased word, ascending: those of its
-        exact entry plus those of every prefix that is a wildcard stem."""
-        found = self._hit_memo.get(word)
-        if found is None:
-            cats = set(self._exact_cats.get(word, ()))
-            for end in range(1, len(word) + 1):
-                prefix = word[:end]
-                if prefix not in self._stem_prefixes:
-                    break  # no stem starts with it, so none starts with a longer prefix
-                cats.update(self._stem_cats.get(prefix, ()))
-            found = tuple(sorted(cats))
-            if len(self._hit_memo) < WORD_MEMO_CAP:
-                self._hit_memo[word] = found
+    def _hit_indices(self, tok: Token) -> tuple[int, ...]:
+        """Category indices of a word token's lowercase form, ascending:
+        those of its exact entry plus those of every prefix that is a
+        wildcard stem. Stored on the token's record with this lexicon."""
+        word = tok.lower
+        cats = set(self._exact_cats.get(word, ()))
+        for end in range(1, len(word) + 1):
+            prefix = word[:end]
+            if prefix not in self._stem_prefixes:
+                break  # no stem starts with it, so none starts with a longer prefix
+            cats.update(self._stem_cats.get(prefix, ()))
+        found = tuple(sorted(cats))
+        object.__setattr__(tok, "categories", (self, found))
         return found
 
 
@@ -118,9 +113,12 @@ def match_categories(tokens: list[Token], lex: CategoryLexicon) -> dict[str, int
     """Count word tokens per category (a token may hit several categories,
     but each category at most once: by exact entry or by any stem)."""
     counts = [0] * len(lex._names)
-    for word, n in Counter(t.lower for t in tokens if t.kind == WORD).items():
-        for i in lex._hit_indices(word):
-            counts[i] += n
+    for tok in tokens:
+        if tok.kind == WORD:
+            stored = tok.categories
+            found = stored[1] if stored is not None and stored[0] is lex else lex._hit_indices(tok)
+            for i in found:
+                counts[i] += 1
     return dict(zip(lex._names, counts))
 
 
@@ -144,7 +142,10 @@ def load_frequency_table(path: str | Path | None = None) -> dict[str, float]:
             raise LexiconFormatError(
                 f"{path}:{lineno}: frequency for {word!r} must be a finite number >= 0, "
                 f"got {freq!r}")
-        freqs[word.lower()] = value
+        word = word.lower()
+        if word in freqs:
+            raise LexiconFormatError(f"{path}:{lineno}: duplicate word {word!r}")
+        freqs[word] = value
     return freqs
 
 
@@ -225,6 +226,10 @@ def load_sentiment_lexicon(path: str | Path | None = None) -> SentimentLexicon:
         if "*" in word[:-1] or word == "*":
             raise LexiconFormatError(
                 f"{path}:{lineno}: wildcard only allowed as trailing * after a stem: {word!r}")
+        if word in (terms if section == "terms" else
+                    boosters if section == "boosters" else negators):
+            raise LexiconFormatError(
+                f"{path}:{lineno}: duplicate {section[:-1]} {word!r} in %{section}")
         if section == "negators":
             negators.add(word)
             continue

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import InputError
-from .textseg import NUMBER, PUNCT, SYMBOL, WORD, WORD_MEMO_CAP, Sentence, Token
+from .textseg import NUMBER, PUNCT, SYMBOL, WORD, Sentence, Token, token
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
 
@@ -40,10 +40,9 @@ class TaggerModel:
     lexical_backoff: dict[str, str]
     version: str = "1"
     vocab: set[str] = field(default_factory=set)
-    # built by the first tag() over these weights, rebuilt when they are
-    # reassigned
-    _word_scores: _WordScores | None = field(
-        default=None, init=False, compare=False, repr=False)
+    # built by the first tag() over these weights, backoff and vocab,
+    # rebuilt when one of them is reassigned
+    _tagging: _Tagging | None = field(default=None, init=False, compare=False, repr=False)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -133,7 +132,10 @@ def load_closed_class(path: str | Path | None = None) -> dict[str, str]:
         word, t = parts
         if t not in TAGSET:
             raise TaggerError(f"{path}:{lineno}: tag {t!r} not in tagset")
-        backoff[word.lower()] = t
+        word = word.lower()
+        if word in backoff:
+            raise TaggerError(f"{path}:{lineno}: duplicate word {word!r}")
+        backoff[word] = t
     return backoff
 
 
@@ -144,15 +146,9 @@ def _word_features(tok: Token) -> list[str]:
             f"suf1={low[-1:]}", f"suf2={low[-2:]}", f"suf3={low[-3:]}"]
 
 
-def _context_features(tokens: list[Token], i: int, prev: str, prev2: str) -> list[str]:
-    """The features of a token's neighbours and tag history, then its shape."""
-    tok = tokens[i]
-    feats = [
-        f"p1={prev}",
-        f"p2={prev2}|{prev}",
-        f"pw={tokens[i - 1].lower if i > 0 else '<s>'}",
-        f"nw={tokens[i + 1].lower if i + 1 < len(tokens) else '</s>'}",
-    ]
+def _shape_features(tok: Token) -> list[str]:
+    """The features of a token's shape: they depend on its type alone."""
+    feats = []
     if tok.is_all_caps:
         feats.append("allcaps")
     if tok.kind == NUMBER:
@@ -163,7 +159,16 @@ def _context_features(tokens: list[Token], i: int, prev: str, prev2: str) -> lis
 
 
 def _features(tokens: list[Token], i: int, prev: str, prev2: str) -> list[str]:
-    return _word_features(tokens[i]) + _context_features(tokens, i, prev, prev2)
+    """Every feature of ``tokens[i]`` in scoring order: its own text, its
+    tag history and neighbours, its shape."""
+    tok = tokens[i]
+    context = [
+        f"p1={prev}",
+        f"p2={prev2}|{prev}",
+        f"pw={tokens[i - 1].lower if i > 0 else '<s>'}",
+        f"nw={tokens[i + 1].lower if i + 1 < len(tokens) else '</s>'}",
+    ]
+    return _word_features(tok) + context + _shape_features(tok)
 
 
 def _accumulate(weights: dict[str, dict[str, float]], scores: dict[str, float],
@@ -188,49 +193,74 @@ def _pick(scores: dict[str, float]) -> str:
     return best
 
 
-class _WordScores:
-    """Each word's scores over its ``_word_features``, memoized.
+class _Rows(dict):
+    """The weight rows of one context feature template, by the value that
+    fills it; None for a feature without weights. Filled on first use."""
 
-    The tag scores are sums in feature order and the word features come
-    first, so a copy of these partial scores plus the context features
-    gives the same bits as scoring every feature. A word whose lowercase
-    form has no ``w=``/``lw=`` weight scores only on ``bias`` and its
-    suffixes, all functions of its last three lowercase letters, so it is
-    keyed by those in a namespace of its own; other words are keyed by
-    their norm, since ``w=`` is case-sensitive. Keys whose weighted word
-    features are the same share one score table. At most
-    ``WORD_MEMO_CAP`` keys are remembered; past that, new words are
-    scored but not kept.
+    def __init__(self, weights: dict[str, dict[str, float]], feature):
+        super().__init__()
+        self._weights = weights
+        self._feature = feature
+
+    def __missing__(self, key):
+        row = self[key] = self._weights.get(self._feature(key)) or None
+        return row
+
+
+class _Tagging:
+    """A model's per-type tagging entries, for its current weights, backoff
+    and vocab.
+
+    A tag's perceptron score is a sum in feature order: the word features
+    first, then the context features, then the shape features. The first
+    and last depend only on a token's type, so each type's entry holds its
+    fixed tag (``_fixed_tag``) or else the partial scores of its weighted
+    word features and the weight rows of its shape features; ``tag`` adds
+    the context rows between them, which gives the same bits as scoring
+    every feature. The entry also holds the rows of the type as a
+    neighbour (``pw=``, ``nw=``). Types whose weighted word features are
+    the same share one score table, so the tables grow with the model's
+    features, not with the types seen. The entry is stored on the token's
+    record, paired with this object.
     """
 
-    def __init__(self, weights: dict[str, dict[str, float]]):
-        self.weights = weights
-        self._lexical = frozenset(
-            f[3:] if f.startswith("lw=") else f[2:].lower()
-            for f in weights if f.startswith(("w=", "lw=")))
-        self._by_norm: dict[str, dict[str, float]] = {}
-        self._by_suffix: dict[str, dict[str, float]] = {}
+    def __init__(self, model: TaggerModel):
+        weights = self.weights = model.weights
+        self.lexical_backoff = model.lexical_backoff
+        self.vocab = model.vocab
         # the weighted word features -> their scores, one table per set
         self._tables: dict[tuple[str, ...], dict[str, float]] = {}
+        self.p1 = _Rows(weights, lambda prev: f"p1={prev}")
+        self.p2 = _Rows(weights, lambda prevs: f"p2={prevs[0]}|{prevs[1]}")
+        self.first_pw = weights.get("pw=<s>") or None
+        self.last_nw = weights.get("nw=</s>") or None
 
-    def __call__(self, tok: Token) -> dict[str, float]:
-        """The partial scores of ``tok``, shared: copy before adding."""
-        if tok.lower in self._lexical:
-            memo, key = self._by_norm, tok.norm
-        else:
-            memo, key = self._by_suffix, tok.lower[-3:]
-        scores = memo.get(key)
-        if scores is None:
-            weights = self.weights
+    def fits(self, model: TaggerModel) -> bool:
+        return (self.weights is model.weights and self.lexical_backoff is model.lexical_backoff
+                and self.vocab is model.vocab)
+
+    def entry(self, tok: Token) -> tuple:
+        """(self, fixed tag or None, word scores, shape rows, pw= row, nw=
+        row) of ``tok``'s type; the word scores are shared, so copy them
+        before adding."""
+        weights = self.weights
+        fixed = _fixed_tag(self, tok)
+        scores, shape = None, ()
+        if fixed is None:
             feats = tuple(f for f in _word_features(tok) if weights.get(f))
-            scores = _accumulate(weights, {}, feats)
-            if len(self._by_norm) + len(self._by_suffix) < WORD_MEMO_CAP:
-                scores = memo[key] = self._tables.setdefault(feats, scores)
-        return scores
+            scores = self._tables.get(feats)
+            if scores is None:
+                scores = self._tables[feats] = _accumulate(weights, {}, feats)
+            shape = tuple(weights[f] for f in _shape_features(tok) if weights.get(f))
+        entry = (self, fixed, scores, shape,
+                 weights.get(f"pw={tok.lower}") or None, weights.get(f"nw={tok.lower}") or None)
+        object.__setattr__(tok, "tagging", entry)
+        return entry
 
 
-def _fixed_tag(model: TaggerModel, tok: Token) -> str | None:
-    """Backoff and fallback rules applied before the perceptron."""
+def _fixed_tag(model: TaggerModel | _Tagging, tok: Token) -> str | None:
+    """Backoff and fallback rules applied before the perceptron; they read
+    only ``lexical_backoff`` and ``vocab``."""
     if tok.kind in (PUNCT, SYMBOL):
         return "PUNCT"
     if tok.lower in model.lexical_backoff:
@@ -247,22 +277,38 @@ def tag(sentence: Sentence, model: TaggerModel) -> TaggedSentence:
     unknown-word fallbacks (all-caps -> NNP, numbers -> CD).
 
     Scores the features of ``_features``, as ``train_tagger`` does, with
-    each word's own part taken from the model's memo for its current
-    weights: reassign ``model.weights`` rather than editing it in place.
+    each type's own part taken from its entry for the model's current
+    weights, backoff and vocab: reassign them rather than editing them in
+    place.
     """
-    weights = model.weights
-    word_scores = model._word_scores
-    if word_scores is None or word_scores.weights is not weights:
-        word_scores = model._word_scores = _WordScores(weights)
-    tokens = list(sentence.tokens)
+    tagging = model._tagging
+    if tagging is None or not tagging.fits(model):
+        tagging = model._tagging = _Tagging(model)
+    tokens = sentence.tokens
+    entries = []
+    for tok in tokens:
+        entry = tok.tagging
+        if entry is None or entry[0] is not tagging:
+            entry = tagging.entry(tok)
+        entries.append(entry)
+    last = len(entries) - 1
+    p1, p2 = tagging.p1, tagging.p2
+    pw = tagging.first_pw
     prev, prev2 = "<s>", "<s2>"
     out = []
-    for i, tok in enumerate(tokens):
-        t = _fixed_tag(model, tok)
+    for i, entry in enumerate(entries):
+        t = entry[1]
         if t is None:
-            scores = dict(word_scores(tok))
-            t = _pick(_accumulate(weights, scores, _context_features(tokens, i, prev, prev2)))
-        out.append((tok, t))
+            scores = dict(entry[2])
+            get = scores.get
+            nw = entries[i + 1][5] if i < last else tagging.last_nw
+            for row in (p1[prev], p2[prev2, prev], pw, nw, *entry[3]):
+                if row is not None:
+                    for u, w in row.items():
+                        scores[u] = get(u, 0.0) + w
+            t = _pick(scores)
+        out.append((tokens[i], t))
+        pw = entry[4]
         prev2, prev = prev, t
     return TaggedSentence(tokens=tuple(out))
 
@@ -451,7 +497,6 @@ def load_pretagged(path: str | Path) -> list[TaggedSentence]:
     path = Path(path)
     sentences: list[TaggedSentence] = []
     current: list[tuple[Token, str]] = []
-    offset = 0
     for lineno, raw in enumerate(TaggerError.read_text(path).splitlines(), 1):
         if not raw.strip():
             if current:
@@ -465,14 +510,7 @@ def load_pretagged(path: str | Path) -> list[TaggedSentence]:
         if t not in TAGSET:
             raise TaggerError(f"{path}:{lineno}: tag {t!r} not in tagset")
         kind = WORD if text[0].isalpha() else (NUMBER if text[0].isdigit() else PUNCT)
-        tok = Token(
-            text=text,
-            kind=kind,
-            span=(offset, offset + len(text)),
-            is_all_caps=kind == WORD and len(text) >= 2 and text.isupper(),
-        )
-        offset += len(text) + 1
-        current.append((tok, t))
+        current.append((token(text, kind), t))
     if current:
         sentences.append(TaggedSentence(tokens=tuple(current)))
     return sentences

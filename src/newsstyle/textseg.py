@@ -9,15 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
-
-# Syllable counts here, category hits in the lexicon and the tagger's
-# word-feature scores (postag._WordScores) are memoized per word type; each
-# memo holds at most this many words.
-WORD_MEMO_CAP = 1 << 16
 
 WORD = "word"
 NUMBER = "number"
@@ -44,24 +38,62 @@ _TOKEN_RE = re.compile(
 
 @dataclass(frozen=True, slots=True)
 class Token:
+    """One token type: the tokens of a (text, kind) pair share one record
+    (see ``token``), and each token's span is kept beside it.
+
+    ``text``, ``kind`` and ``is_all_caps`` are its value. ``norm`` and
+    ``lower`` are derived from the text. The last three fields are
+    per-type results that a layer stores the first time it needs them:
+    ``syllables`` (by ``syllables``), and ``categories`` and ``tagging``
+    (by ``lexicon.match_categories`` and ``postag.tag``), each paired with
+    the resource object it was computed from.
+    """
     text: str
     kind: str
-    span: tuple[int, int]
     is_all_caps: bool = False
-    # derived from text at construction; not part of equality or hashing
+    # not part of equality or hashing
     norm: str = field(init=False, compare=False, repr=False)  # curly quotes straightened
     lower: str = field(init=False, compare=False, repr=False)  # norm, lowercased
+    syllables: int = field(default=0, init=False, compare=False, repr=False)  # 0: not yet counted
+    categories: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    tagging: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # _NORMALIZE maps only non-ASCII characters
         norm = self.text if self.text.isascii() else self.text.translate(_NORMALIZE)
+        lower = norm.lower()
         object.__setattr__(self, "norm", norm)
-        object.__setattr__(self, "lower", norm.lower())
+        # one string, not two equal ones, for a type already in lowercase
+        object.__setattr__(self, "lower", norm if lower == norm else lower)
+
+
+# The type table: (text, kind) -> its shared record. It holds at most
+# TYPE_CAP records; past that, each token of a new type gets a record of
+# its own, so its per-type results are computed again for each token.
+TYPE_CAP = 1 << 13
+_types: dict[tuple[str, str], Token] = {}
+
+
+def token(text: str, kind: str) -> Token:
+    """The shared record of a token type, made on first sight. A word of
+    two or more letters, all capitals, is all-caps."""
+    key = (text, kind)
+    tok = _types.get(key)
+    if tok is None:
+        # letters are the only cased characters a word token can hold, so
+        # isupper() means "every letter is a capital"
+        tok = Token(text, kind, kind == WORD and len(text) >= 2 and text.isupper())
+        if len(_types) < TYPE_CAP:
+            _types[key] = tok
+    return tok
 
 
 @dataclass(frozen=True)
 class Sentence:
     tokens: tuple[Token, ...]
+    # (start, end) of each token in the text it came from; empty for
+    # tokens that did not come from a text (``postag.load_pretagged``)
+    spans: tuple[tuple[int, int], ...] = ()
 
 
 def _split_clitic(norm_word: str) -> int | None:
@@ -75,36 +107,32 @@ def _split_clitic(norm_word: str) -> int | None:
     return None
 
 
-def _word_token(original: str, start: int, end: int) -> Token:
-    # letters are the only cased characters a word token can hold, so
-    # isupper() means "every letter is a capital"
-    text = original[start:end]
-    return Token(text, WORD, (start, end), len(text) >= 2 and text.isupper())
-
-
-def tokenize(text: str) -> list[Token]:
-    """Split text into word/number/punctuation/symbol tokens with spans.
+def tokenize(text: str) -> list[tuple[Token, tuple[int, int]]]:
+    """Split text into word/number/punctuation/symbol tokens: one
+    (record, span) pair per token, the record shared by its type.
 
     Spans index the original string, so slicing the input with them
     reconstructs it exactly. Contractions split treebank-style
     ("don't" -> "do" + "n't").
     """
     normalized = text.translate(_NORMALIZE)
-    tokens: list[Token] = []
+    types = _types
+    out: list[tuple[Token, tuple[int, int]]] = []
+    append = out.append
     for m in _TOKEN_RE.finditer(normalized):
         kind = m.lastgroup
-        start, end = m.span()
-        if kind != WORD:
-            tokens.append(Token(text[start:end], kind, (start, end)))
-            continue
-        word = m.group()
-        cut = _split_clitic(word) if "'" in word else None
-        if cut is None:
-            tokens.append(_word_token(text, start, end))
-        else:
-            tokens.append(_word_token(text, start, start + cut))
-            tokens.append(_word_token(text, start + cut, end))
-    return tokens
+        start, end = span = m.span()
+        if kind == WORD and "'" in m.group():
+            cut = _split_clitic(m.group())
+            if cut is not None:
+                cut += start
+                append((token(text[start:cut], WORD), (start, cut)))
+                append((token(text[cut:end], WORD), (cut, end)))
+                continue
+        piece = text[start:end]
+        # token()'s table lookup, inlined for the common case of a known type
+        append((types.get((piece, kind)) or token(piece, kind), span))
+    return out
 
 
 def load_abbreviations(path: str | Path | None = None) -> frozenset[str]:
@@ -141,16 +169,17 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     """
     if abbreviations is None:
         abbreviations = _abbreviations()
-    tokens = tokenize(text)
-    if not tokens:
+    pairs = tokenize(text)
+    if not pairs:
         return []
+    tokens, spans = zip(*pairs)
     normalized = text.translate(_NORMALIZE)
 
-    boundaries: set[int] = set()  # token index after which a sentence ends
+    ends: list[int] = []  # index after each sentence's last token
     for i, tok in enumerate(tokens):
         # a terminator at the end of the text is the last token, which ends
         # the last sentence whether or not it is marked
-        if tok.text not in (".", "!", "?") or not _NEXT_START.match(normalized, tok.span[1]):
+        if tok.text not in (".", "!", "?") or not _NEXT_START.match(normalized, spans[i][1]):
             continue
         if tok.text == "." and i > 0:
             prev = tokens[i - 1]
@@ -159,25 +188,17 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
                 len(prev.text) == 1 or (prev.lower + ".") in abbreviations
             ):
                 continue
-        boundaries.add(i)
-
-    sentences: list[Sentence] = []
-    current: list[Token] = []
-    for i, tok in enumerate(tokens):
-        current.append(tok)
-        if i in boundaries:
-            sentences.append(current)
-            current = []
-    if current:
-        sentences.append(current)
-    return [Sentence(tokens=tuple(s)) for s in sentences]
+        ends.append(i + 1)
+    if not ends or ends[-1] != len(tokens):
+        ends.append(len(tokens))
+    return [Sentence(tokens[start:end], spans[start:end])
+            for start, end in zip([0, *ends], ends)]
 
 
 _VOWELS = set("aeiouy")
 _VOWEL_GROUP = re.compile(r"[aeiouy]+")
 
 
-@lru_cache(maxsize=WORD_MEMO_CAP)
 def count_syllables(word: str) -> int:
     """Heuristic syllable count: maximal vowel groups (a,e,i,o,u,y),
     dropping a terminal silent 'e' (but not '-le'), minimum 1."""
@@ -188,10 +209,23 @@ def count_syllables(word: str) -> int:
     return max(n, 1)
 
 
-def is_complex_word(word: str, tag: str) -> bool:
-    """Gunning Fog complexity: >= 3 syllables, not a proper noun, no hyphen."""
+def syllables(tok: Token) -> int:
+    """``count_syllables`` of the token's lowercase form, counted once per
+    record."""
+    n = tok.syllables
+    if not n:
+        n = count_syllables(tok.lower)
+        object.__setattr__(tok, "syllables", n)
+    return n
+
+
+def is_complex_word(word: str, tag: str, n_syllables: int | None = None) -> bool:
+    """Gunning Fog complexity: >= 3 syllables, not a proper noun, no hyphen.
+    ``n_syllables`` is the word's ``count_syllables``, when already known."""
     if "-" in word:
         return False
     if tag in ("NNP", "NNPS"):
         return False
-    return count_syllables(word) >= 3
+    if n_syllables is None:
+        n_syllables = count_syllables(word)
+    return n_syllables >= 3

@@ -1,9 +1,23 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from newsstyle.features import Resources
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_fresh(args: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new process that imports the package from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
 
 # word pools for synthetic articles
 _COMMON = (

@@ -1,22 +1,18 @@
 import hashlib
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from conftest import write_synthetic_corpus
+from conftest import SRC, run_fresh, write_synthetic_corpus
 from newsstyle.cli import _analyze_matrix, main
 from newsstyle.corpus import LABELS
 from newsstyle.matrix import FeatureMatrix, read_matrix
 from newsstyle.stats import compare_feature
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 SHIPPED_TAGGER_MODEL = Path(SRC) / "newsstyle" / "resources" / "tagger_model.json"
 
 
@@ -426,6 +422,13 @@ def test_ci_feature_column_missing_exit_1(tmp_path, capsys, flags, missing):
      ":2: wildcard not allowed in %boosters: 'very*'"),
     ("--sentiment-lexicon", "%negators\nnot*\n", ":2: wildcard not allowed in %negators: 'not*'"),
     ("--sentiment-lexicon", "%negators\nnot\t1\n", ":2: expected one negator, got 'not\\t1'"),
+    # a repeated key used to keep its last value silently
+    ("--sentiment-lexicon", "good\t3\ngood\t-3\n", ":2: duplicate term 'good' in %terms"),
+    ("--sentiment-lexicon", "%boosters\nvery\t1\nVery\t2\n",
+     ":3: duplicate booster 'very' in %boosters"),
+    ("--sentiment-lexicon", "%negators\nnot\nnever\nNOT\n",
+     ":4: duplicate negator 'not' in %negators"),
+    ("--frequency-table", "the\t5\nof\t3\nThe\t2\n", ":3: duplicate word 'the'"),
     ("--tagger-model", "tagset: [NN]\n", ":1: not JSON: Expecting value"),
     ("--tagger-model", '{"format": "newsstyle-tagger"}',
      ": tagger model file lacks key 'tagset'"),
@@ -549,13 +552,6 @@ def _matrix_commands(m: str, tmp_path: Path) -> list[list[str]]:
     ]
 
 
-def _run_fresh(args: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
-
-
 _TEXT_STACK = ("newsstyle.textseg", "newsstyle.lexicon", "newsstyle.postag")
 _MATRIX_ONLY = _TEXT_STACK + ("newsstyle.features", "newsstyle.learn", "numpy")
 # subcommand -> (modules it must load, modules it must not load)
@@ -598,7 +594,7 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, command):
             fh.write("\\n".join(sorted(sys.modules)))
         sys.exit(code)
     """)
-    proc = _run_fresh(["-c", script])
+    proc = run_fresh(["-c", script])
     assert proc.returncode == 0, proc.stderr
     loaded = set(modules.read_text().split())
     needed, unneeded = _LAYERS[command]
@@ -616,7 +612,7 @@ def test_no_subcommand_loads_numpy(tmp_path):
             assert main(argv) == 0, argv
             assert "numpy" not in sys.modules, argv
     """)
-    proc = _run_fresh(["-c", script])
+    proc = run_fresh(["-c", script])
     assert proc.returncode == 0, proc.stderr
     for out in ("cv_ranked.tsv", "cv_preset.tsv"):
         assert (tmp_path / out).read_text().startswith("schema_version=1\n")
@@ -644,7 +640,7 @@ def test_classify_runs_where_numpy_cannot_be_imported(tmp_path):
         for argv in {_matrix_commands(m, tmp_path)[1:3]!r}:
             assert main(argv) == 0, argv
     """)
-    proc = _run_fresh(["-c", script])
+    proc = run_fresh(["-c", script])
     assert proc.returncode == 0, proc.stderr
     for out in ("cv_ranked.tsv", "cv_preset.tsv"):
         assert (tmp_path / out).read_text().startswith("schema_version=1\n")
@@ -689,7 +685,7 @@ def test_input_error_exit_1_in_a_fresh_process(tmp_path, error):
         "TaggerError": (extract + ["--tagger-model", str(bad)], f"{bad}:1: not JSON"),
     }[error]
     bad.write_bytes(b"x\xe9" if "not UTF-8" in message else b"doc,label,part\n")
-    proc = _run_fresh(["-m", "newsstyle.cli", *argv])
+    proc = run_fresh(["-m", "newsstyle.cli", *argv])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert message in proc.stderr

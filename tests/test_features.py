@@ -1,11 +1,14 @@
 import hashlib
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from conftest import write_synthetic_corpus
+from conftest import SRC, run_fresh, write_synthetic_corpus
+import newsstyle.lexicon as lx
 import newsstyle.postag as pt
 import newsstyle.textseg as ts
 from newsstyle.cli import main
@@ -25,6 +28,8 @@ FAKE_TITLE = (
     "Money Laundering, Sex Crimes with Children, Child Exploitation, "
     'Pay to Play, Perjury"'
 )
+_TAGGED_CORPUS = Path(SRC) / "newsstyle" / "resources" / "tagged_corpus.tsv"
+
 REAL_TITLE = "Preexisting Conditions and Republican Plans to Replace Obamacare"
 
 
@@ -116,6 +121,7 @@ class TestExtractAll:
         text = "The beautiful education initiative flourished. Washington was wonderful!"
         words = [t for s in ts.split_sentences(text) for t in s.tokens if t.kind == ts.WORD]
         poly = sum(1 for t in words if ts.count_syllables(t.lower) >= 3)
+        monkeypatch.setattr(ts, "_types", {})  # records with no count yet
         calls = []
         count_syllables = ts.count_syllables
 
@@ -126,7 +132,8 @@ class TestExtractAll:
         monkeypatch.setattr(ts, "count_syllables", counting)
         extract_all(_doc(body=text), "body", resources)
         assert poly > 0
-        assert 0 < len(calls) <= len(words) + poly
+        # one count per record, none for the complexity test
+        assert sorted(calls) == sorted({t.lower for t in words})
 
     def test_one_chunk_and_metrics_call_per_sentence(self, resources, monkeypatch):
         # the benchmark's trace reads tree_metrics.calls as the sentence
@@ -313,8 +320,9 @@ def test_golden_extract_output(tmp_path):
 
 
 def test_resources_reused_across_runs(tmp_path):
-    # the category and syllable memos fill on the first pass and answer the
-    # second; both passes must write the golden bytes
+    # the records' syllable counts, category hits and tagger entries fill on
+    # the first pass and answer the second; both passes must write the
+    # golden bytes
     corpus, _ = load_corpus(write_synthetic_corpus(
         tmp_path / "corpus", {"real": 12, "fake": 12, "satire": 12}, seed=3), 2)
     labels = {doc.id: doc.label for doc in corpus.documents}
@@ -325,3 +333,80 @@ def test_resources_reused_across_runs(tmp_path):
             vectors = [extract_all(doc, part, resources) for doc in corpus.documents]
             write_matrix(build_matrix(vectors, labels, part), out)
             assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, (run, part)
+
+
+def _rotated_categories(path: Path) -> None:
+    """The shipped category lexicon with each block's entries under the
+    previous block's header, so every word has other category indices."""
+    text = (Path(lx.__file__).parent / "resources" / "categories.dic").read_text(
+        encoding="utf-8")
+    head, *blocks = text.split("\n%")
+    headers = [block.split("\n", 1)[0] for block in blocks]
+    entries = [block.split("\n", 1)[1] for block in blocks]
+    rotated = zip(headers, entries[1:] + entries[:1])
+    path.write_text(head + "".join(f"\n%{h}\n{e}" for h, e in rotated), encoding="utf-8")
+
+
+class TestTypeTable:
+    """Records shared across documents, parts and resources never change a
+    row: whatever the cap and whichever resources filled them first."""
+
+    @pytest.mark.parametrize("cap", [0, 1, 5])
+    def test_cap_keeps_the_golden_bytes(self, tmp_path, monkeypatch, cap):
+        monkeypatch.setattr(ts, "_types", {})
+        monkeypatch.setattr(ts, "TYPE_CAP", cap)
+        corpus = write_synthetic_corpus(tmp_path / "corpus",
+                                        {"real": 12, "fake": 12, "satire": 12}, seed=3)
+        for part, expected in GOLDEN_EXTRACT_SHA256.items():
+            out = tmp_path / f"{part}.csv"
+            assert main(["extract", "--corpus", str(corpus), "--dataset-id", "2",
+                         "--part", part, "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, part
+            assert len(ts._types) == cap
+
+    def test_two_models_and_two_lexicons_in_one_process_match_fresh_processes(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ts, "_types", {})  # so the records are shared whatever ran before
+        corpus_dir = write_synthetic_corpus(tmp_path / "corpus",
+                                            {"real": 4, "fake": 4, "satire": 4}, seed=6)
+        corpus, _ = load_corpus(corpus_dir, 2)
+        labels = {doc.id: doc.label for doc in corpus.documents}
+        shipped = pt.default_model()
+        other = pt.train_tagger(pt.load_pretagged(_TAGGED_CORPUS)[:60], epochs=1, seed=3)
+        other_path = tmp_path / "other_model.json"
+        pt.TaggerModel(tagset=shipped.tagset, weights=other.weights,
+                       lexical_backoff=shipped.lexical_backoff, vocab=shipped.vocab,
+                       ).save(other_path)
+        rotated_path = tmp_path / "rotated.dic"
+        _rotated_categories(rotated_path)
+
+        # one model object whose weights are reassigned, two lexicon objects
+        model = pt.TaggerModel(tagset=shipped.tagset, weights=shipped.weights,
+                               lexical_backoff=shipped.lexical_backoff, vocab=shipped.vocab)
+        resources = replace(Resources.default(), tagger=model)
+        weights = {None: shipped.weights, other_path: pt.TaggerModel.load(other_path).weights}
+        lexicons = {None: resources.categories,
+                    rotated_path: lx.load_category_lexicon(rotated_path)}
+        configs = [(m, c) for m in weights for c in lexicons]
+
+        fresh = {}
+        for m, c in configs:
+            for part in ("title", "body"):
+                out = tmp_path / "fresh.csv"
+                flags = [*(["--tagger-model", str(m)] if m else []),
+                         *(["--category-lexicon", str(c)] if c else [])]
+                proc = run_fresh(["-m", "newsstyle.cli", "extract", "--corpus", str(corpus_dir),
+                                   "--dataset-id", "2", "--part", part, "--out", str(out),
+                                   *flags])
+                assert proc.returncode == 0, proc.stderr
+                fresh[m, c, part] = out.read_bytes()
+        assert len(set(fresh.values())) == len(fresh)  # every config changes the rows
+
+        for m, c in configs + configs[::-1]:
+            model.weights = weights[m]
+            resources.categories = lexicons[c]
+            for part in ("title", "body"):
+                out = tmp_path / "in_process.csv"
+                vectors = [extract_all(doc, part, resources) for doc in corpus.documents]
+                write_matrix(build_matrix(vectors, labels, part), out)
+                assert out.read_bytes() == fresh[m, c, part], (m, c, part)

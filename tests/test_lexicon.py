@@ -16,7 +16,13 @@ from newsstyle.lexicon import (
     match_categories,
     sentiment_strength,
 )
-from newsstyle.textseg import WORD, WORD_MEMO_CAP, Token, split_sentences, tokenize
+import newsstyle.textseg as ts
+from newsstyle.textseg import WORD, split_sentences, token, tokenize
+
+
+def _tokens(text):
+    """The token records of a text, without their spans."""
+    return [tok for tok, _ in tokenize(text)]
 
 
 class TestLoadCategoryLexicon:
@@ -71,12 +77,12 @@ class TestMatchCategories:
 
     def test_negation_count(self, tmp_path):
         lex = self._lex(tmp_path, "%negate\nno\nnot\nnever\n")
-        counts = match_categories(tokenize("I will not go, no."), lex)
+        counts = match_categories(_tokens("I will not go, no."), lex)
         assert counts["negate"] == 2
 
     def test_wildcard_match(self, tmp_path):
         lex = self._lex(tmp_path, "%swear\ndamn*\n")
-        assert match_categories(tokenize("damned"), lex)["swear"] == 1
+        assert match_categories(_tokens("damned"), lex)["swear"] == 1
 
     def test_empty_tokens(self, tmp_path):
         lex = self._lex(tmp_path, "%a\nx\n")
@@ -84,15 +90,15 @@ class TestMatchCategories:
 
     def test_token_in_multiple_categories(self, tmp_path):
         lex = self._lex(tmp_path, "%a\nword\n%b\nword\n")
-        counts = match_categories(tokenize("word"), lex)
+        counts = match_categories(_tokens("word"), lex)
         assert counts == {"a": 1, "b": 1}
 
     def test_additive_under_concatenation(self, tmp_path):
         lex = self._lex(tmp_path, "%a\ncat\ndog\n")
         t1, t2 = "the cat sat", "a dog and a cat"
-        c1 = match_categories(tokenize(t1), lex)["a"]
-        c2 = match_categories(tokenize(t2), lex)["a"]
-        both = match_categories(tokenize(t1 + " " + t2), lex)["a"]
+        c1 = match_categories(_tokens(t1), lex)["a"]
+        c2 = match_categories(_tokens(t2), lex)["a"]
+        both = match_categories(_tokens(t1 + " " + t2), lex)["a"]
         assert both == c1 + c2
 
 
@@ -113,8 +119,9 @@ def _scan_counts(tokens, lex):
 
 
 def _word(text):
-    """A one-token list: the word as a word token, whatever its characters."""
-    return [Token(text, WORD, (0, len(text)))]
+    """A one-token list: the word's shared record as a word token, whatever
+    its characters."""
+    return [token(text, WORD)]
 
 
 def _hits(word, lex):
@@ -141,7 +148,7 @@ class TestCompiledLookup:
     @settings(max_examples=300, deadline=None)
     @given(hs.lists(_words, max_size=25))
     def test_shipped_lexicon_counts_match_scan(self, words):
-        tokens = tokenize(" ".join(words))
+        tokens = _tokens(" ".join(words))
         assert match_categories(tokens, _SHIPPED) == _scan_counts(tokens, _SHIPPED)
 
     @settings(max_examples=300, deadline=None)
@@ -157,7 +164,7 @@ class TestCompiledLookup:
 
     def test_nested_stems_count_once(self, tmp_path):
         lex = self._lex(tmp_path, "%a\nab*\nabc*\nabcd\n%b\nx\n")
-        tokens = tokenize("abcde abcd ab a")
+        tokens = _tokens("abcde abcd ab a")
         counts = match_categories(tokens, lex)
         assert counts == {"a": 3, "b": 0}
         assert counts == _scan_counts(tokens, lex)
@@ -168,7 +175,7 @@ class TestCompiledLookup:
         assert _hits("xyzzy", lex) == ["a", "c"]
         assert _hits("xy", lex) == ["a"]
         assert _hits("x", lex) == []
-        tokens = tokenize("xyz xyzzy xy x q")
+        tokens = _tokens("xyz xyzzy xy x q")
         counts = match_categories(tokens, lex)
         assert counts == {"a": 3, "b": 1, "c": 3}
         assert counts == _scan_counts(tokens, lex)
@@ -177,33 +184,41 @@ class TestCompiledLookup:
 class TestFluency:
     def test_doc_mean(self):
         ft = {"aa": 10, "bb": 20, "cc": 30}
-        assert fluency_doc(tokenize("aa bb cc"), ft) == 20.0
+        assert fluency_doc(_tokens("aa bb cc"), ft) == 20.0
 
     def test_unknown_words_zero(self):
         ft = {}
-        assert fluency_doc(tokenize("zzz qqq"), ft) == 0.0
+        assert fluency_doc(_tokens("zzz qqq"), ft) == 0.0
 
     def test_no_words_undefined(self):
         ft = {}
-        assert fluency_doc(tokenize("..."), ft) is None
+        assert fluency_doc(_tokens("..."), ft) is None
 
     def test_least3(self):
         ft = {"aa": 10, "bb": 20, "cc": 30, "dd": 40}
-        assert fluency_least3(tokenize("aa bb cc dd"), ft) == 20.0
+        assert fluency_least3(_tokens("aa bb cc dd"), ft) == 20.0
 
     def test_least3_fewer_types(self):
         ft = {"aa": 5, "bb": 15}
-        assert fluency_least3(tokenize("aa bb"), ft) == 10.0
+        assert fluency_least3(_tokens("aa bb"), ft) == 10.0
         ft2 = {"aa": 7}
-        assert fluency_least3(tokenize("aa aa"), ft2) == 7.0
+        assert fluency_least3(_tokens("aa aa"), ft2) == 7.0
 
     def test_order_invariance(self):
         ft = {"aa": 3, "bb": 9}
-        assert fluency_doc(tokenize("aa bb aa"), ft) == fluency_doc(tokenize("aa aa bb"), ft)
+        assert fluency_doc(_tokens("aa bb aa"), ft) == fluency_doc(_tokens("aa aa bb"), ft)
 
     def test_shipped_table_loads(self):
         ft = load_frequency_table()
         assert ft["the"] > ft["government"] > 0
+
+    def test_repeated_word_rejected(self, tmp_path):
+        # the lowercased word is the key, so a casing variant repeats it
+        f = tmp_path / "f.tsv"
+        f.write_text("the\t5\nof\t3\nThe\t2\n")
+        with pytest.raises(LexiconFormatError) as info:
+            load_frequency_table(f)
+        assert str(info.value) == f"{f}:3: duplicate word 'the'"
 
 
 class TestSentiment:
@@ -317,6 +332,26 @@ class TestSentimentFileFormat:
             load_sentiment_lexicon(f)
         assert str(info.value) == f"{f}{message}"
 
+    @pytest.mark.parametrize("content, message", [
+        ("good\t3\ngood\t-3\n", ":2: duplicate term 'good' in %terms"),
+        ("bad*\t-2\n%terms\nBAD*\t-2\n", ":3: duplicate term 'bad*' in %terms"),
+        ("%boosters\nvery\t1\n%negators\nnot\n%boosters\nvery\t2\n",
+         ":6: duplicate booster 'very' in %boosters"),
+        ("%negators\nnot\nNot\n", ":3: duplicate negator 'not' in %negators"),
+    ])
+    def test_repeated_key_rejected(self, tmp_path, content, message):
+        f = tmp_path / "s.tsv"
+        f.write_text(content)
+        with pytest.raises(LexiconFormatError) as info:
+            load_sentiment_lexicon(f)
+        assert str(info.value) == f"{f}{message}"
+
+    def test_same_word_in_two_sections_accepted(self, tmp_path):
+        f = tmp_path / "s.tsv"
+        f.write_text("not\t-2\n%boosters\nnot\t1\n%negators\nnot\n")
+        sl = load_sentiment_lexicon(f)
+        assert (sl.terms, sl.boosters, sl.negators) == ({"not": -2}, {"not": 1}, {"not"})
+
 
 # non-ASCII letters, curly quotes and hyphens, alone or as suffixes of entries
 _ODD_TEXT = hs.text(alphabet="abeorsyéÉüñßΣσ’‘“”'-", min_size=1, max_size=12)
@@ -346,11 +381,12 @@ class TestHitMemo:
     @settings(max_examples=300, deadline=None)
     @given(hs.lists(_memo_words, max_size=25))
     def test_match_categories_match_uncached(self, words):
-        tokens = tokenize(" ".join(words))
+        tokens = _tokens(" ".join(words))
         for _ in range(2):
             assert match_categories(tokens, _SHIPPED) == _scan_counts(tokens, _SHIPPED)
 
-    def test_lexicons_never_share_answers(self, tmp_path):
+    def test_lexicons_never_share_answers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ts, "_types", {})  # one record per word for both lexicons
         a = self._lex(tmp_path, "a", "%x\ncat*\n%y\ndog\n")
         b = self._lex(tmp_path, "b", "%y\ncat\n%x\ndog*\n")
         for word in ["cat", "cats", "dog", "dogs", "bird"] * 2:
@@ -358,20 +394,28 @@ class TestHitMemo:
                 assert _hits(word, lex) == _scan_hits(word, lex)
         assert (_hits("cats", a), _hits("cats", b)) == (["x"], [])
         assert (_hits("dogs", a), _hits("dogs", b)) == ([], ["x"])
-        # the memo is not part of a lexicon's value
+        assert _word("cats")[0].categories[0] is b
+        # the records' hits are not part of a lexicon's value
         (tmp_path / "again").mkdir()
         assert a == self._lex(tmp_path / "again", "a", "%x\ncat*\n%y\ndog\n")
 
-    def test_memo_stays_under_cap(self):
+    def test_memo_stays_under_cap(self, monkeypatch):
+        # category hits are stored on the type table's records, so the
+        # table's cap bounds them
+        monkeypatch.setattr(ts, "_types", {})
         lex = load_category_lexicon()
         stem = next(s for cat in lex.stems for s in lex.stems[cat])
-        words = [f"{stem}{i}" for i in range(WORD_MEMO_CAP + 100)]
+        words = [stem + "".join(string.ascii_lowercase[int(d)] for d in str(i))
+                 for i in range(ts.TYPE_CAP + 100)]
         for word in words:
-            match_categories(_word(word), lex)
-        assert len(lex._hit_memo) == WORD_MEMO_CAP
+            match_categories(_tokens(word), lex)
+        assert len(ts._types) == ts.TYPE_CAP
+        assert all(tok.categories[0] is lex for tok in ts._types.values())
         # words past the cap are still answered, just not remembered
         for word in (words[0], words[-1]):
             assert _hits(word, lex) == _scan_hits(word, lex) != []
+            assert match_categories(_tokens(word), lex) == _scan_counts(_tokens(word), lex)
+        assert _tokens(words[-1])[0].categories is None
 
 
 def test_stopwords_load():

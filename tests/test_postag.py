@@ -29,21 +29,20 @@ from newsstyle.postag import (
 )
 from newsstyle.corpus import load_corpus
 from newsstyle.features import Resources, extract_all
-from newsstyle.textseg import Sentence, Token, split_sentences, tokenize
+import newsstyle.textseg
+from newsstyle.textseg import WORD, Sentence, Token, split_sentences, token, tokenize
 
 
 def _sent(text):
-    return Sentence(tokens=tuple(tokenize(text)))
+    tokens, spans = zip(*tokenize(text))
+    return Sentence(tokens=tokens, spans=spans)
 
 
 def _tagged(pairs):
     toks = []
-    pos = 0
     for text, t in pairs:
         toks.append((Token(text=text, kind="word" if text[0].isalpha() else "punctuation",
-                           span=(pos, pos + len(text)),
                            is_all_caps=len(text) >= 2 and text.isalpha() and text.isupper()), t))
-        pos += len(text) + 1
     return TaggedSentence(tokens=tuple(toks))
 
 
@@ -233,23 +232,26 @@ class TestTagDifferential:
 
 
 def _fresh_model():
-    """The shipped model in a new object, so its word-score memo starts empty."""
+    """The shipped model in a new object, so no record holds an entry for it."""
     shipped = default_model()
     return TaggerModel(tagset=shipped.tagset, weights=shipped.weights,
                        lexical_backoff=shipped.lexical_backoff, vocab=shipped.vocab)
 
 
-def _memo_keys(model):
-    memo = model._word_scores
-    return len(memo._by_norm) + len(memo._by_suffix)
+def _entries(model):
+    """The records of the type table that hold an entry for the model's
+    current tagging."""
+    tagging = model._tagging
+    return [tok for tok in newsstyle.textseg._types.values()
+            if tok.tagging is not None and tok.tagging[0] is tagging]
 
 
 class TestWordScoreMemo:
     def test_lexical_word_and_unknown_suffix_keep_their_own_scores(self):
-        # "new" has w=/lw= weights and is keyed by its norm; "zqnew" has none
-        # and is keyed by its last three letters, also "new". Their tags
-        # differ, so one memo for both kinds of key would give the second
-        # word seen the first one's scores, in either order.
+        # "new" has w=/lw= weights; "zqnew" has none and shares its last
+        # three letters. Their tags differ, so an entry keyed by suffix for
+        # both would give the second word seen the first one's scores, in
+        # either order.
         for lexical, context in [("new", "The {} was here ."), ("old", "The {} was here ."),
                                  ("met", "They {} it ."), ("won", "They {} it .")]:
             pair = [_sent(context.format(w)) for w in (lexical, "zq" + lexical)]
@@ -262,7 +264,7 @@ class TestWordScoreMemo:
     def test_lexical_words_come_from_the_weights(self):
         # "Zqx" has only a case-sensitive w= weight, and the vocab does not
         # list it: it is still a lexical word, and its unknown lowercase form
-        # and "aazqx" share the suffix key "zqx"
+        # and "aazqx" score on their suffixes alone
         model = TaggerModel(tagset=("NN", "VB"), lexical_backoff={}, vocab={"aazqx"},
                             weights={"bias": {"NN": 1.0}, "w=Zqx": {"VB": 5.0}})
         sents = [_sent(text) for text in ("aazqx", "Zqx", "zqx", "Zqx aazqx")]
@@ -290,19 +292,38 @@ class TestWordScoreMemo:
         assert new_tags == [_old_tag(s, model) for s in sents]
         assert new_tags != shipped_tags
 
+    def test_reassigned_vocab_and_backoff_are_used(self):
+        # the fixed tags of an entry read the backoff and the vocab
+        model = _fresh_model()
+        sent = _sent("the NYPD said the BBC lied")
+        nypd = sent.tokens[1]
+        assert tag(sent, model).tags() == _old_tag(sent, model)
+        assert tag(sent, model).tags()[0] == "DT"
+        assert nypd.tagging[1] == "NNP"  # unknown and all-caps: a fixed tag
+        model.lexical_backoff = {**model.lexical_backoff, "the": "PDT"}
+        model.vocab = model.vocab | {"nypd"}
+        assert tag(sent, model).tags() == _old_tag(sent, model)
+        assert tag(sent, model).tags()[0] == "PDT"
+        assert nypd.tagging[0] is model._tagging and nypd.tagging[1] is None  # scored
+
     def test_cap_bounds_the_memo_and_keeps_the_tags(self, monkeypatch):
-        monkeypatch.setattr(newsstyle.postag, "WORD_MEMO_CAP", 5)
+        # entries live on the type table's records, so its cap bounds them;
+        # the score tables they share grow with the model's features only
+        monkeypatch.setattr(newsstyle.textseg, "_types", {})
+        monkeypatch.setattr(newsstyle.textseg, "TYPE_CAP", 5)
         model = _fresh_model()
         vocab = sorted(model.vocab)
         rng = random.Random(12)
         for _ in range(100):
             for sent in split_sentences(_random_text(rng, vocab)):
                 assert tag(sent, model).tags() == _old_tag(sent, model)
-                assert _memo_keys(model) <= 5
-        assert _memo_keys(model) == 5
-        assert len(model._word_scores._tables) <= 5
+                assert len(newsstyle.textseg._types) <= 5
+        assert len(newsstyle.textseg._types) == 5
+        assert 0 < len(_entries(model)) <= 5
+        assert len(model._tagging._tables) <= len(model.weights)
 
-    def test_warm_and_fresh_models_give_the_same_rows(self, tmp_path):
+    def test_warm_and_fresh_models_give_the_same_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(newsstyle.textseg, "_types", {})
         corpus, _ = load_corpus(write_synthetic_corpus(
             tmp_path / "corpus", {"real": 6, "fake": 6, "satire": 6}, seed=4), 2)
         resources = replace(Resources.default(), tagger=_fresh_model())
@@ -312,7 +333,7 @@ class TestWordScoreMemo:
                     for doc in corpus.documents for part in ("title", "body")]
 
         cold = rows()
-        assert _memo_keys(resources.tagger) > 0
+        assert _entries(resources.tagger)
         assert rows() == cold
         resources.tagger = _fresh_model()
         assert rows() == cold
@@ -320,17 +341,16 @@ class TestWordScoreMemo:
     def test_equal_word_scores_are_shared(self):
         model = _fresh_model()
         tag(_sent("zzqing"), model)
-        memo = model._word_scores
-        # same last three letters: one key
-        assert memo(tokenize("yyqing")[0]) is memo(tokenize("zzqing")[0])
+        tagging = model._tagging
+        # same last three letters, no word weights: one table
+        assert tagging.entry(token("yyqing", WORD))[2] is tagging.entry(token("zzqing", WORD))[2]
         # suffixes the model has no suf3 or suf2 weight for, the same last
-        # letter: two keys, the same weighted features, one table
+        # letter: two types, the same weighted features, one table
         for suffix in ("qxs", "zxs"):
             assert f"suf3={suffix}" not in model.weights
         assert "suf2=xs" not in model.weights
-        a, b = memo(tokenize("aaqxs")[0]), memo(tokenize("aazxs")[0])
-        assert a is b
-        assert {"qxs", "zxs"} <= set(memo._by_suffix)
+        a, b = tagging.entry(token("aaqxs", WORD)), tagging.entry(token("aazxs", WORD))
+        assert a is not b and a[2] is b[2]
 
 
 class TestChunk:
@@ -613,6 +633,13 @@ class TestLoadClosedClass:
         f = tmp_path / "cc.tsv"
         f.write_text("of\tIN\nthe\tZZ\n")
         with pytest.raises(TaggerError, match=r"cc\.tsv:2: tag 'ZZ' not in tagset"):
+            load_closed_class(f)
+
+    def test_repeated_word_rejected(self, tmp_path):
+        # the lowercased word is the key; the last tag used to win silently
+        f = tmp_path / "cc.tsv"
+        f.write_text("the\tDT\nof\tIN\nThe\tNN\n")
+        with pytest.raises(TaggerError, match=r"cc\.tsv:3: duplicate word 'the'"):
             load_closed_class(f)
 
 
