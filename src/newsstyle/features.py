@@ -98,8 +98,7 @@ def extract_complexity(
     if n_words == 0:
         out.update({name: NA for name in ("GI", "SMOG", "FK", "TTR", "avg_wlen")})
     else:
-        # a record's count is 0 until ts.syllables stores it
-        counts = [tok.syllables or ts.syllables(tok) for tok in word_toks]
+        counts = [tok.syllables for tok in word_toks]
         syllables = sum(counts)
         poly = sum(1 for c in counts if c >= 3)
         complex_words = sum(1 for (tok, t), c in zip(words, counts)

@@ -7,11 +7,12 @@ externally tagged input (token<TAB>tag lines), used to train the tagger.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import InputError
@@ -33,16 +34,57 @@ class TaggerError(ValueError, InputError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaggerModel:
+    """A tagger model is a value: to change a field, build a new model
+    (``dataclasses.replace``) rather than editing one in place. The tables
+    that ``tag`` fills from the weights belong to the model from its
+    construction on.
+
+    A tag's perceptron score is a sum in feature order: the word features
+    first, then the context features, then the shape features. The first
+    and last depend only on a token's type, so each type's entry holds its
+    fixed tag (``_fixed_tag``) or else the partial scores of its weighted
+    word features and the weight rows of its shape features; ``tag`` adds
+    the context rows between them, which gives the same bits as scoring
+    every feature. The entry also holds the rows of the type as a
+    neighbour (``pw=``, ``nw=``). Types whose weighted word features are
+    the same share one score table, so the tables grow with the model's
+    features, not with the types seen. The entry is stored on the token's
+    record, paired with the model.
+    """
     tagset: tuple[str, ...]
     weights: dict[str, dict[str, float]]
     lexical_backoff: dict[str, str]
     version: str = "1"
     vocab: set[str] = field(default_factory=set)
-    # built by the first tag() over these weights, backoff and vocab,
-    # rebuilt when one of them is reassigned
-    _tagging: _Tagging | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        weights = self.weights
+        # the weighted word features -> their scores, one table per set
+        object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_p1", _Rows(weights, lambda prev: f"p1={prev}"))
+        object.__setattr__(self, "_p2", _Rows(weights, lambda prevs: f"p2={prevs[0]}|{prevs[1]}"))
+        object.__setattr__(self, "_first_pw", weights.get("pw=<s>") or None)
+        object.__setattr__(self, "_last_nw", weights.get("nw=</s>") or None)
+
+    def _entry(self, tok: Token) -> tuple:
+        """(self, fixed tag or None, word scores, shape rows, pw= row, nw=
+        row) of ``tok``'s type, stored on its record; the word scores are
+        shared, so copy them before adding."""
+        weights = self.weights
+        fixed = _fixed_tag(self, tok)
+        scores, shape = None, ()
+        if fixed is None:
+            feats = tuple(f for f in _word_features(tok) if weights.get(f))
+            scores = self._tables.get(feats)
+            if scores is None:
+                scores = self._tables[feats] = _accumulate(weights, {}, feats)
+            shape = tuple(weights[f] for f in _shape_features(tok) if weights.get(f))
+        entry = (self, fixed, scores, shape,
+                 weights.get(f"pw={tok.lower}") or None, weights.get(f"nw={tok.lower}") or None)
+        object.__setattr__(tok, "tagging", entry)
+        return entry
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -207,58 +249,7 @@ class _Rows(dict):
         return row
 
 
-class _Tagging:
-    """A model's per-type tagging entries, for its current weights, backoff
-    and vocab.
-
-    A tag's perceptron score is a sum in feature order: the word features
-    first, then the context features, then the shape features. The first
-    and last depend only on a token's type, so each type's entry holds its
-    fixed tag (``_fixed_tag``) or else the partial scores of its weighted
-    word features and the weight rows of its shape features; ``tag`` adds
-    the context rows between them, which gives the same bits as scoring
-    every feature. The entry also holds the rows of the type as a
-    neighbour (``pw=``, ``nw=``). Types whose weighted word features are
-    the same share one score table, so the tables grow with the model's
-    features, not with the types seen. The entry is stored on the token's
-    record, paired with this object.
-    """
-
-    def __init__(self, model: TaggerModel):
-        weights = self.weights = model.weights
-        self.lexical_backoff = model.lexical_backoff
-        self.vocab = model.vocab
-        # the weighted word features -> their scores, one table per set
-        self._tables: dict[tuple[str, ...], dict[str, float]] = {}
-        self.p1 = _Rows(weights, lambda prev: f"p1={prev}")
-        self.p2 = _Rows(weights, lambda prevs: f"p2={prevs[0]}|{prevs[1]}")
-        self.first_pw = weights.get("pw=<s>") or None
-        self.last_nw = weights.get("nw=</s>") or None
-
-    def fits(self, model: TaggerModel) -> bool:
-        return (self.weights is model.weights and self.lexical_backoff is model.lexical_backoff
-                and self.vocab is model.vocab)
-
-    def entry(self, tok: Token) -> tuple:
-        """(self, fixed tag or None, word scores, shape rows, pw= row, nw=
-        row) of ``tok``'s type; the word scores are shared, so copy them
-        before adding."""
-        weights = self.weights
-        fixed = _fixed_tag(self, tok)
-        scores, shape = None, ()
-        if fixed is None:
-            feats = tuple(f for f in _word_features(tok) if weights.get(f))
-            scores = self._tables.get(feats)
-            if scores is None:
-                scores = self._tables[feats] = _accumulate(weights, {}, feats)
-            shape = tuple(weights[f] for f in _shape_features(tok) if weights.get(f))
-        entry = (self, fixed, scores, shape,
-                 weights.get(f"pw={tok.lower}") or None, weights.get(f"nw={tok.lower}") or None)
-        object.__setattr__(tok, "tagging", entry)
-        return entry
-
-
-def _fixed_tag(model: TaggerModel | _Tagging, tok: Token) -> str | None:
+def _fixed_tag(model: TaggerModel, tok: Token) -> str | None:
     """Backoff and fallback rules applied before the perceptron; they read
     only ``lexical_backoff`` and ``vocab``."""
     if tok.kind in (PUNCT, SYMBOL):
@@ -277,23 +268,18 @@ def tag(sentence: Sentence, model: TaggerModel) -> TaggedSentence:
     unknown-word fallbacks (all-caps -> NNP, numbers -> CD).
 
     Scores the features of ``_features``, as ``train_tagger`` does, with
-    each type's own part taken from its entry for the model's current
-    weights, backoff and vocab: reassign them rather than editing them in
-    place.
+    each type's own part taken from its entry for the model.
     """
-    tagging = model._tagging
-    if tagging is None or not tagging.fits(model):
-        tagging = model._tagging = _Tagging(model)
     tokens = sentence.tokens
     entries = []
     for tok in tokens:
         entry = tok.tagging
-        if entry is None or entry[0] is not tagging:
-            entry = tagging.entry(tok)
+        if entry is None or entry[0] is not model:
+            entry = model._entry(tok)
         entries.append(entry)
     last = len(entries) - 1
-    p1, p2 = tagging.p1, tagging.p2
-    pw = tagging.first_pw
+    p1, p2 = model._p1, model._p2
+    pw = model._first_pw
     prev, prev2 = "<s>", "<s2>"
     out = []
     for i, entry in enumerate(entries):
@@ -301,7 +287,7 @@ def tag(sentence: Sentence, model: TaggerModel) -> TaggedSentence:
         if t is None:
             scores = dict(entry[2])
             get = scores.get
-            nw = entries[i + 1][5] if i < last else tagging.last_nw
+            nw = entries[i + 1][5] if i < last else model._last_nw
             for row in (p1[prev], p2[prev2, prev], pw, nw, *entry[3]):
                 if row is not None:
                     for u, w in row.items():
@@ -332,10 +318,10 @@ def train_tagger(
     if unknown:
         raise TaggerError(f"tag {min(unknown)!r} not in tagset")
 
-    model = TaggerModel(
-        tagset=tuple(TAGSET), weights={}, lexical_backoff=backoff, version="1"
-    )
     weights: dict[str, dict[str, float]] = defaultdict(lambda: defaultdict(float))
+    # the live model: training reads its backoff, vocab and weights as they
+    # grow, never the tables that tag() fills
+    model = TaggerModel(tagset=tuple(TAGSET), weights=weights, lexical_backoff=backoff)
     totals: dict[tuple[str, str], float] = defaultdict(float)
     stamps: dict[tuple[str, str], int] = defaultdict(int)
     step = 0
@@ -370,7 +356,6 @@ def train_tagger(
                     # condition on gold history for stable training
                     guess = gold
                 prev2, prev = prev, guess
-                model.weights = weights  # live weights during training
 
     averaged: dict[str, dict[str, float]] = {}
     for feat, tagw in weights.items():
@@ -380,8 +365,7 @@ def train_tagger(
             avg = total / max(step, 1)
             if abs(avg) > 1e-12:
                 averaged.setdefault(feat, {})[t] = round(avg, 6)
-    model.weights = averaged
-    return model
+    return replace(model, weights=averaged)
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +500,7 @@ def load_pretagged(path: str | Path) -> list[TaggedSentence]:
     return sentences
 
 
-_DEFAULT_MODEL: TaggerModel | None = None
-
-
+@functools.cache
 def default_model() -> TaggerModel:
     """The pinned tagger model shipped with the package."""
-    global _DEFAULT_MODEL
-    if _DEFAULT_MODEL is None:
-        _DEFAULT_MODEL = TaggerModel.load(_RESOURCE_DIR / "tagger_model.json")
-    return _DEFAULT_MODEL
+    return TaggerModel.load(_RESOURCE_DIR / "tagger_model.json")

@@ -1,8 +1,8 @@
 """Hypothesis-testing protocol: normality gate, one-way ANOVA, Wilcoxon
 rank-sum, Kruskal-Wallis, group orderings, and feature ranking.
 
-The distribution CDFs are built on self-contained special functions
-(Lanczos log-gamma, continued-fraction incomplete beta/gamma) so the
+The distribution CDFs are built on the standard library's log-gamma and
+self-contained continued-fraction incomplete beta/gamma functions, so the
 statistical core has no third-party dependency; the test suite checks them
 against an independent reference implementation.
 """
@@ -22,33 +22,11 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 # special functions
 
-# Lanczos g=7, n=9 coefficients
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0 (Lanczos approximation)."""
+    """log Gamma(x) for x > 0."""
     if x <= 0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the approximation accurate near 0
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    x -= 1.0
-    a = _LANCZOS[0]
-    t = x + 7.5
-    for i in range(1, 9):
-        a += _LANCZOS[i] / (x + i)
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(a)
+    return math.lgamma(x)
 
 
 def _betacf(x: float, a: float, b: float) -> float:

@@ -7,9 +7,12 @@ deterministic: no probabilistic models, no language detection.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from . import InputError
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
 
@@ -41,12 +44,13 @@ class Token:
     """One token type: the tokens of a (text, kind) pair share one record
     (see ``token``), and each token's span is kept beside it.
 
-    ``text``, ``kind`` and ``is_all_caps`` are its value. ``norm`` and
-    ``lower`` are derived from the text. The last three fields are
-    per-type results that a layer stores the first time it needs them:
-    ``syllables`` (by ``syllables``), and ``categories`` and ``tagging``
-    (by ``lexicon.match_categories`` and ``postag.tag``), each paired with
-    the resource object it was computed from.
+    ``text``, ``kind`` and ``is_all_caps`` are its value. ``norm``,
+    ``lower`` and ``syllables`` (``count_syllables`` of ``lower`` for a
+    word, 0 for the other kinds) are derived from it when the record is
+    made. ``categories`` and ``tagging`` are per-type results that
+    ``lexicon.match_categories`` and ``postag.tag`` store the first time
+    they need them, each paired with the resource object it was computed
+    from.
     """
     text: str
     kind: str
@@ -54,7 +58,7 @@ class Token:
     # not part of equality or hashing
     norm: str = field(init=False, compare=False, repr=False)  # curly quotes straightened
     lower: str = field(init=False, compare=False, repr=False)  # norm, lowercased
-    syllables: int = field(default=0, init=False, compare=False, repr=False)  # 0: not yet counted
+    syllables: int = field(init=False, compare=False, repr=False)
     categories: tuple | None = field(default=None, init=False, compare=False, repr=False)
     tagging: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -65,6 +69,7 @@ class Token:
         object.__setattr__(self, "norm", norm)
         # one string, not two equal ones, for a type already in lowercase
         object.__setattr__(self, "lower", norm if lower == norm else lower)
+        object.__setattr__(self, "syllables", count_syllables(lower) if self.kind == WORD else 0)
 
 
 # The type table: (text, kind) -> its shared record. It holds at most
@@ -139,21 +144,16 @@ def load_abbreviations(path: str | Path | None = None) -> frozenset[str]:
     """One abbreviation per line (with trailing period), # comments."""
     path = Path(path) if path else _RESOURCE_DIR / "abbreviations.txt"
     entries = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in InputError.read_text(path).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             entries.add(line.lower())
     return frozenset(entries)
 
 
-_DEFAULT_ABBREVIATIONS: frozenset[str] | None = None
-
-
+@functools.cache
 def _abbreviations() -> frozenset[str]:
-    global _DEFAULT_ABBREVIATIONS
-    if _DEFAULT_ABBREVIATIONS is None:
-        _DEFAULT_ABBREVIATIONS = load_abbreviations()
-    return _DEFAULT_ABBREVIATIONS
+    return load_abbreviations()
 
 
 _NEXT_START = re.compile(r'\s+["\'(]*[A-Z0-9]')  # whitespace, then a sentence start
@@ -207,16 +207,6 @@ def count_syllables(word: str) -> int:
     if n > 1 and w.endswith("e") and not w.endswith("le") and w[-2] not in _VOWELS:
         n -= 1
     return max(n, 1)
-
-
-def syllables(tok: Token) -> int:
-    """``count_syllables`` of the token's lowercase form, counted once per
-    record."""
-    n = tok.syllables
-    if not n:
-        n = count_syllables(tok.lower)
-        object.__setattr__(tok, "syllables", n)
-    return n
 
 
 def is_complex_word(word: str, tag: str, n_syllables: int | None = None) -> bool:

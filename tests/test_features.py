@@ -374,20 +374,17 @@ class TestTypeTable:
         shipped = pt.default_model()
         other = pt.train_tagger(pt.load_pretagged(_TAGGED_CORPUS)[:60], epochs=1, seed=3)
         other_path = tmp_path / "other_model.json"
-        pt.TaggerModel(tagset=shipped.tagset, weights=other.weights,
-                       lexical_backoff=shipped.lexical_backoff, vocab=shipped.vocab,
-                       ).save(other_path)
+        replace(shipped, weights=other.weights).save(other_path)
         rotated_path = tmp_path / "rotated.dic"
         _rotated_categories(rotated_path)
 
-        # one model object whose weights are reassigned, two lexicon objects
-        model = pt.TaggerModel(tagset=shipped.tagset, weights=shipped.weights,
-                               lexical_backoff=shipped.lexical_backoff, vocab=shipped.vocab)
-        resources = replace(Resources.default(), tagger=model)
-        weights = {None: shipped.weights, other_path: pt.TaggerModel.load(other_path).weights}
+        # two model objects, one built from the other, and two lexicon objects
+        resources = Resources.default()
+        models = {None: replace(shipped),
+                  other_path: replace(shipped, weights=pt.TaggerModel.load(other_path).weights)}
         lexicons = {None: resources.categories,
                     rotated_path: lx.load_category_lexicon(rotated_path)}
-        configs = [(m, c) for m in weights for c in lexicons]
+        configs = [(m, c) for m in models for c in lexicons]
 
         fresh = {}
         for m, c in configs:
@@ -403,7 +400,7 @@ class TestTypeTable:
         assert len(set(fresh.values())) == len(fresh)  # every config changes the rows
 
         for m, c in configs + configs[::-1]:
-            model.weights = weights[m]
+            resources.tagger = models[m]
             resources.categories = lexicons[c]
             for part in ("title", "body"):
                 out = tmp_path / "in_process.csv"

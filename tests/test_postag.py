@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -223,7 +224,8 @@ class TestTagDifferential:
         # the tie rule (smallest tag name) decides many tokens
         data = load_pretagged(TAGGED_CORPUS)[:60]
         model = train_tagger(data, epochs=1, seed=3)
-        model.weights = {f: {t: round(w) for t, w in tw.items()} for f, tw in model.weights.items()}
+        model = replace(model, weights={f: {t: round(w) for t, w in tw.items()}
+                                        for f, tw in model.weights.items()})
         rng = random.Random(5)
         vocab = sorted(model.vocab)
         for _ in range(200):
@@ -239,11 +241,9 @@ def _fresh_model():
 
 
 def _entries(model):
-    """The records of the type table that hold an entry for the model's
-    current tagging."""
-    tagging = model._tagging
+    """The records of the type table that hold an entry for the model."""
     return [tok for tok in newsstyle.textseg._types.values()
-            if tok.tagging is not None and tok.tagging[0] is tagging]
+            if tok.tagging is not None and tok.tagging[0] is model]
 
 
 class TestWordScoreMemo:
@@ -287,7 +287,8 @@ class TestWordScoreMemo:
         rng = random.Random(8)
         sents = [s for _ in range(100) for s in split_sentences(_random_text(rng, vocab))]
         shipped_tags = [tag(s, model).tags() for s in sents]
-        model.weights = train_tagger(load_pretagged(TAGGED_CORPUS)[:60], epochs=1, seed=3).weights
+        model = replace(model, weights=train_tagger(load_pretagged(TAGGED_CORPUS)[:60],
+                                                    epochs=1, seed=3).weights)
         new_tags = [tag(s, model).tags() for s in sents]
         assert new_tags == [_old_tag(s, model) for s in sents]
         assert new_tags != shipped_tags
@@ -300,11 +301,11 @@ class TestWordScoreMemo:
         assert tag(sent, model).tags() == _old_tag(sent, model)
         assert tag(sent, model).tags()[0] == "DT"
         assert nypd.tagging[1] == "NNP"  # unknown and all-caps: a fixed tag
-        model.lexical_backoff = {**model.lexical_backoff, "the": "PDT"}
-        model.vocab = model.vocab | {"nypd"}
+        model = replace(model, lexical_backoff={**model.lexical_backoff, "the": "PDT"},
+                        vocab=model.vocab | {"nypd"})
         assert tag(sent, model).tags() == _old_tag(sent, model)
         assert tag(sent, model).tags()[0] == "PDT"
-        assert nypd.tagging[0] is model._tagging and nypd.tagging[1] is None  # scored
+        assert nypd.tagging[0] is model and nypd.tagging[1] is None  # scored
 
     def test_cap_bounds_the_memo_and_keeps_the_tags(self, monkeypatch):
         # entries live on the type table's records, so its cap bounds them;
@@ -320,7 +321,7 @@ class TestWordScoreMemo:
                 assert len(newsstyle.textseg._types) <= 5
         assert len(newsstyle.textseg._types) == 5
         assert 0 < len(_entries(model)) <= 5
-        assert len(model._tagging._tables) <= len(model.weights)
+        assert len(model._tables) <= len(model.weights)
 
     def test_warm_and_fresh_models_give_the_same_rows(self, tmp_path, monkeypatch):
         monkeypatch.setattr(newsstyle.textseg, "_types", {})
@@ -341,15 +342,14 @@ class TestWordScoreMemo:
     def test_equal_word_scores_are_shared(self):
         model = _fresh_model()
         tag(_sent("zzqing"), model)
-        tagging = model._tagging
         # same last three letters, no word weights: one table
-        assert tagging.entry(token("yyqing", WORD))[2] is tagging.entry(token("zzqing", WORD))[2]
+        assert model._entry(token("yyqing", WORD))[2] is model._entry(token("zzqing", WORD))[2]
         # suffixes the model has no suf3 or suf2 weight for, the same last
         # letter: two types, the same weighted features, one table
         for suffix in ("qxs", "zxs"):
             assert f"suf3={suffix}" not in model.weights
         assert "suf2=xs" not in model.weights
-        a, b = tagging.entry(token("aaqxs", WORD)), tagging.entry(token("aazxs", WORD))
+        a, b = model._entry(token("aaqxs", WORD)), model._entry(token("aazxs", WORD))
         assert a is not b and a[2] is b[2]
 
 
@@ -660,6 +660,14 @@ class TestTaggerModelLoad:
         assert model.weights == {"bias": {"NN": 1.0, "DT": -1}}
         assert model.lexical_backoff == {"the": "DT"}
         assert model.vocab == {"dog"}
+
+    def test_fields_cannot_be_assigned(self):
+        # a model is a value: the tables tag() fills belong to it, so a new value
+        # is a new model
+        model = default_model()
+        for name in [f.name for f in dataclasses.fields(model)] + ["_tables", "_p1"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, getattr(model, name))
 
     def test_shipped_model_round_trips(self, tmp_path):
         shipped = default_model()
