@@ -2,12 +2,14 @@
 
 On-disk layout: ``<root>/<label>/<id>.txt`` (UTF-8, first line title,
 blank line, body), with an optional ``<id>.meta`` sidecar carrying
-``source=<name>`` lines. Dataset 1 admits real/fake, dataset 3
+``source=<name>`` lines. Both are read as UTF-8 after an optional
+byte-order mark, which is dropped. Dataset 1 admits real/fake, dataset 3
 real/satire, dataset 2 all three.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,16 +65,29 @@ class LoadReport:
     errors: list[tuple[str, str]] = field(default_factory=list)  # (path, reason)
 
 
+def _read_text(path: Path) -> str:
+    """The file's text as ``read_text`` gives it, decoded as UTF-8 after an
+    optional byte-order mark. The bytes are decoded whole: the streaming
+    decoder would read a lone partial mark as an empty file."""
+    text = path.read_bytes().decode("utf-8-sig")
+    if "\r" in text:  # universal newlines, as read_text translates them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _read_article(path: Path) -> tuple[str, str]:
-    text = path.read_text(encoding="utf-8")
-    first, _, rest = text.partition("\n")
+    first, _, rest = _read_text(path).partition("\n")
     return first.strip(), rest.strip()
 
 
 def _read_source(meta: Path) -> str:
-    if not meta.exists():
-        return ""
-    for line in meta.read_text(encoding="utf-8").splitlines():
+    try:
+        lines = _read_text(meta).splitlines()
+    except OSError:
+        if meta.exists():
+            raise
+        return ""  # a listed name that is a dangling or looping link: no sidecar
+    for line in lines:
         if line.startswith("source="):
             return line[len("source="):].strip()
     return ""
@@ -81,7 +96,11 @@ def _read_source(meta: Path) -> str:
 def load_corpus(root_dir: str | Path, dataset_id: int) -> tuple[Corpus, LoadReport]:
     """Load every readable article under root_dir, in lexicographic id
     order. Unreadable or empty files go into the load report instead of
-    aborting; a missing/empty directory structure raises CorpusError."""
+    aborting; a missing/empty directory structure raises CorpusError.
+
+    Each label directory is listed once: its ``*.txt`` names, sorted, are
+    the articles, and an article's ``.meta`` sidecar is read only when the
+    listing holds its name."""
     root = Path(root_dir)
     if dataset_id not in DATASET_LABELS:
         raise CorpusError(f"unknown dataset_id {dataset_id}")
@@ -95,13 +114,14 @@ def load_corpus(root_dir: str | Path, dataset_id: int) -> tuple[Corpus, LoadRepo
     docs: list[Document] = []
     for label_dir in label_dirs:
         label = label_dir.name
-        for path in sorted(label_dir.glob("*.txt")):
-            doc_id = path.stem
+        listed = set(os.listdir(label_dir))
+        for name in sorted(n for n in listed if n.endswith(".txt")):
+            path = label_dir / name
             reading = path
             try:
                 title, body = _read_article(path)
                 reading = path.with_suffix(".meta")
-                source = _read_source(reading)
+                source = _read_source(reading) if reading.name in listed else ""
             except (OSError, UnicodeDecodeError) as e:
                 report.errors.append((str(reading), str(e)))
                 continue
@@ -110,7 +130,7 @@ def load_corpus(root_dir: str | Path, dataset_id: int) -> tuple[Corpus, LoadRepo
                 continue
             docs.append(
                 Document(
-                    id=doc_id,
+                    id=path.stem,
                     dataset_id=dataset_id,
                     source=source,
                     label=label,

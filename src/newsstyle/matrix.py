@@ -78,12 +78,13 @@ class FeatureMatrix:
 def build_matrix(vectors: list, labels: dict[str, str], part: str) -> FeatureMatrix:
     """One row per ``features.FeatureVector``, its label looked up by doc_id."""
     names = CATALOG
+    required = frozenset(names)
     rows = []
     ids = []
     labs = []
     for vec in vectors:
-        missing = [n for n in names if n not in vec.values]
-        if missing:
+        if not vec.values.keys() >= required:
+            missing = [n for n in names if n not in vec.values]
             raise MatrixFormatError(f"{vec.doc_id}: missing features {missing}")
         rows.append([vec.values[n] for n in names])
         ids.append(vec.doc_id)
@@ -103,12 +104,25 @@ def _format_value(v: float | None) -> str:
 
 
 def write_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
-    """CSV with header doc_id,label,part,<features>; NA marks undefined."""
+    """CSV with header doc_id,label,part,<features>; NA marks undefined.
+
+    Counts repeat across rows, so each distinct integral value is formatted
+    once per call; other values, NaN and None are formatted per cell.
+    """
+    integral: dict[float, str] = {}
+
+    def text(v: float | None) -> str:
+        s = _format_value(v)
+        if type(v) is float and v.is_integer():
+            integral[v] = s
+        return s
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["doc_id", "label", "part", *matrix.feature_names])
         for doc_id, label, row in zip(matrix.doc_ids, matrix.labels, matrix.rows):
-            writer.writerow([doc_id, label, matrix.part, *[_format_value(v) for v in row]])
+            writer.writerow([doc_id, label, matrix.part,
+                             *[integral.get(v) or text(v) for v in row]])
 
 
 def read_matrix(path: str | Path) -> FeatureMatrix:

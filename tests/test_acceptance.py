@@ -273,7 +273,6 @@ def test_criterion_9_property_suites():
             failures.append("tokenizer round-trip")
             break
 
-    from newsstyle.features import extract_stylistic, extract_complexity  # noqa: F401
     from newsstyle.postag import TaggedSentence
     from newsstyle.textseg import Token, WORD
 

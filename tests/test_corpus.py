@@ -82,6 +82,97 @@ class TestLoadCorpus:
         assert report.errors == []
         assert corpus.documents[0].title == ""
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        _write(tmp_path, "fake", "plain", title="BREAKING: Senate Votes")
+        d = tmp_path / "fake"
+        (d / "marked.txt").write_bytes(
+            b"\xef\xbb\xbf" + (d / "plain.txt").read_bytes())
+        (d / "marked.meta").write_bytes("\ufeffsource=Ending the Fed\n".encode("utf-8"))
+        corpus, report = load_corpus(tmp_path, 1)
+        assert report.errors == []
+        marked, plain = corpus.documents
+        assert marked.id == "marked"
+        assert (marked.title, marked.body) == (plain.title, plain.body)
+        assert marked.title == "BREAKING: Senate Votes"
+        assert marked.source == "Ending the Fed"
+
+    def test_marked_title_extracts_as_unmarked(self, tmp_path, resources):
+        from newsstyle.features import extract_all
+
+        _write(tmp_path, "fake", "plain", title="Hillary Emails")
+        d = tmp_path / "fake"
+        (d / "marked.txt").write_bytes(b"\xef\xbb\xbf" + (d / "plain.txt").read_bytes())
+        corpus, _ = load_corpus(tmp_path, 1)
+        marked, plain = (extract_all(doc, "title", resources).values
+                         for doc in corpus.documents)
+        # a mark read as text is a symbol token tagged PUNCT, which the
+        # tagger then sees before "Hillary" instead of the sentence start
+        assert marked == plain
+        assert (marked["NNP"], marked["NN"]) == (2.0, 0.0)
+
+    def test_bad_byte_without_mark_reported_as_before(self, tmp_path):
+        _write(tmp_path, "real", "good")
+        bad = tmp_path / "real" / "bad.txt"
+        bad.write_bytes(b"Title with a bad byte here: " + b"x" * 12 + b"\xff\n\nBody.\n")
+        corpus, report = load_corpus(tmp_path, 1)
+        assert [d.id for d in corpus.documents] == ["good"]
+        assert report.errors == [(str(bad), "'utf-8' codec can't decode byte 0xff in "
+                                            "position 40: invalid start byte")]
+
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
+    def test_partial_mark_is_not_utf8(self, tmp_path, data):
+        _write(tmp_path, "real", "good")
+        (tmp_path / "real" / "bad.txt").write_bytes(data)
+        _, report = load_corpus(tmp_path, 1)
+        assert len(report.errors) == 1
+        assert "unexpected end of data" in report.errors[0][1]
+
+    def test_universal_newlines(self, tmp_path):
+        d = tmp_path / "real"
+        d.mkdir()
+        (d / "crlf.txt").write_bytes(b"A title\r\n\r\nOne line.\r\nTwo lines.\r\n")
+        (d / "cr.txt").write_bytes(b"A title\r\rOne line.\rTwo lines.\r")
+        (d / "cr.meta").write_bytes(b"x=1\rsource=Mac\r")
+        corpus, report = load_corpus(tmp_path, 1)
+        assert report.errors == []
+        assert [(doc.title, doc.body, doc.source) for doc in corpus.documents] == [
+            ("A title", "One line.\nTwo lines.", "Mac"),
+            ("A title", "One line.\nTwo lines.", ""),
+        ]
+
+    def test_one_listing_keeps_glob_ids_order_and_report(self, tmp_path):
+        d = tmp_path / "real"
+        for name in ("a.b.txt", ".txt", "B.txt", "a.txt", "c.TXT"):
+            _write(tmp_path, "real", name[:-4], title=f"Title {name}")
+        (d / "c.txt").rename(d / "c.TXT")
+        (d / "a.b.meta").write_text("source=dotted\n", encoding="utf-8")
+        (d / ".txt.meta").write_text("source=hidden\n", encoding="utf-8")
+        (d / "orphan.meta").write_text("source=orphan\n", encoding="utf-8")
+        (d / "d.txt").mkdir()
+        (d / "B.meta").mkdir()
+        corpus, report = load_corpus(tmp_path, 1)
+        # the ids and sources the loader gave when it globbed *.txt and
+        # stat-ed each sidecar: c.TXT does not match, a file named .txt
+        # keeps its whole name as its id, an orphan sidecar is ignored
+        assert [(doc.id, doc.source) for doc in corpus.documents] == [
+            (".txt", "hidden"), ("a", ""), ("a.b", "dotted"),
+        ]
+        assert [doc.id for doc in corpus.documents] == sorted(
+            p.stem for p in d.glob("*.txt") if p.is_file() and p.stem != "B")
+        assert [(path, reason.split(":")[0]) for path, reason in report.errors] == [
+            (str(d / "B.meta"), "[Errno 21] Is a directory"),
+            (str(d / "d.txt"), "[Errno 21] Is a directory"),
+        ]
+
+    def test_dangling_or_looping_sidecar_link_is_no_sidecar(self, tmp_path):
+        _write(tmp_path, "real", "a1")
+        _write(tmp_path, "real", "a2")
+        (tmp_path / "real" / "a1.meta").symlink_to(tmp_path / "nowhere")
+        (tmp_path / "real" / "a2.meta").symlink_to("a2.meta")
+        corpus, report = load_corpus(tmp_path, 1)
+        assert report.errors == []
+        assert [(d.id, d.source) for d in corpus.documents] == [("a1", ""), ("a2", "")]
+
 
 def _corpus(docs, dataset_id=2):
     counts = {l: sum(1 for d in docs if d.label == l) for l in ("real", "fake", "satire")}
