@@ -6,7 +6,23 @@ normality-gated ANOVA / rank-sum protocol, and cross-validate a linear
 SVM on the top-ranked features.
 """
 
+import math
+import operator
+from functools import reduce
+
 __version__ = "0.1.0"
+
+
+def float_sum(values: list[float]) -> float:
+    """The correctly rounded sum (``math.fsum``): the same bits in any
+    order and on every Python version, where builtin ``sum`` of floats
+    became compensated in 3.12. Where fsum raises, on an inf with a -inf
+    or a total past the float range, the left-to-right float sum (nan or
+    +-inf)."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return reduce(operator.add, values, 0.0)
 
 
 class InputError(Exception):

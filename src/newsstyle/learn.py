@@ -21,7 +21,9 @@ import operator
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
+
+from . import float_sum
 
 _STD_FLOOR = 1e-12
 # most row indices the sweep-order memo holds: 2**19 tuple slots, ~4 MiB
@@ -101,15 +103,6 @@ def _sweep_orders(n: int, seed: int) -> _SweepOrders:
     return _SweepOrders(n, seed)
 
 
-def _sum(values: list[float]) -> float:
-    """``math.fsum``, except where it raises: an inf with a -inf, or a total
-    past the float range, gives the left-to-right float sum (nan or +-inf)."""
-    try:
-        return math.fsum(values)
-    except (OverflowError, ValueError):
-        return reduce(operator.add, values, 0.0)
-
-
 @dataclass
 class Standardizer:
     mean: list[float]
@@ -142,8 +135,8 @@ def fit_standardizer(X: Rows) -> Standardizer:
     for column in zip(*rows):
         cells = [v for v in column if v == v]
         if cells:
-            m = _sum(cells) / len(cells)
-            s = math.sqrt(_sum([(v - m) * (v - m) for v in cells]) / len(cells))
+            m = float_sum(cells) / len(cells)
+            s = math.sqrt(float_sum([(v - m) * (v - m) for v in cells]) / len(cells))
         else:
             m = s = math.nan
         mean.append(0.0 if m != m else m)
@@ -165,7 +158,7 @@ class SvmModel:
     def decision_values(self, X: Rows) -> list[float]:
         """One exactly rounded w . [z, 1] per row of X."""
         w, mul = self.weights, operator.mul
-        return [_sum([*map(mul, z, w), w[-1]]) for z in self.standardizer.transform(X)]
+        return [float_sum([*map(mul, z, w), w[-1]]) for z in self.standardizer.transform(X)]
 
 
 def train_svm(

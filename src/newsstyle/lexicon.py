@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import InputError
+from . import InputError, float_sum
 from .textseg import WORD, Sentence, Token
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
@@ -158,7 +158,7 @@ def fluency_doc(tokens: list[Token], freqs: dict[str, float]) -> float | None:
     if not words:
         return None
     # the tokens' .lower is already lowercased, as the table's keys are
-    return sum(freqs.get(t.lower, 0.0) for t in words) / len(words)
+    return float_sum([freqs.get(t.lower, 0.0) for t in words]) / len(words)
 
 
 def fluency_least3(tokens: list[Token], freqs: dict[str, float]) -> float | None:
@@ -168,7 +168,7 @@ def fluency_least3(tokens: list[Token], freqs: dict[str, float]) -> float | None
     if not types:
         return None
     ranked = sorted(types, key=lambda w: (freqs.get(w, 0.0), w))[:3]
-    return sum(freqs.get(w, 0.0) for w in ranked) / len(ranked)
+    return float_sum([freqs.get(w, 0.0) for w in ranked]) / len(ranked)
 
 
 @dataclass

@@ -1,22 +1,21 @@
 """Part-of-speech tagging and shallow chunking.
 
-A greedy averaged-perceptron tagger over a Penn-style tagset, a
-longest-match chunk grammar producing flat NP/VP/PP phrases, and a loader for
-externally tagged input (token<TAB>tag lines), used to train the tagger.
+A greedy averaged-perceptron tagger over a Penn-style tagset, and a
+longest-match chunk grammar producing flat NP/VP/PP phrases. The package
+ships one trained model and only tags with it. ``tools/build_tagger_model.py``
+trains models, scoring with the functions here, and writes the shipped one.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import random
 import sys
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import InputError
-from .textseg import NUMBER, PUNCT, SYMBOL, WORD, Sentence, Token, token
+from .textseg import NUMBER, PUNCT, SYMBOL, Sentence, Token
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
 
@@ -57,7 +56,7 @@ class TaggerModel:
     weights: dict[str, dict[str, float]]
     lexical_backoff: dict[str, str]
     version: str = "1"
-    vocab: set[str] = field(default_factory=set)
+    vocab: frozenset[str] = frozenset()
 
     def __post_init__(self):
         weights = self.weights
@@ -73,7 +72,7 @@ class TaggerModel:
         row) of ``tok``'s type, stored on its record; the word scores are
         shared, so copy them before adding."""
         weights = self.weights
-        fixed = _fixed_tag(self, tok)
+        fixed = _fixed_tag(self.lexical_backoff, self.vocab, tok)
         scores, shape = None, ()
         if fixed is None:
             feats = tuple(f for f in _word_features(tok) if weights.get(f))
@@ -85,17 +84,6 @@ class TaggerModel:
                  weights.get(f"pw={tok.lower}") or None, weights.get(f"nw={tok.lower}") or None)
         object.__setattr__(tok, "tagging", entry)
         return entry
-
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "format": "newsstyle-tagger",
-            "version": self.version,
-            "tagset": list(self.tagset),
-            "weights": self.weights,
-            "lexical_backoff": self.lexical_backoff,
-            "vocab": sorted(self.vocab),
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerModel":
@@ -124,7 +112,7 @@ class TaggerModel:
             weights=weights,
             lexical_backoff=payload["lexical_backoff"],
             version=payload["version"],
-            vocab=set(payload["vocab"]),
+            vocab=frozenset(payload["vocab"]),
         )
 
 
@@ -160,27 +148,6 @@ class TaggedSentence:
         return [tag for _, tag in self.tokens]
 
 
-def load_closed_class(path: str | Path | None = None) -> dict[str, str]:
-    """word<TAB>tag backoff list for closed-class words."""
-    path = Path(path) if path else _RESOURCE_DIR / "closed_class.tsv"
-    backoff = {}
-    for lineno, raw in enumerate(TaggerError.read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise TaggerError(f"{path}:{lineno}: expected word<TAB>tag, got {raw!r}")
-        word, t = parts
-        if t not in TAGSET:
-            raise TaggerError(f"{path}:{lineno}: tag {t!r} not in tagset")
-        word = word.lower()
-        if word in backoff:
-            raise TaggerError(f"{path}:{lineno}: duplicate word {word!r}")
-        backoff[word] = t
-    return backoff
-
-
 def _word_features(tok: Token) -> list[str]:
     """The features of a token's own text: they depend on its norm alone."""
     low = tok.lower
@@ -198,19 +165,6 @@ def _shape_features(tok: Token) -> list[str]:
     if tok.norm[:1].isupper():
         feats.append("cap")
     return feats
-
-
-def _features(tokens: list[Token], i: int, prev: str, prev2: str) -> list[str]:
-    """Every feature of ``tokens[i]`` in scoring order: its own text, its
-    tag history and neighbours, its shape."""
-    tok = tokens[i]
-    context = [
-        f"p1={prev}",
-        f"p2={prev2}|{prev}",
-        f"pw={tokens[i - 1].lower if i > 0 else '<s>'}",
-        f"nw={tokens[i + 1].lower if i + 1 < len(tokens) else '</s>'}",
-    ]
-    return _word_features(tok) + context + _shape_features(tok)
 
 
 def _accumulate(weights: dict[str, dict[str, float]], scores: dict[str, float],
@@ -249,16 +203,17 @@ class _Rows(dict):
         return row
 
 
-def _fixed_tag(model: TaggerModel, tok: Token) -> str | None:
-    """Backoff and fallback rules applied before the perceptron; they read
-    only ``lexical_backoff`` and ``vocab``."""
+def _fixed_tag(backoff: dict[str, str], vocab: frozenset[str] | set[str],
+               tok: Token) -> str | None:
+    """Backoff and fallback rules applied before the perceptron: a model's
+    ``lexical_backoff`` and ``vocab``, or those of a model in training."""
     if tok.kind in (PUNCT, SYMBOL):
         return "PUNCT"
-    if tok.lower in model.lexical_backoff:
-        return model.lexical_backoff[tok.lower]
+    if tok.lower in backoff:
+        return backoff[tok.lower]
     if tok.kind == NUMBER:
         return "CD"
-    if tok.lower not in model.vocab and tok.is_all_caps:
+    if tok.lower not in vocab and tok.is_all_caps:
         return "NNP"
     return None
 
@@ -267,8 +222,10 @@ def tag(sentence: Sentence, model: TaggerModel) -> TaggedSentence:
     """Greedy left-to-right tagging with closed-class backoff and
     unknown-word fallbacks (all-caps -> NNP, numbers -> CD).
 
-    Scores the features of ``_features``, as ``train_tagger`` does, with
-    each type's own part taken from its entry for the model.
+    Scores a token's word features, then its context features (``p1=``,
+    ``p2=``, ``pw=``, ``nw=``), then its shape features, the order that
+    training scores them in, with each type's own part taken from its
+    entry for the model.
     """
     tokens = sentence.tokens
     entries = []
@@ -297,75 +254,6 @@ def tag(sentence: Sentence, model: TaggerModel) -> TaggedSentence:
         pw = entry[4]
         prev2, prev = prev, t
     return TaggedSentence(tokens=tuple(out))
-
-
-def train_tagger(
-    annotated: list[TaggedSentence],
-    epochs: int = 5,
-    seed: int = 0,
-    backoff: dict[str, str] | None = None,
-) -> TaggerModel:
-    """Averaged-perceptron training, deterministic for a fixed seed. A tag
-    outside TAGSET, in the sentences or in ``backoff``, raises TaggerError."""
-    if not annotated:
-        raise TaggerError("empty training set")
-    for sent in annotated:
-        for _, t in sent.tokens:
-            if t not in TAGSET:
-                raise TaggerError(f"tag {t!r} not in tagset")
-    backoff = dict(backoff) if backoff is not None else load_closed_class()
-    unknown = set(backoff.values()) - set(TAGSET)
-    if unknown:
-        raise TaggerError(f"tag {min(unknown)!r} not in tagset")
-
-    weights: dict[str, dict[str, float]] = defaultdict(lambda: defaultdict(float))
-    # the live model: training reads its backoff, vocab and weights as they
-    # grow, never the tables that tag() fills
-    model = TaggerModel(tagset=tuple(TAGSET), weights=weights, lexical_backoff=backoff)
-    totals: dict[tuple[str, str], float] = defaultdict(float)
-    stamps: dict[tuple[str, str], int] = defaultdict(int)
-    step = 0
-
-    def bump(feat: str, t: str, delta: float) -> None:
-        key = (feat, t)
-        totals[key] += (step - stamps[key]) * weights[feat][t]
-        stamps[key] = step
-        weights[feat][t] += delta
-
-    order = list(range(len(annotated)))
-    rng = random.Random(seed)
-    for _ in range(epochs):
-        rng.shuffle(order)
-        for idx in order:
-            sent = annotated[idx]
-            tokens = [tok for tok, _ in sent.tokens]
-            model.vocab.update(t.lower for t in tokens)
-            prev, prev2 = "<s>", "<s2>"
-            for i, (tok, gold) in enumerate(sent.tokens):
-                fixed = _fixed_tag(model, tok)
-                if fixed is not None:
-                    guess = fixed
-                else:
-                    step += 1
-                    feats = _features(tokens, i, prev, prev2)
-                    guess = _pick(_accumulate(model.weights, {}, feats))
-                    if guess != gold:
-                        for f in feats:
-                            bump(f, gold, +1.0)
-                            bump(f, guess, -1.0)
-                    # condition on gold history for stable training
-                    guess = gold
-                prev2, prev = prev, guess
-
-    averaged: dict[str, dict[str, float]] = {}
-    for feat, tagw in weights.items():
-        for t, w in tagw.items():
-            key = (feat, t)
-            total = totals[key] + (step - stamps[key]) * w
-            avg = total / max(step, 1)
-            if abs(avg) > 1e-12:
-                averaged.setdefault(feat, {})[t] = round(avg, 6)
-    return replace(model, weights=averaged)
 
 
 # ---------------------------------------------------------------------------
@@ -471,33 +359,6 @@ def tree_metrics(chunks: tuple[Phrase, ...]) -> tuple[int, int, int, int]:
         else:
             np_depth = 1
     return 1 + depth, np_depth, vp_depth, vp_count
-
-
-# ---------------------------------------------------------------------------
-# external input
-
-def load_pretagged(path: str | Path) -> list[TaggedSentence]:
-    """token<TAB>tag lines, blank line between sentences."""
-    path = Path(path)
-    sentences: list[TaggedSentence] = []
-    current: list[tuple[Token, str]] = []
-    for lineno, raw in enumerate(TaggerError.read_text(path).splitlines(), 1):
-        if not raw.strip():
-            if current:
-                sentences.append(TaggedSentence(tokens=tuple(current)))
-                current = []
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 2 or not parts[0]:
-            raise TaggerError(f"{path}:{lineno}: expected token<TAB>tag, got {raw!r}")
-        text, t = parts
-        if t not in TAGSET:
-            raise TaggerError(f"{path}:{lineno}: tag {t!r} not in tagset")
-        kind = WORD if text[0].isalpha() else (NUMBER if text[0].isdigit() else PUNCT)
-        current.append((token(text, kind), t))
-    if current:
-        sentences.append(TaggedSentence(tokens=tuple(current)))
-    return sentences
 
 
 @functools.cache

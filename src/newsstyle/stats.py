@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import float_sum
+
 ALPHA_DEFAULT = 0.05
 
 
@@ -172,8 +174,8 @@ def t_ppf(q: float, df: int) -> float:
 # ---------------------------------------------------------------------------
 # sample statistics
 
-def _mean(xs) -> float:
-    return sum(xs) / len(xs)
+def _mean(xs: list[float]) -> float:
+    return float_sum(xs) / len(xs)
 
 
 def _moments(xs) -> tuple[float, float, float, float]:
@@ -248,10 +250,10 @@ def anova_oneway(groups: list[list[float]]) -> tuple[float, float]:
         raise DomainError("anova_oneway needs >= 2 groups with >= 2 values each")
     k = len(groups)
     n_total = sum(len(g) for g in groups)
-    grand = sum(sum(g) for g in groups) / n_total
+    grand = float_sum([x for g in groups for x in g]) / n_total
     means = [_mean(g) for g in groups]
-    ss_between = sum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
-    ss_within = sum(sum((x - m) ** 2 for x in g) for g, m in zip(groups, means))
+    ss_between = float_sum([len(g) * (m - grand) ** 2 for g, m in zip(groups, means)])
+    ss_within = float_sum([(x - m) ** 2 for g, m in zip(groups, means) for x in g])
     df1, df2 = k - 1, n_total - k
     if ss_within == 0.0:
         if ss_between == 0.0:
@@ -468,6 +470,6 @@ def confidence_interval(sample: list[float], level: float = 0.95) -> tuple[float
     m = _mean(sample)
     if n < 2:
         return m, m, m
-    var = sum((x - m) ** 2 for x in sample) / (n - 1)
+    var = float_sum([(x - m) ** 2 for x in sample]) / (n - 1)
     half = t_ppf(0.5 + level / 2.0, n - 1) * math.sqrt(var / n)
     return m, m - half, m + half

@@ -96,8 +96,8 @@ def token(text: str, kind: str) -> Token:
 @dataclass(frozen=True)
 class Sentence:
     tokens: tuple[Token, ...]
-    # (start, end) of each token in the text it came from; empty for
-    # tokens that did not come from a text (``postag.load_pretagged``)
+    # (start, end) of each token in the text it came from; empty for a
+    # sentence built from tokens alone, such as a tagged training sentence's
     spans: tuple[tuple[int, int], ...] = ()
 
 

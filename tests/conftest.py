@@ -9,6 +9,8 @@ import pytest
 from newsstyle.features import Resources
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the tagger training tool, which the tagger tests import as a module
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 
 def run_fresh(args: list[str]) -> subprocess.CompletedProcess:

@@ -204,6 +204,15 @@ class TestFluency:
         ft2 = {"aa": 7}
         assert fluency_least3(_tokens("aa aa"), ft2) == 7.0
 
+    def test_mean_is_correctly_rounded(self):
+        # ten 0.1s sum to 0.9999999999999999 left to right, so the mean
+        # depended on the Python version's builtin sum
+        ft = {"aa": 0.1}
+        assert fluency_doc(_tokens(" ".join(["aa"] * 10)), ft) == 0.1
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right, 0.6 exactly rounded
+        ft = {"aa": 0.1, "bb": 0.2, "cc": 0.3, "dd": 0.4}
+        assert fluency_least3(_tokens("dd cc bb aa"), ft) == 0.6 / 3
+
     def test_order_invariance(self):
         ft = {"aa": 3, "bb": 9}
         assert fluency_doc(_tokens("aa bb aa"), ft) == fluency_doc(_tokens("aa aa bb"), ft)

@@ -4,15 +4,19 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import pytest
 
-import newsstyle.postag
-
-TAGGED_CORPUS = Path(newsstyle.postag.__file__).parent / "resources" / "tagged_corpus.tsv"
-
+import build_tagger_model
+from build_tagger_model import (
+    CORPUS as TAGGED_CORPUS,
+    load_closed_class,
+    load_pretagged,
+    save_model,
+    train_tagger,
+)
 from conftest import write_synthetic_corpus
+import newsstyle.postag
 from newsstyle.postag import (
     NOUN_TAGS,
     TAGSET,
@@ -22,10 +26,7 @@ from newsstyle.postag import (
     TaggerModel,
     chunk,
     default_model,
-    load_closed_class,
-    load_pretagged,
     tag,
-    train_tagger,
     tree_metrics,
 )
 from newsstyle.corpus import load_corpus
@@ -97,6 +98,19 @@ class TestTrainTagger:
                 total += 1
                 correct += gold == pred
         assert correct / total >= 0.90
+
+
+class TestBuildTool:
+    def test_regenerates_the_checked_in_files_byte_for_byte(self, tmp_path, monkeypatch):
+        # the tool's own run, with its two outputs redirected: the corpus it
+        # generates and the model it trains on that corpus and saves
+        corpus, model = tmp_path / "tagged_corpus.tsv", tmp_path / "tagger_model.json"
+        monkeypatch.setattr(build_tagger_model, "CORPUS", corpus)
+        monkeypatch.setattr(build_tagger_model, "MODEL", model)
+        build_tagger_model.main()
+        assert corpus.read_bytes() == TAGGED_CORPUS.read_bytes()
+        shipped = newsstyle.postag._RESOURCE_DIR / "tagger_model.json"
+        assert model.read_bytes() == shipped.read_bytes()
 
 
 class TestTag:
@@ -671,7 +685,7 @@ class TestTaggerModelLoad:
 
     def test_shipped_model_round_trips(self, tmp_path):
         shipped = default_model()
-        shipped.save(tmp_path / "m.json")
+        save_model(shipped, tmp_path / "m.json")
         assert TaggerModel.load(tmp_path / "m.json") == shipped
 
     @pytest.mark.parametrize("value", [5, "NN", [1], ["NN", None], {"NN": 1}])

@@ -194,10 +194,10 @@ class TestAnova:
         def old_anova(groups):  # the formula that recomputed each group mean per element
             k = len(groups)
             n_total = sum(len(g) for g in groups)
-            grand = sum(sum(g) for g in groups) / n_total
-            mean = lambda g: sum(g) / len(g)
-            ss_between = sum(len(g) * (mean(g) - grand) ** 2 for g in groups)
-            ss_within = sum(sum((x - mean(g)) ** 2 for x in g) for g in groups)
+            grand = math.fsum(x for g in groups for x in g) / n_total
+            mean = lambda g: math.fsum(g) / len(g)
+            ss_between = math.fsum(len(g) * (mean(g) - grand) ** 2 for g in groups)
+            ss_within = math.fsum((x - mean(g)) ** 2 for g in groups for x in g)
             f = (ss_between / (k - 1)) / (ss_within / (n_total - k))
             return f, f_sf(f, k - 1, n_total - k)
 
@@ -356,6 +356,15 @@ class TestCompareFeature:
         res = compare_feature("x", groups)
         assert res.degenerate
         assert res.p_value == 1.0
+
+    def test_means_do_not_depend_on_element_order(self):
+        # summed left to right, the two samples give different means, so
+        # the ordering put one label first by a rounding error instead of
+        # breaking the tie by label
+        groups = {"real": [0.7] + [0.1] * 10, "fake": [0.1] * 10 + [0.7]}
+        res = compare_feature("x", groups)
+        assert res.group_means["fake"] == res.group_means["real"]
+        assert res.ordering == "Fake = Real"
 
 
 class TestDeriveOrdering:

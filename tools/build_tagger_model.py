@@ -1,18 +1,43 @@
-"""Regenerate the shipped tagger training corpus and pinned model.
+"""Train taggers, and regenerate the tagger training corpus and the shipped
+tagger model.
 
-The corpus is template-generated news-register English with gold tags
-(token<TAB>tag TSV, blank line between sentences). The pinned model is the
-averaged perceptron trained on it with a fixed seed, so feature extraction
-stays reproducible across installs.
+The corpus (``tagged_corpus.tsv`` next to this file) is template-generated
+news-register English with gold tags (token<TAB>tag, a blank line between
+sentences). The shipped model (``src/newsstyle/resources/tagger_model.json``)
+is the averaged perceptron trained on it with a fixed seed and the
+closed-class backoff list ``closed_class.tsv``. Training scores with
+``newsstyle.postag``'s own functions (``_word_features``,
+``_shape_features``, ``_accumulate``, ``_pick``, ``_fixed_tag``), so a
+model tags as it was trained. The installed package reads neither TSV.
+
+``python3 tools/build_tagger_model.py`` rewrites the corpus and the model.
 """
 
+import json
 import random
 import sys
+from collections import defaultdict
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+TOOLS_DIR = Path(__file__).resolve().parent
+sys.path.insert(0, str(TOOLS_DIR.parent / "src"))
 
-from newsstyle.postag import TaggedSentence, load_pretagged, train_tagger  # noqa: E402
+from newsstyle.postag import (  # noqa: E402
+    TAGSET,
+    TaggedSentence,
+    TaggerError,
+    TaggerModel,
+    _accumulate,
+    _fixed_tag,
+    _pick,
+    _shape_features,
+    _word_features,
+)
+from newsstyle.textseg import NUMBER, PUNCT, WORD, Token, token  # noqa: E402
+
+CORPUS = TOOLS_DIR / "tagged_corpus.tsv"
+CLOSED_CLASS = TOOLS_DIR / "closed_class.tsv"
+MODEL = TOOLS_DIR.parent / "src" / "newsstyle" / "resources" / "tagger_model.json"
 
 POOLS = {
     "NN": """story report article election campaign government city state country
@@ -203,17 +228,154 @@ def generate(n_sentences: int, seed: int) -> list[str]:
     return lines
 
 
+def load_pretagged(path: str | Path) -> list[TaggedSentence]:
+    """token<TAB>tag lines, blank line between sentences."""
+    path = Path(path)
+    sentences: list[TaggedSentence] = []
+    current: list[tuple[Token, str]] = []
+    for lineno, raw in enumerate(TaggerError.read_text(path).splitlines(), 1):
+        if not raw.strip():
+            if current:
+                sentences.append(TaggedSentence(tokens=tuple(current)))
+                current = []
+            continue
+        parts = raw.split("\t")
+        if len(parts) != 2 or not parts[0]:
+            raise TaggerError(f"{path}:{lineno}: expected token<TAB>tag, got {raw!r}")
+        text, t = parts
+        if t not in TAGSET:
+            raise TaggerError(f"{path}:{lineno}: tag {t!r} not in tagset")
+        kind = WORD if text[0].isalpha() else (NUMBER if text[0].isdigit() else PUNCT)
+        current.append((token(text, kind), t))
+    if current:
+        sentences.append(TaggedSentence(tokens=tuple(current)))
+    return sentences
+
+
+def load_closed_class(path: str | Path = CLOSED_CLASS) -> dict[str, str]:
+    """word<TAB>tag backoff list for closed-class words."""
+    backoff = {}
+    for lineno, raw in enumerate(TaggerError.read_text(path).splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise TaggerError(f"{path}:{lineno}: expected word<TAB>tag, got {raw!r}")
+        word, t = parts
+        if t not in TAGSET:
+            raise TaggerError(f"{path}:{lineno}: tag {t!r} not in tagset")
+        word = word.lower()
+        if word in backoff:
+            raise TaggerError(f"{path}:{lineno}: duplicate word {word!r}")
+        backoff[word] = t
+    return backoff
+
+
+def _features(tokens: list[Token], i: int, prev: str, prev2: str) -> list[str]:
+    """Every feature of ``tokens[i]`` in scoring order: its own text, its
+    tag history and neighbours, its shape. ``postag.tag`` scores the same
+    features in the same order, split by what they depend on."""
+    tok = tokens[i]
+    context = [
+        f"p1={prev}",
+        f"p2={prev2}|{prev}",
+        f"pw={tokens[i - 1].lower if i > 0 else '<s>'}",
+        f"nw={tokens[i + 1].lower if i + 1 < len(tokens) else '</s>'}",
+    ]
+    return _word_features(tok) + context + _shape_features(tok)
+
+
+def train_tagger(
+    annotated: list[TaggedSentence],
+    epochs: int = 5,
+    seed: int = 0,
+    backoff: dict[str, str] | None = None,
+) -> TaggerModel:
+    """Averaged-perceptron training, deterministic for a fixed seed. A tag
+    outside TAGSET, in the sentences or in ``backoff``, raises TaggerError."""
+    if not annotated:
+        raise TaggerError("empty training set")
+    for sent in annotated:
+        for _, t in sent.tokens:
+            if t not in TAGSET:
+                raise TaggerError(f"tag {t!r} not in tagset")
+    backoff = dict(backoff) if backoff is not None else load_closed_class()
+    unknown = set(backoff.values()) - set(TAGSET)
+    if unknown:
+        raise TaggerError(f"tag {min(unknown)!r} not in tagset")
+
+    weights: dict[str, dict[str, float]] = defaultdict(lambda: defaultdict(float))
+    # the words seen so far: a word is unknown until its sentence comes up
+    vocab: set[str] = set()
+    totals: dict[tuple[str, str], float] = defaultdict(float)
+    stamps: dict[tuple[str, str], int] = defaultdict(int)
+    step = 0
+
+    def bump(feat: str, t: str, delta: float) -> None:
+        key = (feat, t)
+        totals[key] += (step - stamps[key]) * weights[feat][t]
+        stamps[key] = step
+        weights[feat][t] += delta
+
+    order = list(range(len(annotated)))
+    rng = random.Random(seed)
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for idx in order:
+            sent = annotated[idx]
+            tokens = [tok for tok, _ in sent.tokens]
+            vocab.update(t.lower for t in tokens)
+            prev, prev2 = "<s>", "<s2>"
+            for i, (tok, gold) in enumerate(sent.tokens):
+                fixed = _fixed_tag(backoff, vocab, tok)
+                if fixed is not None:
+                    guess = fixed
+                else:
+                    step += 1
+                    feats = _features(tokens, i, prev, prev2)
+                    guess = _pick(_accumulate(weights, {}, feats))
+                    if guess != gold:
+                        for f in feats:
+                            bump(f, gold, +1.0)
+                            bump(f, guess, -1.0)
+                    # condition on gold history for stable training
+                    guess = gold
+                prev2, prev = prev, guess
+
+    averaged: dict[str, dict[str, float]] = {}
+    for feat, tagw in weights.items():
+        for t, w in tagw.items():
+            key = (feat, t)
+            total = totals[key] + (step - stamps[key]) * w
+            avg = total / max(step, 1)
+            if abs(avg) > 1e-12:
+                averaged.setdefault(feat, {})[t] = round(avg, 6)
+    return TaggerModel(tagset=tuple(TAGSET), weights=averaged, lexical_backoff=backoff,
+                       vocab=frozenset(vocab))
+
+
+def save_model(model: TaggerModel, path: str | Path) -> None:
+    """Write ``model`` as a file that ``TaggerModel.load`` reads back."""
+    payload = {
+        "format": "newsstyle-tagger",
+        "version": model.version,
+        "tagset": list(model.tagset),
+        "weights": model.weights,
+        "lexical_backoff": model.lexical_backoff,
+        "vocab": sorted(model.vocab),
+    }
+    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+
+
 def main() -> None:
-    res = Path(__file__).resolve().parents[1] / "src/newsstyle/resources"
-    corpus_path = res / "tagged_corpus.tsv"
-    lines = generate(n_sentences=1600, seed=2016)
-    corpus_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    sentences = load_pretagged(corpus_path)
+    CORPUS.write_text("\n".join(generate(n_sentences=1600, seed=2016)) + "\n", encoding="utf-8")
+    sentences = load_pretagged(CORPUS)
     tokens = sum(len(s.tokens) for s in sentences)
     print(f"corpus: {len(sentences)} sentences, {tokens} tokens")
 
     model = train_tagger(sentences, epochs=5, seed=7)
-    model.save(res / "tagger_model.json")
+    save_model(model, MODEL)
     print(f"model: {len(model.weights)} features, vocab {len(model.vocab)}")
 
 
