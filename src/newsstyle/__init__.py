@@ -25,6 +25,19 @@ def float_sum(values: list[float]) -> float:
         return reduce(operator.add, values, 0.0)
 
 
+def decode(data: bytes) -> str:
+    """The text of an input file's bytes: UTF-8 after an optional
+    byte-order mark, which is dropped, with ``\\r\\n`` and ``\\r`` read as
+    ``\\n``, as ``open`` in text mode reads them. The bytes are decoded
+    whole: the streaming decoder would read a lone partial mark as an
+    empty file. Bytes that are not UTF-8 raise ``UnicodeDecodeError``,
+    whose ``object`` is the bytes after the mark."""
+    text = data.decode("utf-8-sig")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 class InputError(Exception):
     """Common base of the errors that bad input raises: a corpus, matrix,
     lexicon or tagger file, or a command-line value. ``newsstyle.cli``
@@ -33,12 +46,22 @@ class InputError(Exception):
 
     @classmethod
     def read_text(cls, path) -> str:
-        """The text of a UTF-8 file; bytes that are not UTF-8 raise this
-        class as ``path: not UTF-8 (line N: reason)``."""
+        """The ``decode``d text of a file; bytes that are not UTF-8 raise
+        this class as ``path: not UTF-8 (line N: reason)``."""
         with open(path, "rb") as fh:
             data = fh.read()
         try:
-            return data.decode("utf-8")
+            return decode(data)
         except UnicodeDecodeError as e:
-            line = data.count(b"\n", 0, e.start) + 1
+            line = e.object.count(b"\n", 0, e.start) + 1
             raise cls(f"{path}: not UTF-8 (line {line}: {e.reason})") from None
+
+    @classmethod
+    def entries(cls, path):
+        """(line number, entry) for each entry of a line-format file: a
+        line's text before any ``#``, stripped of surrounding whitespace.
+        Lines that leave nothing are skipped."""
+        for lineno, raw in enumerate(cls.read_text(path).splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line

@@ -24,7 +24,6 @@ from . import corpus as cp
 from . import matrix as mx
 
 if TYPE_CHECKING:
-    from . import features as ft
     from . import stats as st
 
 SCHEMA_VERSION = "1"
@@ -49,20 +48,6 @@ def _check_columns(path: str, matrix: mx.FeatureMatrix, names, flag: str) -> Non
     missing = [n for n in names if n not in matrix.feature_names]
     if missing:
         raise CliError(f"{path}: no column(s) {missing} for {flag}")
-
-
-def _load_resources(args) -> ft.Resources:
-    from . import features as ft
-    from . import lexicon as lx
-    from . import postag as pt
-
-    return ft.Resources(
-        tagger=pt.TaggerModel.load(args.tagger_model) if args.tagger_model else pt.default_model(),
-        categories=lx.load_category_lexicon(args.category_lexicon),
-        frequency=lx.load_frequency_table(args.frequency_table),
-        sentiment=lx.load_sentiment_lexicon(args.sentiment_lexicon),
-        stopwords=lx.load_stopwords(args.stoplist),
-    )
 
 
 def cmd_ingest(args) -> int:
@@ -95,7 +80,8 @@ def cmd_extract(args) -> int:
             raise CliError(f"duplicate doc_id {doc.id!r} (under {labels[doc.id]}/ and "
                            f"{doc.label}/): matrix rows are keyed by doc_id")
         labels[doc.id] = doc.label
-    resources = _load_resources(args)
+    resources = ft.Resources.default(args.tagger_model, args.category_lexicon,
+                                     args.frequency_table, args.sentiment_lexicon, args.stoplist)
     vectors = []
     for doc in corpus.documents:
         text = doc.title if args.part == "title" else doc.body

@@ -2,8 +2,8 @@
 
 On-disk layout: ``<root>/<label>/<id>.txt`` (UTF-8, first line title,
 blank line, body), with an optional ``<id>.meta`` sidecar carrying
-``source=<name>`` lines. Both are read as UTF-8 after an optional
-byte-order mark, which is dropped. Dataset 1 admits real/fake, dataset 3
+``source=<name>`` lines. Both are read with ``newsstyle.decode`` (UTF-8,
+a leading byte-order mark dropped). Dataset 1 admits real/fake, dataset 3
 real/satire, dataset 2 all three.
 """
 
@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import InputError
+from . import InputError, decode
 
 REAL = "real"
 FAKE = "fake"
@@ -65,24 +65,14 @@ class LoadReport:
     errors: list[tuple[str, str]] = field(default_factory=list)  # (path, reason)
 
 
-def _read_text(path: Path) -> str:
-    """The file's text as ``read_text`` gives it, decoded as UTF-8 after an
-    optional byte-order mark. The bytes are decoded whole: the streaming
-    decoder would read a lone partial mark as an empty file."""
-    text = path.read_bytes().decode("utf-8-sig")
-    if "\r" in text:  # universal newlines, as read_text translates them
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
-
-
 def _read_article(path: Path) -> tuple[str, str]:
-    first, _, rest = _read_text(path).partition("\n")
+    first, _, rest = decode(path.read_bytes()).partition("\n")
     return first.strip(), rest.strip()
 
 
 def _read_source(meta: Path) -> str:
     try:
-        lines = _read_text(meta).splitlines()
+        lines = decode(meta.read_bytes()).splitlines()
     except OSError:
         if meta.exists():
             raise

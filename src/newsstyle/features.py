@@ -52,13 +52,15 @@ class Resources:
     stopwords: frozenset[str]
 
     @classmethod
-    def default(cls) -> "Resources":
+    def default(cls, tagger_model=None, category_lexicon=None, frequency_table=None,
+                sentiment_lexicon=None, stoplist=None) -> "Resources":
+        """The resources in the given files; None names the shipped file."""
         return cls(
-            tagger=pt.default_model(),
-            categories=lx.load_category_lexicon(),
-            frequency=lx.load_frequency_table(),
-            sentiment=lx.load_sentiment_lexicon(),
-            stopwords=lx.load_stopwords(),
+            tagger=pt.TaggerModel.load(tagger_model) if tagger_model else pt.default_model(),
+            categories=lx.load_category_lexicon(category_lexicon),
+            frequency=lx.load_frequency_table(frequency_table),
+            sentiment=lx.load_sentiment_lexicon(sentiment_lexicon),
+            stopwords=lx.load_stopwords(stoplist),
         )
 
 

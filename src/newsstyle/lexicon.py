@@ -16,6 +16,10 @@ Category lexicon format::
 Frequency table: TSV ``word<TAB>freq_per_million``.
 Sentiment lexicon: TSV ``term<TAB>strength`` with ``%boosters`` and
 ``%negators`` blocks.
+Stop list: one word per line.
+
+Every file is read by ``InputError.entries``: UTF-8 after an optional
+byte-order mark, text after ``#`` a comment, blank lines skipped.
 """
 
 from __future__ import annotations
@@ -80,10 +84,7 @@ def load_category_lexicon(path: str | Path | None = None) -> CategoryLexicon:
     exact: dict[str, dict[str, None]] = {}
     stems: dict[str, list[str]] = {}
     current: str | None = None
-    for lineno, raw in enumerate(LexiconFormatError.read_text(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in LexiconFormatError.entries(path):
         if line.startswith("%"):
             name = line[1:].strip()
             if not name:
@@ -99,7 +100,7 @@ def load_category_lexicon(path: str | Path | None = None) -> CategoryLexicon:
         entry = line.lower()
         if "*" in entry[:-1] or entry == "*":
             raise LexiconFormatError(
-                f"{path}:{lineno}: wildcard only allowed as trailing *: {raw.strip()!r}")
+                f"{path}:{lineno}: wildcard only allowed as trailing *: {line!r}")
         if entry.endswith("*"):
             stem = entry[:-1]
             if stem not in stems[current]:
@@ -126,13 +127,10 @@ def load_frequency_table(path: str | Path | None = None) -> dict[str, float]:
     """Lowercased word -> frequency per million."""
     path = Path(path) if path else _RESOURCE_DIR / "frequency.tsv"
     freqs: dict[str, float] = {}
-    for lineno, raw in enumerate(LexiconFormatError.read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in LexiconFormatError.entries(path):
         parts = line.split("\t")
         if len(parts) != 2:
-            raise LexiconFormatError(f"{path}:{lineno}: expected word<TAB>freq, got {raw!r}")
+            raise LexiconFormatError(f"{path}:{lineno}: expected word<TAB>freq, got {line!r}")
         word, freq = parts
         try:
             value = float(freq)
@@ -202,10 +200,7 @@ def load_sentiment_lexicon(path: str | Path | None = None) -> SentimentLexicon:
     boosters: dict[str, int] = {}
     negators: set[str] = set()
     section = "terms"
-    for lineno, raw in enumerate(LexiconFormatError.read_text(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in LexiconFormatError.entries(path):
         if line.startswith("%"):
             section = line[1:].strip()
             if section not in ("terms", "boosters", "negators"):
@@ -214,9 +209,9 @@ def load_sentiment_lexicon(path: str | Path | None = None) -> SentimentLexicon:
         parts = line.split("\t")
         if section == "negators":
             if len(parts) != 1:
-                raise LexiconFormatError(f"{path}:{lineno}: expected one negator, got {raw!r}")
+                raise LexiconFormatError(f"{path}:{lineno}: expected one negator, got {line!r}")
         elif len(parts) != 2:
-            raise LexiconFormatError(f"{path}:{lineno}: expected term<TAB>value, got {raw!r}")
+            raise LexiconFormatError(f"{path}:{lineno}: expected term<TAB>value, got {line!r}")
         word = parts[0].lower()
         # a term may end in a * after a stem; boosters and negators are
         # looked up exactly
@@ -286,9 +281,4 @@ def sentiment_strength(sentences: list[Sentence], sl: SentimentLexicon) -> tuple
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     path = Path(path) if path else _RESOURCE_DIR / "stopwords.txt"
-    words = set()
-    for line in LexiconFormatError.read_text(path).splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(line.lower())
-    return frozenset(words)
+    return frozenset(line.lower() for _, line in LexiconFormatError.entries(path))

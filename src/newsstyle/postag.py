@@ -36,9 +36,9 @@ class TaggerError(ValueError, InputError):
 @dataclass(frozen=True)
 class TaggerModel:
     """A tagger model is a value: to change a field, build a new model
-    (``dataclasses.replace``) rather than editing one in place. The tables
-    that ``tag`` fills from the weights belong to the model from its
-    construction on.
+    (``dataclasses.replace``) rather than editing one in place. Its
+    context rows are built from the weights when it is made, and the score
+    tables that ``tag`` fills belong to it from its construction on.
 
     A tag's perceptron score is a sum in feature order: the word features
     first, then the context features, then the shape features. The first
@@ -59,13 +59,28 @@ class TaggerModel:
     vocab: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        weights = self.weights
         # the weighted word features -> their scores, one table per set
         object.__setattr__(self, "_tables", {})
-        object.__setattr__(self, "_p1", _Rows(weights, lambda prev: f"p1={prev}"))
-        object.__setattr__(self, "_p2", _Rows(weights, lambda prevs: f"p2={prevs[0]}|{prevs[1]}"))
-        object.__setattr__(self, "_first_pw", weights.get("pw=<s>") or None)
-        object.__setattr__(self, "_last_nw", weights.get("nw=</s>") or None)
+        # the weight rows of the context features by the value that fills
+        # the template: p1= by tag, p2= by (tag, tag), pw= and nw= by word
+        p1, p2, pw, nw = {}, {}, {}, {}
+        by_head = {"p1=": p1, "p2=": p2, "pw=": pw, "nw=": nw}
+        for f, row in self.weights.items():
+            table = by_head.get(f[:3])
+            if table is None or not row:
+                continue
+            value = f[3:]
+            if table is p2:
+                # the feature is f"p2={prev2}|{prev}": file it under every cut
+                for i, c in enumerate(value):
+                    if c == "|":
+                        p2[value[:i], value[i + 1:]] = row
+            else:
+                table[value] = row
+        object.__setattr__(self, "_p1", p1)
+        object.__setattr__(self, "_p2", p2)
+        object.__setattr__(self, "_pw", pw)
+        object.__setattr__(self, "_nw", nw)
 
     def _entry(self, tok: Token) -> tuple:
         """(self, fixed tag or None, word scores, shape rows, pw= row, nw=
@@ -80,8 +95,7 @@ class TaggerModel:
             if scores is None:
                 scores = self._tables[feats] = _accumulate(weights, {}, feats)
             shape = tuple(weights[f] for f in _shape_features(tok) if weights.get(f))
-        entry = (self, fixed, scores, shape,
-                 weights.get(f"pw={tok.lower}") or None, weights.get(f"nw={tok.lower}") or None)
+        entry = (self, fixed, scores, shape, self._pw.get(tok.lower), self._nw.get(tok.lower))
         object.__setattr__(tok, "tagging", entry)
         return entry
 
@@ -189,20 +203,6 @@ def _pick(scores: dict[str, float]) -> str:
     return best
 
 
-class _Rows(dict):
-    """The weight rows of one context feature template, by the value that
-    fills it; None for a feature without weights. Filled on first use."""
-
-    def __init__(self, weights: dict[str, dict[str, float]], feature):
-        super().__init__()
-        self._weights = weights
-        self._feature = feature
-
-    def __missing__(self, key):
-        row = self[key] = self._weights.get(self._feature(key)) or None
-        return row
-
-
 def _fixed_tag(backoff: dict[str, str], vocab: frozenset[str] | set[str],
                tok: Token) -> str | None:
     """Backoff and fallback rules applied before the perceptron: a model's
@@ -235,8 +235,8 @@ def tag(sentence: Sentence, model: TaggerModel) -> TaggedSentence:
             entry = model._entry(tok)
         entries.append(entry)
     last = len(entries) - 1
-    p1, p2 = model._p1, model._p2
-    pw = model._first_pw
+    p1, p2 = model._p1.get, model._p2.get
+    pw = model._pw.get("<s>")
     prev, prev2 = "<s>", "<s2>"
     out = []
     for i, entry in enumerate(entries):
@@ -244,8 +244,8 @@ def tag(sentence: Sentence, model: TaggerModel) -> TaggedSentence:
         if t is None:
             scores = dict(entry[2])
             get = scores.get
-            nw = entries[i + 1][5] if i < last else model._last_nw
-            for row in (p1[prev], p2[prev2, prev], pw, nw, *entry[3]):
+            nw = entries[i + 1][5] if i < last else model._nw.get("</s>")
+            for row in (p1(prev), p2((prev2, prev)), pw, nw, *entry[3]):
                 if row is not None:
                     for u, w in row.items():
                         scores[u] = get(u, 0.0) + w

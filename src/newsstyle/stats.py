@@ -225,12 +225,18 @@ def normality_test(sample: list[float], alpha: float = ALPHA_DEFAULT) -> tuple[f
 
     Samples smaller than 20 (or with zero variance) are auto-classified
     non-normal: the omnibus approximation is unreliable there and the
-    rank-based fallback is always valid.
+    rank-based fallback is always valid. So is a sample whose moments
+    overflow (a deviation from the mean past about 1.2e77): it gives
+    (inf, 0, False), and the samples that pass keep ANOVA's sums of
+    squares finite.
     """
     n = len(sample)
     if n < 20:
         return 0.0, 0.0, False
-    _, m2, m3, m4 = _moments(sample)
+    try:
+        _, m2, m3, m4 = _moments(sample)
+    except OverflowError:
+        return math.inf, 0.0, False
     if m2 <= 0:
         return 0.0, 0.0, False
     zs = _skew_z(n, m2, m3)
@@ -465,11 +471,15 @@ def rank_features(results: list[TestResult], k: int, alpha: float = ALPHA_DEFAUL
 
 
 def confidence_interval(sample: list[float], level: float = 0.95) -> tuple[float, float, float]:
-    """(mean, lower, upper) t-based CI for the mean."""
+    """(mean, lower, upper) t-based CI for the mean; (mean, -inf, inf)
+    when the variance overflows."""
     n = len(sample)
     m = _mean(sample)
     if n < 2:
         return m, m, m
-    var = float_sum([(x - m) ** 2 for x in sample]) / (n - 1)
+    try:
+        var = float_sum([(x - m) ** 2 for x in sample]) / (n - 1)
+    except OverflowError:
+        return m, -math.inf, math.inf
     half = t_ppf(0.5 + level / 2.0, n - 1) * math.sqrt(var / n)
     return m, m - half, m + half

@@ -143,12 +143,7 @@ def tokenize(text: str) -> list[tuple[Token, tuple[int, int]]]:
 def load_abbreviations(path: str | Path | None = None) -> frozenset[str]:
     """One abbreviation per line (with trailing period), # comments."""
     path = Path(path) if path else _RESOURCE_DIR / "abbreviations.txt"
-    entries = set()
-    for line in InputError.read_text(path).splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.add(line.lower())
-    return frozenset(entries)
+    return frozenset(line.lower() for _, line in InputError.entries(path))
 
 
 @functools.cache

@@ -733,6 +733,32 @@ def test_infinite_cell_outside_the_training_data_exit_0(tmp_path, cells):
     assert "mean_accuracy=" in out.read_text()
 
 
+def test_huge_finite_cell_takes_the_rank_route(tmp_path):
+    # squaring the deviation of a 1e200 cell used to end analyze and report
+    # in an OverflowError traceback
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 22, "fake": 22, "satire": 22},
+                                    seed=3)
+    title = tmp_path / "title.csv"
+    assert main(["extract", "--corpus", str(corpus), "--dataset-id", "2", "--part", "title",
+                 "--out", str(title)]) == 0
+    lines = title.read_text().splitlines()
+    j = lines[0].split(",").index("NNP")
+    cells = lines[1].split(",")
+    assert cells[1] == "fake"
+    cells[j] = "1e200"
+    lines[1] = ",".join(cells)
+    m = tmp_path / "m.csv"
+    m.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--matrix", str(m), "--out", str(tmp_path / "a")]) == 0
+    row = next(line.split("\t") for line in
+               (tmp_path / "a" / "ordering.tsv").read_text().splitlines()
+               if line.startswith("NNP\t"))
+    assert row[1] == "kruskal" and float(row[3]) < 1e-6
+    assert main(["report", "--matrix", str(m), "--out", str(tmp_path / "r")]) == 0
+    ci = (tmp_path / "r" / "ci_plot_data.csv").read_text().splitlines()
+    assert any(line.startswith("NNP,fake,22,") and line.endswith(",-inf,inf") for line in ci)
+
+
 @pytest.mark.parametrize("preset", [["--preset", "body4"], []])
 @pytest.mark.parametrize("pair, message", [
     ("fake:satire", "{m}: no rows labelled 'satire' for --pair fake:satire"),

@@ -1,0 +1,75 @@
+"""Every input file is read one way: ``newsstyle.decode`` (UTF-8 after an
+optional byte-order mark, which is dropped) and, in the line formats,
+``InputError.entries`` (text after ``#`` is a comment, blank lines are
+skipped). Each reader is checked on the same three cases."""
+
+import json
+
+import pytest
+
+from build_tagger_model import load_closed_class, load_pretagged
+from newsstyle import InputError
+from newsstyle.lexicon import (
+    load_category_lexicon,
+    load_frequency_table,
+    load_sentiment_lexicon,
+    load_stopwords,
+)
+from newsstyle.matrix import read_matrix
+from newsstyle.postag import TaggerModel
+from newsstyle.textseg import load_abbreviations
+
+BOM = "﻿".encode("utf-8")
+
+_MODEL = {"format": "newsstyle-tagger", "tagset": ["NN", "DT"],
+          "weights": {"bias": {"NN": 1.0, "DT": -1}, "p1=DT": {"NN": 2.0}},
+          "lexical_backoff": {"the": "DT"}, "version": "1", "vocab": ["dog"]}
+
+# reader, a small valid file of three lines or more, and whether it is a
+# line format (one entry per line, # comments)
+READERS = {
+    "category lexicon": (load_category_lexicon, "%negate\nno\nnever*\n%other\nyes\n", True),
+    "frequency table": (load_frequency_table, "the\t50\nof\t20.5\nzebra\t0.1\n", True),
+    "sentiment lexicon": (load_sentiment_lexicon,
+                          "good\t3\nbad*\t-4\n%boosters\nvery\t1\n%negators\nnot\n", True),
+    "stop list": (load_stopwords, "the\nof\nand\n", True),
+    "abbreviations": (load_abbreviations, "mr.\ndr.\netc.\n", True),
+    "tagger model": (TaggerModel.load, json.dumps(_MODEL, indent=1) + "\n", False),
+    "matrix": (read_matrix, "doc_id,label,part,WC,TTR\nd1,real,body,3,0.5\n"
+                            "d2,fake,body,4,NA\nd3,fake,body,5,0.25\n", False),
+    "pretagged corpus (tool)": (load_pretagged, "the\tDT\ndog\tNN\nran\tVBD\n\nit\tPRP\n",
+                                False),
+    "closed-class list (tool)": (load_closed_class, "the\tDT\nof\tIN\nand\tCC\n", True),
+}
+LINE_FORMATS = [name for name, (_, _, line_format) in READERS.items() if line_format]
+
+
+def _load(tmp_path, name, data: bytes):
+    reader = READERS[name][0]
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    return reader(path)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_marked_file_reads_like_the_unmarked_one(tmp_path, name):
+    # a leading mark used to open the first entry ('﻿the'), drop it
+    # or fail the file with a misleading message
+    data = READERS[name][1].encode("utf-8")
+    assert _load(tmp_path, name, BOM + data) == _load(tmp_path, name, data)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_bad_byte_after_a_mark_reports_its_line(tmp_path, name):
+    first, second, rest = READERS[name][1].encode("utf-8").split(b"\n", 2)
+    data = BOM + first + b"\n" + second + b"\n\xff" + rest
+    with pytest.raises(InputError, match=r"input: not UTF-8 \(line 3: invalid start byte\)"):
+        _load(tmp_path, name, data)
+
+
+@pytest.mark.parametrize("name", LINE_FORMATS)
+def test_text_after_a_hash_is_a_comment(tmp_path, name):
+    text = READERS[name][1]
+    noted = "# a leading note\n\n" + text.replace("\n", "  # a note\n")
+    assert _load(tmp_path, name, noted.encode("utf-8")) == \
+        _load(tmp_path, name, text.encode("utf-8"))

@@ -159,6 +159,20 @@ class TestNormalityTest:
         xs = [rng.expovariate(1.0) for _ in range(200)]
         assert normality_test(xs)[2] is False
 
+    @pytest.mark.parametrize("big", [2e77, 1e200, -1e300, 1.7e308])
+    def test_overflowing_moments_are_not_normal(self, big):
+        # (x - m) ** 4 passes the float range once |x - m| is past ~1.2e77;
+        # that used to raise OverflowError out of analyze
+        xs = [float(i) for i in range(30)] + [big]
+        assert normality_test(xs) == (math.inf, 0.0, False)
+
+    def test_samples_that_pass_keep_anova_finite(self):
+        rng = random.Random(9)
+        xs = [rng.gauss(0, 1e76) for _ in range(200)]
+        assert normality_test(xs)[2] is True
+        f, p = anova_oneway([xs, [x + 1e75 for x in xs]])
+        assert math.isfinite(f) and 0.0 <= p <= 1.0
+
 
 class TestAnova:
     def test_anchor(self):
@@ -441,6 +455,10 @@ class TestConfidenceInterval:
 
     def test_singleton(self):
         assert confidence_interval([3.0]) == (3.0, 3.0, 3.0)
+
+    def test_overflowing_variance_gives_unbounded_interval(self):
+        xs = [1.0, 2.0, 1e200]
+        assert confidence_interval(xs) == (_mean(xs), -math.inf, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -255,13 +255,10 @@ def load_pretagged(path: str | Path) -> list[TaggedSentence]:
 def load_closed_class(path: str | Path = CLOSED_CLASS) -> dict[str, str]:
     """word<TAB>tag backoff list for closed-class words."""
     backoff = {}
-    for lineno, raw in enumerate(TaggerError.read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in TaggerError.entries(path):
         parts = line.split("\t")
         if len(parts) != 2:
-            raise TaggerError(f"{path}:{lineno}: expected word<TAB>tag, got {raw!r}")
+            raise TaggerError(f"{path}:{lineno}: expected word<TAB>tag, got {line!r}")
         word, t = parts
         if t not in TAGSET:
             raise TaggerError(f"{path}:{lineno}: tag {t!r} not in tagset")
