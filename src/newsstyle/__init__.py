@@ -47,13 +47,15 @@ class InputError(Exception):
     @classmethod
     def read_text(cls, path) -> str:
         """The ``decode``d text of a file; bytes that are not UTF-8 raise
-        this class as ``path: not UTF-8 (line N: reason)``."""
+        this class as ``path: not UTF-8 (line N: reason)``, with N counted
+        by ``str.splitlines``, as ``entries`` numbers its lines."""
         with open(path, "rb") as fh:
             data = fh.read()
         try:
             return decode(data)
         except UnicodeDecodeError as e:
-            line = e.object.count(b"\n", 0, e.start) + 1
+            # the bytes before the first bad one are valid UTF-8
+            line = len((e.object[:e.start].decode() + "\0").splitlines())
             raise cls(f"{path}: not UTF-8 (line {line}: {e.reason})") from None
 
     @classmethod

@@ -9,9 +9,8 @@ order of a reduction or on the host. Every random order comes from
 
 ``train_svm`` solves the dual in two phases: dual coordinate descent
 until the set of dual variables at 0 and at C stops changing, then an
-exact active-set solve from there. The sweep orders of the first phase
-are drawn once per (n, seed) and kept in a bounded memo, so the folds of
-one cross-validation share them.
+exact active-set solve from there. The module keeps no state between
+calls: a fit is a function of its arguments alone.
 """
 
 from __future__ import annotations
@@ -21,13 +20,10 @@ import operator
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import float_sum
 
 _STD_FLOOR = 1e-12
-# most row indices the sweep-order memo holds: 2**19 tuple slots, ~4 MiB
-ORDER_MEMO_CAP = 2 ** 19
 
 Rows = Sequence[Sequence[float]]  # one row per sample, NA as math.nan
 
@@ -55,52 +51,6 @@ def shuffle(items: list, rand) -> None:
     for i in range(len(items) - 1, 0, -1):
         j = int(rand() * (i + 1))
         items[i], items[j] = items[j], items[i]
-
-
-class _SweepOrders:
-    """The per-epoch sweep orders of ``train_svm`` for one (n, seed).
-
-    Epoch e's order is the e-th ``shuffle`` of ``range(n)`` over one
-    ``random.Random(seed).random`` stream. The first ``ORDER_MEMO_CAP // n``
-    orders are drawn on first use and stored as tuples. An epoch past them
-    goes on from a copy of the frontier, the last stored order and the
-    stream's state, which no later draw moves.
-    """
-
-    def __init__(self, n: int, seed: int) -> None:
-        self.n = n
-        self.stored = ORDER_MEMO_CAP // n  # epochs held
-        self.rng = random.Random(seed)
-        self.orders: list[tuple[int, ...]] = []
-        self.frontier_state: tuple | None = None
-
-    def epochs(self, count: int):
-        """The first ``count`` orders, lazily, one per epoch."""
-        orders = self.orders
-        for e in range(min(count, self.stored)):
-            if e == len(orders):
-                order = list(orders[-1] if orders else range(self.n))
-                shuffle(order, self.rng.random)
-                orders.append(tuple(order))
-            yield orders[e]
-        if count <= self.stored:
-            return
-        if self.frontier_state is None:
-            self.frontier_state = self.rng.getstate()
-        rng = random.Random()
-        rng.setstate(self.frontier_state)
-        order = list(orders[-1] if orders else range(self.n))
-        for _ in range(count - self.stored):
-            shuffle(order, rng.random)
-            yield order
-
-
-# the folds of one stratified cross-validation that share a training size
-# run one after another, so a single slot serves every fold that can reuse
-# orders, and the memo never holds more than ORDER_MEMO_CAP indices
-@lru_cache(maxsize=1)
-def _sweep_orders(n: int, seed: int) -> _SweepOrders:
-    return _SweepOrders(n, seed)
 
 
 @dataclass
@@ -253,20 +203,20 @@ def _sweep(rows, C: float, max_epochs: int, seed: int):
     and whether the epoch moved no alpha between 0, (0, C) and C.
 
     Each epoch sweeps the rows in a new order: one ``random.Random(seed)``
-    stream reshuffles the same index list with ``shuffle``. Those orders
-    depend only on (n, seed), so they are drawn once and shared by every
-    call with the same n and seed (see ``_SweepOrders``); the result is
-    the same bits as a sweep that shuffles its own list. Each gradient and
-    each entry of the Gram diagonal is the correctly rounded sum
-    (``math.fsum``) of correctly rounded products, and each update is a
-    rounded product and a rounded sum per weight.
+    stream, drawn by this call alone, reshuffles the same index list with
+    ``shuffle``. Each gradient and each entry of the Gram diagonal is the
+    correctly rounded sum (``math.fsum``) of correctly rounded products,
+    and each update is a rounded product and a rounded sum per weight.
     """
     fsum, mul = math.fsum, operator.mul
     q = [fsum(map(mul, row, row)) for row in rows]  # diagonal of the Gram matrix
     n = len(rows)
     alpha = [0.0] * n
     w = [0.0] * len(rows[0])
-    for order in _sweep_orders(n, seed).epochs(max_epochs):
+    rand = random.Random(seed).random
+    order = list(range(n))
+    for _ in range(max_epochs):
+        shuffle(order, rand)
         max_violation = 0.0
         settled = True
         for i in order:

@@ -175,7 +175,16 @@ def t_ppf(q: float, df: int) -> float:
 # sample statistics
 
 def _mean(xs: list[float]) -> float:
-    return float_sum(xs) / len(xs)
+    """The exactly rounded sum over len(xs). A sum of finite values past
+    the float range is taken again over the values scaled by 2**-k, with
+    2**k > len(xs); scaling by a power of two is exact, so the mean has
+    the bits it would have if the sum had not overflowed."""
+    n = len(xs)
+    total = float_sum(xs)
+    if math.isinf(total) and all(map(math.isfinite, xs)):
+        k = n.bit_length()
+        return math.ldexp(float_sum([math.ldexp(x, -k) for x in xs]) / n, k)
+    return total / n
 
 
 def _moments(xs) -> tuple[float, float, float, float]:
@@ -256,7 +265,7 @@ def anova_oneway(groups: list[list[float]]) -> tuple[float, float]:
         raise DomainError("anova_oneway needs >= 2 groups with >= 2 values each")
     k = len(groups)
     n_total = sum(len(g) for g in groups)
-    grand = float_sum([x for g in groups for x in g]) / n_total
+    grand = _mean([x for g in groups for x in g])
     means = [_mean(g) for g in groups]
     ss_between = float_sum([len(g) * (m - grand) ** 2 for g, m in zip(groups, means)])
     ss_within = float_sum([(x - m) ** 2 for g, m in zip(groups, means) for x in g])

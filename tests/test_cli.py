@@ -733,9 +733,10 @@ def test_infinite_cell_outside_the_training_data_exit_0(tmp_path, cells):
     assert "mean_accuracy=" in out.read_text()
 
 
-def test_huge_finite_cell_takes_the_rank_route(tmp_path):
-    # squaring the deviation of a 1e200 cell used to end analyze and report
-    # in an OverflowError traceback
+def _title_matrix_with_nnp(tmp_path, value, rows):
+    """The title matrix of a seed-3 synthetic corpus, 22 docs per label,
+    with the NNP cell of each fake row in ``rows`` (1 is the first) set to
+    ``value``."""
     corpus = write_synthetic_corpus(tmp_path / "c", {"real": 22, "fake": 22, "satire": 22},
                                     seed=3)
     title = tmp_path / "title.csv"
@@ -743,20 +744,49 @@ def test_huge_finite_cell_takes_the_rank_route(tmp_path):
                  "--out", str(title)]) == 0
     lines = title.read_text().splitlines()
     j = lines[0].split(",").index("NNP")
-    cells = lines[1].split(",")
-    assert cells[1] == "fake"
-    cells[j] = "1e200"
-    lines[1] = ",".join(cells)
+    for i in rows:
+        cells = lines[i].split(",")
+        if cells[1] == "fake":
+            cells[j] = value
+            lines[i] = ",".join(cells)
     m = tmp_path / "m.csv"
     m.write_text("\n".join(lines) + "\n")
-    assert main(["analyze", "--matrix", str(m), "--out", str(tmp_path / "a")]) == 0
-    row = next(line.split("\t") for line in
-               (tmp_path / "a" / "ordering.tsv").read_text().splitlines()
+    return m
+
+
+def _nnp_route(m, out):
+    """The test name and p-value ``analyze`` gives NNP."""
+    assert main(["analyze", "--matrix", str(m), "--out", str(out)]) == 0
+    row = next(line.split("\t") for line in (out / "ordering.tsv").read_text().splitlines()
                if line.startswith("NNP\t"))
-    assert row[1] == "kruskal" and float(row[3]) < 1e-6
-    assert main(["report", "--matrix", str(m), "--out", str(tmp_path / "r")]) == 0
-    ci = (tmp_path / "r" / "ci_plot_data.csv").read_text().splitlines()
-    assert any(line.startswith("NNP,fake,22,") and line.endswith(",-inf,inf") for line in ci)
+    return row[1], float(row[3])
+
+
+def _nnp_fake_ci(m, out):
+    """The NNP fake line of ``report``'s ci_plot_data.csv."""
+    assert main(["report", "--matrix", str(m), "--out", str(out)]) == 0
+    ci = (out / "ci_plot_data.csv").read_text().splitlines()
+    return next(line for line in ci if line.startswith("NNP,fake,"))
+
+
+def test_huge_finite_cell_takes_the_rank_route(tmp_path):
+    # squaring the deviation of a 1e200 cell used to end analyze and report
+    # in an OverflowError traceback
+    m = _title_matrix_with_nnp(tmp_path, "1e200", [1])
+    assert m.read_text().count("1e200") == 1
+    test, p = _nnp_route(m, tmp_path / "a")
+    assert test == "kruskal" and p < 1e-6
+    line = _nnp_fake_ci(m, tmp_path / "r")
+    assert line.startswith("NNP,fake,22,") and line.endswith(",-inf,inf")
+
+
+def test_finite_cells_whose_sum_overflows_have_a_finite_mean(tmp_path):
+    # the float sum of 22 cells of 1.7e308 is inf; the mean used to be inf
+    # and both confidence bounds nan
+    m = _title_matrix_with_nnp(tmp_path, "1.7e308", range(1, 67))
+    assert m.read_text().count("1.7e308") == 22
+    assert _nnp_route(m, tmp_path / "a")[0] == "kruskal"
+    assert _nnp_fake_ci(m, tmp_path / "r") == "NNP,fake,22,1.7e+308,1.7e+308,1.7e+308"
 
 
 @pytest.mark.parametrize("preset", [["--preset", "body4"], []])

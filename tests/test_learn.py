@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -505,9 +506,9 @@ class TestPythonFloatSolver:
 
 
 def _per_call_train(X, y, C, tol, max_epochs, seed):
-    """train_svm's sweep as it was when every call shuffled its own index
-    list: the same rows, update rule and stopping rule, with the orders
-    drawn here from a fresh ``random.Random(seed)`` stream."""
+    """The independent oracle of train_svm's sweep: the same rows, update
+    rule and stopping rule, written out plainly, with the orders drawn
+    here from a fresh ``random.Random(seed)`` stream."""
     fsum, mul = math.fsum, operator.mul
     standardizer = fit_standardizer(X)
     rows = [tuple([yi * v for v in z] + [yi]) for z, yi in zip(standardizer.transform(X), y)]
@@ -554,82 +555,6 @@ def _fold_problems(n_per_class, k=5):
             held_out = set(fold)
             train = [i for i in range(len(y)) if i not in held_out]
             yield [X[i] for i in train], [y[i] for i in train], seed
-
-
-def _stored_indices(n, seed):
-    return sum(map(len, learn._sweep_orders(n, seed).orders))
-
-
-class TestSweepOrderMemo:
-    @pytest.fixture(autouse=True)
-    def fresh_memo(self):
-        learn._sweep_orders.cache_clear()
-        yield
-        learn._sweep_orders.cache_clear()
-
-    def _assert_same_as_per_call(self, C):
-        for X, y, seed in self.problems:
-            assert _outcome(lambda: _phase1(X, y, C=C, tol=1e-4, max_epochs=30, seed=seed)) == (
-                _outcome(lambda: _per_call_train(X, y, C=C, tol=1e-4, max_epochs=30, seed=seed)))
-            assert _stored_indices(len(y), seed) <= learn.ORDER_MEMO_CAP
-
-    # 30 rows per class: five training folds of 48; 32 per class: 50, 50,
-    # 52, 52, 52, so the memo changes (n, seed) inside one cross-validation
-    @pytest.mark.parametrize("n_per_class", [30, 32])
-    @pytest.mark.parametrize("C", [0.01, 1.0, 10.0])
-    def test_same_bits_as_per_call_shuffles(self, C, n_per_class):
-        self.problems = list(_fold_problems(n_per_class))
-        self._assert_same_as_per_call(C)
-        assert _stored_indices(52 if n_per_class == 32 else 48, 1) > 0
-
-    # a cap of 1 stores no order; 150 stores 3 (n = 48, 50) or 2 (n = 52)
-    @pytest.mark.parametrize("cap", [1, 150])
-    @pytest.mark.parametrize("n_per_class", [30, 32])
-    @pytest.mark.parametrize("C", [0.01, 1.0, 10.0])
-    def test_same_bits_past_the_cap(self, monkeypatch, C, n_per_class, cap):
-        monkeypatch.setattr(learn, "ORDER_MEMO_CAP", cap)
-        self.problems = list(_fold_problems(n_per_class))
-        self._assert_same_as_per_call(C)
-
-    def test_cross_validate_draws_each_order_once(self, monkeypatch):
-        shuffles, epochs = [], []
-        original_shuffle, original_train = learn.shuffle, learn.train_svm
-
-        def counted_shuffle(items, rand):
-            shuffles.append(len(items))
-            original_shuffle(items, rand)
-
-        def recorded_train(*args, **kwargs):
-            model = original_train(*args, **kwargs)
-            epochs.append(len(model.dual_objective_history))
-            return model
-
-        def unsettled_sweep(*args):
-            # every fold runs the sweep to max_epochs, without the finish
-            for w, alpha, max_violation, _ in original_sweep(*args):
-                yield w, alpha, max_violation, False
-
-        original_sweep = learn._sweep
-        monkeypatch.setattr(learn, "shuffle", counted_shuffle)
-        monkeypatch.setattr(learn, "train_svm", recorded_train)
-        monkeypatch.setattr(learn, "_sweep", unsettled_sweep)
-        X, y = _overlapping(3, n=30)
-        labels = ["a" if v < 0 else "b" for v in y]
-        report = cross_validate(X, labels, k=5, C=10.0, max_epochs=40)
-        assert report.fold_converged == [False] * 5
-        assert epochs == [40] * 5
-        assert len(shuffles) <= max(epochs) + 2
-
-    # a cap of 100 stores no order of 140 rows; 500 stores 8 of 60, 7 of 64
-    @pytest.mark.parametrize("cap", [100, 500, 2 ** 19])
-    def test_stored_indices_within_the_cap(self, monkeypatch, cap):
-        monkeypatch.setattr(learn, "ORDER_MEMO_CAP", cap)
-        for n_per_class in (30, 32, 70):
-            X, y = _overlapping(0, n=n_per_class)
-            n = len(y)
-            epochs = len(_phase1(X, y, C=10.0, tol=1e-4, max_epochs=40, seed=0)[2])
-            assert learn._sweep_orders.cache_info().currsize == 1
-            assert _stored_indices(n, 0) == min(cap // n, epochs) * n <= cap
 
 
 def _integer_problem(seed, n=40, d=3):
@@ -713,6 +638,44 @@ class TestScreenDifferential:
         for seed in range(2):
             X, y = _overlapping(seed, n=30, shift=1.5)
             self._assert_same_as_oracle(X.tolist(), y.tolist(), C, 400, seed)
+
+    # 30 rows per class: five training folds of 48; 32 per class: 50, 50,
+    # 52, 52, 52, so the training size changes inside one cross-validation
+    @pytest.mark.parametrize("n_per_class", [30, 32])
+    @pytest.mark.parametrize("C", [0.01, 1.0, 10.0])
+    def test_cross_validation_folds(self, C, n_per_class):
+        for X, y, seed in _fold_problems(n_per_class):
+            self._assert_same_as_oracle(X, y, C, 30, seed)
+
+
+def test_two_threads_fit_the_same_bits():
+    # a fit keeps no state between calls, so two threads fitting one
+    # problem with one seed at once each get the single-threaded bits, even
+    # when the interpreter switches threads every microsecond
+    X, y = _overlapping(0, n=60)
+    X, y = X.tolist(), y.tolist()
+    seeds = range(10)
+    expected = {seed: _hex(train_svm(X, y, C=10.0, max_epochs=60, seed=seed).weights)
+                for seed in seeds}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in seeds:
+            start = threading.Barrier(2)
+            results = []
+
+            def fit():
+                start.wait()
+                results.append(_hex(train_svm(X, y, C=10.0, max_epochs=60, seed=seed).weights))
+
+            threads = [threading.Thread(target=fit) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert results == [expected[seed]] * 2
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _signed(model, X, y):

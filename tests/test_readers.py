@@ -73,3 +73,13 @@ def test_text_after_a_hash_is_a_comment(tmp_path, name):
     noted = "# a leading note\n\n" + text.replace("\n", "  # a note\n")
     assert _load(tmp_path, name, noted.encode("utf-8")) == \
         _load(tmp_path, name, text.encode("utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_bad_byte_after_carriage_returns_reports_its_line(tmp_path, name):
+    # a bad byte's line is counted as entries counts lines, where \r alone
+    # ends a line too
+    first, second, rest = READERS[name][1].encode("utf-8").split(b"\n", 2)
+    data = first + b"\r" + second + b"\r\xff" + rest.replace(b"\n", b"\r")
+    with pytest.raises(InputError, match=r"input: not UTF-8 \(line 3: invalid start byte\)"):
+        _load(tmp_path, name, data)

@@ -441,6 +441,30 @@ class TestOrderingReport:
         assert [r.feature for r in rep.sorted_rows()] == ["c", "b", "a"]
 
 
+class TestMean:
+    def test_overflowing_sum_of_finite_values(self):
+        # the plain float sum of these is inf, but their mean is finite
+        assert _mean([1.7e308] * 22) == 1.7e308
+        big = 1.7976931348623157e308
+        assert _mean([big, big, -big]) == big / 3
+        assert _mean([-1.7e308] * 22) == -1.7e308
+
+    def test_scaling_into_overflow_keeps_the_bits(self):
+        # 2**1023 times values in [0.5, 2) stays finite, but their sum does
+        # not; scaling by a power of two is exact, so the mean scales too
+        rng = random.Random(58)
+        for _ in range(200):
+            xs = [rng.uniform(0.5, 1.99) for _ in range(rng.randint(2, 300))]
+            scaled = [math.ldexp(x, 1023) for x in xs]
+            assert math.isinf(sum(scaled))
+            assert _mean(scaled) == math.ldexp(_mean(xs), 1023)
+
+    def test_infinite_values_keep_the_plain_sum(self):
+        assert _mean([1.0, math.inf]) == math.inf
+        assert math.isnan(_mean([math.inf, -math.inf]))
+        assert math.isnan(_mean([1e308, 1e308, math.nan]))
+
+
 class TestConfidenceInterval:
     def test_matches_scipy(self):
         rng = random.Random(11)
