@@ -25,6 +25,19 @@ def float_sum(values: list[float]) -> float:
         return reduce(operator.add, values, 0.0)
 
 
+def float_mean(xs: list[float]) -> float:
+    """The exactly rounded sum over len(xs). A sum of finite values past
+    the float range is taken again over the values scaled by 2**-k, with
+    2**k > len(xs); scaling by a power of two is exact, so the mean has
+    the bits it would have if the sum had not overflowed."""
+    n = len(xs)
+    total = float_sum(xs)
+    if math.isinf(total) and all(map(math.isfinite, xs)):
+        k = n.bit_length()
+        return math.ldexp(float_sum([math.ldexp(x, -k) for x in xs]) / n, k)
+    return total / n
+
+
 def decode(data: bytes) -> str:
     """The text of an input file's bytes: UTF-8 after an optional
     byte-order mark, which is dropped, with ``\\r\\n`` and ``\\r`` read as

@@ -4,7 +4,8 @@ stratified k-fold cross-validation.
 Everything runs on plain Python floats. A row is a sequence of floats,
 with NA as ``math.nan``. Every sum over a column or a row is
 ``math.fsum``, which is exactly rounded, so no result depends on the
-order of a reduction or on the host. Every random order comes from
+order of a reduction or on the host, and every mean is ``float_mean``,
+as in ``stats`` and the fluency features. Every random order comes from
 ``shuffle``, a Fisher-Yates over ``random.Random(seed).random()``.
 
 ``train_svm`` solves the dual in two phases: dual coordinate descent
@@ -21,7 +22,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from . import float_sum
+from . import float_mean, float_sum
 
 _STD_FLOOR = 1e-12
 
@@ -71,8 +72,9 @@ class Standardizer:
 def fit_standardizer(X: Rows) -> Standardizer:
     """Per-feature z-scoring fitted on training rows only.
 
-    A column's mean and population std are exactly rounded sums over its
-    non-NA cells. A column with no such cell gets mean 0. A std below 1e-12
+    A column's mean and population std are ``float_mean``s over its
+    non-NA cells, so finite cells whose sum passes the float range keep a
+    finite mean. A column with no such cell gets mean 0. A std below 1e-12
     or undefined gets that floor, so a constant column maps to 0; an
     infinite std maps the column to 0 as well. Rows of unequal length raise
     LearnError.
@@ -85,8 +87,8 @@ def fit_standardizer(X: Rows) -> Standardizer:
     for column in zip(*rows):
         cells = [v for v in column if v == v]
         if cells:
-            m = float_sum(cells) / len(cells)
-            s = math.sqrt(float_sum([(v - m) * (v - m) for v in cells]) / len(cells))
+            m = float_mean(cells)
+            s = math.sqrt(float_mean([(v - m) * (v - m) for v in cells]))
         else:
             m = s = math.nan
         mean.append(0.0 if m != m else m)
@@ -447,7 +449,7 @@ def cross_validate(
         gaps.append(model.gap)
     return CvReport(
         fold_accuracies=accuracies,
-        mean_accuracy=math.fsum(accuracies) / k,
+        mean_accuracy=float_mean(accuracies),
         baseline=majority_baseline(labels),
         k=k, seed=seed, fold_converged=converged, fold_gaps=gaps,
     )

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import InputError, float_sum
+from . import InputError, float_mean
 from .textseg import WORD, Sentence, Token
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
@@ -156,17 +156,17 @@ def fluency_doc(tokens: list[Token], freqs: dict[str, float]) -> float | None:
     if not words:
         return None
     # the tokens' .lower is already lowercased, as the table's keys are
-    return float_sum([freqs.get(t.lower, 0.0) for t in words]) / len(words)
+    return float_mean([freqs.get(t.lower, 0.0) for t in words])
 
 
 def fluency_least3(tokens: list[Token], freqs: dict[str, float]) -> float | None:
     """Mean frequency of the 3 rarest distinct word types (fewer if the
     document has fewer types); frequency ties broken alphabetically."""
-    types = sorted({t.lower for t in tokens if t.kind == WORD})
+    types = {t.lower for t in tokens if t.kind == WORD}
     if not types:
         return None
     ranked = sorted(types, key=lambda w: (freqs.get(w, 0.0), w))[:3]
-    return float_sum([freqs.get(w, 0.0) for w in ranked]) / len(ranked)
+    return float_mean([freqs.get(w, 0.0) for w in ranked])
 
 
 @dataclass
@@ -274,9 +274,7 @@ def sentiment_strength(sentences: list[Sentence], sl: SentimentLexicon) -> tuple
     if not sentences:
         raise ValueError("sentiment_strength requires at least one sentence")
     scores = [_sentence_scores(s, sl) for s in sentences]
-    avg_neg = sum(n for n, _ in scores) / len(scores)
-    avg_pos = sum(p for _, p in scores) / len(scores)
-    return avg_neg, avg_pos
+    return float_mean([n for n, _ in scores]), float_mean([p for _, p in scores])
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import float_sum
+from . import float_mean, float_sum
 
 ALPHA_DEFAULT = 0.05
 
@@ -174,24 +174,11 @@ def t_ppf(q: float, df: int) -> float:
 # ---------------------------------------------------------------------------
 # sample statistics
 
-def _mean(xs: list[float]) -> float:
-    """The exactly rounded sum over len(xs). A sum of finite values past
-    the float range is taken again over the values scaled by 2**-k, with
-    2**k > len(xs); scaling by a power of two is exact, so the mean has
-    the bits it would have if the sum had not overflowed."""
-    n = len(xs)
-    total = float_sum(xs)
-    if math.isinf(total) and all(map(math.isfinite, xs)):
-        k = n.bit_length()
-        return math.ldexp(float_sum([math.ldexp(x, -k) for x in xs]) / n, k)
-    return total / n
-
-
 def _moments(xs) -> tuple[float, float, float, float]:
-    m = _mean(xs)
-    m2 = _mean([(x - m) ** 2 for x in xs])
-    m3 = _mean([(x - m) ** 3 for x in xs])
-    m4 = _mean([(x - m) ** 4 for x in xs])
+    m = float_mean(xs)
+    m2 = float_mean([(x - m) ** 2 for x in xs])
+    m3 = float_mean([(x - m) ** 3 for x in xs])
+    m4 = float_mean([(x - m) ** 4 for x in xs])
     return m, m2, m3, m4
 
 
@@ -265,8 +252,8 @@ def anova_oneway(groups: list[list[float]]) -> tuple[float, float]:
         raise DomainError("anova_oneway needs >= 2 groups with >= 2 values each")
     k = len(groups)
     n_total = sum(len(g) for g in groups)
-    grand = _mean([x for g in groups for x in g])
-    means = [_mean(g) for g in groups]
+    grand = float_mean([x for g in groups for x in g])
+    means = [float_mean(g) for g in groups]
     ss_between = float_sum([len(g) * (m - grand) ** 2 for g, m in zip(groups, means)])
     ss_within = float_sum([(x - m) ** 2 for g, m in zip(groups, means) for x in g])
     df1, df2 = k - 1, n_total - k
@@ -433,7 +420,7 @@ def _route(feature: str, clean: dict[str, list[float]], alpha: float) -> TestRes
             group_means={}, ordering="", significant=False,
             skipped_reason=f"insufficient defined values in group(s): {', '.join(small) or 'n/a'}",
         )
-    means = {label: _mean(vals) for label, vals in clean.items()}
+    means = {label: float_mean(vals) for label, vals in clean.items()}
     all_normal = all(normality_test(vals, alpha)[2] for vals in clean.values())
     samples = list(clean.values())
     degenerate = False
@@ -483,7 +470,7 @@ def confidence_interval(sample: list[float], level: float = 0.95) -> tuple[float
     """(mean, lower, upper) t-based CI for the mean; (mean, -inf, inf)
     when the variance overflows."""
     n = len(sample)
-    m = _mean(sample)
+    m = float_mean(sample)
     if n < 2:
         return m, m, m
     try:

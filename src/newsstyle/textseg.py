@@ -151,7 +151,7 @@ def _abbreviations() -> frozenset[str]:
     return load_abbreviations()
 
 
-_NEXT_START = re.compile(r'\s+["\'(]*[A-Z0-9]')  # whitespace, then a sentence start
+_NEXT_START = re.compile(r'\s+["\'“”‘’(]*[A-Z0-9]')  # whitespace, then a sentence start
 
 
 def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[Sentence]:
@@ -168,13 +168,12 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     if not pairs:
         return []
     tokens, spans = zip(*pairs)
-    normalized = text.translate(_NORMALIZE)
 
     ends: list[int] = []  # index after each sentence's last token
     for i, tok in enumerate(tokens):
         # a terminator at the end of the text is the last token, which ends
         # the last sentence whether or not it is marked
-        if tok.text not in (".", "!", "?") or not _NEXT_START.match(normalized, spans[i][1]):
+        if tok.text not in (".", "!", "?") or not _NEXT_START.match(text, spans[i][1]):
             continue
         if tok.text == "." and i > 0:
             prev = tokens[i - 1]

@@ -74,6 +74,20 @@ class TestStandardizer:
         assert s.std[0] == np.inf
         assert np.all(np.asarray(s.transform(X))[:, 0] == 0.0)
 
+    def test_column_whose_sum_overflows_keeps_a_finite_mean(self):
+        # the float sum of the first column passes the float range, its
+        # mean does not; its squared deviations overflow, so it maps to 0
+        # and the second column separates the classes
+        rng = random.Random(40)
+        labels = ["fake", "real"] * 20
+        X = [[1.7e308 if l == "real" else 1.53e308, (l == "real") + rng.uniform(0, 0.1)]
+             for l in labels]
+        s = fit_standardizer(X)
+        assert all(map(math.isfinite, s.mean))
+        assert s.std[0] == math.inf
+        rep = cross_validate(X, labels, k=5, C=1.0)
+        assert rep.fold_accuracies == [1.0] * 5
+
 
 def _na_matrix(seed):
     """Columns whose means sit well away from 0, about 15% NA cells."""
@@ -106,8 +120,10 @@ class TestStandardizerOracle:
         np.testing.assert_allclose(s.transform(X), Z, rtol=1e-12, atol=1e-12)
 
     # column -> (mean, std, transform of the column): the bits numpy's
-    # nanmean/nanstd gave. fsum raises on an inf with a -inf (ValueError) and
-    # on [1e308, 1e308] (OverflowError), where numpy's sum gave nan and inf
+    # nanmean/nanstd gave, but for [1e308, 1e308]. fsum raises on an inf with
+    # a -inf (ValueError), where numpy's sum gave nan. The float sum of
+    # [1e308, 1e308] overflows, where numpy's mean is inf; float_mean keeps
+    # a mean of finite values finite
     @pytest.mark.parametrize("column, mean, std, z", [
         ([7.0, 7.0, 7.0], 7.0, 1e-12, [0.0, 0.0, 0.0]),
         ([math.nan, math.nan], 0.0, 1e-12, [0.0, 0.0]),
@@ -116,7 +132,7 @@ class TestStandardizerOracle:
         ([-math.inf, 1.0, 2.0], -math.inf, 1e-12, [math.nan, math.inf, math.inf]),
         ([math.inf, -math.inf], 0.0, 1e-12, [math.inf, -math.inf]),
         ([math.inf, -math.inf, 1.0], 0.0, 1e-12, [math.inf, -math.inf, 1e12]),
-        ([1e308, 1e308], math.inf, math.inf, [math.nan, math.nan]),
+        ([1e308, 1e308], 1e308, 1e-12, [0.0, 0.0]),
         ([1e308, -1e308, 0.0], 0.0, math.inf, [0.0, -0.0, 0.0]),
     ])
     def test_edge_column(self, column, mean, std, z):

@@ -213,6 +213,11 @@ class TestFluency:
         ft = {"aa": 0.1, "bb": 0.2, "cc": 0.3, "dd": 0.4}
         assert fluency_least3(_tokens("dd cc bb aa"), ft) == 0.6 / 3
 
+    def test_sum_past_the_float_range_keeps_a_finite_mean(self):
+        ft = {"aa": 1.5e308, "bb": 1.5e308}
+        assert fluency_doc(_tokens("aa bb"), ft) == 1.5e308
+        assert fluency_least3(_tokens("aa bb"), ft) == 1.5e308
+
     def test_order_invariance(self):
         ft = {"aa": 3, "bb": 9}
         assert fluency_doc(_tokens("aa bb aa"), ft) == fluency_doc(_tokens("aa aa bb"), ft)

@@ -8,10 +8,10 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from newsstyle import float_mean
 from newsstyle.stats import (
     DomainError,
     OrderingReport,
-    _mean,
     _midranks,
     anova_oneway,
     chi2_sf,
@@ -444,10 +444,10 @@ class TestOrderingReport:
 class TestMean:
     def test_overflowing_sum_of_finite_values(self):
         # the plain float sum of these is inf, but their mean is finite
-        assert _mean([1.7e308] * 22) == 1.7e308
+        assert float_mean([1.7e308] * 22) == 1.7e308
         big = 1.7976931348623157e308
-        assert _mean([big, big, -big]) == big / 3
-        assert _mean([-1.7e308] * 22) == -1.7e308
+        assert float_mean([big, big, -big]) == big / 3
+        assert float_mean([-1.7e308] * 22) == -1.7e308
 
     def test_scaling_into_overflow_keeps_the_bits(self):
         # 2**1023 times values in [0.5, 2) stays finite, but their sum does
@@ -457,12 +457,12 @@ class TestMean:
             xs = [rng.uniform(0.5, 1.99) for _ in range(rng.randint(2, 300))]
             scaled = [math.ldexp(x, 1023) for x in xs]
             assert math.isinf(sum(scaled))
-            assert _mean(scaled) == math.ldexp(_mean(xs), 1023)
+            assert float_mean(scaled) == math.ldexp(float_mean(xs), 1023)
 
     def test_infinite_values_keep_the_plain_sum(self):
-        assert _mean([1.0, math.inf]) == math.inf
-        assert math.isnan(_mean([math.inf, -math.inf]))
-        assert math.isnan(_mean([1e308, 1e308, math.nan]))
+        assert float_mean([1.0, math.inf]) == math.inf
+        assert math.isnan(float_mean([math.inf, -math.inf]))
+        assert math.isnan(float_mean([1e308, 1e308, math.nan]))
 
 
 class TestConfidenceInterval:
@@ -482,7 +482,7 @@ class TestConfidenceInterval:
 
     def test_overflowing_variance_gives_unbounded_interval(self):
         xs = [1.0, 2.0, 1e200]
-        assert confidence_interval(xs) == (_mean(xs), -math.inf, math.inf)
+        assert confidence_interval(xs) == (float_mean(xs), -math.inf, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +492,10 @@ class TestConfidenceInterval:
 
 
 def _old_moments(xs):
-    m = _mean(xs)
-    m2 = _mean([(x - m) ** 2 for x in xs])
-    m3 = _mean([(x - m) ** 3 for x in xs])
-    m4 = _mean([(x - m) ** 4 for x in xs])
+    m = float_mean(xs)
+    m2 = float_mean([(x - m) ** 2 for x in xs])
+    m3 = float_mean([(x - m) ** 3 for x in xs])
+    m4 = float_mean([(x - m) ** 4 for x in xs])
     return m, m2, m3, m4
 
 
@@ -610,7 +610,7 @@ def _old_compare_feature(feature, groups, alpha=0.05):
             group_means={}, ordering="", significant=False,
             skipped_reason=f"insufficient defined values in group(s): {', '.join(small) or 'n/a'}",
         )
-    means = {label: _mean(vals) for label, vals in clean.items()}
+    means = {label: float_mean(vals) for label, vals in clean.items()}
     all_normal = all(_old_normality_test(vals, alpha)[2] for vals in clean.values())
     samples = list(clean.values())
     degenerate = False
