@@ -10,7 +10,10 @@ against an independent reference implementation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import float_mean, float_sum
 
@@ -265,44 +268,85 @@ def anova_oneway(groups: list[list[float]]) -> tuple[float, float]:
     return f, f_sf(f, df1, df2)
 
 
-def _midranks(pooled: list[float]) -> tuple[list[float], list[int]]:
-    """1-based ranks with ties averaged, and the length of each tie run."""
-    n = len(pooled)
-    order = sorted(range(n), key=pooled.__getitem__)
-    values = [pooled[i] for i in order]
-    ranks = [0.0] * n
-    ties = []
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and values[j] == values[i]:
-            j += 1
-        if j - i == 1:
-            ranks[order[i]] = i + 1.0
-        else:
-            avg = (i + j - 1) / 2.0 + 1.0
-            for idx in order[i:j]:
-                ranks[idx] = avg
-            ties.append(j - i)
-        i = j
-    return ranks, ties
+class Ranking:
+    """A sample of a rank test, ranked once: its size, its sorted values,
+    the count of each value and the tie sum (t**3 - t over each value's
+    count t) of those counts. The rank tests read every statistic from the
+    pairwise counts of rankings, so a sample ranked once serves every test
+    it enters. Equal values tie whatever their type or sign (``-0.0 ==
+    0.0``); a nan has no rank and raises ``DomainError``."""
+
+    __slots__ = ("n", "values", "counts", "ties")
+
+    def __init__(self, sample: list[float]):
+        values = sorted(sample)
+        if any(map(math.isnan, values)):
+            raise DomainError("rank tests are undefined on nan")
+        self.n = len(values)
+        self.values = values
+        self.counts = Counter(values)
+        self.ties = sum(t * t * t - t for t in self.counts.values())
+
+    def __len__(self) -> int:
+        return self.n
 
 
-def ranksum(a: list[float], b: list[float]) -> tuple[float, float]:
+def _ranking(sample: list[float] | Ranking) -> Ranking:
+    return sample if isinstance(sample, Ranking) else Ranking(sample)
+
+
+def _twice_u(a: Ranking, b: Ranking) -> int:
+    """2U(a over b): twice the Mann-Whitney count of pairs (x from a, y from
+    b) with x > y, plus the pairs with x == y. It is read from the side with
+    fewer distinct values; the other side's is 2 * n_a * n_b minus it."""
+    if len(a.counts) > len(b.counts):
+        return 2 * a.n * b.n - _twice_u(b, a)
+    ys, at = b.values, b.counts.get
+    return sum(c * (2 * bisect_left(ys, v) + at(v, 0)) for v, c in a.counts.items())
+
+
+def _tie_sum(groups: list[Ranking]) -> int:
+    """The tie sum of the pooled groups: the counts of the groups other than
+    the one with the most distinct values, merged into that one's."""
+    largest = max(groups, key=lambda g: len(g.counts))
+    merged = sum((g.counts for g in groups if g is not largest), Counter())
+    at = largest.counts.get
+    total = largest.ties
+    for v, c in merged.items():
+        t = at(v, 0)
+        u = t + c
+        total += u * u * u - u - (t * t * t - t)
+    return total
+
+
+def _rank_sums(groups: list[Ranking]) -> list[float]:
+    """Each group's midrank sum in the pooled groups: n_i (n_i + 1) / 2 plus
+    its U over each other group, a multiple of 0.5. Each pair of groups is
+    counted once."""
+    twice_r = [g.n * (g.n + 1) for g in groups]
+    for i, j in combinations(range(len(groups)), 2):
+        u = _twice_u(groups[i], groups[j])
+        twice_r[i] += u
+        twice_r[j] += 2 * groups[i].n * groups[j].n - u
+    return [tr / 2 for tr in twice_r]
+
+
+def ranksum(a: list[float] | Ranking, b: list[float] | Ranking) -> tuple[float, float]:
     """Wilcoxon rank-sum z statistic and two-sided normal-approximation p,
     with tie-corrected variance and no continuity correction.
 
-    All-tied pooled data degenerates to (0, 1).
+    Each sample is a list of values or its ``Ranking``; w, a's rank sum,
+    is read from the pair's Mann-Whitney count. All-tied pooled data
+    degenerates to (0, 1).
     """
     if not a or not b:
         raise DomainError("ranksum requires two non-empty samples")
-    n1, n2 = len(a), len(b)
-    pooled = list(a) + list(b)
-    ranks, ties = _midranks(pooled)
-    w = sum(ranks[:n1])
+    a, b = _ranking(a), _ranking(b)
+    n1, n2 = a.n, b.n
+    w = _rank_sums([a, b])[0]
     n = n1 + n2
     mean = n1 * (n + 1) / 2.0
-    tie_term = sum(t ** 3 - t for t in ties) / (n * (n - 1.0)) if n > 1 else 0.0
+    tie_term = _tie_sum([a, b]) / (n * (n - 1.0)) if n > 1 else 0.0
     var = n1 * n2 / 12.0 * ((n + 1.0) - tie_term)
     if var <= 0:
         return 0.0, 1.0
@@ -311,23 +355,23 @@ def ranksum(a: list[float], b: list[float]) -> tuple[float, float]:
     return z, min(p, 1.0)
 
 
-def kruskal_wallis(groups: list[list[float]]) -> tuple[float, float]:
-    """Kruskal-Wallis H with tie correction; p from chi-square df=k-1."""
+def kruskal_wallis(groups: list[list[float] | Ranking]) -> tuple[float, float]:
+    """Kruskal-Wallis H with tie correction; p from chi-square df=k-1.
+
+    Each group is a list of values or its ``Ranking``; the rank sums are
+    read from the Mann-Whitney count of each pair of groups.
+    """
     if len(groups) < 3:
         raise DomainError("kruskal_wallis needs >= 3 groups")
     if any(len(g) == 0 for g in groups):
         raise DomainError("kruskal_wallis requires non-empty samples")
-    pooled = [x for g in groups for x in g]
-    n = len(pooled)
-    ranks, ties = _midranks(pooled)
+    ranked = [_ranking(g) for g in groups]
+    n = sum(g.n for g in ranked)
     h = 0.0
-    offset = 0
-    for g in groups:
-        r = sum(ranks[offset:offset + len(g)])
-        h += r * r / len(g)
-        offset += len(g)
+    for g, r in zip(ranked, _rank_sums(ranked)):
+        h += r * r / g.n
     h = 12.0 / (n * (n + 1.0)) * h - 3.0 * (n + 1.0)
-    correction = 1.0 - sum(t ** 3 - t for t in ties) / (n ** 3 - n)
+    correction = 1.0 - _tie_sum(ranked) / (n ** 3 - n)
     if correction <= 0:
         return 0.0, 1.0
     h /= correction
@@ -370,7 +414,7 @@ class OrderingReport:
 
 def derive_ordering(
     group_means: dict[str, float],
-    groups: dict[str, list[float]],
+    groups: dict[str, list[float] | Ranking],
     alpha: float = ALPHA_DEFAULT,
     pair_p: float | None = None,
 ) -> str:
@@ -378,9 +422,10 @@ def derive_ordering(
 
     Groups are sorted by mean descending; adjacent pairs are separated by
     ``>`` when their pairwise rank-sum is significant at alpha, ``=``
-    otherwise. ``pair_p`` is the rank-sum p of exactly two groups when the
-    caller has it already: midranks are multiples of 0.5, so swapping the
-    samples negates ``w - mean`` exactly and leaves p the same bits.
+    otherwise. ``groups`` holds each label's values or its ``Ranking``.
+    ``pair_p`` is the rank-sum p of exactly two groups when the caller has
+    it already: rank sums are multiples of 0.5, so swapping the samples
+    negates ``w - mean`` exactly and leaves p the same bits.
     """
     labels = sorted(group_means, key=lambda l: (-group_means[l], l))
     parts = [labels[0].capitalize()]
@@ -400,9 +445,11 @@ def route_feature(
     (``ordering`` is empty), so no pairwise rank-sum runs.
 
     Undefined values are dropped per group; all groups normal -> ANOVA,
-    otherwise rank-sum (2 groups) or Kruskal-Wallis (3+).
+    otherwise rank-sum (2 groups) or Kruskal-Wallis (3+), which rank each
+    group once.
     """
-    return _route(feature, _clean(groups), alpha)
+    clean = _clean(groups)
+    return _route(feature, clean, clean, alpha)
 
 
 def _clean(groups: dict[str, list[float | None]]) -> dict[str, list[float]]:
@@ -412,7 +459,14 @@ def _clean(groups: dict[str, list[float | None]]) -> dict[str, list[float]]:
     }
 
 
-def _route(feature: str, clean: dict[str, list[float]], alpha: float) -> TestResult:
+def _route(
+    feature: str,
+    clean: dict[str, list[float]],
+    ranked: dict[str, list[float] | Ranking],
+    alpha: float,
+) -> TestResult:
+    """The test of ``route_feature``; the rank tests read ``ranked``, the
+    groups of ``clean`` or their rankings."""
     small = [label for label, vals in clean.items() if len(vals) < 2]
     if len(clean) < 2 or small:
         return TestResult(
@@ -429,11 +483,11 @@ def _route(feature: str, clean: dict[str, list[float]], alpha: float) -> TestRes
         stat, p = anova_oneway(samples)
     elif len(clean) == 2:
         test_used = "ranksum"
-        stat, p = ranksum(samples[0], samples[1])
+        stat, p = ranksum(*ranked.values())
         degenerate = stat == 0.0 and p == 1.0 and len({x for s in samples for x in s}) == 1
     else:
         test_used = "kruskal"
-        stat, p = kruskal_wallis(samples)
+        stat, p = kruskal_wallis(list(ranked.values()))
         degenerate = stat == 0.0 and p == 1.0 and len({x for s in samples for x in s}) == 1
     return TestResult(
         feature=feature, test_used=test_used, statistic=stat, p_value=p,
@@ -448,12 +502,15 @@ def compare_feature(
     alpha: float = ALPHA_DEFAULT,
 ) -> TestResult:
     """Route one feature through the normality gate (``route_feature``) and
-    derive its ordering; a skipped feature has no ordering."""
+    derive its ordering; a skipped feature has no ordering. Each group is
+    ranked once, and that ``Ranking`` serves both the rank test and the
+    ordering's pairwise rank-sums."""
     clean = _clean(groups)
-    result = _route(feature, clean, alpha)
+    ranked = {label: Ranking(vals) for label, vals in clean.items()}
+    result = _route(feature, clean, ranked, alpha)
     if result.test_used != "skipped":
         pair_p = result.p_value if result.test_used == "ranksum" else None
-        result.ordering = derive_ordering(result.group_means, clean, alpha, pair_p)
+        result.ordering = derive_ordering(result.group_means, ranked, alpha, pair_p)
     return result
 
 
@@ -468,14 +525,20 @@ def rank_features(results: list[TestResult], k: int, alpha: float = ALPHA_DEFAUL
 
 def confidence_interval(sample: list[float], level: float = 0.95) -> tuple[float, float, float]:
     """(mean, lower, upper) t-based CI for the mean; (mean, -inf, inf)
-    when the variance overflows."""
+    when a squared deviation or the variance overflows."""
     n = len(sample)
     m = float_mean(sample)
     if n < 2:
         return m, m, m
     try:
-        var = float_sum([(x - m) ** 2 for x in sample]) / (n - 1)
+        squares = [(x - m) ** 2 for x in sample]
     except OverflowError:
         return m, -math.inf, math.inf
+    var = float_sum(squares) / (n - 1)
+    if math.isinf(var) and all(map(math.isfinite, squares)):
+        # finite squares whose sum passes the range: sum them scaled by
+        # 2**-k, with 2**k > n, as float_mean does
+        k = n.bit_length()
+        var = math.ldexp(float_sum([math.ldexp(s, -k) for s in squares]) / (n - 1), k)
     half = t_ppf(0.5 + level / 2.0, n - 1) * math.sqrt(var / n)
     return m, m - half, m + half

@@ -254,6 +254,32 @@ def test_two_labels_run_one_ranksum_per_feature(tmp_path, monkeypatch):
     assert len(calls) == len(routes) - routes.count("skipped")
 
 
+def test_three_labels_rank_each_pair_once(tmp_path, monkeypatch):
+    # a three-label analysis runs one Kruskal-Wallis test per feature on that
+    # route, and one rank-sum per adjacent pair of each tested ordering
+    import newsstyle.stats
+
+    calls = []
+    ranksum, kruskal_wallis = newsstyle.stats.ranksum, newsstyle.stats.kruskal_wallis
+
+    def counted_ranksum(a, b):
+        calls.append("ranksum")
+        return ranksum(a, b)
+
+    def counted_kruskal(groups):
+        calls.append("kruskal")
+        return kruskal_wallis(groups)
+
+    monkeypatch.setattr(newsstyle.stats, "ranksum", counted_ranksum)
+    monkeypatch.setattr(newsstyle.stats, "kruskal_wallis", counted_kruskal)
+    sizes, seed = _GOLDEN_ANALYZE_MATRICES["three_labels"]
+    rows = _analyze_matrix(read_matrix(_golden_matrix(tmp_path / "m.csv", sizes, seed)), 0.05).rows
+    routes = [r.test_used for r in rows]
+    assert routes.count("kruskal") >= 2 and "anova" in routes
+    assert calls.count("kruskal") == routes.count("kruskal")
+    assert calls.count("ranksum") == 2 * (len(routes) - routes.count("skipped"))
+
+
 def test_ranked_classify_derives_no_ordering(tmp_path, monkeypatch):
     # the ranking reads only each feature's test, so a three-label matrix,
     # whose tests are ANOVA or Kruskal-Wallis, needs no pairwise rank-sum

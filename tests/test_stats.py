@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -12,7 +13,9 @@ from newsstyle import float_mean
 from newsstyle.stats import (
     DomainError,
     OrderingReport,
-    _midranks,
+    Ranking,
+    _rank_sums,
+    _tie_sum,
     anova_oneway,
     chi2_sf,
     compare_feature,
@@ -282,6 +285,21 @@ class TestRanksum:
         assert z2 == pytest.approx(z1, abs=1e-9)
         assert p2 == pytest.approx(p1, abs=1e-9)
 
+    @pytest.mark.parametrize("a", [[1.0, 5.0, math.nan], [math.nan, 1.0, 5.0]])
+    def test_nan_raises_wherever_it_sits(self, a):
+        with pytest.raises(DomainError, match="nan"):
+            ranksum(a, [2.0, 3.0])
+        with pytest.raises(DomainError, match="nan"):
+            ranksum([2.0, 3.0], a)
+
+    def test_ranked_samples_give_the_same_bits(self):
+        rng = random.Random(21)
+        a = [float(rng.randint(0, 6)) for _ in range(40)]
+        b = [float(rng.randint(1, 8)) for _ in range(25)]
+        expected = ranksum(a, b)
+        for x, y in ((Ranking(a), b), (a, Ranking(b)), (Ranking(a), Ranking(b))):
+            assert _bits(ranksum(x, y)) == _bits(expected)
+
 
 class TestKruskal:
     def test_anchor(self):
@@ -311,6 +329,21 @@ class TestKruskal:
     def test_empty_sample(self, groups):
         with pytest.raises(DomainError):
             kruskal_wallis(groups)
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_nan_raises_in_any_group(self, position):
+        groups = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        groups[position] = groups[position] + [math.nan]
+        with pytest.raises(DomainError, match="nan"):
+            kruskal_wallis(groups)
+
+    def test_ranked_groups_give_the_same_bits(self):
+        rng = random.Random(22)
+        gs = [[rng.choice((-0.0, 0.0, 1.0, 2.5)) for _ in range(rng.randint(3, 30))]
+              for _ in range(4)]
+        expected = kruskal_wallis(gs)
+        assert _bits(kruskal_wallis([Ranking(g) for g in gs])) == _bits(expected)
+        assert _bits(kruskal_wallis([Ranking(gs[0])] + gs[1:])) == _bits(expected)
 
 
 class TestBetaSymmetryProperty:
@@ -483,6 +516,25 @@ class TestConfidenceInterval:
     def test_overflowing_variance_gives_unbounded_interval(self):
         xs = [1.0, 2.0, 1e200]
         assert confidence_interval(xs) == (float_mean(xs), -math.inf, math.inf)
+
+    def test_overflowing_sum_of_finite_squares_keeps_the_interval_finite(self):
+        # each squared deviation is 1e308, their sum is not finite, but the
+        # variance 22e308 / 21 is
+        m, lo, hi = confidence_interval([0.0] * 11 + [2e154] * 11)
+        assert m == 1e154
+        half = t_ppf(0.975, 21) * math.sqrt(math.ldexp(22 * math.ldexp(1e308, -5) / 21, 5) / 22)
+        assert (lo, hi) == (m - half, m + half)
+        assert 0.0 < lo < m < hi < math.inf
+
+    def test_scaled_variance_keeps_the_bits(self):
+        # a power-of-two scale is exact, so the interval scales with the
+        # sample even where the sum of its squares passes the float range
+        rng = random.Random(57)
+        for _ in range(50):
+            xs = [rng.uniform(-1.0, 1.0) for _ in range(rng.randint(2, 60))]
+            m, lo, hi = confidence_interval(xs)
+            big = confidence_interval([math.ldexp(x, 511) for x in xs])
+            assert big == (math.ldexp(m, 511), math.ldexp(lo, 511), math.ldexp(hi, 511))
 
 
 # ---------------------------------------------------------------------------
@@ -679,13 +731,6 @@ class TestSameBitsAsBefore:
             assert _bits(normality_test(xs)) == _bits(_old_normality_test(xs))
 
     @pytest.mark.parametrize("kind", _KINDS)
-    def test_midranks(self, kind):
-        rng = random.Random(kind)
-        for n in (0, 1, 2, 19, 20, 200):
-            xs = _draw(rng, kind, n)
-            assert _bits(_midranks(xs)) == _bits(_old_midranks(xs))
-
-    @pytest.mark.parametrize("kind", _KINDS)
     @pytest.mark.parametrize("n", _SIZES)
     def test_rank_tests(self, kind, n):
         rng = random.Random(f"{kind}{n}")
@@ -711,3 +756,59 @@ class TestSameBitsAsBefore:
                                  math.nan if rng.random() < 0.05 else v for v in vals]
             new = compare_feature("x", groups)
             assert _bits(new) == _bits(_old_compare_feature("x", groups))
+
+
+def _old_union_sums(groups):
+    """Each group's rank sum and the tie sum of the pooled groups, from the
+    midranks of one pooled sort."""
+    ranks, ties = _old_midranks([x for g in groups for x in g])
+    sums, offset = [], 0
+    for g in groups:
+        sums.append(sum(ranks[offset:offset + len(g)]))
+        offset += len(g)
+    return sums, sum(t ** 3 - t for t in ties)
+
+
+class TestRankingDifferential:
+    """Rank sums and tie sums read from per-group rankings equal those of
+    the pooled midranks, bit for bit, on every union of two and of three
+    groups, in every order."""
+
+    @staticmethod
+    def _check(groups):
+        ranked = [Ranking(g) for g in groups]
+        for size in (2, 3):
+            for pick in itertools.permutations(range(len(groups)), size):
+                sums, ties = _old_union_sums([groups[i] for i in pick])
+                union = [ranked[i] for i in pick]
+                assert _bits(_rank_sums(union)) == _bits(sums), pick
+                assert _tie_sum(union) == ties, pick
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("sizes", [(274, 11, 15), (11, 15, 274), (1, 1, 1), (2, 40, 3)])
+    def test_drawn_groups(self, kind, sizes):
+        rng = random.Random(f"{kind}{sizes}")
+        for seed in range(5):
+            self._check([_draw(rng, kind, n, shift=i * seed / 4.0) for i, n in enumerate(sizes)])
+
+    def test_tie_heavy_counts(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            self._check([[float(rng.randint(0, rng.randint(0, 4))) for _ in range(rng.randint(1, 60))]
+                         for _ in range(3)])
+
+    def test_signed_zeros_tie(self):
+        groups = [[-0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, -0.0]]
+        self._check(groups)
+        assert _tie_sum([Ranking(g) for g in groups]) == 6 ** 3 - 6
+
+    def test_constant_groups(self):
+        self._check([[2.5] * 30, [2.5] * 4, [2.5] * 7])
+        self._check([[2.5] * 30, [1.0] * 4, [9.0] * 7])
+
+    def test_integer_inputs(self):
+        rng = random.Random(4)
+        for _ in range(30):
+            groups = [[rng.randint(-3, 3) for _ in range(rng.randint(1, 25))] for _ in range(3)]
+            groups[1] = [float(x) if rng.random() < 0.5 else x for x in groups[1]]
+            self._check(groups)
