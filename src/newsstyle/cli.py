@@ -82,15 +82,16 @@ def cmd_extract(args) -> int:
         labels[doc.id] = doc.label
     resources = ft.Resources.default(args.tagger_model, args.category_lexicon,
                                      args.frequency_table, args.sentiment_lexicon, args.stoplist)
-    vectors = []
-    for doc in corpus.documents:
-        text = doc.title if args.part == "title" else doc.body
-        if args.part == "title" and not text.strip():
-            continue  # unverified/absent titles are skipped, not zeroed
-        vectors.append(ft.extract_all(doc, args.part, resources))
-    if not vectors:
+
+    def vectors():  # each vector is dropped once build_matrix has its row
+        for doc in corpus.documents:
+            if args.part == "title" and not doc.title.strip():
+                continue  # unverified/absent titles are skipped, not zeroed
+            yield ft.extract_all(doc, args.part, resources)
+
+    matrix = mx.build_matrix(vectors(), labels, args.part)
+    if not matrix.rows:
         raise CliError(f"no documents with a non-empty {args.part}")
-    matrix = mx.build_matrix(vectors, labels, args.part)
     mx.write_matrix(matrix, args.out)
     print(f"wrote {args.out}: {len(matrix.rows)} rows x {len(matrix.feature_names)} features")
     return 0

@@ -9,8 +9,8 @@ This layer needs only ``corpus``, so the subcommands that read a matrix
 from __future__ import annotations
 
 import csv
-import io
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,8 +75,10 @@ class FeatureMatrix:
         return [v for v, l in zip(col, self.labels) if l == label]
 
 
-def build_matrix(vectors: list, labels: dict[str, str], part: str) -> FeatureMatrix:
-    """One row per ``features.FeatureVector``, its label looked up by doc_id."""
+def build_matrix(vectors, labels: dict[str, str], part: str) -> FeatureMatrix:
+    """One row per ``features.FeatureVector`` of the iterable ``vectors``,
+    its label looked up by doc_id. The row shares the vector's values, and
+    no vector is kept."""
     names = CATALOG
     required = frozenset(names)
     rows = []
@@ -89,6 +91,7 @@ def build_matrix(vectors: list, labels: dict[str, str], part: str) -> FeatureMat
         rows.append([vec.values[n] for n in names])
         ids.append(vec.doc_id)
         labs.append(labels[vec.doc_id])
+        del vec  # a generator's vector is then dropped before the next is made
     return FeatureMatrix(
         feature_names=tuple(names), doc_ids=tuple(ids), labels=tuple(labs),
         part=part, rows=rows,
@@ -125,11 +128,37 @@ def write_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
                              *[integral.get(v) or text(v) for v in row]])
 
 
-def read_matrix(path: str | Path) -> FeatureMatrix:
-    # csv splits the lines itself, as it does on a file opened with newline=""
-    reader = csv.reader(io.StringIO(MatrixFormatError.read_text(path), newline=""))
+def _lines(text: str):
+    """The lines of a ``decode``d text, each with its ``\\n``: the lines a
+    file opened with newline="" gives, since ``decode`` leaves no other
+    break. ``str.splitlines`` would also break at the ``\\x85``, ``\\x0c``
+    and U+2028 that a quoted doc_id may hold."""
+    start = 0
+    end = text.find("\n") + 1
+    while end:
+        yield text[start:end]
+        start, end = end, text.find("\n", end) + 1
+    if start < len(text):
+        yield text[start:]
+
+
+def _records(reader, path):
+    """The reader's records; a CSV-level error is a ``MatrixFormatError``
+    on the line where the reader stopped."""
     try:
-        header = next(reader)
+        yield from reader
+    except csv.Error as e:
+        raise MatrixFormatError(f"{path}:{reader.line_num}: {e}") from None
+
+
+def read_matrix(path: str | Path) -> FeatureMatrix:
+    """The matrix of a CSV in ``write_matrix``'s format. The reader holds
+    one line of the decoded text at a time, and every cell with the same
+    text and no point, such as a count, shares one float."""
+    reader = csv.reader(_lines(MatrixFormatError.read_text(path)))
+    records = _records(reader, path)
+    try:
+        header = next(records)
     except StopIteration:
         raise MatrixFormatError(f"{path}: empty file") from None
     if header[:3] != ["doc_id", "label", "part"]:
@@ -144,7 +173,12 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
     ids, labels, rows = [], [], []
     first_line: dict[str, int] = {}  # doc_id -> line it was first seen on
     part = ""
-    for lineno, rec in enumerate(reader, 2):
+    # each text without a point (NA, and counts) is parsed once and its value
+    # shared; a text with a point is parsed per cell, so the memo holds
+    # counts, not every distinct value
+    shared: dict[str, float | None] = {"NA": None}
+    get, keep = shared.get, shared.setdefault
+    for lineno, rec in enumerate(records, 2):
         if len(rec) != len(names) + 3:
             raise MatrixFormatError(f"{path}:{lineno}: ragged row")
         first = first_line.setdefault(rec[0], lineno)
@@ -162,7 +196,8 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
                 f"{path}:{lineno}: part {rec[2]!r} differs from the first row's {part!r}"
             )
         try:
-            row = [None if v == "NA" else float(v) for v in rec[3:]]
+            row = [float(v) if "." in v else x if (x := get(v, v)) is not v
+                   else keep(v, float(v)) for v in rec[3:]]
         except ValueError as e:
             raise MatrixFormatError(f"{path}:{lineno}: {e}") from None
         # float() reads a cell as nan exactly when its text holds "nan" in
@@ -172,7 +207,7 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
             nan = [n for n, v in zip(names, row) if v != v]
             raise MatrixFormatError(f"{path}:{lineno}: nan in {nan}; an undefined value is NA")
         ids.append(rec[0])
-        labels.append(rec[1])
+        labels.append(sys.intern(rec[1]))  # one str per label, as for counts
         rows.append(row)
     if not rows:
         raise MatrixFormatError(f"{path}: no rows after the header")

@@ -13,6 +13,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from . import float_mean, float_sum
@@ -149,8 +150,11 @@ def f_sf(f: float, df1: float, df2: float) -> float:
     return reg_incomplete_beta(x, df2 / 2.0, df1 / 2.0)
 
 
+@cache
 def t_ppf(q: float, df: int) -> float:
-    """Student-t quantile by bisection on the CDF (q in (0,1))."""
+    """Student-t quantile by bisection on the CDF (q in (0,1)). A pure
+    function of its arguments, so a cached result has the same bits as a
+    fresh one; ``report`` asks for the same few quantiles many times."""
     if not (0.0 < q < 1.0):
         raise DomainError(f"t_ppf requires q in (0,1), got {q}")
     if df < 1:
@@ -453,8 +457,8 @@ def route_feature(
 
 
 def _clean(groups: dict[str, list[float | None]]) -> dict[str, list[float]]:
-    return {  # v == v is False only for nan
-        label: [float(v) for v in vals if v is not None and v == v]
+    return {  # v == v is False only for nan; the other cells are kept as they are
+        label: [v for v in vals if v is not None and v == v]
         for label, vals in groups.items()
     }
 

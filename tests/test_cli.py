@@ -141,6 +141,16 @@ class TestAnalyze:
         m.write_text("doc_id,label,part,BOGUS\nx,real,body,1\n")
         assert main(["analyze", "--matrix", str(m), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("cell", ["1" * 140_000, "1\x002"], ids=["field-limit", "nul"])
+    def test_csv_error_exit_1(self, tmp_path, capsys, cell):
+        # a field past csv's size limit, or on 3.10 a NUL byte, stops the
+        # csv reader itself; it reports the line it stopped on
+        m = tmp_path / "m.csv"
+        m.write_text(f"doc_id,label,part,WC\nx,real,body,1\ny,fake,body,{cell}\n")
+        assert main(["analyze", "--matrix", str(m), "--out", str(tmp_path / "o")]) == 1
+        assert f"{m}:3: " in capsys.readouterr().err
+        assert not (tmp_path / "o" / "ordering.tsv").exists()
+
     def test_unknown_labels_exit_1(self, tmp_path, capsys):
         # labels outside LABELS have no fixed group order, so the sign of a
         # two-group statistic would depend on set iteration order
@@ -232,6 +242,22 @@ def test_golden_analyze_output(tmp_path, name):
     for artifact, expected in GOLDEN_ANALYZE_SHA256[name].items():
         got = hashlib.sha256((tmp_path / "o" / artifact).read_bytes()).hexdigest()
         assert got == expected, (name, artifact)
+
+
+def test_report_computes_each_t_quantile_once(tmp_path):
+    # every confidence interval of one size asks for the same quantile
+    from newsstyle.stats import t_ppf
+
+    m = _golden_matrix(tmp_path / "m.csv", {"real": 40, "fake": 35, "satire": 30}, 11)
+    t_ppf.cache_clear()
+    assert main(["report", "--matrix", str(m), "--ci-features", "WC,WPS,quotes,TTR,NN",
+                 "--out", str(tmp_path / "r")]) == 0
+    lines = (tmp_path / "r" / "ci_plot_data.csv").read_text().splitlines()[1:]
+    sizes = {line.split(",")[2] for line in lines}
+    calls = t_ppf.cache_info()
+    assert len(lines) == 15 and len(sizes) == 6  # TTR's NA cells give it sizes of its own
+    assert calls.misses == calls.currsize == len(sizes)
+    assert calls.hits + calls.misses == len(lines)
 
 
 def test_two_labels_run_one_ranksum_per_feature(tmp_path, monkeypatch):

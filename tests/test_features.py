@@ -1,6 +1,10 @@
+import csv
 import hashlib
+import io
 import math
 import random
+import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +18,7 @@ import newsstyle.lexicon as lx
 import newsstyle.postag as pt
 import newsstyle.textseg as ts
 from newsstyle.cli import main
-from newsstyle.corpus import Document, load_corpus
+from newsstyle.corpus import LABELS, Document, load_corpus
 from newsstyle.features import (
     _QUOTE_CHARS,
     _TAG_FOLD,
@@ -607,3 +611,183 @@ class TestWriteMatrixFormats:
             "0", "0", "2", "999999999999999", "1000000000000000.0", "-1000000000000000.0", "1e+16",
             "0.1",
             "inf", "-inf", "NA", "NA"]
+
+
+def _stringio_read_matrix(path):
+    """``read_matrix`` as it was when it parsed an ``io.StringIO`` of the
+    whole text, with one float per cell: the oracle of the line slices and
+    the shared floats."""
+    reader = csv.reader(io.StringIO(MatrixFormatError.read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MatrixFormatError(f"{path}: empty file") from None
+    if header[:3] != ["doc_id", "label", "part"]:
+        raise MatrixFormatError(f"{path}: bad header {header[:3]}")
+    names = tuple(header[3:])
+    unknown = [n for n in names if n not in CATALOG]
+    if unknown:
+        raise MatrixFormatError(f"{path}: unknown feature column(s) {unknown}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise MatrixFormatError(f"{path}:1: repeated feature column(s) {repeated}")
+    ids, labels, rows = [], [], []
+    first_line: dict[str, int] = {}
+    part = ""
+    for lineno, rec in enumerate(reader, 2):
+        if len(rec) != len(names) + 3:
+            raise MatrixFormatError(f"{path}:{lineno}: ragged row")
+        first = first_line.setdefault(rec[0], lineno)
+        if first != lineno:
+            raise MatrixFormatError(
+                f"{path}:{lineno}: duplicate doc_id {rec[0]!r} (first on line {first})"
+            )
+        if rec[1] not in LABELS:
+            raise MatrixFormatError(f"{path}:{lineno}: label {rec[1]!r} not in {LABELS}")
+        if rec[2] not in ("title", "body"):
+            raise MatrixFormatError(f"{path}:{lineno}: part {rec[2]!r} is not title or body")
+        part = part or rec[2]
+        if rec[2] != part:
+            raise MatrixFormatError(
+                f"{path}:{lineno}: part {rec[2]!r} differs from the first row's {part!r}"
+            )
+        try:
+            row = [None if v == "NA" else float(v) for v in rec[3:]]
+        except ValueError as e:
+            raise MatrixFormatError(f"{path}:{lineno}: {e}") from None
+        if "nan" in ",".join(rec[3:]).lower():
+            nan = [n for n, v in zip(names, row) if v != v]
+            raise MatrixFormatError(f"{path}:{lineno}: nan in {nan}; an undefined value is NA")
+        ids.append(rec[0])
+        labels.append(rec[1])
+        rows.append(row)
+    if not rows:
+        raise MatrixFormatError(f"{path}: no rows after the header")
+    return FeatureMatrix(
+        feature_names=names, doc_ids=tuple(ids), labels=tuple(labels),
+        part=part, rows=rows,
+    )
+
+
+def _outcome(read, path):
+    """What ``read`` makes of ``path``, with every cell's type and bits."""
+    try:
+        m = read(path)
+    except MatrixFormatError as e:
+        return "error", str(e)
+    cells = [[None if v is None else (type(v), v.hex()) for v in row] for row in m.rows]
+    return m.feature_names, m.doc_ids, m.labels, m.part, cells
+
+
+_HEADER = "doc_id,label,part,WC,TTR\n"
+
+
+class TestReadMatrixDifferential:
+    @pytest.mark.parametrize("text", [
+        _HEADER + '"a,b",real,body,1,0.5\nc,fake,body,2,1\n',
+        _HEADER + '"a\nb",real,body,1,0.5\nc,fake,body,2,1\n',
+        _HEADER + '"a\nb",real,body,1,0.5\nc,fake,body,2\n',  # ragged after a two-line id
+        _HEADER + '"a\nb",real,body,1,0.5\na\nb,fake,body,2,1\n',
+        *[_HEADER + f'"a{c}b",real,body,1,0.5\na{c}c,fake,body,2,1\n'
+          for c in ("\x85", "\u2028", "\x0c", "\x0b", "\x1c")],
+        _HEADER + "a,real,body,1,0.5\nb,fake,body,2,1",  # no final newline
+        _HEADER + "a,real,body,1,0.5\nb,fake,body,2,1\n\n",  # blank last line
+        _HEADER + "a,real,body,1,0.5\n\nb,fake,body,2,1\n",  # blank middle line
+        _HEADER + "a,real,body,NA,-0\nb,fake,body,1e5,inf\nc,satire,body,-0,1e5\n",
+        _HEADER + "a,real,body,3,3\nb,fake,body,-inf,3.0\nc,real,body,0,-0\n",
+        _HEADER + "a,real,body,1,0.5\nb,fake,body,x1,1\n",  # a bad cell
+        _HEADER + "a,real,body,1,0.5\nb,fake,body,1,x1\n",  # a bad cell after a shared one
+        _HEADER + "a,real,body,1_0,nan\n",
+        _HEADER,
+        "",
+    ])
+    @pytest.mark.parametrize("encoding", ["lf", "crlf", "cr", "bom"])
+    def test_same_rows_or_message_as_the_stringio_parse(self, tmp_path, text, encoding):
+        data = text.encode("utf-8")
+        if encoding in ("crlf", "cr"):
+            data = data.replace(b"\n", b"\r\n" if encoding == "crlf" else b"\r")
+        elif encoding == "bom":
+            data = b"\xef\xbb\xbf" + data
+        p = tmp_path / "m.csv"
+        p.write_bytes(data)
+        assert _outcome(read_matrix, p) == _outcome(_stringio_read_matrix, p)
+
+    def test_equal_integral_texts_share_one_float(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(_HEADER + "a,real,body,3,-0\nb,fake,body,3,0\nc,real,body,-0,0.5\n"
+                     "d,fake,body,0.5,1e5\ne,real,body,1e5,0\n")
+        m = read_matrix(p)
+        wc, ttr = m.column("WC"), m.column("TTR")
+        assert wc[0] is wc[1]
+        assert ttr[0] is wc[2] and math.copysign(1.0, ttr[0]) == -1.0
+        assert ttr[1] is ttr[4] and math.copysign(1.0, ttr[1]) == 1.0
+        assert wc[4] is ttr[3] == 1e5
+
+
+def _counts_matrix(path: Path, rows: int, seed: int) -> Path:
+    """A body matrix of every catalog column, holding counts and a few NA
+    cells, as ``write_matrix`` writes them."""
+    rng = random.Random(seed)
+    lines = ["doc_id,label,part," + ",".join(CATALOG)]
+    for i in range(rows):
+        cells = ["NA" if rng.random() < 0.01 else str(int(rng.expovariate(1 / 30)))
+                 for _ in CATALOG]
+        lines.append(f"doc{i:05d},{('real', 'fake', 'satire')[i % 3]},body," + ",".join(cells))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_read_matrix_memory_is_bounded_by_the_file_size(tmp_path):
+    # a string of the whole text at 4 bytes per character, or a float object
+    # per count cell, breaks these bounds
+    p = _counts_matrix(tmp_path / "m.csv", 1500, 0)
+    size = p.stat().st_size
+    read_matrix(p)  # the first call's imports and caches are not the matrix's
+    tracemalloc.start()
+    try:
+        m = read_matrix(p)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(m.rows) == 1500
+    assert held <= 4 * size, held / size
+    assert peak - held <= 2 * size, (peak - held) / size
+
+
+class TestNoVectorKept:
+    def test_build_matrix_drops_each_vector_of_a_generator(self):
+        refs, alive = [], []
+
+        def make(i):
+            alive.append([r() is not None for r in refs])
+            vec = FeatureVector(doc_id=f"d{i}", part="body",
+                                values=dict.fromkeys(CATALOG, float(i)))
+            refs.append(weakref.ref(vec))
+            return vec
+
+        labels = {f"d{i}": "real" for i in range(4)}
+        m = build_matrix((make(i) for i in range(4)), labels, "body")
+        assert alive == [[False] * i for i in range(4)]
+        assert m.doc_ids == ("d0", "d1", "d2", "d3")
+        assert [row[0] for row in m.rows] == [0.0, 1.0, 2.0, 3.0]
+
+    def test_extract_holds_no_earlier_vector(self, tmp_path, monkeypatch):
+        import newsstyle.features as ft
+
+        corpus = write_synthetic_corpus(tmp_path / "c", {"real": 3, "fake": 3}, seed=1,
+                                        dataset_id=1)
+        refs, alive = [], []
+        extract = ft.extract_all
+
+        def traced(doc, part, resources):
+            alive.append(sum(r() is not None for r in refs))
+            vec = extract(doc, part, resources)
+            refs.append(weakref.ref(vec))
+            return vec
+
+        monkeypatch.setattr(ft, "extract_all", traced)
+        out = tmp_path / "b.csv"
+        assert main(["extract", "--corpus", str(corpus), "--dataset-id", "1",
+                     "--part", "body", "--out", str(out)]) == 0
+        assert alive == [0] * 6
+        assert len(read_matrix(out).rows) == 6
