@@ -97,23 +97,21 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _feature_groups(matrix: mx.FeatureMatrix):
-    """(feature, {label: column}) per feature, labels in ``cp.LABELS`` order."""
+def _analyze_matrix(matrix: mx.FeatureMatrix, alpha: float) -> st.OrderingReport:
+    """``compare_feature`` on every column, its groups in ``cp.LABELS`` order."""
+    from . import stats as st
+
     # split the rows by label once and transpose each label's rows, so every
     # group's column is taken once, in matrix row order
     columns = {
         label: list(zip(*[row for row, l in zip(matrix.rows, matrix.labels) if l == label]))
         for label in cp.LABELS if label in matrix.labels
     }
-    for j, feature in enumerate(matrix.feature_names):
-        yield feature, {label: list(cols[j]) for label, cols in columns.items()}
-
-
-def _analyze_matrix(matrix: mx.FeatureMatrix, alpha: float) -> st.OrderingReport:
-    from . import stats as st
-
     report = st.OrderingReport(part=matrix.part, alpha=alpha)
-    report.rows = [st.compare_feature(f, groups, alpha) for f, groups in _feature_groups(matrix)]
+    report.rows = [
+        st.compare_feature(feature, {label: list(cols[j]) for label, cols in columns.items()}, alpha)
+        for j, feature in enumerate(matrix.feature_names)
+    ]
     return report
 
 
@@ -177,9 +175,8 @@ def _select_features(matrix: mx.FeatureMatrix, args) -> tuple[str, ...]:
         names = mx.PRESETS[args.preset]
         _check_columns(args.matrix, matrix, names, f"--preset {args.preset}")
         return names
-    # the ranking reads only the tests, so the orderings are not derived
-    results = [st.route_feature(f, groups, args.alpha) for f, groups in _feature_groups(matrix)]
-    top = st.rank_features(results, args.top_k, args.alpha)
+    # the first significant rows of analyze's ordering.tsv
+    top = st.rank_features(_analyze_matrix(matrix, args.alpha).rows, args.top_k, args.alpha)
     if len(top) < args.top_k:
         print(f"only {len(top)} significant feature(s) available", file=sys.stderr)
     if not top:
@@ -193,14 +190,14 @@ def cmd_classify(args) -> int:
         raise CliError(f"--top-k must be >= 1, got {args.top_k}")
     if args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
-    from . import learn as ln
-
-    matrix = mx.read_matrix(args.matrix)
     pair = tuple(args.pair.split(":"))
     if len(pair) != 2 or not all(p in cp.LABELS for p in pair):
         raise CliError(f"--pair must be label:label from {cp.LABELS}, got {args.pair!r}")
     if pair[0] == pair[1]:
         raise CliError(f"--pair needs two different labels, got {args.pair!r}")
+    from . import learn as ln
+
+    matrix = mx.read_matrix(args.matrix)
     keep = [i for i, l in enumerate(matrix.labels) if l in pair]
     for label in pair:
         if label not in matrix.labels:

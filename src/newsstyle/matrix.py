@@ -178,7 +178,8 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
     # counts, not every distinct value
     shared: dict[str, float | None] = {"NA": None}
     get, keep = shared.get, shared.setdefault
-    for lineno, rec in enumerate(records, 2):
+    for rec in records:
+        lineno = reader.line_num  # a record's last line: a quoted doc_id may span lines
         if len(rec) != len(names) + 3:
             raise MatrixFormatError(f"{path}:{lineno}: ragged row")
         first = first_line.setdefault(rec[0], lineno)

@@ -227,8 +227,8 @@ def normality_test(sample: list[float], alpha: float = ALPHA_DEFAULT) -> tuple[f
     """D'Agostino-Pearson K-squared omnibus normality test.
 
     Samples smaller than 20 (or with zero variance) are auto-classified
-    non-normal: the omnibus approximation is unreliable there and the
-    rank-based fallback is always valid. So is a sample whose moments
+    non-normal: the omnibus approximation is unreliable there, and the
+    rank tests assume no normality. So is a sample whose moments
     overflow (a deviation from the mean past about 1.2e77): it gives
     (inf, 0, False), and the samples that pass keep ANOVA's sums of
     squares finite.
@@ -440,37 +440,23 @@ def derive_ordering(
     return " ".join(parts)
 
 
-def route_feature(
+def compare_feature(
     feature: str,
     groups: dict[str, list[float | None]],
     alpha: float = ALPHA_DEFAULT,
 ) -> TestResult:
-    """The test part of ``compare_feature``: its result without the ordering
-    (``ordering`` is empty), so no pairwise rank-sum runs.
+    """Route one feature through the normality gate and derive its ordering.
 
-    Undefined values are dropped per group; all groups normal -> ANOVA,
-    otherwise rank-sum (2 groups) or Kruskal-Wallis (3+), which rank each
-    group once.
+    Undefined values are dropped per group, and a feature with a group of
+    fewer than two values left is skipped, with no ordering. All groups
+    normal -> ANOVA, otherwise rank-sum (2 groups) or Kruskal-Wallis (3+).
+    Each group is ranked once, and that ``Ranking`` serves both the rank
+    test and the ordering's pairwise rank-sums.
     """
-    clean = _clean(groups)
-    return _route(feature, clean, clean, alpha)
-
-
-def _clean(groups: dict[str, list[float | None]]) -> dict[str, list[float]]:
-    return {  # v == v is False only for nan; the other cells are kept as they are
+    clean = {  # v == v is False only for nan; the other cells are kept as they are
         label: [v for v in vals if v is not None and v == v]
         for label, vals in groups.items()
     }
-
-
-def _route(
-    feature: str,
-    clean: dict[str, list[float]],
-    ranked: dict[str, list[float] | Ranking],
-    alpha: float,
-) -> TestResult:
-    """The test of ``route_feature``; the rank tests read ``ranked``, the
-    groups of ``clean`` or their rankings."""
     small = [label for label, vals in clean.items() if len(vals) < 2]
     if len(clean) < 2 or small:
         return TestResult(
@@ -478,50 +464,32 @@ def _route(
             group_means={}, ordering="", significant=False,
             skipped_reason=f"insufficient defined values in group(s): {', '.join(small) or 'n/a'}",
         )
+    ranked = {label: Ranking(vals) for label, vals in clean.items()}
     means = {label: float_mean(vals) for label, vals in clean.items()}
-    all_normal = all(normality_test(vals, alpha)[2] for vals in clean.values())
     samples = list(clean.values())
-    degenerate = False
-    if all_normal:
+    pair_p = None  # a two-group rank test's p is its ordering's one rank-sum p
+    if all(normality_test(vals, alpha)[2] for vals in samples):
         test_used = "anova"
         stat, p = anova_oneway(samples)
     elif len(clean) == 2:
         test_used = "ranksum"
         stat, p = ranksum(*ranked.values())
-        degenerate = stat == 0.0 and p == 1.0 and len({x for s in samples for x in s}) == 1
+        pair_p = p
     else:
         test_used = "kruskal"
         stat, p = kruskal_wallis(list(ranked.values()))
-        degenerate = stat == 0.0 and p == 1.0 and len({x for s in samples for x in s}) == 1
+    degenerate = (test_used != "anova" and stat == 0.0 and p == 1.0
+                  and len({x for s in samples for x in s}) == 1)
     return TestResult(
         feature=feature, test_used=test_used, statistic=stat, p_value=p,
-        group_means=means, ordering="", significant=p < alpha,
-        degenerate=degenerate,
+        group_means=means, ordering=derive_ordering(means, ranked, alpha, pair_p),
+        significant=p < alpha, degenerate=degenerate,
     )
-
-
-def compare_feature(
-    feature: str,
-    groups: dict[str, list[float | None]],
-    alpha: float = ALPHA_DEFAULT,
-) -> TestResult:
-    """Route one feature through the normality gate (``route_feature``) and
-    derive its ordering; a skipped feature has no ordering. Each group is
-    ranked once, and that ``Ranking`` serves both the rank test and the
-    ordering's pairwise rank-sums."""
-    clean = _clean(groups)
-    ranked = {label: Ranking(vals) for label, vals in clean.items()}
-    result = _route(feature, clean, ranked, alpha)
-    if result.test_used != "skipped":
-        pair_p = result.p_value if result.test_used == "ranksum" else None
-        result.ordering = derive_ordering(result.group_means, ranked, alpha, pair_p)
-    return result
 
 
 def rank_features(results: list[TestResult], k: int, alpha: float = ALPHA_DEFAULT) -> list[str]:
     """Top-k features in ``_rank_key`` order; only features significant at
-    alpha qualify. Reads only the test part, so ``route_feature`` results
-    rank the same as ``compare_feature`` ones."""
+    alpha qualify."""
     eligible = [r for r in results if r.test_used != "skipped" and r.p_value < alpha]
     eligible.sort(key=_rank_key)
     return [r.feature for r in eligible[:k]]

@@ -306,17 +306,10 @@ def test_three_labels_rank_each_pair_once(tmp_path, monkeypatch):
     assert calls.count("ranksum") == 2 * (len(routes) - routes.count("skipped"))
 
 
-def test_ranked_classify_derives_no_ordering(tmp_path, monkeypatch):
-    # the ranking reads only each feature's test, so a three-label matrix,
-    # whose tests are ANOVA or Kruskal-Wallis, needs no pairwise rank-sum
+def test_ranked_classify_takes_the_first_significant_rows_of_analyze(tmp_path):
+    # the first --top-k significant rows of ordering.tsv, one of them a
+    # Kruskal-Wallis row
     import newsstyle.stats
-
-    calls = []
-    ranksum = newsstyle.stats.ranksum
-
-    def counted(a, b):
-        calls.append((len(a), len(b)))
-        return ranksum(a, b)
 
     sizes, seed = _GOLDEN_ANALYZE_MATRICES["three_labels"]
     m = _golden_matrix(tmp_path / "m.csv", sizes, seed)
@@ -324,11 +317,56 @@ def test_ranked_classify_derives_no_ordering(tmp_path, monkeypatch):
     routes = {r.feature: r.test_used for r in rows}
     expected = newsstyle.stats.rank_features(rows, 4, 0.05)
     assert "kruskal" in {routes[f] for f in expected}
-    monkeypatch.setattr(newsstyle.stats, "ranksum", counted)
+    assert main(["analyze", "--matrix", str(m), "--out", str(tmp_path / "a")]) == 0
+    significant = [line.split("\t")[0] for line in
+                   (tmp_path / "a" / "ordering.tsv").read_text().splitlines()[6:]
+                   if line.split("\t")[5] == "1"]
+    assert expected == significant[:4]
     out = tmp_path / "cv.tsv"
     assert main(["classify", "--matrix", str(m), "--pair", "fake:real", "--out", str(out)]) == 0
-    assert calls == []
     assert f"features={','.join(expected)}" in out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_ANALYZE_MATRICES))
+def test_ranked_classify_compares_each_column_once(tmp_path, monkeypatch, name):
+    # the ranking runs analyze's protocol, the one compare_feature, once per
+    # column of the matrix and in column order; a preset runs none
+    import newsstyle.stats
+
+    calls = []
+    compare_feature = newsstyle.stats.compare_feature
+
+    def counted(feature, groups, alpha):
+        calls.append(feature)
+        return compare_feature(feature, groups, alpha)
+
+    monkeypatch.setattr(newsstyle.stats, "compare_feature", counted)
+    sizes, seed = _GOLDEN_ANALYZE_MATRICES[name]
+    m = _golden_matrix(tmp_path / "m.csv", sizes, seed)
+    argv = ["classify", "--matrix", str(m), "--pair", "fake:real", "--out", str(tmp_path / "cv.tsv")]
+    assert main(argv) == 0
+    assert calls == list(read_matrix(m).feature_names)
+    calls.clear()
+    assert main(argv + ["--preset", "body4"]) == 0
+    assert calls == []
+
+
+# the features= line of a ranked classify (--pair fake:real, --top-k 4) on
+# each matrix of `_golden_matrix`; a change to a test, a p-value or the
+# ranking moves it
+GOLDEN_RANKED_FEATURES = {
+    "three_labels": "TTR,quotes,WC,WPS",
+    "two_labels": "quotes,TTR,WC",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RANKED_FEATURES))
+def test_golden_ranked_classify_features(tmp_path, name):
+    sizes, seed = _GOLDEN_ANALYZE_MATRICES[name]
+    m = _golden_matrix(tmp_path / "m.csv", sizes, seed)
+    out = tmp_path / "cv.tsv"
+    assert main(["classify", "--matrix", str(m), "--pair", "fake:real", "--out", str(out)]) == 0
+    assert f"features={GOLDEN_RANKED_FEATURES[name]}" in out.read_text().splitlines()
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_ANALYZE_MATRICES))
@@ -806,7 +844,7 @@ def _title_matrix_with_nnp(tmp_path, value, rows):
     return m
 
 
-def _nnp_route(m, out):
+def _nnp_test(m, out):
     """The test name and p-value ``analyze`` gives NNP."""
     assert main(["analyze", "--matrix", str(m), "--out", str(out)]) == 0
     row = next(line.split("\t") for line in (out / "ordering.tsv").read_text().splitlines()
@@ -821,12 +859,12 @@ def _nnp_fake_ci(m, out):
     return next(line for line in ci if line.startswith("NNP,fake,"))
 
 
-def test_huge_finite_cell_takes_the_rank_route(tmp_path):
+def test_huge_finite_cell_goes_to_a_rank_test(tmp_path):
     # squaring the deviation of a 1e200 cell used to end analyze and report
     # in an OverflowError traceback
     m = _title_matrix_with_nnp(tmp_path, "1e200", [1])
     assert m.read_text().count("1e200") == 1
-    test, p = _nnp_route(m, tmp_path / "a")
+    test, p = _nnp_test(m, tmp_path / "a")
     assert test == "kruskal" and p < 1e-6
     line = _nnp_fake_ci(m, tmp_path / "r")
     assert line.startswith("NNP,fake,22,") and line.endswith(",-inf,inf")
@@ -837,7 +875,7 @@ def test_finite_cells_whose_sum_overflows_have_a_finite_mean(tmp_path):
     # and both confidence bounds nan
     m = _title_matrix_with_nnp(tmp_path, "1.7e308", range(1, 67))
     assert m.read_text().count("1.7e308") == 22
-    assert _nnp_route(m, tmp_path / "a")[0] == "kruskal"
+    assert _nnp_test(m, tmp_path / "a")[0] == "kruskal"
     assert _nnp_fake_ci(m, tmp_path / "r") == "NNP,fake,22,1.7e+308,1.7e+308,1.7e+308"
 
 
@@ -858,6 +896,21 @@ def test_pair_without_two_labelled_groups_exit_1(tmp_path, capsys, monkeypatch, 
     out = tmp_path / "cv.tsv"
     assert main(["classify", "--matrix", str(m), "--pair", pair, *preset, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message.format(m=m)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("fake-real", "--pair must be label:label from ('real', 'fake', 'satire'), got 'fake-real'"),
+    ("fake:bogus", "--pair must be label:label from ('real', 'fake', 'satire'), got 'fake:bogus'"),
+    ("real:real", "--pair needs two different labels, got 'real:real'"),
+])
+def test_bad_pair_reported_before_the_matrix_is_read(tmp_path, capsys, pair, message):
+    # the matrix is missing: a --pair typo was reported only after a read,
+    # and a missing file hid it
+    out = tmp_path / "cv.tsv"
+    assert main(["classify", "--matrix", str(tmp_path / "missing.csv"), "--pair", pair,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
