@@ -83,17 +83,14 @@ def cmd_extract(args) -> int:
     resources = ft.Resources.default(args.tagger_model, args.category_lexicon,
                                      args.frequency_table, args.sentiment_lexicon, args.stoplist)
 
-    def vectors():  # each vector is dropped once build_matrix has its row
-        for doc in corpus.documents:
-            if args.part == "title" and not doc.title.strip():
-                continue  # unverified/absent titles are skipped, not zeroed
-            yield ft.extract_all(doc, args.part, resources)
-
-    matrix = mx.build_matrix(vectors(), labels, args.part)
-    if not matrix.rows:
+    # unverified/absent titles are skipped, not zeroed
+    docs = [doc for doc in corpus.documents if args.part == "body" or doc.title.strip()]
+    if not docs:
         raise CliError(f"no documents with a non-empty {args.part}")
-    mx.write_matrix(matrix, args.out)
-    print(f"wrote {args.out}: {len(matrix.rows)} rows x {len(matrix.feature_names)} features")
+    # each row is written as it is made, and its vector dropped
+    vectors = (ft.extract_all(doc, args.part, resources) for doc in docs)
+    rows = mx.write_matrix(mx.RowStream(vectors, labels, args.part), args.out)
+    print(f"wrote {args.out}: {rows} rows x {len(mx.CATALOG)} features")
     return 0
 
 
@@ -211,7 +208,7 @@ def cmd_classify(args) -> int:
         # then every weight nan
         infinite = [n for n, v in zip(names, row) if math.isinf(v)]
         if infinite:
-            raise CliError(f"{args.matrix}:{i + 2}: inf in {infinite}")
+            raise CliError(f"{args.matrix}:{matrix.line_numbers[i]}: inf in {infinite}")
     labels = [matrix.labels[i] for i in keep]
     try:
         report = ln.cross_validate(X, labels, k=args.folds, C=args.C, seed=args.seed)

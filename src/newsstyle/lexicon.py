@@ -48,6 +48,10 @@ class CategoryLexicon:
     _exact_cats: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
     _stem_cats: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
     _stem_prefixes: frozenset[str] = field(default=frozenset(), init=False, repr=False)
+    # hits -> the one (self, hits) pair that every record with them holds;
+    # filled by use, so not part of the lexicon's value
+    _pairs: dict[tuple[int, ...], tuple] = field(default_factory=dict, init=False, repr=False,
+                                                 compare=False)
 
     def __post_init__(self):
         exact: dict[str, list[int]] = {}
@@ -65,7 +69,8 @@ class CategoryLexicon:
     def _hit_indices(self, tok: Token) -> tuple[int, ...]:
         """Category indices of a word token's lowercase form, ascending:
         those of its exact entry plus those of every prefix that is a
-        wildcard stem. Stored on the token's record with this lexicon."""
+        wildcard stem. Stored on the token's record with this lexicon, as
+        the pair that every record with the same hits shares."""
         word = tok.lower
         cats = set(self._exact_cats.get(word, ()))
         for end in range(1, len(word) + 1):
@@ -74,8 +79,9 @@ class CategoryLexicon:
                 break  # no stem starts with it, so none starts with a longer prefix
             cats.update(self._stem_cats.get(prefix, ()))
         found = tuple(sorted(cats))
-        object.__setattr__(tok, "categories", (self, found))
-        return found
+        pair = self._pairs.setdefault(found, (self, found))
+        object.__setattr__(tok, "categories", pair)
+        return pair[1]
 
 
 def load_category_lexicon(path: str | Path | None = None) -> CategoryLexicon:

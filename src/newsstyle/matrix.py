@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,6 +65,10 @@ class FeatureMatrix:
     labels: tuple[str, ...]
     part: str
     rows: list[list[float | None]]
+    # the line each row's record ends on in the file it was read from (a
+    # quoted doc_id may span lines), 8 bytes a row; empty for a matrix that
+    # was not read
+    line_numbers: Sequence[int] = ()
 
     def column(self, feature: str) -> list[float | None]:
         try:
@@ -74,26 +81,49 @@ class FeatureMatrix:
         col = self.column(feature)
         return [v for v, l in zip(col, self.labels) if l == label]
 
+    def records(self) -> Iterator[tuple[str, str, list[float | None]]]:
+        """(doc_id, label, row) of each row, in order."""
+        return zip(self.doc_ids, self.labels, self.rows)
+
+
+class RowStream:
+    """The rows of the ``features.FeatureVector``s that the iterable
+    ``vectors`` makes, each labelled by ``labels[doc_id]``, for
+    ``write_matrix`` to write as they come: each vector's row is taken, and
+    the vector dropped, before the next vector is made, so no more than one
+    row is held at a time."""
+    feature_names = CATALOG
+
+    def __init__(self, vectors: Iterable, labels: dict[str, str], part: str):
+        self.vectors, self.labels, self.part = vectors, labels, part
+
+    def records(self) -> Iterator[tuple[str, str, list[float | None]]]:
+        """(doc_id, label, row) of each vector, the row in ``CATALOG``
+        order and sharing the vector's values."""
+        names = self.feature_names
+        required = frozenset(names)
+        for vec in self.vectors:
+            values = vec.values
+            if not values.keys() >= required:
+                missing = [n for n in names if n not in values]
+                raise MatrixFormatError(f"{vec.doc_id}: missing features {missing}")
+            record = vec.doc_id, self.labels[vec.doc_id], [values[n] for n in names]
+            del vec, values  # not bound while the next vector is made
+            yield record
+
 
 def build_matrix(vectors, labels: dict[str, str], part: str) -> FeatureMatrix:
     """One row per ``features.FeatureVector`` of the iterable ``vectors``,
     its label looked up by doc_id. The row shares the vector's values, and
     no vector is kept."""
-    names = CATALOG
-    required = frozenset(names)
-    rows = []
-    ids = []
-    labs = []
-    for vec in vectors:
-        if not vec.values.keys() >= required:
-            missing = [n for n in names if n not in vec.values]
-            raise MatrixFormatError(f"{vec.doc_id}: missing features {missing}")
-        rows.append([vec.values[n] for n in names])
-        ids.append(vec.doc_id)
-        labs.append(labels[vec.doc_id])
-        del vec  # a generator's vector is then dropped before the next is made
+    stream = RowStream(vectors, labels, part)
+    ids, labs, rows = [], [], []
+    for doc_id, label, row in stream.records():
+        ids.append(doc_id)
+        labs.append(label)
+        rows.append(row)
     return FeatureMatrix(
-        feature_names=tuple(names), doc_ids=tuple(ids), labels=tuple(labs),
+        feature_names=stream.feature_names, doc_ids=tuple(ids), labels=tuple(labs),
         part=part, rows=rows,
     )
 
@@ -106,11 +136,16 @@ def _format_value(v: float | None) -> str:
     return repr(float(v))
 
 
-def write_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
+def write_matrix(matrix: FeatureMatrix | RowStream, path: str | Path) -> int:
     """CSV with header doc_id,label,part,<features>; NA marks undefined.
+    Returns the number of rows written.
 
-    Counts repeat across rows, so each distinct integral value is formatted
-    once per call; other values, NaN and None are formatted per cell.
+    The rows are taken from ``matrix.records()`` one at a time and written
+    to a new file beside ``path``, which replaces ``path`` once the last
+    row is written: an error in making or writing a row leaves ``path`` as
+    it was, and no new file. Counts repeat across rows, so each distinct
+    integral value is formatted once per call; other values, NaN and None
+    are formatted per cell.
     """
     integral: dict[float, str] = {}
 
@@ -120,12 +155,24 @@ def write_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
             integral[v] = s
         return s
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["doc_id", "label", "part", *matrix.feature_names])
-        for doc_id, label, row in zip(matrix.doc_ids, matrix.labels, matrix.rows):
-            writer.writerow([doc_id, label, matrix.part,
-                             *[integral.get(v) or text(v) for v in row]])
+    path = Path(path)
+    # a name no other process writes; a file left by a killed run of this
+    # process id is overwritten
+    new = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    n = 0
+    try:
+        with open(new, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["doc_id", "label", "part", *matrix.feature_names])
+            for doc_id, label, row in matrix.records():
+                writer.writerow([doc_id, label, matrix.part,
+                                 *[integral.get(v) or text(v) for v in row]])
+                n += 1
+        os.replace(new, path)
+    except BaseException:
+        new.unlink(missing_ok=True)
+        raise
+    return n
 
 
 def _lines(text: str):
@@ -171,6 +218,7 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
     if repeated:
         raise MatrixFormatError(f"{path}:1: repeated feature column(s) {repeated}")
     ids, labels, rows = [], [], []
+    line_numbers = array("L")
     first_line: dict[str, int] = {}  # doc_id -> line it was first seen on
     part = ""
     # each text without a point (NA, and counts) is parsed once and its value
@@ -210,9 +258,10 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
         ids.append(rec[0])
         labels.append(sys.intern(rec[1]))  # one str per label, as for counts
         rows.append(row)
+        line_numbers.append(lineno)
     if not rows:
         raise MatrixFormatError(f"{path}: no rows after the header")
     return FeatureMatrix(
         feature_names=names, doc_ids=tuple(ids), labels=tuple(labels),
-        part=part, rows=rows,
+        part=part, rows=rows, line_numbers=line_numbers,
     )

@@ -49,8 +49,9 @@ class TaggerModel:
     every feature. The entry also holds the rows of the type as a
     neighbour (``pw=``, ``nw=``). Types whose weighted word features are
     the same share one score table, so the tables grow with the model's
-    features, not with the types seen. The entry is stored on the token's
-    record, paired with the model.
+    features, not with the types seen; types whose entries hold the same
+    fixed tag, score table, shape rows and neighbour rows share one entry
+    too. The entry is stored on the token's record, paired with the model.
     """
     tagset: tuple[str, ...]
     weights: dict[str, dict[str, float]]
@@ -61,6 +62,8 @@ class TaggerModel:
     def __post_init__(self):
         # the weighted word features -> their scores, one table per set
         object.__setattr__(self, "_tables", {})
+        # the identities of an entry's parts -> the one entry that holds them
+        object.__setattr__(self, "_entries", {})
         # the weight rows of the context features by the value that fills
         # the template: p1= by tag, p2= by (tag, tag), pw= and nw= by word
         p1, p2, pw, nw = {}, {}, {}, {}
@@ -84,8 +87,8 @@ class TaggerModel:
 
     def _entry(self, tok: Token) -> tuple:
         """(self, fixed tag or None, word scores, shape rows, pw= row, nw=
-        row) of ``tok``'s type, stored on its record; the word scores are
-        shared, so copy them before adding."""
+        row) of ``tok``'s type, stored on its record; the entry and its
+        word scores are shared, so copy the scores before adding."""
         weights = self.weights
         fixed = _fixed_tag(self.lexical_backoff, self.vocab, tok)
         scores, shape = None, ()
@@ -95,7 +98,12 @@ class TaggerModel:
             if scores is None:
                 scores = self._tables[feats] = _accumulate(weights, {}, feats)
             shape = tuple(weights[f] for f in _shape_features(tok) if weights.get(f))
-        entry = (self, fixed, scores, shape, self._pw.get(tok.lower), self._nw.get(tok.lower))
+        pw, nw = self._pw.get(tok.lower), self._nw.get(tok.lower)
+        # every part is None or an object the model keeps, so its id names it
+        key = (fixed, id(scores), id(pw), id(nw), *map(id, shape))
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = (self, fixed, scores, shape, pw, nw)
         object.__setattr__(tok, "tagging", entry)
         return entry
 

@@ -41,8 +41,8 @@ _TOKEN_RE = re.compile(
 
 @dataclass(frozen=True, slots=True)
 class Token:
-    """One token type: the tokens of a (text, kind) pair share one record
-    (see ``token``), and each token's span is kept beside it.
+    """One token type: the tokens of a text share one record (see
+    ``token``), and each token's span is kept beside it.
 
     ``text``, ``kind`` and ``is_all_caps`` are its value. ``norm``,
     ``lower`` and ``syllables`` (``count_syllables`` of ``lower`` for a
@@ -72,25 +72,27 @@ class Token:
         object.__setattr__(self, "syllables", count_syllables(lower) if self.kind == WORD else 0)
 
 
-# The type table: (text, kind) -> its shared record. It holds at most
-# TYPE_CAP records; past that, each token of a new type gets a record of
-# its own, so its per-type results are computed again for each token.
+# The type table: text -> its shared record. It holds at most TYPE_CAP
+# records; past that, each token of a new type gets a record of its own, so
+# its per-type results are computed again for each token. So does each token
+# of a text met first with another kind, which the tokenizer never makes:
+# its rules give each text one kind.
 TYPE_CAP = 1 << 13
-_types: dict[tuple[str, str], Token] = {}
+_types: dict[str, Token] = {}
 
 
 def token(text: str, kind: str) -> Token:
-    """The shared record of a token type, made on first sight. A word of
-    two or more letters, all capitals, is all-caps."""
-    key = (text, kind)
-    tok = _types.get(key)
-    if tok is None:
-        # letters are the only cased characters a word token can hold, so
-        # isupper() means "every letter is a capital"
-        tok = Token(text, kind, kind == WORD and len(text) >= 2 and text.isupper())
-        if len(_types) < TYPE_CAP:
-            _types[key] = tok
-    return tok
+    """The record of a token type, shared when the table holds it. A word
+    of two or more letters, all capitals, is all-caps."""
+    tok = _types.get(text)
+    if tok is not None and tok.kind == kind:
+        return tok
+    # letters are the only cased characters a word token can hold, so
+    # isupper() means "every letter is a capital"
+    new = Token(text, kind, kind == WORD and len(text) >= 2 and text.isupper())
+    if tok is None and len(_types) < TYPE_CAP:
+        _types[text] = new
+    return new
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,8 @@ def tokenize(text: str) -> list[tuple[Token, tuple[int, int]]]:
                 continue
         piece = text[start:end]
         # token()'s table lookup, inlined for the common case of a known type
-        append((types.get((piece, kind)) or token(piece, kind), span))
+        tok = types.get(piece)
+        append((tok if tok is not None and tok.kind == kind else token(piece, kind), span))
     return out
 
 

@@ -811,6 +811,17 @@ def test_infinite_cell_in_a_selected_column_exit_1(tmp_path, capsys, cells, mess
     assert not out.exists()
 
 
+def test_infinite_cell_after_a_two_line_doc_id_names_its_line(tmp_path, capsys):
+    # the first doc_id spans lines 2 and 3, so the fifth row is on line 7
+    m = _inf_matrix(tmp_path / "inf.csv", {(4, "TTR"): "inf"})
+    m.write_text(m.read_text().replace("\nd0,", '\n"d\n0",', 1))
+    out = tmp_path / "cv.tsv"
+    assert main(["classify", "--matrix", str(m), "--pair", "fake:real", "--preset", "body4",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {m}:7: inf in ['TTR']\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cells", [
     {(5, "exclaim"): "inf"},  # not a body4 column
     {(39, "NN"): "-inf"},  # a satire row, outside the pair

@@ -364,7 +364,7 @@ class TestWordScoreMemo:
             assert f"suf3={suffix}" not in model.weights
         assert "suf2=xs" not in model.weights
         a, b = model._entry(token("aaqxs", WORD)), model._entry(token("aazxs", WORD))
-        assert a is not b and a[2] is b[2]
+        assert a is b and a[2] is b[2]
 
 
 class TestChunk:

@@ -126,6 +126,16 @@ class TestToken:
         assert not token("I", WORD).is_all_caps
         assert not token("!!", PUNCT).is_all_caps
 
+    def test_a_text_met_with_a_second_kind_gets_a_record_of_its_own(self, monkeypatch):
+        # the table is keyed by text; the tokenizer gives each text one kind
+        monkeypatch.setattr(ts, "_types", {})
+        word = token("x", WORD)
+        punct = token("x", PUNCT)
+        assert punct == Token("x", PUNCT)
+        assert punct is not token("x", PUNCT)
+        assert ts._types == {"x": word}
+        assert token("x", WORD) is word
+
 
 # the tokenizer rules as they were before the fast paths: every word goes
 # through the clitic split, and all-caps is checked letter by letter
