@@ -51,6 +51,68 @@ def decode(data: bytes) -> str:
     return text
 
 
+class Record:
+    """Base of the package's record classes. They are plain classes, so a
+    module that defines some generates no code when it loads. A subclass
+    lists its attributes in ``__slots__`` and writes its own ``__init__``.
+    ``_fields`` names the attributes that make up its value: ``==``
+    compares them between records of one class, and ``repr`` shows those
+    whose names do not start with ``_``. A mutable value is unhashable,
+    so a record is too."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        shown = [f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_"]
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+
+class FrozenRecord(Record):
+    """A record that is a value: ``__init__`` sets each attribute once,
+    and nothing can assign or delete one afterwards. It hashes as the
+    tuple of its ``_fields``' values. ``__init__`` sets them through
+    ``object.__setattr__`` or, in a class made per token, sentence or
+    document, through its ``slot_setters``, which cost less."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    # for copy and pickle, whose default restores each slot through __setattr__
+    def __getstate__(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+def slot_setters(cls: type) -> list:
+    """The setters of ``cls``'s slots, in ``__slots__`` order. They store a
+    value without the attribute lookup and the check that
+    ``object.__setattr__`` makes, and a frozen record's ``__setattr__``
+    does not stop them."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
 class InputError(Exception):
     """Common base of the errors that bad input raises: a corpus, matrix,
     lexicon or tagger file, or a command-line value. ``newsstyle.cli``

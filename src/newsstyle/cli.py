@@ -17,14 +17,13 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import InputError
 from . import corpus as cp
 from . import matrix as mx
 
-if TYPE_CHECKING:
-    from . import stats as st
+# ``st`` in an annotation names ``newsstyle.stats``, which only the
+# subcommands that run it import; annotations are never evaluated here
 
 SCHEMA_VERSION = "1"
 

@@ -10,10 +10,9 @@ real/satire, dataset 2 all three.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import InputError, decode
+from . import FrozenRecord, InputError, Record, decode, slot_setters
 
 REAL = "real"
 FAKE = "fake"
@@ -31,20 +30,28 @@ class CorpusError(InputError):
     """Structural problem that prevents building a corpus at all."""
 
 
-@dataclass(frozen=True)
-class Document:
-    id: str
-    dataset_id: int
-    source: str
-    label: str
-    title: str
-    body: str
+class Document(FrozenRecord):
+    __slots__ = _fields = ("id", "dataset_id", "source", "label", "title", "body")
+
+    def __init__(self, id: str, dataset_id: int, source: str, label: str, title: str,
+                 body: str):
+        _set_id(self, id)
+        _set_dataset_id(self, dataset_id)
+        _set_source(self, source)
+        _set_label(self, label)
+        _set_title(self, title)
+        _set_body(self, body)
 
 
-@dataclass(frozen=True)
-class Manifest:
-    dataset_id: int
-    counts: dict[str, int]
+_set_id, _set_dataset_id, _set_source, _set_label, _set_title, _set_body = slot_setters(Document)
+
+
+class Manifest(FrozenRecord):
+    __slots__ = _fields = ("dataset_id", "counts")
+
+    def __init__(self, dataset_id: int, counts: dict[str, int]):
+        object.__setattr__(self, "dataset_id", dataset_id)
+        object.__setattr__(self, "counts", counts)
 
     def as_text(self) -> str:
         lines = [f"dataset_id={self.dataset_id}"]
@@ -53,16 +60,20 @@ class Manifest:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Corpus:
-    documents: tuple[Document, ...]
-    manifest: Manifest
+class Corpus(FrozenRecord):
+    __slots__ = _fields = ("documents", "manifest")
+
+    def __init__(self, documents: tuple[Document, ...], manifest: Manifest):
+        object.__setattr__(self, "documents", documents)
+        object.__setattr__(self, "manifest", manifest)
 
 
-@dataclass
-class LoadReport:
+class LoadReport(Record):
     """Per-document load errors; loading continues past them."""
-    errors: list[tuple[str, str]] = field(default_factory=list)  # (path, reason)
+    __slots__ = _fields = ("errors",)
+
+    def __init__(self, errors: list[tuple[str, str]] | None = None):
+        self.errors = [] if errors is None else errors  # (path, reason)
 
 
 def _read_article(path: Path) -> tuple[str, str]:
@@ -133,11 +144,15 @@ def load_corpus(root_dir: str | Path, dataset_id: int) -> tuple[Corpus, LoadRepo
     return Corpus(documents=tuple(docs), manifest=Manifest(dataset_id, counts)), report
 
 
-@dataclass
-class ValidationReport:
-    duplicate_ids: list[str] = field(default_factory=list)
-    empty_bodies: list[str] = field(default_factory=list)
-    illegal_labels: list[str] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = _fields = ("duplicate_ids", "empty_bodies", "illegal_labels")
+
+    def __init__(self, duplicate_ids: list[str] | None = None,
+                 empty_bodies: list[str] | None = None,
+                 illegal_labels: list[str] | None = None):
+        self.duplicate_ids = [] if duplicate_ids is None else duplicate_ids
+        self.empty_bodies = [] if empty_bodies is None else empty_bodies
+        self.illegal_labels = [] if illegal_labels is None else illegal_labels
 
     def ok(self) -> bool:
         return not (self.duplicate_ids or self.empty_bodies or self.illegal_labels)

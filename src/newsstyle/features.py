@@ -12,8 +12,8 @@ live in ``newsstyle.matrix``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from . import Record
 from . import lexicon as lx
 from . import postag as pt
 from . import textseg as ts
@@ -42,14 +42,18 @@ _QUOTE_CHARS = set('"\'“”‘’')
 NA = None
 
 
-@dataclass
-class Resources:
+class Resources(Record):
     """Everything extraction needs, loaded once and shared."""
-    tagger: pt.TaggerModel
-    categories: lx.CategoryLexicon
-    frequency: dict[str, float]  # word -> frequency per million
-    sentiment: lx.SentimentLexicon
-    stopwords: frozenset[str]
+    __slots__ = _fields = ("tagger", "categories", "frequency", "sentiment", "stopwords")
+
+    def __init__(self, tagger: pt.TaggerModel, categories: lx.CategoryLexicon,
+                 frequency: dict[str, float], sentiment: lx.SentimentLexicon,
+                 stopwords: frozenset[str]):
+        self.tagger = tagger
+        self.categories = categories
+        self.frequency = frequency  # word -> frequency per million
+        self.sentiment = sentiment
+        self.stopwords = stopwords
 
     @classmethod
     def default(cls, tagger_model=None, category_lexicon=None, frequency_table=None,
@@ -64,11 +68,15 @@ class Resources:
         )
 
 
-@dataclass
-class FeatureVector:
-    doc_id: str
-    part: str  # title | body
-    values: dict[str, float | None] = field(default_factory=dict)
+class FeatureVector(Record):
+    _fields = ("doc_id", "part", "values")
+    # weakly referable, so what still holds a vector can be found
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, doc_id: str, part: str, values: dict[str, float | None] | None = None):
+        self.doc_id = doc_id
+        self.part = part  # title | body
+        self.values = {} if values is None else values
 
 
 def _median(xs: tuple[int, ...]) -> float:

@@ -20,9 +20,8 @@ import math
 import operator
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
-from . import float_mean, float_sum
+from . import Record, float_mean, float_sum
 
 _STD_FLOOR = 1e-12
 
@@ -54,10 +53,12 @@ def shuffle(items: list, rand) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-@dataclass
-class Standardizer:
-    mean: list[float]
-    std: list[float]
+class Standardizer(Record):
+    __slots__ = _fields = ("mean", "std")
+
+    def __init__(self, mean: list[float], std: list[float]):
+        self.mean = mean
+        self.std = std
 
     def transform(self, X: Rows) -> list[list[float]]:
         """z-scored rows; an NA cell becomes the training mean, so its z is 0.
@@ -97,15 +98,22 @@ def fit_standardizer(X: Rows) -> Standardizer:
     return Standardizer(mean=mean, std=std)
 
 
-@dataclass
-class SvmModel:
-    weights: list[float]  # includes appended bias weight as last entry
-    standardizer: Standardizer
-    dual_objective_history: list[float] = field(default_factory=list)
-    alpha: list[float] | None = None
-    converged: bool = False  # set by train_svm: max_violation < tol
-    max_violation: float = math.nan  # largest projected gradient of the returned alpha
-    gap: float = math.nan  # relative duality gap (P - D) / P of the returned w and alpha
+class SvmModel(Record):
+    __slots__ = _fields = ("weights", "standardizer", "dual_objective_history", "alpha",
+                           "converged", "max_violation", "gap")
+
+    def __init__(self, weights: list[float], standardizer: Standardizer,
+                 dual_objective_history: list[float] | None = None,
+                 alpha: list[float] | None = None, converged: bool = False,
+                 max_violation: float = math.nan, gap: float = math.nan):
+        self.weights = weights  # includes appended bias weight as last entry
+        self.standardizer = standardizer
+        self.dual_objective_history = (
+            [] if dual_objective_history is None else dual_objective_history)
+        self.alpha = alpha
+        self.converged = converged  # set by train_svm: max_violation < tol
+        self.max_violation = max_violation  # largest projected gradient of the returned alpha
+        self.gap = gap  # relative duality gap (P - D) / P of the returned w and alpha
 
     def decision_values(self, X: Rows) -> list[float]:
         """One exactly rounded w . [z, 1] per row of X."""
@@ -400,15 +408,20 @@ def majority_baseline(labels) -> float:
     return max(counts.values()) / len(labels)
 
 
-@dataclass
-class CvReport:
-    fold_accuracies: list[float]
-    mean_accuracy: float
-    baseline: float
-    k: int
-    seed: int
-    fold_converged: list[bool] = field(default_factory=list)
-    fold_gaps: list[float] = field(default_factory=list)  # each fold's SvmModel.gap
+class CvReport(Record):
+    __slots__ = _fields = ("fold_accuracies", "mean_accuracy", "baseline", "k", "seed",
+                           "fold_converged", "fold_gaps")
+
+    def __init__(self, fold_accuracies: list[float], mean_accuracy: float, baseline: float,
+                 k: int, seed: int, fold_converged: list[bool] | None = None,
+                 fold_gaps: list[float] | None = None):
+        self.fold_accuracies = fold_accuracies
+        self.mean_accuracy = mean_accuracy
+        self.baseline = baseline
+        self.k = k
+        self.seed = seed
+        self.fold_converged = [] if fold_converged is None else fold_converged
+        self.fold_gaps = [] if fold_gaps is None else fold_gaps  # each fold's SvmModel.gap
 
 
 def cross_validate(

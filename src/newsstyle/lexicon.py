@@ -25,10 +25,9 @@ byte-order mark, text after ``#`` a comment, blank lines skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import InputError, float_mean
+from . import InputError, Record, float_mean
 from .textseg import WORD, Sentence, Token
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
@@ -38,33 +37,32 @@ class LexiconFormatError(ValueError, InputError):
     """Raised for malformed lexicon files."""
 
 
-@dataclass
-class CategoryLexicon:
-    exact: dict[str, dict[str, None]] = field(default_factory=dict)
-    stems: dict[str, list[str]] = field(default_factory=dict)
-    # compiled at construction: the category names, word or stem -> indices
-    # of its categories, and every non-empty prefix of every stem
-    _names: tuple[str, ...] = field(default=(), init=False, repr=False)
-    _exact_cats: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
-    _stem_cats: dict[str, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
-    _stem_prefixes: frozenset[str] = field(default=frozenset(), init=False, repr=False)
-    # hits -> the one (self, hits) pair that every record with them holds;
-    # filled by use, so not part of the lexicon's value
-    _pairs: dict[tuple[int, ...], tuple] = field(default_factory=dict, init=False, repr=False,
-                                                 compare=False)
+class CategoryLexicon(Record):
+    __slots__ = ("exact", "stems", "_names", "_exact_cats", "_stem_cats", "_stem_prefixes",
+                 "_pairs")
+    # _pairs is filled by use, so it is not part of the lexicon's value
+    _fields = __slots__[:-1]
 
-    def __post_init__(self):
-        exact: dict[str, list[int]] = {}
-        stems: dict[str, list[int]] = {}
-        for i, cat in enumerate(self.exact):
-            for word in self.exact[cat]:
-                exact.setdefault(word, []).append(i)
-            for stem in self.stems[cat]:
-                stems.setdefault(stem, []).append(i)
-        self._names = tuple(self.exact)
-        self._exact_cats = {w: tuple(ix) for w, ix in exact.items()}
-        self._stem_cats = {s: tuple(ix) for s, ix in stems.items()}
-        self._stem_prefixes = frozenset(s[:end] for s in stems for end in range(1, len(s) + 1))
+    def __init__(self, exact: dict[str, dict[str, None]] | None = None,
+                 stems: dict[str, list[str]] | None = None):
+        self.exact = exact = {} if exact is None else exact
+        self.stems = stems = {} if stems is None else stems
+        # compiled here: the category names, word or stem -> indices of its
+        # categories, and every non-empty prefix of every stem
+        exact_cats: dict[str, list[int]] = {}
+        stem_cats: dict[str, list[int]] = {}
+        for i, cat in enumerate(exact):
+            for word in exact[cat]:
+                exact_cats.setdefault(word, []).append(i)
+            for stem in stems[cat]:
+                stem_cats.setdefault(stem, []).append(i)
+        self._names = tuple(exact)
+        self._exact_cats = {w: tuple(ix) for w, ix in exact_cats.items()}
+        self._stem_cats = {s: tuple(ix) for s, ix in stem_cats.items()}
+        self._stem_prefixes = frozenset(
+            s[:end] for s in stem_cats for end in range(1, len(s) + 1))
+        # hits -> the one (self, hits) pair that every record with them holds
+        self._pairs = {}
 
     def _hit_indices(self, tok: Token) -> tuple[int, ...]:
         """Category indices of a word token's lowercase form, ascending:
@@ -175,17 +173,17 @@ def fluency_least3(tokens: list[Token], freqs: dict[str, float]) -> float | None
     return float_mean([freqs.get(w, 0.0) for w in ranked])
 
 
-@dataclass
-class SentimentLexicon:
-    terms: dict[str, int]          # word or trailing-* stem -> strength
-    boosters: dict[str, int]       # word -> magnitude shift
-    negators: frozenset[str]
-    # compiled at construction from the trailing-* terms, longest stem first
-    _stems: list[tuple[str, int]] = field(default_factory=list, init=False, repr=False)
+class SentimentLexicon(Record):
+    __slots__ = _fields = ("terms", "boosters", "negators", "_stems")
 
-    def __post_init__(self):
+    def __init__(self, terms: dict[str, int], boosters: dict[str, int],
+                 negators: frozenset[str]):
+        self.terms = terms  # word or trailing-* stem -> strength
+        self.boosters = boosters  # word -> magnitude shift
+        self.negators = negators
+        # compiled here from the trailing-* terms, longest stem first
         self._stems = sorted(
-            ((k[:-1], v) for k, v in self.terms.items() if k.endswith("*")),
+            ((k[:-1], v) for k, v in terms.items() if k.endswith("*")),
             key=lambda kv: len(kv[0]),
             reverse=True,
         )

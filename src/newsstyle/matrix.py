@@ -14,10 +14,9 @@ import os
 import sys
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
-from . import InputError
+from . import InputError, Record
 from .corpus import LABELS
 
 COMPLEXITY_FEATURES = (
@@ -58,17 +57,21 @@ class MatrixFormatError(ValueError, InputError):
     pass
 
 
-@dataclass
-class FeatureMatrix:
-    feature_names: tuple[str, ...]
-    doc_ids: tuple[str, ...]
-    labels: tuple[str, ...]
-    part: str
-    rows: list[list[float | None]]
-    # the line each row's record ends on in the file it was read from (a
-    # quoted doc_id may span lines), 8 bytes a row; empty for a matrix that
-    # was not read
-    line_numbers: Sequence[int] = ()
+class FeatureMatrix(Record):
+    __slots__ = _fields = ("feature_names", "doc_ids", "labels", "part", "rows", "line_numbers")
+
+    def __init__(self, feature_names: tuple[str, ...], doc_ids: tuple[str, ...],
+                 labels: tuple[str, ...], part: str, rows: list[list[float | None]],
+                 line_numbers: Sequence[int] = ()):
+        self.feature_names = feature_names
+        self.doc_ids = doc_ids
+        self.labels = labels
+        self.part = part
+        self.rows = rows
+        # the line each row's record ends on in the file it was read from (a
+        # quoted doc_id may span lines), 8 bytes a row; empty for a matrix
+        # that was not read
+        self.line_numbers = line_numbers
 
     def column(self, feature: str) -> list[float | None]:
         try:

@@ -11,10 +11,9 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from . import InputError
+from . import FrozenRecord, InputError, slot_setters
 from .textseg import NUMBER, PUNCT, SYMBOL, Sentence, Token
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
@@ -33,10 +32,9 @@ class TaggerError(ValueError, InputError):
     pass
 
 
-@dataclass(frozen=True)
-class TaggerModel:
+class TaggerModel(FrozenRecord):
     """A tagger model is a value: to change a field, build a new model
-    (``dataclasses.replace``) rather than editing one in place. Its
+    from the old one's fields rather than editing one in place. Its
     context rows are built from the weights when it is made, and the score
     tables that ``tag`` fills belong to it from its construction on.
 
@@ -53,13 +51,18 @@ class TaggerModel:
     fixed tag, score table, shape rows and neighbour rows share one entry
     too. The entry is stored on the token's record, paired with the model.
     """
-    tagset: tuple[str, ...]
-    weights: dict[str, dict[str, float]]
-    lexical_backoff: dict[str, str]
-    version: str = "1"
-    vocab: frozenset[str] = frozenset()
+    __slots__ = ("tagset", "weights", "lexical_backoff", "version", "vocab",
+                 "_tables", "_entries", "_p1", "_p2", "_pw", "_nw")
+    _fields = __slots__[:5]
 
-    def __post_init__(self):
+    def __init__(self, tagset: tuple[str, ...], weights: dict[str, dict[str, float]],
+                 lexical_backoff: dict[str, str], version: str = "1",
+                 vocab: frozenset[str] = frozenset()):
+        object.__setattr__(self, "tagset", tagset)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "lexical_backoff", lexical_backoff)
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "vocab", vocab)
         # the weighted word features -> their scores, one table per set
         object.__setattr__(self, "_tables", {})
         # the identities of an entry's parts -> the one entry that holds them
@@ -162,12 +165,17 @@ _MODEL_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class TaggedSentence:
-    tokens: tuple[tuple[Token, str], ...]
+class TaggedSentence(FrozenRecord):
+    __slots__ = _fields = ("tokens",)
+
+    def __init__(self, tokens: tuple[tuple[Token, str], ...]):
+        _set_tokens(self, tokens)
 
     def tags(self) -> list[str]:
         return [tag for _, tag in self.tokens]
+
+
+[_set_tokens] = slot_setters(TaggedSentence)
 
 
 def _word_features(tok: Token) -> list[str]:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 
-from . import float_mean, float_sum
+from . import Record, float_mean, float_sum
 
 ALPHA_DEFAULT = 0.05
 
@@ -385,17 +384,22 @@ def kruskal_wallis(groups: list[list[float] | Ranking]) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # comparison protocol
 
-@dataclass
-class TestResult:
-    feature: str
-    test_used: str  # anova | ranksum | kruskal | skipped
-    statistic: float
-    p_value: float
-    group_means: dict[str, float]
-    ordering: str
-    significant: bool
-    skipped_reason: str = ""
-    degenerate: bool = False
+class TestResult(Record):
+    __slots__ = _fields = ("feature", "test_used", "statistic", "p_value", "group_means",
+                           "ordering", "significant", "skipped_reason", "degenerate")
+
+    def __init__(self, feature: str, test_used: str, statistic: float, p_value: float,
+                 group_means: dict[str, float], ordering: str, significant: bool,
+                 skipped_reason: str = "", degenerate: bool = False):
+        self.feature = feature
+        self.test_used = test_used  # anova | ranksum | kruskal | skipped
+        self.statistic = statistic
+        self.p_value = p_value
+        self.group_means = group_means
+        self.ordering = ordering
+        self.significant = significant
+        self.skipped_reason = skipped_reason
+        self.degenerate = degenerate
 
 
 def _rank_key(r: TestResult) -> tuple[float, float, str]:
@@ -403,11 +407,13 @@ def _rank_key(r: TestResult) -> tuple[float, float, str]:
     return r.p_value, -abs(r.statistic), r.feature
 
 
-@dataclass
-class OrderingReport:
-    part: str
-    alpha: float
-    rows: list[TestResult] = field(default_factory=list)
+class OrderingReport(Record):
+    __slots__ = _fields = ("part", "alpha", "rows")
+
+    def __init__(self, part: str, alpha: float, rows: list[TestResult] | None = None):
+        self.part = part
+        self.alpha = alpha
+        self.rows = [] if rows is None else rows
 
     def sorted_rows(self) -> list[TestResult]:
         tested = [r for r in self.rows if r.test_used != "skipped"]

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import InputError
+from . import FrozenRecord, InputError, slot_setters
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
 
@@ -39,8 +38,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(FrozenRecord):
     """One token type: the tokens of a text share one record (see
     ``token``), and each token's span is kept beside it.
 
@@ -52,24 +50,30 @@ class Token:
     they need them, each paired with the resource object it was computed
     from.
     """
-    text: str
-    kind: str
-    is_all_caps: bool = False
-    # not part of equality or hashing
-    norm: str = field(init=False, compare=False, repr=False)  # curly quotes straightened
-    lower: str = field(init=False, compare=False, repr=False)  # norm, lowercased
-    syllables: int = field(init=False, compare=False, repr=False)
-    categories: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    tagging: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("text", "kind", "is_all_caps",
+                 # not part of equality, hashing or repr
+                 "norm",  # curly quotes straightened
+                 "lower",  # norm, lowercased
+                 "syllables", "categories", "tagging")
+    _fields = __slots__[:3]
 
-    def __post_init__(self):
+    def __init__(self, text: str, kind: str, is_all_caps: bool = False):
         # _NORMALIZE maps only non-ASCII characters
-        norm = self.text if self.text.isascii() else self.text.translate(_NORMALIZE)
+        norm = text if text.isascii() else text.translate(_NORMALIZE)
         lower = norm.lower()
-        object.__setattr__(self, "norm", norm)
+        _set_text(self, text)
+        _set_kind(self, kind)
+        _set_is_all_caps(self, is_all_caps)
+        _set_norm(self, norm)
         # one string, not two equal ones, for a type already in lowercase
-        object.__setattr__(self, "lower", norm if lower == norm else lower)
-        object.__setattr__(self, "syllables", count_syllables(lower) if self.kind == WORD else 0)
+        _set_lower(self, norm if lower == norm else lower)
+        _set_syllables(self, count_syllables(lower) if kind == WORD else 0)
+        _set_categories(self, None)
+        _set_tagging(self, None)
+
+
+(_set_text, _set_kind, _set_is_all_caps, _set_norm, _set_lower, _set_syllables,
+ _set_categories, _set_tagging) = slot_setters(Token)
 
 
 # The type table: text -> its shared record. It holds at most TYPE_CAP
@@ -95,12 +99,17 @@ def token(text: str, kind: str) -> Token:
     return new
 
 
-@dataclass(frozen=True)
-class Sentence:
-    tokens: tuple[Token, ...]
-    # (start, end) of each token in the text it came from; empty for a
-    # sentence built from tokens alone, such as a tagged training sentence's
-    spans: tuple[tuple[int, int], ...] = ()
+class Sentence(FrozenRecord):
+    __slots__ = _fields = ("tokens", "spans")
+
+    def __init__(self, tokens: tuple[Token, ...], spans: tuple[tuple[int, int], ...] = ()):
+        _set_tokens(self, tokens)
+        # (start, end) of each token in the text it came from; empty for a
+        # sentence built from tokens alone, such as a tagged training sentence's
+        _set_spans(self, spans)
+
+
+_set_tokens, _set_spans = slot_setters(Sentence)
 
 
 def _split_clitic(norm_word: str) -> int | None:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -690,6 +691,35 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, command):
     needed, unneeded = _LAYERS[command]
     assert set(needed) <= loaded
     assert sorted(loaded & set(unneeded)) == []
+
+
+def test_no_package_module_imports_dataclasses_or_typing():
+    # the record classes are plain classes and annotations stay strings, so
+    # no subcommand pays at start-up for either module or what they import
+    for path in sorted(Path(SRC, "newsstyle").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            tops = {name.split(".")[0] for name in names}
+            assert not tops & {"dataclasses", "typing"}, f"{path.name}:{node.lineno}"
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # -S: no site module, which on some interpreters loads typing and more
+    script = textwrap.dedent("""
+        import sys
+        unwanted = {"dataclasses", "inspect"}
+        assert not unwanted & set(sys.modules), sorted(unwanted & set(sys.modules))
+        import newsstyle.cli, newsstyle.features, newsstyle.stats, newsstyle.learn
+        print(" ".join(sorted(unwanted & set(sys.modules))) or "none")
+    """)
+    proc = run_fresh(["-S", "-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["none"]
 
 
 def test_no_subcommand_loads_numpy(tmp_path):

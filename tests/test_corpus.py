@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from newsstyle.corpus import (
@@ -8,6 +11,7 @@ from newsstyle.corpus import (
     load_corpus,
     validate_corpus,
 )
+from newsstyle.textseg import WORD, Token
 
 
 def _write(root, label, name, title="A title", body="Some body text. More text."):
@@ -201,3 +205,14 @@ class TestValidateCorpus:
         report = validate_corpus(_corpus([_doc("w", "real", body="   ")]))
         assert "w" in report.empty_bodies
 
+
+def test_frozen_records_copy_and_pickle():
+    # a frozen record refuses assignment, so copy and pickle restore its
+    # slots another way
+    doc = Document("a", 1, "s", "real", "T", "B")
+    tok = Token("Don’t", WORD)
+    for record in (doc, Corpus((doc,), Manifest(1, {"real": 1})), tok):
+        for again in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert again == record and again is not record
+    assert (copy.copy(tok).lower, pickle.loads(pickle.dumps(tok)).norm) == ("don't", "Don't")

@@ -5,7 +5,6 @@ import math
 import random
 import tracemalloc
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -393,14 +392,21 @@ class TestTypeTable:
         shipped = pt.default_model()
         other = train_tagger(load_pretagged(CORPUS)[:60], epochs=1, seed=3)
         other_path = tmp_path / "other_model.json"
-        save_model(replace(shipped, weights=other.weights), other_path)
+        save_model(pt.TaggerModel(tagset=shipped.tagset, weights=other.weights,
+                                  lexical_backoff=shipped.lexical_backoff,
+                                  version=shipped.version, vocab=shipped.vocab), other_path)
         rotated_path = tmp_path / "rotated.dic"
         _rotated_categories(rotated_path)
 
         # two model objects, one built from the other, and two lexicon objects
         resources = Resources.default()
-        models = {None: replace(shipped),
-                  other_path: replace(shipped, weights=pt.TaggerModel.load(other_path).weights)}
+        models = {None: pt.TaggerModel(tagset=shipped.tagset, weights=shipped.weights,
+                                       lexical_backoff=shipped.lexical_backoff,
+                                       version=shipped.version, vocab=shipped.vocab),
+                  other_path: pt.TaggerModel(tagset=shipped.tagset,
+                                             weights=pt.TaggerModel.load(other_path).weights,
+                                             lexical_backoff=shipped.lexical_backoff,
+                                             version=shipped.version, vocab=shipped.vocab)}
         lexicons = {None: resources.categories,
                     rotated_path: lx.load_category_lexicon(rotated_path)}
         configs = [(m, c) for m in models for c in lexicons]

@@ -1,9 +1,8 @@
-import dataclasses
 import json
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -238,8 +237,11 @@ class TestTagDifferential:
         # the tie rule (smallest tag name) decides many tokens
         data = load_pretagged(TAGGED_CORPUS)[:60]
         model = train_tagger(data, epochs=1, seed=3)
-        model = replace(model, weights={f: {t: round(w) for t, w in tw.items()}
-                                        for f, tw in model.weights.items()})
+        model = TaggerModel(tagset=model.tagset,
+                            weights={f: {t: round(w) for t, w in tw.items()}
+                                     for f, tw in model.weights.items()},
+                            lexical_backoff=model.lexical_backoff, version=model.version,
+                            vocab=model.vocab)
         rng = random.Random(5)
         vocab = sorted(model.vocab)
         for _ in range(200):
@@ -301,8 +303,11 @@ class TestWordScoreMemo:
         rng = random.Random(8)
         sents = [s for _ in range(100) for s in split_sentences(_random_text(rng, vocab))]
         shipped_tags = [tag(s, model).tags() for s in sents]
-        model = replace(model, weights=train_tagger(load_pretagged(TAGGED_CORPUS)[:60],
-                                                    epochs=1, seed=3).weights)
+        model = TaggerModel(tagset=model.tagset,
+                            weights=train_tagger(load_pretagged(TAGGED_CORPUS)[:60],
+                                                 epochs=1, seed=3).weights,
+                            lexical_backoff=model.lexical_backoff, version=model.version,
+                            vocab=model.vocab)
         new_tags = [tag(s, model).tags() for s in sents]
         assert new_tags == [_old_tag(s, model) for s in sents]
         assert new_tags != shipped_tags
@@ -315,8 +320,9 @@ class TestWordScoreMemo:
         assert tag(sent, model).tags() == _old_tag(sent, model)
         assert tag(sent, model).tags()[0] == "DT"
         assert nypd.tagging[1] == "NNP"  # unknown and all-caps: a fixed tag
-        model = replace(model, lexical_backoff={**model.lexical_backoff, "the": "PDT"},
-                        vocab=model.vocab | {"nypd"})
+        model = TaggerModel(tagset=model.tagset, weights=model.weights,
+                            lexical_backoff={**model.lexical_backoff, "the": "PDT"},
+                            version=model.version, vocab=model.vocab | {"nypd"})
         assert tag(sent, model).tags() == _old_tag(sent, model)
         assert tag(sent, model).tags()[0] == "PDT"
         assert nypd.tagging[0] is model and nypd.tagging[1] is None  # scored
@@ -341,7 +347,10 @@ class TestWordScoreMemo:
         monkeypatch.setattr(newsstyle.textseg, "_types", {})
         corpus, _ = load_corpus(write_synthetic_corpus(
             tmp_path / "corpus", {"real": 6, "fake": 6, "satire": 6}, seed=4), 2)
-        resources = replace(Resources.default(), tagger=_fresh_model())
+        shipped = Resources.default()
+        resources = Resources(tagger=_fresh_model(), categories=shipped.categories,
+                              frequency=shipped.frequency, sentiment=shipped.sentiment,
+                              stopwords=shipped.stopwords)
 
         def rows():
             return [extract_all(doc, part, resources).values
@@ -679,9 +688,16 @@ class TestTaggerModelLoad:
         # a model is a value: the tables tag() fills belong to it, so a new value
         # is a new model
         model = default_model()
-        for name in [f.name for f in dataclasses.fields(model)] + ["_tables", "_p1"]:
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(model, name, getattr(model, name))
+        names = TaggerModel.__slots__
+        assert {"tagset", "weights", "lexical_backoff", "version", "vocab",
+                "_tables", "_p1"} <= set(names)
+        for name in names:
+            before = getattr(model, name)
+            with pytest.raises(AttributeError):
+                setattr(model, name, {})
+            with pytest.raises(AttributeError):
+                delattr(model, name)
+            assert getattr(model, name) is before
 
     def test_shipped_model_round_trips(self, tmp_path):
         shipped = default_model()

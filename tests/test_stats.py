@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -692,8 +691,8 @@ def _old_compare_feature(feature, groups, alpha=0.05):
 def _bits(obj):
     """A value with every float replaced by its hex form, so that == tells
     apart -0.0 from 0.0 and any last-bit difference."""
-    if dataclasses.is_dataclass(obj):
-        return _bits(dataclasses.asdict(obj))
+    if isinstance(obj, StatRow):
+        return {name: _bits(getattr(obj, name)) for name in StatRow.__slots__}
     if isinstance(obj, float):
         return obj.hex()
     if isinstance(obj, dict):
@@ -722,6 +721,17 @@ _SIZES = (19, 20, 21, 60)
 
 
 class TestSameBitsAsBefore:
+    def test_a_planted_negative_zero_fails_the_check(self):
+        # == on two results reads -0.0 as 0.0; _bits must not
+        fields = dict(feature="x", test_used="anova", statistic=0.0, p_value=0.0,
+                      group_means={"real": 0.0}, ordering="Real", significant=True)
+        plain = StatRow(**fields)
+        assert _bits(StatRow(**fields)) == _bits(plain)
+        for planted in ({"statistic": -0.0}, {"p_value": -0.0}, {"group_means": {"real": -0.0}}):
+            other = StatRow(**{**fields, **planted})
+            assert other == plain
+            assert _bits(other) != _bits(plain)
+
     @pytest.mark.parametrize("kind", _KINDS)
     @pytest.mark.parametrize("n", _SIZES)
     def test_normality_test(self, kind, n):

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import string
 
@@ -111,10 +110,14 @@ class TestToken:
 
     def test_frozen_with_slots(self):
         tok = Token("x", WORD)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            tok.lower = "y"
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            tok.syllables = 1
+        assert {"text", "lower", "syllables", "tagging"} <= set(Token.__slots__)
+        for name in Token.__slots__:
+            before = getattr(tok, name)
+            with pytest.raises(AttributeError):
+                setattr(tok, name, "y")
+            with pytest.raises(AttributeError):
+                delattr(tok, name)
+            assert getattr(tok, name) is before
         assert not hasattr(tok, "__dict__")
 
     def test_token_shares_one_record_per_text_and_kind(self, monkeypatch):
