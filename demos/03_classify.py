@@ -10,8 +10,8 @@ corpora.
 
 import random
 
+from newsstyle.cli import PRESETS
 from newsstyle.learn import cross_validate, train_svm
-from newsstyle.matrix import PRESETS
 
 rng = random.Random(0)
 

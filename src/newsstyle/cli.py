@@ -5,10 +5,10 @@ Exit codes: 0 success, 1 input/structural error, 2 degenerate-statistics
 warning escalated by --strict-degenerate.
 
 Each subcommand imports only the layers it runs. All of them load
-``corpus`` and ``matrix`` (the parser's ``--preset`` choices come from
-``matrix``). Only ``extract`` loads the text stack (``textseg``,
-``lexicon``, ``postag``) and ``features``; ``analyze``, ``classify`` and
-``report`` load ``stats``; only ``classify`` loads ``learn``.
+``corpus``, and all but ``ingest`` load ``matrix``. Only ``extract``
+loads the text stack (``textseg``, ``lexicon``, ``postag``) and
+``features``; ``analyze``, ``report`` and a ranked ``classify`` load
+``stats``; only ``classify`` loads ``learn``.
 """
 
 from __future__ import annotations
@@ -20,12 +20,18 @@ from pathlib import Path
 
 from . import InputError
 from . import corpus as cp
-from . import matrix as mx
 
-# ``st`` in an annotation names ``newsstyle.stats``, which only the
-# subcommands that run it import; annotations are never evaluated here
+# ``mx`` and ``st`` in an annotation name ``newsstyle.matrix`` and
+# ``newsstyle.stats``, which only the subcommands that run them import;
+# annotations are never evaluated here
 
 SCHEMA_VERSION = "1"
+
+# named top-4 feature sets for classification
+PRESETS = {
+    "body4": ("NN", "TTR", "WC", "quotes"),
+    "title4": ("per_stop", "NN", "avg_wlen", "FK"),
+}
 
 
 class CliError(InputError):
@@ -71,6 +77,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_extract(args) -> int:
     from . import features as ft
+    from . import matrix as mx
 
     corpus, _ = cp.load_corpus(args.corpus, args.dataset_id)
     labels: dict[str, str] = {}
@@ -149,6 +156,8 @@ def _write_ordering_table(report: st.OrderingReport, out: Path, bold_p: float) -
 def cmd_analyze(args) -> int:
     _check_probability("--alpha", args.alpha)
     _check_probability("--bold-p", args.bold_p)
+    from . import matrix as mx
+
     matrix = mx.read_matrix(args.matrix)
     report = _analyze_matrix(matrix, args.alpha)
     out = Path(args.out)
@@ -165,12 +174,12 @@ def cmd_analyze(args) -> int:
 
 
 def _select_features(matrix: mx.FeatureMatrix, args) -> tuple[str, ...]:
-    from . import stats as st
-
     if args.preset:
-        names = mx.PRESETS[args.preset]
+        names = PRESETS[args.preset]
         _check_columns(args.matrix, matrix, names, f"--preset {args.preset}")
         return names
+    from . import stats as st
+
     # the first significant rows of analyze's ordering.tsv
     top = st.rank_features(_analyze_matrix(matrix, args.alpha).rows, args.top_k, args.alpha)
     if len(top) < args.top_k:
@@ -192,6 +201,7 @@ def cmd_classify(args) -> int:
     if pair[0] == pair[1]:
         raise CliError(f"--pair needs two different labels, got {args.pair!r}")
     from . import learn as ln
+    from . import matrix as mx
 
     matrix = mx.read_matrix(args.matrix)
     keep = [i for i, l in enumerate(matrix.labels) if l in pair]
@@ -241,6 +251,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import matrix as mx
     from . import stats as st
 
     lines = [
@@ -315,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="cross-validate a linear SVM on selected features")
     p.add_argument("--matrix", required=True)
     p.add_argument("--pair", required=True, help="label pair, e.g. fake:real")
-    p.add_argument("--preset", choices=sorted(mx.PRESETS))
+    p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--top-k", type=int, default=4)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--folds", type=int, default=5)

@@ -76,16 +76,21 @@ class LoadReport(Record):
         self.errors = [] if errors is None else errors  # (path, reason)
 
 
-def _read_article(path: Path) -> tuple[str, str]:
-    first, _, rest = decode(path.read_bytes()).partition("\n")
+def _read(path: str) -> str:
+    with open(path, "rb") as fh:
+        return decode(fh.read())
+
+
+def _read_article(path: str) -> tuple[str, str]:
+    first, _, rest = _read(path).partition("\n")
     return first.strip(), rest.strip()
 
 
-def _read_source(meta: Path) -> str:
+def _read_source(meta: str) -> str:
     try:
-        lines = decode(meta.read_bytes()).splitlines()
+        lines = _read(meta).splitlines()
     except OSError:
-        if meta.exists():
+        if os.path.exists(meta):
             raise
         return ""  # a listed name that is a dangling or looping link: no sidecar
     for line in lines:
@@ -115,23 +120,30 @@ def load_corpus(root_dir: str | Path, dataset_id: int) -> tuple[Corpus, LoadRepo
     docs: list[Document] = []
     for label_dir in label_dirs:
         label = label_dir.name
-        listed = set(os.listdir(label_dir))
+        directory = str(label_dir)
+        listed = set(os.listdir(directory))
         for name in sorted(n for n in listed if n.endswith(".txt")):
-            path = label_dir / name
-            reading = path
+            # the id is Path.stem and the sidecar Path.with_suffix(".meta").name:
+            # a suffix starts at the name's last dot unless that dot begins it
+            doc_id = name[:-4] if len(name) > 4 else name
+            meta = doc_id + ".meta"
+            path = reading = os.path.join(directory, name)
             try:
                 title, body = _read_article(path)
-                reading = path.with_suffix(".meta")
-                source = _read_source(reading) if reading.name in listed else ""
+                if meta in listed:
+                    reading = os.path.join(directory, meta)
+                    source = _read_source(reading)
+                else:
+                    source = ""
             except (OSError, UnicodeDecodeError) as e:
-                report.errors.append((str(reading), str(e)))
+                report.errors.append((reading, str(e)))
                 continue
             if not body:
-                report.errors.append((str(path), "empty body"))
+                report.errors.append((path, "empty body"))
                 continue
             docs.append(
                 Document(
-                    id=path.stem,
+                    id=doc_id,
                     dataset_id=dataset_id,
                     source=source,
                     label=label,

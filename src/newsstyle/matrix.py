@@ -46,13 +46,6 @@ CATALOG = (
     + ("str_neg", "str_pos")
 )
 
-# named top-4 feature sets for classification
-PRESETS = {
-    "body4": ("NN", "TTR", "WC", "quotes"),
-    "title4": ("per_stop", "NN", "avg_wlen", "FK"),
-}
-
-
 class MatrixFormatError(ValueError, InputError):
     pass
 

@@ -648,12 +648,13 @@ _MATRIX_ONLY = _TEXT_STACK + ("newsstyle.features", "newsstyle.learn", "numpy")
 # subcommand -> (modules it must load, modules it must not load)
 _LAYERS = {
     "ingest": (("newsstyle.corpus",),
-               _TEXT_STACK + ("newsstyle.features", "newsstyle.stats", "newsstyle.learn",
-                              "numpy", "json")),
+               _TEXT_STACK + ("newsstyle.matrix", "csv", "newsstyle.features",
+                              "newsstyle.stats", "newsstyle.learn", "numpy", "json")),
     "extract": (_TEXT_STACK + ("newsstyle.features",),
                 ("newsstyle.stats", "newsstyle.learn", "numpy")),
     "analyze": (("newsstyle.matrix", "newsstyle.stats"), _MATRIX_ONLY),
-    "classify": (("newsstyle.stats", "newsstyle.learn"), _TEXT_STACK + ("numpy",)),
+    "classify": (("newsstyle.matrix", "newsstyle.learn"),
+                 _TEXT_STACK + ("newsstyle.stats", "numpy")),
     "classify-ranked": (("newsstyle.stats", "newsstyle.learn"), _TEXT_STACK + ("numpy",)),
     "report": (("newsstyle.matrix", "newsstyle.stats"), _MATRIX_ONLY),
 }

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +177,43 @@ class TestLoadCorpus:
         corpus, report = load_corpus(tmp_path, 1)
         assert report.errors == []
         assert [(d.id, d.source) for d in corpus.documents] == [("a1", ""), ("a2", "")]
+
+
+# names whose ids pathlib and os.path.splitext disagree on: splitext gives
+# "..txt" for "..txt", where Path.stem gives "."
+_PARITY_NAMES = (".txt", "..txt", "a.b.txt", "x.txt.txt")
+
+
+@pytest.mark.parametrize("sidecars", [False, True])
+@pytest.mark.parametrize("root", ["c", "c/", "./c", "link", "./link/"])
+def test_loader_names_match_pathlib(tmp_path, monkeypatch, root, sidecars):
+    d = tmp_path / "c" / "real"
+    for name in _PARITY_NAMES + ("m.txt",):
+        _write(tmp_path / "c", "real", name[:-4], title=f"Title {name}")
+        if sidecars:
+            (d / name).with_suffix(".meta").write_text(f"source=from {name}\n", encoding="utf-8")
+    if sidecars:
+        (d / "m.meta").write_bytes("source=Café\n".encode("latin-1"))
+    (d / "bad.txt").write_bytes(b"A title\n\nBody \xff.\n")
+    (d / "empty.txt").write_text("Title only\n", encoding="utf-8")
+    (tmp_path / "link").symlink_to(tmp_path / "c")
+    monkeypatch.chdir(tmp_path)
+
+    corpus, report = load_corpus(root, 1)
+
+    label_dir = Path(root) / "real"
+    # with sidecars, m.txt's is not UTF-8, so m.txt is not loaded
+    loaded = [label_dir / name for name in _PARITY_NAMES + (() if sidecars else ("m.txt",))]
+    assert [(doc.id, doc.source) for doc in corpus.documents] == sorted(
+        (p.stem, f"from {p.name}" if sidecars else "") for p in loaded)
+    errors = [(str(label_dir / "bad.txt"), "'utf-8' codec can't decode byte 0xff in "
+                                           "position 14: invalid start byte"),
+              (str(label_dir / "empty.txt"), "empty body")]
+    if sidecars:
+        errors.append((str((label_dir / "m.txt").with_suffix(".meta")),
+                       "'utf-8' codec can't decode byte 0xe9 in position 10: "
+                       "invalid continuation byte"))
+    assert report.errors == errors
 
 
 def _corpus(docs, dataset_id=2):

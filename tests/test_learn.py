@@ -13,7 +13,7 @@ from hypothesis import strategies as hs
 
 from newsstyle import learn
 from newsstyle import matrix as ft
-from newsstyle.cli import main
+from newsstyle.cli import PRESETS, main
 from newsstyle.learn import (
     CvReport,
     LearnError,
@@ -26,7 +26,6 @@ from newsstyle.learn import (
     stratified_kfold,
     train_svm,
 )
-from newsstyle.matrix import PRESETS
 
 
 def _two_blobs(n=40, shift=3.0, seed=0, d=4):

@@ -6,9 +6,11 @@ skipped). Each reader is checked on the same three cases."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from build_tagger_model import load_closed_class, load_pretagged
-from newsstyle import InputError
+from newsstyle import InputError, decode
 from newsstyle.lexicon import (
     load_category_lexicon,
     load_frequency_table,
@@ -83,3 +85,32 @@ def test_bad_byte_after_carriage_returns_reports_its_line(tmp_path, name):
     data = first + b"\r" + second + b"\r\xff" + rest.replace(b"\n", b"\r")
     with pytest.raises(InputError, match=r"input: not UTF-8 \(line 3: invalid start byte\)"):
         _load(tmp_path, name, data)
+
+
+# pieces that meet every branch of the codec: a full mark, a partial and a
+# doubled one, marks past the start, bytes that are not UTF-8 (a bad start
+# byte, a truncated sequence, a surrogate, an overlong form) and each newline
+_PIECES = [b"\xef\xbb\xbf", b"\xef\xbb", b"\xef", b"\xbb\xbf", b"\xef\xbb\xbf\xef\xbb\xbf",
+           b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xc3\xa9", b"\xe2\x80\xa8",
+           b"\r\n", b"\r", b"\n", b"a", b" "]
+
+
+def _codec_decode(data: bytes) -> str:
+    """decode's reference: the utf-8-sig codec, then the newline rule."""
+    return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _outcome(fn, data: bytes):
+    try:
+        return fn(data)
+    except UnicodeDecodeError as e:
+        return (str(e), e.encoding, e.reason, e.start, e.end, e.object)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(hs.lists(hs.sampled_from(_PIECES) | hs.binary(max_size=3), max_size=8))
+def test_decode_matches_the_utf8_sig_codec(pieces):
+    # the same text, or the same error: message, reason, span and the bytes
+    # after the mark, from which InputError.read_text counts its line
+    data = b"".join(pieces)
+    assert _outcome(decode, data) == _outcome(_codec_decode, data)
