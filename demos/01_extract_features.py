@@ -38,7 +38,7 @@ for sentence in split_sentences(REAL):
 for name, title in (("fake-style", FAKE), ("real-style", REAL)):
     doc = Document(id=name, dataset_id=1, source="", label="real",
                    title=title, body="placeholder.")
-    values = extract_all(doc, "title", resources).values
+    values = extract_all(doc, "title", resources)
     print(f"\n{name}: {title}")
     for feature in ("WC", "all_caps", "NNP", "per_stop", "avg_wlen", "FK"):
         print(f"  {feature:10} = {values[feature]}")

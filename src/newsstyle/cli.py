@@ -93,15 +93,20 @@ def cmd_extract(args) -> int:
     docs = [doc for doc in corpus.documents if args.part == "body" or doc.title.strip()]
     if not docs:
         raise CliError(f"no documents with a non-empty {args.part}")
-    # each row is written as it is made, and its vector dropped
-    vectors = (ft.extract_all(doc, args.part, resources) for doc in docs)
-    rows = mx.write_matrix(mx.RowStream(vectors, labels, args.part), args.out)
-    print(f"wrote {args.out}: {rows} rows x {len(mx.CATALOG)} features")
+    # each row is made as write_matrix asks for it and dropped once written,
+    # so no row is kept per document; extract_all's values are in CATALOG
+    # order
+    rows = (list(ft.extract_all(doc, args.part, resources).values()) for doc in docs)
+    n = mx.write_matrix(mx.FeatureMatrix(
+        feature_names=mx.CATALOG, doc_ids=[doc.id for doc in docs],
+        labels=[doc.label for doc in docs], part=args.part, rows=rows), args.out)
+    print(f"wrote {args.out}: {n} rows x {len(mx.CATALOG)} features")
     return 0
 
 
-def _analyze_matrix(matrix: mx.FeatureMatrix, alpha: float) -> st.OrderingReport:
-    """``compare_feature`` on every column, its groups in ``cp.LABELS`` order."""
+def _analyze_matrix(matrix: mx.FeatureMatrix, alpha: float) -> list[st.TestResult]:
+    """``compare_feature`` on every column, in column order, its groups in
+    ``cp.LABELS`` order."""
     from . import stats as st
 
     # split the rows by label once and transpose each label's rows, so every
@@ -110,21 +115,19 @@ def _analyze_matrix(matrix: mx.FeatureMatrix, alpha: float) -> st.OrderingReport
         label: list(zip(*[row for row, l in zip(matrix.rows, matrix.labels) if l == label]))
         for label in cp.LABELS if label in matrix.labels
     }
-    report = st.OrderingReport(part=matrix.part, alpha=alpha)
-    report.rows = [
+    return [
         st.compare_feature(feature, {label: list(cols[j]) for label, cols in columns.items()}, alpha)
         for j, feature in enumerate(matrix.feature_names)
     ]
-    return report
 
 
-def _write_ordering_report(report: st.OrderingReport, out: Path, bold_p: float,
-                           source_hash: str) -> None:
-    rows = report.sorted_rows()
+def _write_ordering_report(rows: list[st.TestResult], out: Path, part: str, alpha: float,
+                           bold_p: float, source_hash: str) -> None:
+    """``rows`` in ``st.sorted_rows`` order."""
     lines = [
         f"schema_version={SCHEMA_VERSION}",
-        f"part={report.part}",
-        f"alpha={report.alpha}",
+        f"part={part}",
+        f"alpha={alpha}",
         f"bold_p={bold_p}",
         f"input_sha256={source_hash}",
         "feature\ttest\tstatistic\tp_value\tordering\tsignificant\tbold\tnote",
@@ -142,10 +145,12 @@ def _write_ordering_report(report: st.OrderingReport, out: Path, bold_p: float,
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_ordering_table(report: st.OrderingReport, out: Path, bold_p: float) -> None:
-    """Fixed-width human-readable table of the significant features."""
-    rows = [r for r in report.sorted_rows() if r.test_used != "skipped" and r.significant]
-    lines = [f"Features that differ in the {report.part} (alpha={report.alpha})", ""]
+def _write_ordering_table(rows: list[st.TestResult], out: Path, part: str, alpha: float,
+                          bold_p: float) -> None:
+    """Fixed-width human-readable table of the significant ones of
+    ``rows``, which are in ``st.sorted_rows`` order."""
+    rows = [r for r in rows if r.test_used != "skipped" and r.significant]
+    lines = [f"Features that differ in the {part} (alpha={alpha})", ""]
     lines.append(f"{'Feature':<14}{'Ordering':<28}{'p':<12}{'test':<8}bold")
     for r in rows:
         bold = "*" if r.p_value < bold_p else ""
@@ -157,17 +162,19 @@ def cmd_analyze(args) -> int:
     _check_probability("--alpha", args.alpha)
     _check_probability("--bold-p", args.bold_p)
     from . import matrix as mx
+    from . import stats as st
 
     matrix = mx.read_matrix(args.matrix)
-    report = _analyze_matrix(matrix, args.alpha)
+    rows = st.sorted_rows(_analyze_matrix(matrix, args.alpha))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     source_hash = _sha256(args.matrix)
-    _write_ordering_report(report, out / "ordering.tsv", args.bold_p, source_hash)
-    _write_ordering_table(report, out / "ordering.txt", args.bold_p)
-    n_sig = sum(1 for r in report.rows if r.significant)
+    _write_ordering_report(rows, out / "ordering.tsv", matrix.part, args.alpha, args.bold_p,
+                           source_hash)
+    _write_ordering_table(rows, out / "ordering.txt", matrix.part, args.alpha, args.bold_p)
+    n_sig = sum(1 for r in rows if r.significant)
     print(f"{n_sig} significant feature(s) at alpha={args.alpha}")
-    if args.strict_degenerate and any(r.degenerate for r in report.rows):
+    if args.strict_degenerate and any(r.degenerate for r in rows):
         print("degenerate statistics present", file=sys.stderr)
         return 2
     return 0
@@ -181,7 +188,7 @@ def _select_features(matrix: mx.FeatureMatrix, args) -> tuple[str, ...]:
     from . import stats as st
 
     # the first significant rows of analyze's ordering.tsv
-    top = st.rank_features(_analyze_matrix(matrix, args.alpha).rows, args.top_k, args.alpha)
+    top = st.rank_features(_analyze_matrix(matrix, args.alpha), args.top_k, args.alpha)
     if len(top) < args.top_k:
         print(f"only {len(top)} significant feature(s) available", file=sys.stderr)
     if not top:
@@ -193,6 +200,10 @@ def cmd_classify(args) -> int:
     _check_probability("--alpha", args.alpha)
     if args.top_k < 1:
         raise CliError(f"--top-k must be >= 1, got {args.top_k}")
+    if args.folds < 2:
+        raise CliError(f"--folds must be >= 2, got {args.folds}")
+    if not 0.0 < args.C < math.inf:
+        raise CliError(f"--C must be finite and > 0, got {args.C!r}")
     if args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
     pair = tuple(args.pair.split(":"))
@@ -232,9 +243,9 @@ def cmd_classify(args) -> int:
         f"part={matrix.part}",
         f"pair={pair[0]}:{pair[1]}",
         f"features={','.join(names)}",
-        f"folds={report.k}",
+        f"folds={args.folds}",
         f"C={args.C}",
-        f"seed={report.seed}",
+        f"seed={args.seed}",
         f"input_sha256={_sha256(args.matrix)}",
         f"baseline={report.baseline:.6g}",
         f"mean_accuracy={report.mean_accuracy:.6g}",

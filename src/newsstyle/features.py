@@ -5,8 +5,9 @@ depths, fluency, lexical diversity), psychology (category counts and
 sentiment strengths), and stylistic (POS counts, stop-word percentage,
 punctuation, capitalization). A value of None marks a feature whose
 preconditions fail (e.g. fluency on a part with no words); everything
-else is a float. The catalog and the matrix that collects the vectors
-live in ``newsstyle.matrix``.
+else is a float. ``extract_all`` returns a dict of every catalog feature,
+in ``CATALOG`` order; the catalog and the matrix that holds one row of
+those values per document live in ``newsstyle.matrix``.
 """
 
 from __future__ import annotations
@@ -58,25 +59,21 @@ class Resources(Record):
     @classmethod
     def default(cls, tagger_model=None, category_lexicon=None, frequency_table=None,
                 sentiment_lexicon=None, stoplist=None) -> "Resources":
-        """The resources in the given files; None names the shipped file."""
+        """The resources in the given files; None names the shipped file. A
+        category lexicon must hold every catalog category, so that no
+        category column is zero for want of its block."""
+        tagger = pt.TaggerModel.load(tagger_model) if tagger_model else pt.default_model()
+        categories = lx.load_category_lexicon(category_lexicon)
+        missing = [name for name in STYLISTIC_CATEGORY_FEATURES + PSYCH_CATEGORY_FEATURES
+                   if name not in categories.exact]
+        if missing:
+            raise lx.LexiconFormatError(f"{category_lexicon}: no %category block for {missing}")
         return cls(
-            tagger=pt.TaggerModel.load(tagger_model) if tagger_model else pt.default_model(),
-            categories=lx.load_category_lexicon(category_lexicon),
+            tagger=tagger, categories=categories,
             frequency=lx.load_frequency_table(frequency_table),
             sentiment=lx.load_sentiment_lexicon(sentiment_lexicon),
             stopwords=lx.load_stopwords(stoplist),
         )
-
-
-class FeatureVector(Record):
-    _fields = ("doc_id", "part", "values")
-    # weakly referable, so what still holds a vector can be found
-    __slots__ = (*_fields, "__weakref__")
-
-    def __init__(self, doc_id: str, part: str, values: dict[str, float | None] | None = None):
-        self.doc_id = doc_id
-        self.part = part  # title | body
-        self.values = {} if values is None else values
 
 
 def _median(xs: tuple[int, ...]) -> float:
@@ -88,22 +85,21 @@ def _median(xs: tuple[int, ...]) -> float:
     return (xs[mid - 1] + xs[mid]) / 2.0
 
 
-def extract_all(doc: Document, part: str, resources: Resources) -> FeatureVector:
+def extract_all(doc: Document, part: str, resources: Resources) -> dict[str, float | None]:
     """Every catalog feature for one document part.
 
     The part is split, tagged and chunked once. One walk over its (token,
     tag) pairs counts the words, syllables, casing, stop words, folded POS
     tags and punctuation; the sentences' tree metrics give the depth
     medians and ``#vps``; four ``lexicon`` calls give the category counts,
-    the two fluencies and the sentiment strengths. The values go into the
-    vector in ``CATALOG`` order. An empty part yields a vector of
-    all-undefined markers.
+    the two fluencies and the sentiment strengths. The values are keyed in
+    ``CATALOG`` order. An empty part yields all-undefined markers.
     """
     if part not in ("title", "body"):
         raise ValueError(f"part must be 'title' or 'body', got {part!r}")
     text = doc.title if part == "title" else doc.body
     if not text.strip():
-        return FeatureVector(doc.id, part, dict.fromkeys(CATALOG, NA))
+        return dict.fromkeys(CATALOG, NA)
     # every non-space character is a token, so there is at least one sentence
     sentences = ts.split_sentences(text)
     tagged = [pt.tag(s, resources.tagger) for s in sentences]
@@ -168,4 +164,4 @@ def extract_all(doc: Document, part: str, resources: Resources) -> FeatureVector
     for name in PSYCH_CATEGORY_FEATURES:
         values[name] = float(cats.get(name, 0))
     values["str_neg"], values["str_pos"] = lx.sentiment_strength(sentences, resources.sentiment)
-    return FeatureVector(doc.id, part, values)
+    return values

@@ -409,17 +409,14 @@ def majority_baseline(labels) -> float:
 
 
 class CvReport(Record):
-    __slots__ = _fields = ("fold_accuracies", "mean_accuracy", "baseline", "k", "seed",
-                           "fold_converged", "fold_gaps")
+    __slots__ = _fields = ("fold_accuracies", "mean_accuracy", "baseline", "fold_converged",
+                           "fold_gaps")
 
     def __init__(self, fold_accuracies: list[float], mean_accuracy: float, baseline: float,
-                 k: int, seed: int, fold_converged: list[bool] | None = None,
-                 fold_gaps: list[float] | None = None):
+                 fold_converged: list[bool] | None = None, fold_gaps: list[float] | None = None):
         self.fold_accuracies = fold_accuracies
         self.mean_accuracy = mean_accuracy
         self.baseline = baseline
-        self.k = k
-        self.seed = seed
         self.fold_converged = [] if fold_converged is None else fold_converged
         self.fold_gaps = [] if fold_gaps is None else fold_gaps  # each fold's SvmModel.gap
 
@@ -442,8 +439,9 @@ def cross_validate(
     classes = sorted(set(labels))
     if len(classes) != 2:
         raise LearnError(f"cross_validate expects a binary task, got {classes}")
-    if min(labels.count(c) for c in classes) < k:
-        raise LearnError("need at least k samples per class")
+    smallest = min(classes, key=labels.count)
+    if (n := labels.count(smallest)) < k:
+        raise LearnError(f"need at least k={k} samples per class; class {smallest!r} has {n}")
     _check_width(X, len(X[0]))
     y = [1.0 if l == classes[1] else -1.0 for l in labels]
 
@@ -464,5 +462,5 @@ def cross_validate(
         fold_accuracies=accuracies,
         mean_accuracy=float_mean(accuracies),
         baseline=majority_baseline(labels),
-        k=k, seed=seed, fold_converged=converged, fold_gaps=gaps,
+        fold_converged=converged, fold_gaps=gaps,
     )

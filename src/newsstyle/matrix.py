@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import InputError, Record
@@ -60,7 +60,7 @@ class FeatureMatrix(Record):
         self.doc_ids = doc_ids
         self.labels = labels
         self.part = part
-        self.rows = rows
+        self.rows = rows  # a list; write_matrix also takes an iterator of rows
         # the line each row's record ends on in the file it was read from (a
         # quoted doc_id may span lines), 8 bytes a row; empty for a matrix
         # that was not read
@@ -77,52 +77,6 @@ class FeatureMatrix(Record):
         col = self.column(feature)
         return [v for v, l in zip(col, self.labels) if l == label]
 
-    def records(self) -> Iterator[tuple[str, str, list[float | None]]]:
-        """(doc_id, label, row) of each row, in order."""
-        return zip(self.doc_ids, self.labels, self.rows)
-
-
-class RowStream:
-    """The rows of the ``features.FeatureVector``s that the iterable
-    ``vectors`` makes, each labelled by ``labels[doc_id]``, for
-    ``write_matrix`` to write as they come: each vector's row is taken, and
-    the vector dropped, before the next vector is made, so no more than one
-    row is held at a time."""
-    feature_names = CATALOG
-
-    def __init__(self, vectors: Iterable, labels: dict[str, str], part: str):
-        self.vectors, self.labels, self.part = vectors, labels, part
-
-    def records(self) -> Iterator[tuple[str, str, list[float | None]]]:
-        """(doc_id, label, row) of each vector, the row in ``CATALOG``
-        order and sharing the vector's values."""
-        names = self.feature_names
-        required = frozenset(names)
-        for vec in self.vectors:
-            values = vec.values
-            if not values.keys() >= required:
-                missing = [n for n in names if n not in values]
-                raise MatrixFormatError(f"{vec.doc_id}: missing features {missing}")
-            record = vec.doc_id, self.labels[vec.doc_id], [values[n] for n in names]
-            del vec, values  # not bound while the next vector is made
-            yield record
-
-
-def build_matrix(vectors, labels: dict[str, str], part: str) -> FeatureMatrix:
-    """One row per ``features.FeatureVector`` of the iterable ``vectors``,
-    its label looked up by doc_id. The row shares the vector's values, and
-    no vector is kept."""
-    stream = RowStream(vectors, labels, part)
-    ids, labs, rows = [], [], []
-    for doc_id, label, row in stream.records():
-        ids.append(doc_id)
-        labs.append(label)
-        rows.append(row)
-    return FeatureMatrix(
-        feature_names=stream.feature_names, doc_ids=tuple(ids), labels=tuple(labs),
-        part=part, rows=rows,
-    )
-
 
 def _format_value(v: float | None) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
@@ -132,14 +86,16 @@ def _format_value(v: float | None) -> str:
     return repr(float(v))
 
 
-def write_matrix(matrix: FeatureMatrix | RowStream, path: str | Path) -> int:
+def write_matrix(matrix: FeatureMatrix, path: str | Path) -> int:
     """CSV with header doc_id,label,part,<features>; NA marks undefined.
     Returns the number of rows written.
 
-    The rows are taken from ``matrix.records()`` one at a time and written
-    to a new file beside ``path``, which replaces ``path`` once the last
-    row is written: an error in making or writing a row leaves ``path`` as
-    it was, and no new file. Counts repeat across rows, so each distinct
+    Each row of ``matrix.rows`` is read once, in step with its doc_id and
+    label, so ``rows`` may be an iterator that makes each row as it is
+    asked for: no earlier row is held while one is written. The rows go to
+    a new file beside ``path``, which replaces ``path`` once the last row
+    is written: an error in making or writing a row leaves ``path`` as it
+    was, and no new file. Counts repeat across rows, so each distinct
     integral value is formatted once per call; other values, NaN and None
     are formatted per cell.
     """
@@ -160,7 +116,7 @@ def write_matrix(matrix: FeatureMatrix | RowStream, path: str | Path) -> int:
         with open(new, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["doc_id", "label", "part", *matrix.feature_names])
-            for doc_id, label, row in matrix.records():
+            for doc_id, label, row in zip(matrix.doc_ids, matrix.labels, matrix.rows):
                 writer.writerow([doc_id, label, matrix.part,
                                  *[integral.get(v) or text(v) for v in row]])
                 n += 1

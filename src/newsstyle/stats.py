@@ -407,19 +407,11 @@ def _rank_key(r: TestResult) -> tuple[float, float, str]:
     return r.p_value, -abs(r.statistic), r.feature
 
 
-class OrderingReport(Record):
-    __slots__ = _fields = ("part", "alpha", "rows")
-
-    def __init__(self, part: str, alpha: float, rows: list[TestResult] | None = None):
-        self.part = part
-        self.alpha = alpha
-        self.rows = [] if rows is None else rows
-
-    def sorted_rows(self) -> list[TestResult]:
-        tested = [r for r in self.rows if r.test_used != "skipped"]
-        skipped = [r for r in self.rows if r.test_used == "skipped"]
-        tested.sort(key=_rank_key)
-        return tested + skipped
+def sorted_rows(rows: list[TestResult]) -> list[TestResult]:
+    """The tested rows in ``_rank_key`` order, then the skipped ones in
+    their given order."""
+    tested = sorted([r for r in rows if r.test_used != "skipped"], key=_rank_key)
+    return tested + [r for r in rows if r.test_used == "skipped"]
 
 
 def derive_ordering(
@@ -494,11 +486,10 @@ def compare_feature(
 
 
 def rank_features(results: list[TestResult], k: int, alpha: float = ALPHA_DEFAULT) -> list[str]:
-    """Top-k features in ``_rank_key`` order; only features significant at
-    alpha qualify."""
-    eligible = [r for r in results if r.test_used != "skipped" and r.p_value < alpha]
-    eligible.sort(key=_rank_key)
-    return [r.feature for r in eligible[:k]]
+    """The first k features of ``sorted_rows`` that are significant at
+    alpha."""
+    return [r.feature for r in sorted_rows(results)
+            if r.test_used != "skipped" and r.p_value < alpha][:k]
 
 
 def confidence_interval(sample: list[float], level: float = 0.95) -> tuple[float, float, float]:

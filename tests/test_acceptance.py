@@ -17,9 +17,10 @@ import scipy.stats
 
 from conftest import write_synthetic_corpus
 from newsstyle.cli import main
-from newsstyle.corpus import Document
+from newsstyle.corpus import Document, load_corpus
 from newsstyle.features import extract_all
 from newsstyle.learn import cross_validate, train_svm
+from newsstyle.matrix import CATALOG, FeatureMatrix
 from newsstyle.stats import (
     anova_oneway,
     kruskal_wallis,
@@ -132,7 +133,7 @@ def test_criterion_4_golden_titles(resources):
     def vec(title):
         doc = Document(id="g", dataset_id=1, source="", label="real",
                        title=title, body="x.")
-        return extract_all(doc, "title", resources).values
+        return extract_all(doc, "title", resources)
 
     vf, vr = vec(fake), vec(real)
     ok = (vf["all_caps"] == 3 and vr["all_caps"] == 0
@@ -145,38 +146,56 @@ def test_criterion_4_golden_titles(resources):
             f"NNP {vf['NNP']}/{vr['NNP']}, per_stop {vf['per_stop']:.1f}/{vr['per_stop']:.1f}")
 
 
+def _directional_checks(root: Path, dataset_id: int, resources) -> list:
+    """Criterion 5's four checks on one corpus, each (name, ok, p): body WC
+    Real > Fake, body TTR Fake > Real, title NNP Fake > Real and title
+    per_stop Real > Fake, with the rank-sum p of each pair of groups. The
+    matrices hold the rows ``extract`` writes."""
+    corpus, _ = load_corpus(root, dataset_id)
+    matrices = {}
+    for part in ("body", "title"):
+        docs = [doc for doc in corpus.documents if part == "body" or doc.title.strip()]
+        matrices[part] = FeatureMatrix(
+            feature_names=CATALOG, doc_ids=tuple(doc.id for doc in docs),
+            labels=tuple(doc.label for doc in docs), part=part,
+            rows=[list(extract_all(doc, part, resources).values()) for doc in docs])
+    checks = []
+    for part, feature, hi, lo in (("body", "WC", "real", "fake"),
+                                  ("body", "TTR", "fake", "real"),
+                                  ("title", "NNP", "fake", "real"),
+                                  ("title", "per_stop", "real", "fake")):
+        m = matrices[part]
+        a = [v for v in m.group_column(feature, hi) if v is not None]
+        b = [v for v in m.group_column(feature, lo) if v is not None]
+        _, p = ranksum(a, b)
+        mean_a, mean_b = sum(a) / len(a), sum(b) / len(b)
+        checks.append((f"ds{dataset_id} {part} {feature} {hi}>{lo}",
+                       mean_a > mean_b and p < 0.05, p))
+    return checks
+
+
+def test_directional_checks_run_on_a_synthetic_corpus(tmp_path, resources):
+    # criterion 5 runs only where the released corpora are; its checks run
+    # here on every host, their directions unasserted
+    root = write_synthetic_corpus(tmp_path / "corpus", {"real": 10, "fake": 10}, seed=4)
+    checks = _directional_checks(root, 2, resources)
+    assert len(checks) == 4
+    for name, ok, p in checks:
+        assert isinstance(name, str) and isinstance(ok, bool)
+        assert 0.0 <= p <= 1.0, name
+
+
 @pytest.mark.skipif(not RELEASED_CORPORA.exists(),
                     reason="released corpora not present under data/")
 def test_criterion_5_directional_reproduction(resources):
     """Ordering directions on the released corpora (only when fetched):
     body WC Real > Fake, body TTR Fake > Real, title NNP Fake > Real,
     title per_stop Real > Fake, each with p < 0.05."""
-    from newsstyle.corpus import load_corpus
-    from newsstyle.matrix import build_matrix
-
     checks = []
     for dataset_id, sub in ((1, "dataset1"), (2, "dataset2")):
         root = RELEASED_CORPORA / sub
-        if not root.exists():
-            continue
-        corpus, _ = load_corpus(root, dataset_id)
-        for part, feature, hi, lo in (("body", "WC", "real", "fake"),
-                                      ("body", "TTR", "fake", "real"),
-                                      ("title", "NNP", "fake", "real"),
-                                      ("title", "per_stop", "real", "fake")):
-            vecs, labels = [], {}
-            for doc in corpus.documents:
-                if part == "title" and not doc.title.strip():
-                    continue
-                vecs.append(extract_all(doc, part, resources))
-                labels[doc.id] = doc.label
-            m = build_matrix(vecs, labels, part)
-            a = [v for v in m.group_column(feature, hi) if v is not None]
-            b = [v for v in m.group_column(feature, lo) if v is not None]
-            _, p = ranksum(a, b)
-            mean_a, mean_b = sum(a) / len(a), sum(b) / len(b)
-            checks.append((f"ds{dataset_id} {part} {feature} {hi}>{lo}",
-                           mean_a > mean_b and p < 0.05, p))
+        if root.exists():
+            checks += _directional_checks(root, dataset_id, resources)
     ok = bool(checks) and all(c[1] for c in checks)
     _report("criterion 5 (directional reproduction on released corpora)", ok,
             "; ".join(f"{name} p={p:.3g} {'ok' if good else 'WRONG'}"

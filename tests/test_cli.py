@@ -275,7 +275,7 @@ def test_two_labels_run_one_ranksum_per_feature(tmp_path, monkeypatch):
 
     monkeypatch.setattr(newsstyle.stats, "ranksum", counted)
     sizes, seed = _GOLDEN_ANALYZE_MATRICES["two_labels"]
-    rows = _analyze_matrix(read_matrix(_golden_matrix(tmp_path / "m.csv", sizes, seed)), 0.05).rows
+    rows = _analyze_matrix(read_matrix(_golden_matrix(tmp_path / "m.csv", sizes, seed)), 0.05)
     routes = [r.test_used for r in rows]
     assert routes.count("ranksum") >= 2 and "anova" in routes
     assert len(calls) == len(routes) - routes.count("skipped")
@@ -300,7 +300,7 @@ def test_three_labels_rank_each_pair_once(tmp_path, monkeypatch):
     monkeypatch.setattr(newsstyle.stats, "ranksum", counted_ranksum)
     monkeypatch.setattr(newsstyle.stats, "kruskal_wallis", counted_kruskal)
     sizes, seed = _GOLDEN_ANALYZE_MATRICES["three_labels"]
-    rows = _analyze_matrix(read_matrix(_golden_matrix(tmp_path / "m.csv", sizes, seed)), 0.05).rows
+    rows = _analyze_matrix(read_matrix(_golden_matrix(tmp_path / "m.csv", sizes, seed)), 0.05)
     routes = [r.test_used for r in rows]
     assert routes.count("kruskal") >= 2 and "anova" in routes
     assert calls.count("kruskal") == routes.count("kruskal")
@@ -314,7 +314,7 @@ def test_ranked_classify_takes_the_first_significant_rows_of_analyze(tmp_path):
 
     sizes, seed = _GOLDEN_ANALYZE_MATRICES["three_labels"]
     m = _golden_matrix(tmp_path / "m.csv", sizes, seed)
-    rows = _analyze_matrix(read_matrix(m), 0.05).rows
+    rows = _analyze_matrix(read_matrix(m), 0.05)
     routes = {r.feature: r.test_used for r in rows}
     expected = newsstyle.stats.rank_features(rows, 4, 0.05)
     assert "kruskal" in {routes[f] for f in expected}
@@ -383,7 +383,7 @@ def test_analyze_matrix_matches_group_columns(tmp_path, name):
     labels = [label for label in LABELS if label in m.labels]
     expected = [compare_feature(f, {label: m.group_column(f, label) for label in labels}, 0.05)
                 for f in m.feature_names]
-    rows = _analyze_matrix(m, 0.05).rows
+    rows = _analyze_matrix(m, 0.05)
     assert any(None in m.group_column("TTR", label) for label in labels)
     # float repr round-trips, so equal reprs mean the same bits
     assert [repr(r) for r in rows] == [repr(r) for r in expected]
@@ -550,6 +550,23 @@ def test_bad_resource_file_exit_1(tmp_path, capsys, flag, content, message):
     assert not out.exists()
 
 
+def test_category_lexicon_without_a_catalog_category_exit_1(tmp_path, capsys):
+    # a lexicon without the netspeak block used to exit 0 and write an
+    # all-zero netspeak column, which analyze flagged only as degenerate
+    text = (Path(SRC) / "newsstyle" / "resources" / "categories.dic").read_text(encoding="utf-8")
+    head, *blocks = text.split("\n%")
+    res = tmp_path / "categories.dic"
+    res.write_text(head + "".join(f"\n%{block}" for block in blocks
+                                  if block.split("\n", 1)[0] != "netspeak"), encoding="utf-8")
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
+                                    dataset_id=1)
+    out = tmp_path / "m.csv"
+    assert main(["extract", "--corpus", str(corpus), "--dataset-id", "1", "--part", "body",
+                 "--out", str(out), "--category-lexicon", str(res)]) == 1
+    assert capsys.readouterr().err == f"error: {res}: no %category block for ['netspeak']\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where, value, message", [
     ("weight", math.nan, "weights must be finite numbers"),
     ("weight", math.inf, "weights must be finite numbers"),
@@ -605,6 +622,8 @@ def test_resource_path_is_directory_exit_1(tmp_path, capsys, flag):
     ("classify", "--top-k", "-1", "--top-k must be >= 1, got -1"),
     ("classify", "--top-k", "0", "--top-k must be >= 1, got 0"),
     ("classify", "--seed", "-1", "--seed must be >= 0, got -1"),
+    ("classify", "--folds", "1", "--folds must be >= 2, got 1"),
+    ("classify", "--folds", "-2", "--folds must be >= 2, got -2"),
 ])
 def test_bad_option_value_exit_1(tmp_path, capsys, command, flag, value, message):
     # at --alpha 7 every feature was marked significant, and --top-k -1
@@ -620,6 +639,21 @@ def test_bad_option_value_exit_1(tmp_path, capsys, command, flag, value, message
     assert main(argv + [flag, value]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not any(tmp_path.rglob("*.tsv"))
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--folds", "1", "--folds must be >= 2, got 1"),
+    ("--C", "0", "--C must be finite and > 0, got 0.0"),
+])
+def test_classify_checks_options_before_reading_the_matrix(tmp_path, capsys, flag, value,
+                                                           message):
+    # the matrix does not exist, so reading it first would report that
+    # instead; a ranked run used to run the whole analyze protocol first
+    out = tmp_path / "cv.tsv"
+    assert main(["classify", "--matrix", str(tmp_path / "missing.csv"), "--pair", "fake:real",
+                 flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def _small_matrix(path: Path) -> Path:

@@ -108,8 +108,7 @@ class TestLoadCorpus:
         d = tmp_path / "fake"
         (d / "marked.txt").write_bytes(b"\xef\xbb\xbf" + (d / "plain.txt").read_bytes())
         corpus, _ = load_corpus(tmp_path, 1)
-        marked, plain = (extract_all(doc, "title", resources).values
-                         for doc in corpus.documents)
+        marked, plain = (extract_all(doc, "title", resources) for doc in corpus.documents)
         # a mark read as text is a symbol token tagged PUNCT, which the
         # tagger then sees before "Hillary" instead of the sentence start
         assert marked == plain

@@ -22,7 +22,6 @@ from newsstyle.corpus import LABELS, Document, load_corpus
 from newsstyle.features import (
     _QUOTE_CHARS,
     _TAG_FOLD,
-    FeatureVector,
     Resources,
     _median,
     extract_all,
@@ -35,7 +34,6 @@ from newsstyle.matrix import (
     FeatureMatrix,
     MatrixFormatError,
     _format_value,
-    build_matrix,
     read_matrix,
     write_matrix,
 )
@@ -55,7 +53,15 @@ def _doc(body="", title="", id="d1", label="real"):
 
 def _vec(text, resources, part="body"):
     doc = _doc(body=text) if part == "body" else _doc(title=text, body="x.")
-    return extract_all(doc, part, resources).values
+    return extract_all(doc, part, resources)
+
+
+def _extracted(docs, part, resources) -> FeatureMatrix:
+    """The matrix ``extract`` writes for ``docs``: a row of each one's
+    ``extract_all`` values, in ``CATALOG`` order."""
+    return FeatureMatrix(feature_names=CATALOG, doc_ids=tuple(doc.id for doc in docs),
+                         labels=tuple(doc.label for doc in docs), part=part,
+                         rows=[list(extract_all(doc, part, resources).values()) for doc in docs])
 
 
 class TestReadabilityAnchors:
@@ -104,8 +110,8 @@ class TestExtractAll:
         assert tuple(v.keys()) == CATALOG
 
     def test_empty_part_all_undefined(self, resources):
-        vec = extract_all(_doc(body="Body text."), "title", resources)
-        assert all(v is None for v in vec.values.values())
+        values = extract_all(_doc(body="Body text."), "title", resources)
+        assert list(values.items()) == [(name, None) for name in CATALOG]
 
     def test_bad_part_rejected(self, resources):
         with pytest.raises(ValueError):
@@ -113,8 +119,8 @@ class TestExtractAll:
 
     def test_deterministic(self, resources):
         doc = _doc(body="The senator announced a new budget. Critics disagreed loudly!")
-        v1 = extract_all(doc, "body", resources).values
-        v2 = extract_all(doc, "body", resources).values
+        v1 = extract_all(doc, "body", resources)
+        v2 = extract_all(doc, "body", resources)
         assert v1 == v2
 
     def test_punctuation_only_text(self, resources):
@@ -207,8 +213,7 @@ class TestMatrix:
             _doc(body="The cat sat on the mat. It purred.", id="a", label="real"),
             _doc(body="SHOCKING news broke today!", id="b", label="fake"),
         ]
-        vecs = [extract_all(d, "body", resources) for d in docs]
-        return build_matrix(vecs, {"a": "real", "b": "fake"}, "body")
+        return _extracted(docs, "body", resources)
 
     def test_round_trip(self, resources, tmp_path):
         m = self._matrix(resources)
@@ -286,15 +291,8 @@ class TestMatrix:
         with pytest.raises(MatrixFormatError):
             read_matrix(p)
 
-    def test_missing_feature_in_vector(self):
-        vec = FeatureVector(doc_id="x", part="body", values={"WC": 1.0})
-        with pytest.raises(MatrixFormatError, match="x"):
-            build_matrix([vec], {"x": "real"}, "body")
-
     def test_na_round_trip(self, resources, tmp_path):
-        doc = _doc(body="...", id="p", label="real")
-        vec = extract_all(doc, "body", resources)
-        m = build_matrix([vec], {"p": "real"}, "body")
+        m = _extracted([_doc(body="...", id="p", label="real")], "body", resources)
         p = tmp_path / "na.csv"
         write_matrix(m, p)
         assert "NA" in p.read_text()
@@ -307,11 +305,10 @@ class TestMatrix:
     def test_infinite_values_round_trip(self, tmp_path):
         assert _format_value(float("inf")) == "inf"
         assert _format_value(float("-inf")) == "-inf"
-        vec = FeatureVector(doc_id="x", part="body",
-                            values={n: 1.0 for n in CATALOG} | {"WC": float("inf"),
-                                                                "TTR": float("-inf")})
+        values = {n: 1.0 for n in CATALOG} | {"WC": float("inf"), "TTR": float("-inf")}
         p = tmp_path / "inf.csv"
-        write_matrix(build_matrix([vec], {"x": "real"}, "body"), p)
+        write_matrix(FeatureMatrix(feature_names=CATALOG, doc_ids=("x",), labels=("real",),
+                                   part="body", rows=[list(values.values())]), p)
         m = read_matrix(p)
         assert m.column("WC") == [float("inf")]
         assert m.column("TTR") == [float("-inf")]
@@ -343,13 +340,11 @@ def test_resources_reused_across_runs(tmp_path):
     # golden bytes
     corpus, _ = load_corpus(write_synthetic_corpus(
         tmp_path / "corpus", {"real": 12, "fake": 12, "satire": 12}, seed=3), 2)
-    labels = {doc.id: doc.label for doc in corpus.documents}
     resources = Resources.default()
     for run in range(2):
         for part, expected in GOLDEN_EXTRACT_SHA256.items():
             out = tmp_path / f"{part}{run}.csv"
-            vectors = [extract_all(doc, part, resources) for doc in corpus.documents]
-            write_matrix(build_matrix(vectors, labels, part), out)
+            write_matrix(_extracted(corpus.documents, part, resources), out)
             assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, (run, part)
 
 
@@ -388,7 +383,6 @@ class TestTypeTable:
         corpus_dir = write_synthetic_corpus(tmp_path / "corpus",
                                             {"real": 4, "fake": 4, "satire": 4}, seed=6)
         corpus, _ = load_corpus(corpus_dir, 2)
-        labels = {doc.id: doc.label for doc in corpus.documents}
         shipped = pt.default_model()
         other = train_tagger(load_pretagged(CORPUS)[:60], epochs=1, seed=3)
         other_path = tmp_path / "other_model.json"
@@ -429,8 +423,7 @@ class TestTypeTable:
             resources.categories = lexicons[c]
             for part in ("title", "body"):
                 out = tmp_path / "in_process.csv"
-                vectors = [extract_all(doc, part, resources) for doc in corpus.documents]
-                write_matrix(build_matrix(vectors, labels, part), out)
+                write_matrix(_extracted(corpus.documents, part, resources), out)
                 assert out.read_bytes() == fresh[m, c, part], (m, c, part)
 
 
@@ -562,7 +555,7 @@ class TestExtractDifferential:
 
     @staticmethod
     def _assert_same(doc, part, resources):
-        new = extract_all(doc, part, resources).values
+        new = extract_all(doc, part, resources)
         old = _oracle_extract_all(doc, part, resources)
         assert repr(list(new.items())) == repr(list(old.items())), (doc.id, part)
 
@@ -786,23 +779,34 @@ def test_read_matrix_memory_is_bounded_by_the_file_size(tmp_path):
 
 
 class TestNoVectorKept:
-    def test_build_matrix_drops_each_vector_of_a_generator(self):
-        refs, alive = [], []
+    def test_write_matrix_takes_each_row_of_a_generator_once(self, tmp_path):
+        refs, reads, alive = [], [], []
+
+        class Row(list):
+            """A row that notes, as it is written, which earlier rows live."""
+            def __iter__(self):
+                i = int(self[0])
+                reads.append(i)
+                alive.append([r() is not None for r in refs[:i]])
+                return super().__iter__()
 
         def make(i):
-            alive.append([r() is not None for r in refs])
-            vec = FeatureVector(doc_id=f"d{i}", part="body",
-                                values=dict.fromkeys(CATALOG, float(i)))
-            refs.append(weakref.ref(vec))
-            return vec
+            row = Row([float(i)] * len(CATALOG))
+            refs.append(weakref.ref(row))
+            return row
 
-        labels = {f"d{i}": "real" for i in range(4)}
-        m = build_matrix((make(i) for i in range(4)), labels, "body")
+        p = tmp_path / "m.csv"
+        rows = (make(i) for i in range(4))
+        assert write_matrix(FeatureMatrix(
+            feature_names=CATALOG, doc_ids=("d0", "d1", "d2", "d3"), labels=("real",) * 4,
+            part="body", rows=rows), p) == 4
+        assert reads == [0, 1, 2, 3]
         assert alive == [[False] * i for i in range(4)]
+        m = read_matrix(p)
         assert m.doc_ids == ("d0", "d1", "d2", "d3")
         assert [row[0] for row in m.rows] == [0.0, 1.0, 2.0, 3.0]
 
-    def test_extract_holds_no_earlier_vector(self, tmp_path, monkeypatch):
+    def test_extract_holds_no_earlier_values(self, tmp_path, monkeypatch):
         import newsstyle.features as ft
 
         corpus = write_synthetic_corpus(tmp_path / "c", {"real": 3, "fake": 3}, seed=1,
@@ -810,11 +814,14 @@ class TestNoVectorKept:
         refs, alive = [], []
         extract = ft.extract_all
 
+        class Values(dict):
+            """Weakly referable, unlike a dict."""
+
         def traced(doc, part, resources):
             alive.append(sum(r() is not None for r in refs))
-            vec = extract(doc, part, resources)
-            refs.append(weakref.ref(vec))
-            return vec
+            values = Values(extract(doc, part, resources))
+            refs.append(weakref.ref(values))
+            return values
 
         monkeypatch.setattr(ft, "extract_all", traced)
         out = tmp_path / "b.csv"

@@ -356,7 +356,8 @@ class TestCrossValidate:
     def test_too_few_per_class(self):
         X = np.zeros((7, 2))
         labels = ["a"] * 4 + ["b"] * 3
-        with pytest.raises(LearnError):
+        with pytest.raises(LearnError, match="^need at least k=5 samples per class; "
+                                             "class 'b' has 3$"):
             cross_validate(X, labels, k=5)
 
     def test_deterministic(self):
@@ -941,6 +942,15 @@ class TestClassifyCli:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "f9abea304a07286ffc9d0a77719565dbb1839bc40176579e928db428cd2f56c2")
         assert capsys.readouterr().err == ""
+
+    def test_too_few_rows_per_class_for_the_folds_exit_1(self, tmp_path, capsys):
+        _write_overlapping_matrix(tmp_path / "m.csv", per_class=6)
+        out = tmp_path / "cv.tsv"
+        assert main(["classify", "--matrix", str(tmp_path / "m.csv"), "--pair", "fake:real",
+                     "--preset", "body4", "--folds", "7", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: need at least k=7 samples per class; class 'fake' has 6\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("C", ["0", "-1", "nan", "inf"])
     def test_invalid_C_exit_1(self, tmp_path, capsys, C):

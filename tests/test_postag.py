@@ -353,7 +353,7 @@ class TestWordScoreMemo:
                               stopwords=shipped.stopwords)
 
         def rows():
-            return [extract_all(doc, part, resources).values
+            return [extract_all(doc, part, resources)
                     for doc in corpus.documents for part in ("title", "body")]
 
         cold = rows()

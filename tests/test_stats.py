@@ -11,7 +11,6 @@ from hypothesis import strategies as hs
 from newsstyle import float_mean
 from newsstyle.stats import (
     DomainError,
-    OrderingReport,
     Ranking,
     _rank_sums,
     _tie_sum,
@@ -29,6 +28,7 @@ from newsstyle.stats import (
     ranksum,
     reg_incomplete_beta,
     reg_incomplete_gamma_p,
+    sorted_rows,
     t_ppf,
 )
 from newsstyle.stats import TestResult as StatRow
@@ -462,15 +462,14 @@ class TestRankFeatures:
         assert rank_features(rs, 2) == ["a", "b"]
 
 
-class TestOrderingReport:
+class TestSortedRows:
     def test_sorted_rows_places_skipped_last(self):
         rows = [
             StatRow("a", "skipped", 0.0, 1.0, {}, "", False),
             StatRow("b", "ranksum", 2.0, 0.04, {}, "", True),
             StatRow("c", "anova", 9.0, 0.001, {}, "", True),
         ]
-        rep = OrderingReport(part="body", alpha=0.05, rows=rows)
-        assert [r.feature for r in rep.sorted_rows()] == ["c", "b", "a"]
+        assert [r.feature for r in sorted_rows(rows)] == ["c", "b", "a"]
 
 
 class TestMean:
