@@ -278,6 +278,9 @@ def cmd_report(args) -> int:
             lines += CliError.read_text(path).splitlines()
     ci_features = args.ci_features.split(",")
     _check_columns(args.matrix, matrix, ci_features, "--ci-features")
+    repeated = sorted({n for n in ci_features if ci_features.count(n) > 1})
+    if repeated:
+        raise CliError(f"repeated feature(s) {repeated} in --ci-features")
 
     ci_lines = ["feature,label,n,mean,ci_lower,ci_upper"]
     labels = [label for label in cp.LABELS if label in matrix.labels]

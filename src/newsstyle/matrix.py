@@ -196,17 +196,20 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
             raise MatrixFormatError(
                 f"{path}:{lineno}: part {rec[2]!r} differs from the first row's {part!r}"
             )
+        known = len(shared)
         try:
             row = [float(v) if "." in v else x if (x := get(v, v)) is not v
                    else keep(v, float(v)) for v in rec[3:]]
         except ValueError as e:
             raise MatrixFormatError(f"{path}:{lineno}: {e}") from None
-        # float() reads a cell as nan exactly when its text holds "nan" in
-        # some case, so one search of the row's text stands in for a scan of
-        # its values
-        if "nan" in ",".join(rec[3:]).lower():
+        # float() reads nan only from a text without a point, and the memo
+        # parses each such text once, so a row can hold nan only when the
+        # memo grew on it
+        if len(shared) > known:
             nan = [n for n, v in zip(names, row) if v != v]
-            raise MatrixFormatError(f"{path}:{lineno}: nan in {nan}; an undefined value is NA")
+            if nan:
+                raise MatrixFormatError(
+                    f"{path}:{lineno}: nan in {nan}; an undefined value is NA")
         ids.append(rec[0])
         labels.append(sys.intern(rec[1]))  # one str per label, as for counts
         rows.append(row)

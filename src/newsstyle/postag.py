@@ -1,15 +1,17 @@
 """Part-of-speech tagging and shallow chunking.
 
 A greedy averaged-perceptron tagger over a Penn-style tagset, and a
-longest-match chunk grammar producing flat NP/VP/PP phrases. The package
-ships one trained model and only tags with it. ``tools/build_tagger_model.py``
-trains models, scoring with the functions here, and writes the shipped one.
+longest-match chunk grammar, one regular expression over tag classes, that
+yields flat NP/VP/PP phrases. The package ships one trained model and only
+tags with it. ``tools/build_tagger_model.py`` trains models, scoring with
+the functions here, and writes the shipped one.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -275,80 +277,40 @@ def tag(sentence: Sentence, model: TaggerModel) -> TaggedSentence:
 # ---------------------------------------------------------------------------
 # chunking
 
-_ADVERBS = frozenset({"RB", "RBR", "RBS"})
-_ADJECTIVES = frozenset({"JJ", "JJR", "JJS"})
-_NP_HEADS = NOUN_TAGS | {"PRP", "CD"}
 Phrase = tuple[str, int, int, str | None]  # (label, start, end, complement)
 
 # nesting depth a phrase's complement adds: PP := IN NP, and a VP holds an
 # NP or a PP
 _COMPLEMENT_DEPTH = {None: 0, "NP": 1, "PP": 2}
 
-
-def _match_np(tags: list[str], i: int) -> int | None:
-    """End of the NP starting at i, or None; ``tags`` ends in a sentinel
-    that is in no tag class, so no run needs a bounds check."""
-    j = i
-    if tags[j] in ("DT", "PRP$"):
-        j += 1
-    while tags[j] in _ADJECTIVES:
-        j += 1
-    head = j
-    while tags[j] in _NP_HEADS:
-        j += 1
-    return j if j > head else None
+# the one-letter class of each tag the phrase grammar reads; any other is O
+_TAG_CLASS = {
+    **dict.fromkeys(NOUN_TAGS | {"PRP", "CD"}, "N"), **dict.fromkeys(VERB_TAGS, "V"),
+    "DT": "D", "PRP$": "D", "JJ": "J", "JJR": "J", "JJS": "J",
+    "RB": "R", "RBR": "R", "RBS": "R", "IN": "I",
+}
+# PP := IN NP, VP := RB* verb+ (PP|NP)?, NP := (DT|PRP$)? JJ* (noun|PRP|CD)+,
+# over the classes; the last group a match closes (none for a bare VP)
+# names its phrase and complement
+_PHRASE_RE = re.compile(r"(ID?J*N+)|R*V+(?:(ID?J*N+)|(D?J*N+))?|(D?J*N+)")
+_LABEL_BY_GROUP = {1: ("PP", "NP"), 2: ("VP", "PP"), 3: ("VP", "NP"), None: ("VP", None),
+                   4: ("NP", None)}
 
 
 def chunk(ts: TaggedSentence) -> tuple[Phrase, ...]:
-    """Longest-match phrase grammar over the tag sequence, in one scan.
+    """The phrases of ``_PHRASE_RE``'s longest-match grammar, in order.
 
-    NP := (DT|PRP$)? JJ* (noun|PRP|CD)+
-    VP := RB* verb+ (NP|PP)?
-    PP := IN NP
-
-    The three phrases start on disjoint tags, and so do a VP's two
-    complements, so at most one phrase can start at a position. Returns
-    the phrases in order, each over the tokens [start, end): complement
-    is "NP" or "PP" for a VP that has one, "NP" for a PP, and None
-    otherwise. Tokens in no phrase are left out.
+    The three phrases start on disjoint classes, and so do a VP's two
+    complements, so at most one phrase can start at a position. Each
+    phrase is over the tokens [start, end): complement is "NP" or "PP" for
+    a VP that has one, "NP" for a PP, and None otherwise. Tokens in no
+    phrase are left out.
     """
-    tags = ts.tags()
-    n = len(tags)
-    tags.append("")  # ends every run in _match_np and below
+    classes = "".join([_TAG_CLASS.get(t, "O") for _, t in ts.tokens])
     phrases = []
-    i = 0
-    while i < n:
-        t = tags[i]
-        if t == "IN":
-            end = _match_np(tags, i + 1)
-            if end is not None:
-                phrases.append(("PP", i, end, "NP"))
-                i = end
-                continue
-        elif t in _ADVERBS or t in VERB_TAGS:
-            j = i
-            while tags[j] in _ADVERBS:
-                j += 1
-            verb_end = j
-            while tags[verb_end] in VERB_TAGS:
-                verb_end += 1
-            if verb_end > j:
-                if tags[verb_end] == "IN":
-                    end, complement = _match_np(tags, verb_end + 1), "PP"
-                else:
-                    end, complement = _match_np(tags, verb_end), "NP"
-                if end is None:
-                    end, complement = verb_end, None
-                phrases.append(("VP", i, end, complement))
-                i = end
-                continue
-        else:
-            end = _match_np(tags, i)
-            if end is not None:
-                phrases.append(("NP", i, end, None))
-                i = end
-                continue
-        i += 1
+    for m in _PHRASE_RE.finditer(classes):
+        label, complement = _LABEL_BY_GROUP[m.lastindex]
+        phrases.append((label, m.start(), m.end(), complement))
     return tuple(phrases)
 
 

@@ -491,6 +491,16 @@ def test_ci_feature_column_missing_exit_1(tmp_path, capsys, flags, missing):
     assert not out.exists()
 
 
+def test_ci_feature_repeated_exit_1(tmp_path, capsys):
+    # a repeated name used to write its rows of ci_plot_data.csv twice
+    m = _small_matrix(tmp_path / "m.csv")
+    out = tmp_path / "r"
+    assert main(["report", "--matrix", str(m), "--ci-features", "NN,WC,NN,TTR,WC",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: repeated feature(s) ['NN', 'WC'] in --ci-features\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, content, message", [
     ("--frequency-table", "the\t5\nfoo\tabc\n",
      ":2: frequency for 'foo' must be a finite number >= 0, got 'abc'"),

@@ -709,6 +709,7 @@ class TestReadMatrixDifferential:
         _HEADER + "a,real,body,1,0.5\nb,fake,body,x1,1\n",  # a bad cell
         _HEADER + "a,real,body,1,0.5\nb,fake,body,1,x1\n",  # a bad cell after a shared one
         _HEADER + "a,real,body,1_0,nan\n",
+        _HEADER + "a,real,body,1,2\nb,fake,body,NaN,NaN\n",  # the second NaN is a memo hit
         _HEADER,
         "",
     ])

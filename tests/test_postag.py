@@ -560,6 +560,13 @@ def _old_spans(tree):
     return spans
 
 
+def _old_complements(tree):
+    """The nested phrase's label of each top-level phrase of an old tree
+    (a VP's NP or PP, a PP's NP), or None."""
+    return [next((c.label for c in node.children if isinstance(c, _OldNode)), None)
+            for node in tree.children if isinstance(node, _OldNode)]
+
+
 def _old_leaves(node):
     for c in node.children:
         if isinstance(c, _OldNode):
@@ -580,6 +587,7 @@ class TestTreeMetricsDifferential:
         old = _old_chunk(ts)
         assert tree_metrics(phrases) == _old_tree_metrics(old)
         assert [p[:3] for p in phrases] == _old_spans(old)
+        assert [p[3] for p in phrases] == _old_complements(old)
 
     def test_chunked_sequences(self):
         rng = random.Random(11)
