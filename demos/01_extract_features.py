@@ -36,8 +36,7 @@ for sentence in split_sentences(REAL):
 
 # the headline contrast the toolkit is built around
 for name, title in (("fake-style", FAKE), ("real-style", REAL)):
-    doc = Document(id=name, dataset_id=1, source="", label="real",
-                   title=title, body="placeholder.")
+    doc = Document(id=name, source="", label="real", title=title, body="placeholder.")
     values = extract_all(doc, "title", resources)
     print(f"\n{name}: {title}")
     for feature in ("WC", "all_caps", "NNP", "per_stop", "avg_wlen", "FK"):

@@ -80,12 +80,18 @@ def cmd_extract(args) -> int:
     from . import matrix as mx
 
     corpus, _ = cp.load_corpus(args.corpus, args.dataset_id)
-    labels: dict[str, str] = {}
-    for doc in corpus.documents:
-        if doc.id in labels:
-            raise CliError(f"duplicate doc_id {doc.id!r} (under {labels[doc.id]}/ and "
-                           f"{doc.label}/): matrix rows are keyed by doc_id")
-        labels[doc.id] = doc.label
+    validation = cp.validate_corpus(corpus)
+    if validation.duplicate_ids:
+        dup = validation.duplicate_ids[0]
+        first, second = [doc.label for doc in corpus.documents if doc.id == dup][:2]
+        raise CliError(f"duplicate doc_id {dup!r} (under {first}/ and {second}/): "
+                       "matrix rows are keyed by doc_id")
+    if validation.illegal_labels:
+        ids = validation.illegal_labels
+        legal = "/, ".join(cp.DATASET_LABELS[args.dataset_id])
+        raise CliError(f"{len(ids)} document(s) under a label dataset {args.dataset_id} lacks "
+                       f"(it has {legal}/ only): {', '.join(map(repr, ids[:3]))}"
+                       + (", ..." if len(ids) > 3 else ""))
     resources = ft.Resources.default(args.tagger_model, args.category_lexicon,
                                      args.frequency_table, args.sentiment_lexicon, args.stoplist)
 

@@ -4,7 +4,8 @@ On-disk layout: ``<root>/<label>/<id>.txt`` (UTF-8, first line title,
 blank line, body), with an optional ``<id>.meta`` sidecar carrying
 ``source=<name>`` lines. Both are read with ``newsstyle.decode`` (UTF-8,
 a leading byte-order mark dropped). Dataset 1 admits real/fake, dataset 3
-real/satire, dataset 2 all three.
+real/satire, dataset 2 all three. ``validate_corpus`` finds a document under
+a label its dataset lacks: ``ingest`` reports it, ``extract`` refuses it.
 """
 
 from __future__ import annotations
@@ -31,19 +32,17 @@ class CorpusError(InputError):
 
 
 class Document(FrozenRecord):
-    __slots__ = _fields = ("id", "dataset_id", "source", "label", "title", "body")
+    __slots__ = _fields = ("id", "source", "label", "title", "body")
 
-    def __init__(self, id: str, dataset_id: int, source: str, label: str, title: str,
-                 body: str):
+    def __init__(self, id: str, source: str, label: str, title: str, body: str):
         _set_id(self, id)
-        _set_dataset_id(self, dataset_id)
         _set_source(self, source)
         _set_label(self, label)
         _set_title(self, title)
         _set_body(self, body)
 
 
-_set_id, _set_dataset_id, _set_source, _set_label, _set_title, _set_body = slot_setters(Document)
+_set_id, _set_source, _set_label, _set_title, _set_body = slot_setters(Document)
 
 
 class Manifest(FrozenRecord):
@@ -141,58 +140,40 @@ def load_corpus(root_dir: str | Path, dataset_id: int) -> tuple[Corpus, LoadRepo
             if not body:
                 report.errors.append((path, "empty body"))
                 continue
-            docs.append(
-                Document(
-                    id=doc_id,
-                    dataset_id=dataset_id,
-                    source=source,
-                    label=label,
-                    title=title,
-                    body=body,
-                )
-            )
+            docs.append(Document(doc_id, source, label, title, body))
     docs.sort(key=lambda d: d.id)
     counts = {label: sum(1 for d in docs if d.label == label) for label in LABELS}
     return Corpus(documents=tuple(docs), manifest=Manifest(dataset_id, counts)), report
 
 
 class ValidationReport(Record):
-    __slots__ = _fields = ("duplicate_ids", "empty_bodies", "illegal_labels")
+    __slots__ = _fields = ("duplicate_ids", "illegal_labels")
 
-    def __init__(self, duplicate_ids: list[str] | None = None,
-                 empty_bodies: list[str] | None = None,
-                 illegal_labels: list[str] | None = None):
-        self.duplicate_ids = [] if duplicate_ids is None else duplicate_ids
-        self.empty_bodies = [] if empty_bodies is None else empty_bodies
-        self.illegal_labels = [] if illegal_labels is None else illegal_labels
+    def __init__(self):
+        self.duplicate_ids: list[str] = []
+        self.illegal_labels: list[str] = []
 
     def ok(self) -> bool:
-        return not (self.duplicate_ids or self.empty_bodies or self.illegal_labels)
+        return not (self.duplicate_ids or self.illegal_labels)
 
     def as_text(self) -> str:
         if self.ok():
             return "validation: clean\n"
-        lines = []
-        for name, ids in (
-            ("duplicate_id", self.duplicate_ids),
-            ("empty_body", self.empty_bodies),
-            ("illegal_label", self.illegal_labels),
-        ):
-            for i in ids:
-                lines.append(f"{name}\t{i}")
+        lines = [f"duplicate_id\t{i}" for i in self.duplicate_ids]
+        lines += [f"illegal_label\t{i}" for i in self.illegal_labels]
         return "\n".join(lines) + "\n"
 
 
 def validate_corpus(corpus: Corpus) -> ValidationReport:
+    """Duplicate ids, each listed once per repeat, and the ids of documents
+    under a label the manifest's dataset lacks, both in document order."""
     report = ValidationReport()
     seen: set[str] = set()
-    legal = set(DATASET_LABELS.get(corpus.manifest.dataset_id, LABELS))
+    legal = DATASET_LABELS[corpus.manifest.dataset_id]
     for doc in corpus.documents:
         if doc.id in seen:
             report.duplicate_ids.append(doc.id)
         seen.add(doc.id)
-        if not doc.body.strip():
-            report.empty_bodies.append(doc.id)
         if doc.label not in legal:
             report.illegal_labels.append(doc.id)
     return report

@@ -131,8 +131,7 @@ def test_criterion_4_golden_titles(resources):
     real = "Preexisting Conditions and Republican Plans to Replace Obamacare"
 
     def vec(title):
-        doc = Document(id="g", dataset_id=1, source="", label="real",
-                       title=title, body="x.")
+        doc = Document(id="g", source="", label="real", title=title, body="x.")
         return extract_all(doc, "title", resources)
 
     vf, vr = vec(fake), vec(real)

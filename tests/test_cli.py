@@ -53,6 +53,18 @@ class TestIngest:
         _, out = pipeline
         assert (out / "ingest" / "validation.txt").exists()
 
+    @pytest.mark.parametrize("dataset_id, stray", [(1, "satire"), (3, "fake")])
+    def test_label_outside_dataset_listed(self, tmp_path, dataset_id, stray):
+        # ingest reports what extract refuses (TestExtract), and exits 0
+        corpus = write_synthetic_corpus(tmp_path / "c", {"real": 3, stray: 2}, seed=1)
+        out = tmp_path / "o"
+        assert main(["ingest", "--corpus", str(corpus), "--dataset-id", str(dataset_id),
+                     "--out", str(out)]) == 0
+        s = stray[0]
+        assert (out / "validation.txt").read_text() == (
+            f"schema_version=1\nillegal_label\t{s}000\nillegal_label\t{s}001\n")
+        assert f"{stray}=2" in (out / "manifest.txt").read_text()
+
     def test_missing_corpus_exit_1(self, tmp_path):
         assert main(["ingest", "--corpus", str(tmp_path / "nope"),
                      "--dataset-id", "1", "--out", str(tmp_path / "o")]) == 1
@@ -88,9 +100,26 @@ class TestExtract:
         out = tmp_path / "m.csv"
         assert main(["extract", "--corpus", str(corpus), "--dataset-id", "1",
                      "--part", part, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: duplicate doc_id 'r001'")
-        assert "fake/" in err and "real/" in err
+        assert capsys.readouterr().err == ("error: duplicate doc_id 'r001' (under fake/ and "
+                                           "real/): matrix rows are keyed by doc_id\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dataset_id, stray", [(1, "satire"), (3, "fake")])
+    @pytest.mark.parametrize("part", ["body", "title"])
+    def test_label_outside_dataset_exit_1(self, tmp_path, capsys, part, dataset_id, stray):
+        # the dataset's own labels decide what a matrix may hold, so a stray
+        # label directory is refused before any resource loads: the absent
+        # tagger model is never opened
+        corpus = write_synthetic_corpus(tmp_path / "c", {"real": 3, stray: 5}, seed=1)
+        out = tmp_path / "m.csv"
+        assert main(["extract", "--corpus", str(corpus), "--dataset-id", str(dataset_id),
+                     "--part", part, "--out", str(out),
+                     "--tagger-model", str(tmp_path / "absent.json")]) == 1
+        legal = "real/, fake/" if dataset_id == 1 else "real/, satire/"
+        s = stray[0]
+        assert capsys.readouterr().err == (
+            f"error: 5 document(s) under a label dataset {dataset_id} lacks (it has {legal} "
+            f"only): '{s}000', '{s}001', '{s}002', ...\n")
         assert not out.exists()
 
     def test_rerun_byte_identical(self, pipeline, tmp_path):

@@ -48,7 +48,7 @@ REAL_TITLE = "Preexisting Conditions and Republican Plans to Replace Obamacare"
 
 
 def _doc(body="", title="", id="d1", label="real"):
-    return Document(id=id, dataset_id=2, source="", label=label, title=title, body=body)
+    return Document(id=id, source="", label=label, title=title, body=body)
 
 
 def _vec(text, resources, part="body"):
