@@ -57,21 +57,27 @@ def _check_columns(path: str, matrix: mx.FeatureMatrix, names, flag: str) -> Non
 
 def cmd_ingest(args) -> int:
     corpus, load_report = cp.load_corpus(args.corpus, args.dataset_id)
-    validation = cp.validate_corpus(corpus)
+    duplicate_ids, illegal_labels = cp.validate_corpus(corpus)
+    counts = {label: 0 for label in cp.LABELS}
+    for doc in corpus.documents:
+        counts[doc.label] += 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.txt").write_text(
-        f"schema_version={SCHEMA_VERSION}\n" + corpus.manifest.as_text(), encoding="utf-8"
-    )
+    lines = [f"schema_version={SCHEMA_VERSION}", f"dataset_id={corpus.dataset_id}"]
+    lines += [f"{label}={n}" for label, n in counts.items()]
+    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     lines = [f"schema_version={SCHEMA_VERSION}"]
-    for path, reason in load_report.errors:
-        lines.append(f"load_error\t{path}\t{reason}")
-    lines.append(validation.as_text().rstrip("\n"))
+    lines += [f"load_error\t{path}\t{reason}" for path, reason in load_report.errors]
+    lines += [f"duplicate_id\t{i}" for i in duplicate_ids]
+    lines += [f"illegal_label\t{i}" for i in illegal_labels]
+    if not (duplicate_ids or illegal_labels):
+        lines.append("validation: clean")
     (out / "validation.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for label in cp.LABELS:
-        print(f"{label}: {corpus.manifest.counts.get(label, 0)}")
+    for label, n in counts.items():
+        print(f"{label}: {n}")
     if load_report.errors:
-        print(f"{len(load_report.errors)} document(s) failed to load", file=sys.stderr)
+        print(f"{len(load_report.errors)} load error(s), listed in {out / 'validation.txt'}",
+              file=sys.stderr)
     return 0
 
 
@@ -80,18 +86,18 @@ def cmd_extract(args) -> int:
     from . import matrix as mx
 
     corpus, _ = cp.load_corpus(args.corpus, args.dataset_id)
-    validation = cp.validate_corpus(corpus)
-    if validation.duplicate_ids:
-        dup = validation.duplicate_ids[0]
+    duplicate_ids, illegal_labels = cp.validate_corpus(corpus)
+    if duplicate_ids:
+        dup = duplicate_ids[0]
         first, second = [doc.label for doc in corpus.documents if doc.id == dup][:2]
         raise CliError(f"duplicate doc_id {dup!r} (under {first}/ and {second}/): "
                        "matrix rows are keyed by doc_id")
-    if validation.illegal_labels:
-        ids = validation.illegal_labels
+    if illegal_labels:
         legal = "/, ".join(cp.DATASET_LABELS[args.dataset_id])
-        raise CliError(f"{len(ids)} document(s) under a label dataset {args.dataset_id} lacks "
-                       f"(it has {legal}/ only): {', '.join(map(repr, ids[:3]))}"
-                       + (", ..." if len(ids) > 3 else ""))
+        raise CliError(f"{len(illegal_labels)} document(s) under a label dataset "
+                       f"{args.dataset_id} lacks (it has {legal}/ only): "
+                       f"{', '.join(map(repr, illegal_labels[:3]))}"
+                       + (", ..." if len(illegal_labels) > 3 else ""))
     resources = ft.Resources.default(args.tagger_model, args.category_lexicon,
                                      args.frequency_table, args.sentiment_lexicon, args.stoplist)
 

@@ -4,8 +4,11 @@ On-disk layout: ``<root>/<label>/<id>.txt`` (UTF-8, first line title,
 blank line, body), with an optional ``<id>.meta`` sidecar carrying
 ``source=<name>`` lines. Both are read with ``newsstyle.decode`` (UTF-8,
 a leading byte-order mark dropped). Dataset 1 admits real/fake, dataset 3
-real/satire, dataset 2 all three. ``validate_corpus`` finds a document under
-a label its dataset lacks: ``ingest`` reports it, ``extract`` refuses it.
+real/satire, dataset 2 all three. ``load_corpus`` gives the documents and a
+load report of what it skipped: each directory under the root that is not a
+label, then each article it could not read or whose body is empty.
+``validate_corpus`` gives the repeated ids and the ids under a label the
+dataset lacks: ``ingest`` lists both, ``extract`` refuses either.
 """
 
 from __future__ import annotations
@@ -45,26 +48,12 @@ class Document(FrozenRecord):
 _set_id, _set_source, _set_label, _set_title, _set_body = slot_setters(Document)
 
 
-class Manifest(FrozenRecord):
-    __slots__ = _fields = ("dataset_id", "counts")
-
-    def __init__(self, dataset_id: int, counts: dict[str, int]):
-        object.__setattr__(self, "dataset_id", dataset_id)
-        object.__setattr__(self, "counts", counts)
-
-    def as_text(self) -> str:
-        lines = [f"dataset_id={self.dataset_id}"]
-        for label in LABELS:
-            lines.append(f"{label}={self.counts.get(label, 0)}")
-        return "\n".join(lines) + "\n"
-
-
 class Corpus(FrozenRecord):
-    __slots__ = _fields = ("documents", "manifest")
+    __slots__ = _fields = ("documents", "dataset_id")
 
-    def __init__(self, documents: tuple[Document, ...], manifest: Manifest):
+    def __init__(self, documents: tuple[Document, ...], dataset_id: int):
         object.__setattr__(self, "documents", documents)
-        object.__setattr__(self, "manifest", manifest)
+        object.__setattr__(self, "dataset_id", dataset_id)
 
 
 class LoadReport(Record):
@@ -100,8 +89,9 @@ def _read_source(meta: str) -> str:
 
 def load_corpus(root_dir: str | Path, dataset_id: int) -> tuple[Corpus, LoadReport]:
     """Load every readable article under root_dir, in lexicographic id
-    order. Unreadable or empty files go into the load report instead of
-    aborting; a missing/empty directory structure raises CorpusError.
+    order. A directory under the root whose name is not a label, and an
+    unreadable or empty file, go into the load report instead of aborting;
+    a missing root or one with no label directory raises CorpusError.
 
     Each label directory is listed once: its ``*.txt`` names, sorted, are
     the articles, and an article's ``.meta`` sidecar is read only when the
@@ -111,11 +101,16 @@ def load_corpus(root_dir: str | Path, dataset_id: int) -> tuple[Corpus, LoadRepo
         raise CorpusError(f"unknown dataset_id {dataset_id}")
     if not root.is_dir():
         raise CorpusError(f"corpus root {root} is not a directory")
-    label_dirs = [d for d in sorted(root.iterdir()) if d.is_dir() and d.name in LABELS]
+    report = LoadReport()
+    label_dirs = []
+    for d in filter(Path.is_dir, sorted(root.iterdir())):
+        if d.name in LABELS:
+            label_dirs.append(d)
+        else:
+            report.errors.append((str(d), f"not a label directory ({', '.join(LABELS)})"))
     if not label_dirs:
         raise CorpusError(f"no label directories under {root}")
 
-    report = LoadReport()
     docs: list[Document] = []
     for label_dir in label_dirs:
         label = label_dir.name
@@ -142,38 +137,21 @@ def load_corpus(root_dir: str | Path, dataset_id: int) -> tuple[Corpus, LoadRepo
                 continue
             docs.append(Document(doc_id, source, label, title, body))
     docs.sort(key=lambda d: d.id)
-    counts = {label: sum(1 for d in docs if d.label == label) for label in LABELS}
-    return Corpus(documents=tuple(docs), manifest=Manifest(dataset_id, counts)), report
+    return Corpus(tuple(docs), dataset_id), report
 
 
-class ValidationReport(Record):
-    __slots__ = _fields = ("duplicate_ids", "illegal_labels")
-
-    def __init__(self):
-        self.duplicate_ids: list[str] = []
-        self.illegal_labels: list[str] = []
-
-    def ok(self) -> bool:
-        return not (self.duplicate_ids or self.illegal_labels)
-
-    def as_text(self) -> str:
-        if self.ok():
-            return "validation: clean\n"
-        lines = [f"duplicate_id\t{i}" for i in self.duplicate_ids]
-        lines += [f"illegal_label\t{i}" for i in self.illegal_labels]
-        return "\n".join(lines) + "\n"
-
-
-def validate_corpus(corpus: Corpus) -> ValidationReport:
-    """Duplicate ids, each listed once per repeat, and the ids of documents
-    under a label the manifest's dataset lacks, both in document order."""
-    report = ValidationReport()
+def validate_corpus(corpus: Corpus) -> tuple[list[str], list[str]]:
+    """``(duplicate_ids, illegal_labels)``: each repeat of an id, and the
+    id of each document under a label the corpus's dataset lacks, both in
+    document order."""
+    duplicate_ids: list[str] = []
+    illegal_labels: list[str] = []
     seen: set[str] = set()
-    legal = DATASET_LABELS[corpus.manifest.dataset_id]
+    legal = DATASET_LABELS[corpus.dataset_id]
     for doc in corpus.documents:
         if doc.id in seen:
-            report.duplicate_ids.append(doc.id)
+            duplicate_ids.append(doc.id)
         seen.add(doc.id)
         if doc.label not in legal:
-            report.illegal_labels.append(doc.id)
-    return report
+            illegal_labels.append(doc.id)
+    return duplicate_ids, illegal_labels

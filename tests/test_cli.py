@@ -65,6 +65,51 @@ class TestIngest:
             f"schema_version=1\nillegal_label\t{s}000\nillegal_label\t{s}001\n")
         assert f"{stray}=2" in (out / "manifest.txt").read_text()
 
+    def test_golden_ingest_output(self, tmp_path, capsys):
+        # every line kind of both files: an empty body and a non-UTF-8
+        # article (load_error), one id under two labels (duplicate_id) and
+        # satire/ under dataset 1 (illegal_label, and a non-zero satire=)
+        root = tmp_path / "c"
+        for label, name, data in [
+            ("real", "r1", b"Senate votes\n\nThe Senate voted on Tuesday.\n"),
+            ("real", "r2", b"Title only\n"),
+            ("real", "dup", b"Same id\n\nUnder real.\n"),
+            ("fake", "f1", b"SHOCKING news\n\nYou will not believe it.\n"),
+            ("fake", "f2", b"Caf\xe9 title\n\nBody.\n"),
+            ("fake", "dup", b"Same id\n\nUnder fake.\n"),
+            ("satire", "s1", b"Man wins\n\nA man won a thing.\n"),
+        ]:
+            (root / label).mkdir(parents=True, exist_ok=True)
+            (root / label / f"{name}.txt").write_bytes(data)
+        out = tmp_path / "o"
+        assert main(["ingest", "--corpus", str(root), "--dataset-id", "1",
+                     "--out", str(out)]) == 0
+        assert (out / "manifest.txt").read_bytes() == (
+            b"schema_version=1\ndataset_id=1\nreal=2\nfake=2\nsatire=1\n")
+        assert (out / "validation.txt").read_bytes() == (
+            "schema_version=1\n"
+            f"load_error\t{root / 'fake' / 'f2.txt'}\t'utf-8' codec can't decode byte 0xe9 "
+            "in position 3: invalid continuation byte\n"
+            f"load_error\t{root / 'real' / 'r2.txt'}\tempty body\n"
+            "duplicate_id\tdup\n"
+            "illegal_label\ts1\n").encode("utf-8")
+        assert capsys.readouterr().out == "real: 2\nfake: 2\nsatire: 1\n"
+
+    def test_non_label_directory_listed(self, tmp_path, capsys):
+        # a misnamed label directory is skipped, and validation.txt says so
+        root = tmp_path / "c"
+        for label, name in [("Real", "r1"), ("fake", "f1")]:
+            (root / label).mkdir(parents=True)
+            (root / label / f"{name}.txt").write_text("A title\n\nA body.\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["ingest", "--corpus", str(root), "--dataset-id", "1",
+                     "--out", str(out)]) == 0
+        assert (out / "validation.txt").read_text(encoding="utf-8") == (
+            f"schema_version=1\nload_error\t{root / 'Real'}\t"
+            "not a label directory (real, fake, satire)\nvalidation: clean\n")
+        assert "real=0\nfake=1\n" in (out / "manifest.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().err == f"1 load error(s), listed in {out / 'validation.txt'}\n"
+
     def test_missing_corpus_exit_1(self, tmp_path):
         assert main(["ingest", "--corpus", str(tmp_path / "nope"),
                      "--dataset-id", "1", "--out", str(tmp_path / "o")]) == 1

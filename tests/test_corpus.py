@@ -1,5 +1,6 @@
 import copy
 import pickle
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,6 @@ from newsstyle.corpus import (
     Corpus,
     CorpusError,
     Document,
-    Manifest,
     load_corpus,
     validate_corpus,
 )
@@ -28,7 +28,7 @@ class TestLoadCorpus:
         for i in range(35):
             _write(tmp_path, "fake", f"f{i:02d}")
         corpus, report = load_corpus(tmp_path, 1)
-        assert corpus.manifest.counts == {"real": 36, "fake": 35, "satire": 0}
+        assert Counter(d.label for d in corpus.documents) == {"real": 36, "fake": 35}
         assert report.errors == []
 
     def test_dataset2_counts(self, tmp_path):
@@ -36,10 +36,13 @@ class TestLoadCorpus:
             for i in range(5):
                 _write(tmp_path, label, f"{label}{i}")
         corpus, _ = load_corpus(tmp_path, 2)
-        assert corpus.manifest.counts == {"real": 5, "fake": 5, "satire": 5}
+        assert Counter(d.label for d in corpus.documents) == {"real": 5, "fake": 5, "satire": 5}
 
     def test_empty_directory_is_structural_error(self, tmp_path):
         with pytest.raises(CorpusError):
+            load_corpus(tmp_path, 1)
+        _write(tmp_path, "Real", "r1")  # a directory, but not a label
+        with pytest.raises(CorpusError, match="no label directories"):
             load_corpus(tmp_path, 1)
 
     def test_missing_root(self, tmp_path):
@@ -57,14 +60,28 @@ class TestLoadCorpus:
         assert [(Path(p).name, reason) for p, reason in report.errors] == [
             ("bad.txt", "empty body"), ("blank.txt", "empty body")]
 
+    def test_non_label_directories_go_to_load_report_first(self, tmp_path):
+        # each directory under the root that is not a label is named once,
+        # in sorted order, before the article errors; a file there is not
+        _write(tmp_path, "real", "good")
+        _write(tmp_path, "Fake", "f1")
+        _write(tmp_path, "other", "o1")
+        (tmp_path / "real" / "bad.txt").write_text("Title only\n", encoding="utf-8")
+        (tmp_path / "notes.txt").write_text("not an article\n", encoding="utf-8")
+        corpus, report = load_corpus(tmp_path, 1)
+        assert [d.id for d in corpus.documents] == ["good"]
+        reason = "not a label directory (real, fake, satire)"
+        assert report.errors == [(str(tmp_path / "Fake"), reason),
+                                 (str(tmp_path / "other"), reason),
+                                 (str(tmp_path / "real" / "bad.txt"), "empty body")]
+
     def test_deterministic_order(self, tmp_path):
         for name in ("zeta", "alpha", "mid"):
             _write(tmp_path, "real", name)
         c1, _ = load_corpus(tmp_path, 1)
         c2, _ = load_corpus(tmp_path, 1)
         assert [d.id for d in c1.documents] == ["alpha", "mid", "zeta"]
-        assert c1.manifest == c2.manifest
-        assert [d.id for d in c1.documents] == [d.id for d in c2.documents]
+        assert c1 == c2
 
     def test_meta_sidecar_source(self, tmp_path):
         _write(tmp_path, "fake", "a1")
@@ -219,8 +236,7 @@ def test_loader_names_match_pathlib(tmp_path, monkeypatch, root, sidecars):
 
 
 def _corpus(docs, dataset_id=2):
-    counts = {l: sum(1 for d in docs if d.label == l) for l in ("real", "fake", "satire")}
-    return Corpus(documents=tuple(docs), manifest=Manifest(dataset_id, counts))
+    return Corpus(tuple(docs), dataset_id)
 
 
 def _doc(id, label, title="T", body="A body. Sentences here."):
@@ -229,16 +245,14 @@ def _doc(id, label, title="T", body="A body. Sentences here."):
 
 class TestValidateCorpus:
     def test_duplicate_id_flagged(self):
-        report = validate_corpus(_corpus([_doc("a1", "real"), _doc("a1", "fake")]))
-        assert report.duplicate_ids == ["a1"]
+        assert validate_corpus(_corpus([_doc("a1", "real"), _doc("a1", "fake")])) == (
+            ["a1"], [])
 
     def test_illegal_label_for_dataset(self):
-        report = validate_corpus(_corpus([_doc("x", "satire")], dataset_id=1))
-        assert report.illegal_labels == ["x"]
+        assert validate_corpus(_corpus([_doc("x", "satire")], dataset_id=1)) == ([], ["x"])
 
     def test_clean_corpus(self):
-        report = validate_corpus(_corpus([_doc("a", "real"), _doc("b", "fake")]))
-        assert report.ok()
+        assert validate_corpus(_corpus([_doc("a", "real"), _doc("b", "fake")])) == ([], [])
 
 
 def test_frozen_records_copy_and_pickle():
@@ -246,9 +260,9 @@ def test_frozen_records_copy_and_pickle():
     # slots another way
     doc = Document("a", "s", "real", "T", "B")
     with pytest.raises(TypeError):
-        Document("a", 1, "s", "real", "T", "B")  # no dataset_id: the manifest holds it
+        Document("a", 1, "s", "real", "T", "B")  # no dataset_id: the corpus holds it
     tok = Token("Don’t", WORD)
-    for record in (doc, Corpus((doc,), Manifest(1, {"real": 1})), tok):
+    for record in (doc, Corpus((doc,), 1), tok):
         for again in (copy.copy(record), copy.deepcopy(record),
                       pickle.loads(pickle.dumps(record))):
             assert again == record and again is not record
