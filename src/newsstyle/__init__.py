@@ -121,7 +121,8 @@ def slot_setters(cls: type) -> list:
 
 class InputError(Exception):
     """Common base of the errors that bad input raises: a corpus, matrix,
-    lexicon or tagger file, or a command-line value. ``newsstyle.cli``
+    lexicon or tagger file, a command-line value, or rows that
+    cross-validation cannot split. ``newsstyle.cli``
     reports each with exit 1 and never needs to import the layer that
     defines it."""
 

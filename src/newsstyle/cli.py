@@ -200,7 +200,7 @@ def _select_features(matrix: mx.FeatureMatrix, args) -> tuple[str, ...]:
     from . import stats as st
 
     # the first significant rows of analyze's ordering.tsv
-    top = st.rank_features(_analyze_matrix(matrix, args.alpha), args.top_k, args.alpha)
+    top = st.rank_features(_analyze_matrix(matrix, args.alpha), args.top_k)
     if len(top) < args.top_k:
         print(f"only {len(top)} significant feature(s) available", file=sys.stderr)
     if not top:
@@ -242,10 +242,7 @@ def cmd_classify(args) -> int:
         if infinite:
             raise CliError(f"{args.matrix}:{matrix.line_numbers[i]}: inf in {infinite}")
     labels = [matrix.labels[i] for i in keep]
-    try:
-        report = ln.cross_validate(X, labels, k=args.folds, C=args.C, seed=args.seed)
-    except ln.LearnError as e:
-        raise CliError(str(e)) from None
+    report = ln.cross_validate(X, labels, k=args.folds, C=args.C, seed=args.seed)
     for i, (converged, gap) in enumerate(zip(report.fold_converged, report.fold_gaps)):
         if not converged:
             print(f"fold {i} did not converge to tol within max_epochs "
@@ -301,7 +298,7 @@ def cmd_report(args) -> int:
             vals = [v for v in matrix.group_column(feature, label) if v is not None]
             if len(vals) < 2:
                 continue
-            mean, lo, hi = st.confidence_interval(vals, 0.95)
+            mean, lo, hi = st.confidence_interval(vals)
             ci_lines.append(f"{feature},{label},{len(vals)},{mean:.6g},{lo:.6g},{hi:.6g}")
 
     out = Path(args.out)

@@ -60,8 +60,8 @@ class LoadReport(Record):
     """Per-document load errors; loading continues past them."""
     __slots__ = _fields = ("errors",)
 
-    def __init__(self, errors: list[tuple[str, str]] | None = None):
-        self.errors = [] if errors is None else errors  # (path, reason)
+    def __init__(self):
+        self.errors: list[tuple[str, str]] = []  # (path, reason)
 
 
 def _read(path: str) -> str:

@@ -123,7 +123,7 @@ def extract_all(doc: Document, part: str, resources: Resources) -> dict[str, flo
                 syllables += n
                 if n >= 3:
                     poly += 1
-                    complex_words += ts.is_complex_word(tok.norm, tag, n)
+                    complex_words += ts.is_complex_word(tok, tag)
                 caps += tok.is_all_caps
                 stop += tok.lower in stopwords
                 letters += len(tok.norm)

@@ -21,14 +21,14 @@ import operator
 import random
 from collections.abc import Sequence
 
-from . import Record, float_mean, float_sum
+from . import InputError, Record, float_mean, float_sum
 
 _STD_FLOOR = 1e-12
 
 Rows = Sequence[Sequence[float]]  # one row per sample, NA as math.nan
 
 
-class LearnError(ValueError):
+class LearnError(ValueError, InputError):
     pass
 
 
@@ -413,12 +413,12 @@ class CvReport(Record):
                            "fold_gaps")
 
     def __init__(self, fold_accuracies: list[float], mean_accuracy: float, baseline: float,
-                 fold_converged: list[bool] | None = None, fold_gaps: list[float] | None = None):
+                 fold_converged: list[bool], fold_gaps: list[float]):
         self.fold_accuracies = fold_accuracies
         self.mean_accuracy = mean_accuracy
         self.baseline = baseline
-        self.fold_converged = [] if fold_converged is None else fold_converged
-        self.fold_gaps = [] if fold_gaps is None else fold_gaps  # each fold's SvmModel.gap
+        self.fold_converged = fold_converged
+        self.fold_gaps = fold_gaps  # each fold's SvmModel.gap
 
 
 def cross_validate(

@@ -43,10 +43,9 @@ class CategoryLexicon(Record):
     # _pairs is filled by use, so it is not part of the lexicon's value
     _fields = __slots__[:-1]
 
-    def __init__(self, exact: dict[str, dict[str, None]] | None = None,
-                 stems: dict[str, list[str]] | None = None):
-        self.exact = exact = {} if exact is None else exact
-        self.stems = stems = {} if stems is None else stems
+    def __init__(self, exact: dict[str, dict[str, None]], stems: dict[str, list[str]]):
+        self.exact = exact
+        self.stems = stems
         # compiled here: the category names, word or stem -> indices of its
         # categories, and every non-empty prefix of every stem
         exact_cats: dict[str, list[int]] = {}

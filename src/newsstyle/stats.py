@@ -418,21 +418,17 @@ def derive_ordering(
     group_means: dict[str, float],
     groups: dict[str, list[float] | Ranking],
     alpha: float = ALPHA_DEFAULT,
-    pair_p: float | None = None,
 ) -> str:
     """Ordering text like ``Real > Fake = Satire``.
 
     Groups are sorted by mean descending; adjacent pairs are separated by
     ``>`` when their pairwise rank-sum is significant at alpha, ``=``
     otherwise. ``groups`` holds each label's values or its ``Ranking``.
-    ``pair_p`` is the rank-sum p of exactly two groups when the caller has
-    it already: rank sums are multiples of 0.5, so swapping the samples
-    negates ``w - mean`` exactly and leaves p the same bits.
     """
     labels = sorted(group_means, key=lambda l: (-group_means[l], l))
     parts = [labels[0].capitalize()]
     for prev, cur in zip(labels, labels[1:]):
-        p = ranksum(groups[prev], groups[cur])[1] if pair_p is None else pair_p
+        p = ranksum(groups[prev], groups[cur])[1]
         parts.append(">" if p < alpha else "=")
         parts.append(cur.capitalize())
     return " ".join(parts)
@@ -465,14 +461,12 @@ def compare_feature(
     ranked = {label: Ranking(vals) for label, vals in clean.items()}
     means = {label: float_mean(vals) for label, vals in clean.items()}
     samples = list(clean.values())
-    pair_p = None  # a two-group rank test's p is its ordering's one rank-sum p
     if all(normality_test(vals, alpha)[2] for vals in samples):
         test_used = "anova"
         stat, p = anova_oneway(samples)
     elif len(clean) == 2:
         test_used = "ranksum"
         stat, p = ranksum(*ranked.values())
-        pair_p = p
     else:
         test_used = "kruskal"
         stat, p = kruskal_wallis(list(ranked.values()))
@@ -480,20 +474,19 @@ def compare_feature(
                   and len({x for s in samples for x in s}) == 1)
     return TestResult(
         feature=feature, test_used=test_used, statistic=stat, p_value=p,
-        group_means=means, ordering=derive_ordering(means, ranked, alpha, pair_p),
+        group_means=means, ordering=derive_ordering(means, ranked, alpha),
         significant=p < alpha, degenerate=degenerate,
     )
 
 
-def rank_features(results: list[TestResult], k: int, alpha: float = ALPHA_DEFAULT) -> list[str]:
-    """The first k features of ``sorted_rows`` that are significant at
-    alpha."""
+def rank_features(results: list[TestResult], k: int) -> list[str]:
+    """The first k features of ``sorted_rows`` that are significant."""
     return [r.feature for r in sorted_rows(results)
-            if r.test_used != "skipped" and r.p_value < alpha][:k]
+            if r.test_used != "skipped" and r.significant][:k]
 
 
-def confidence_interval(sample: list[float], level: float = 0.95) -> tuple[float, float, float]:
-    """(mean, lower, upper) t-based CI for the mean; (mean, -inf, inf)
+def confidence_interval(sample: list[float]) -> tuple[float, float, float]:
+    """(mean, lower, upper) t-based 95% CI for the mean; (mean, -inf, inf)
     when a squared deviation or the variance overflows."""
     n = len(sample)
     m = float_mean(sample)
@@ -509,5 +502,5 @@ def confidence_interval(sample: list[float], level: float = 0.95) -> tuple[float
         # 2**-k, with 2**k > n, as float_mean does
         k = n.bit_length()
         var = math.ldexp(float_sum([math.ldexp(s, -k) for s in squares]) / (n - 1), k)
-    half = t_ppf(0.5 + level / 2.0, n - 1) * math.sqrt(var / n)
+    half = t_ppf(0.975, n - 1) * math.sqrt(var / n)
     return m, m - half, m + half

@@ -42,13 +42,13 @@ class Token(FrozenRecord):
     """One token type: the tokens of a text share one record (see
     ``token``), and each token's span is kept beside it.
 
-    ``text``, ``kind`` and ``is_all_caps`` are its value. ``norm``,
-    ``lower`` and ``syllables`` (``count_syllables`` of ``lower`` for a
-    word, 0 for the other kinds) are derived from it when the record is
-    made. ``categories`` and ``tagging`` are per-type results that
-    ``lexicon.match_categories`` and ``postag.tag`` store the first time
-    they need them, each paired with the resource object it was computed
-    from.
+    ``text`` and ``kind`` are its value. ``is_all_caps`` (a word of two or
+    more letters, all capitals), ``norm``, ``lower`` and ``syllables``
+    (``count_syllables`` of ``lower`` for a word, 0 for the other kinds)
+    are derived from them when the record is made. ``categories`` and
+    ``tagging`` are per-type results that ``lexicon.match_categories`` and
+    ``postag.tag`` store the first time they need them, each paired with
+    the resource object it was computed from.
     """
     __slots__ = ("text", "kind", "is_all_caps",
                  # not part of equality, hashing or repr
@@ -57,13 +57,15 @@ class Token(FrozenRecord):
                  "syllables", "categories", "tagging")
     _fields = __slots__[:3]
 
-    def __init__(self, text: str, kind: str, is_all_caps: bool = False):
+    def __init__(self, text: str, kind: str):
         # _NORMALIZE maps only non-ASCII characters
         norm = text if text.isascii() else text.translate(_NORMALIZE)
         lower = norm.lower()
         _set_text(self, text)
         _set_kind(self, kind)
-        _set_is_all_caps(self, is_all_caps)
+        # letters are the only cased characters a word token can hold, so
+        # isupper() means "every letter is a capital"
+        _set_is_all_caps(self, kind == WORD and len(text) >= 2 and text.isupper())
         _set_norm(self, norm)
         # one string, not two equal ones, for a type already in lowercase
         _set_lower(self, norm if lower == norm else lower)
@@ -86,14 +88,11 @@ _types: dict[str, Token] = {}
 
 
 def token(text: str, kind: str) -> Token:
-    """The record of a token type, shared when the table holds it. A word
-    of two or more letters, all capitals, is all-caps."""
+    """The record of a token type, shared when the table holds it."""
     tok = _types.get(text)
     if tok is not None and tok.kind == kind:
         return tok
-    # letters are the only cased characters a word token can hold, so
-    # isupper() means "every letter is a capital"
-    new = Token(text, kind, kind == WORD and len(text) >= 2 and text.isupper())
+    new = Token(text, kind)
     if tok is None and len(_types) < TYPE_CAP:
         _types[text] = new
     return new
@@ -215,13 +214,7 @@ def count_syllables(word: str) -> int:
     return max(n, 1)
 
 
-def is_complex_word(word: str, tag: str, n_syllables: int | None = None) -> bool:
-    """Gunning Fog complexity: >= 3 syllables, not a proper noun, no hyphen.
-    ``n_syllables`` is the word's ``count_syllables``, when already known."""
-    if "-" in word:
-        return False
-    if tag in ("NNP", "NNPS"):
-        return False
-    if n_syllables is None:
-        n_syllables = count_syllables(word)
-    return n_syllables >= 3
+def is_complex_word(tok: Token, tag: str) -> bool:
+    """Gunning Fog complexity of a word token tagged ``tag``: >= 3
+    syllables, not a proper noun, no hyphen."""
+    return tok.syllables >= 3 and tag not in ("NNP", "NNPS") and "-" not in tok.norm

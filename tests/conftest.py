@@ -67,8 +67,7 @@ def _title(rng, style):
     return " ".join(parts[:2]) + " and the " + " ".join(parts[2:])
 
 
-def write_synthetic_corpus(root: Path, counts: dict[str, int], seed: int = 0,
-                           dataset_id: int = 2) -> Path:
+def write_synthetic_corpus(root: Path, counts: dict[str, int], seed: int = 0) -> Path:
     """Directory-per-label corpus with class-dependent style shifts."""
     rng = random.Random(seed)
     for label, n in counts.items():

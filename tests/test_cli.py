@@ -127,8 +127,7 @@ class TestExtract:
         assert len(lines) == 1 + 45
 
     def test_empty_titles_skipped(self, tmp_path):
-        corpus = write_synthetic_corpus(tmp_path / "c", {"real": 6, "fake": 6}, seed=1,
-                                        dataset_id=1)
+        corpus = write_synthetic_corpus(tmp_path / "c", {"real": 6, "fake": 6}, seed=1)
         victim = next((corpus / "real").glob("*.txt"))
         body = victim.read_text().split("\n\n", 1)[1]
         victim.write_text("\n\n" + body)
@@ -139,8 +138,7 @@ class TestExtract:
 
     @pytest.mark.parametrize("part", ["body", "title"])
     def test_duplicate_doc_id_exit_1(self, tmp_path, capsys, part):
-        corpus = write_synthetic_corpus(tmp_path / "c", {"real": 3, "fake": 3}, seed=1,
-                                        dataset_id=1)
+        corpus = write_synthetic_corpus(tmp_path / "c", {"real": 3, "fake": 3}, seed=1)
         (corpus / "fake" / "f001.txt").rename(corpus / "fake" / "r001.txt")
         out = tmp_path / "m.csv"
         assert main(["extract", "--corpus", str(corpus), "--dataset-id", "1",
@@ -335,26 +333,6 @@ def test_report_computes_each_t_quantile_once(tmp_path):
     assert calls.hits + calls.misses == len(lines)
 
 
-def test_two_labels_run_one_ranksum_per_feature(tmp_path, monkeypatch):
-    # the rank-sum route's test is the ordering's pairwise rank-sum too, so a
-    # two-label analysis runs ranksum once per tested feature on either route
-    import newsstyle.stats
-
-    calls = []
-    ranksum = newsstyle.stats.ranksum
-
-    def counted(a, b):
-        calls.append((len(a), len(b)))
-        return ranksum(a, b)
-
-    monkeypatch.setattr(newsstyle.stats, "ranksum", counted)
-    sizes, seed = _GOLDEN_ANALYZE_MATRICES["two_labels"]
-    rows = _analyze_matrix(read_matrix(_golden_matrix(tmp_path / "m.csv", sizes, seed)), 0.05)
-    routes = [r.test_used for r in rows]
-    assert routes.count("ranksum") >= 2 and "anova" in routes
-    assert len(calls) == len(routes) - routes.count("skipped")
-
-
 def test_three_labels_rank_each_pair_once(tmp_path, monkeypatch):
     # a three-label analysis runs one Kruskal-Wallis test per feature on that
     # route, and one rank-sum per adjacent pair of each tested ordering
@@ -390,7 +368,7 @@ def test_ranked_classify_takes_the_first_significant_rows_of_analyze(tmp_path):
     m = _golden_matrix(tmp_path / "m.csv", sizes, seed)
     rows = _analyze_matrix(read_matrix(m), 0.05)
     routes = {r.feature: r.test_used for r in rows}
-    expected = newsstyle.stats.rank_features(rows, 4, 0.05)
+    expected = newsstyle.stats.rank_features(rows, 4)
     assert "kruskal" in {routes[f] for f in expected}
     assert main(["analyze", "--matrix", str(m), "--out", str(tmp_path / "a")]) == 0
     significant = [line.split("\t")[0] for line in
@@ -620,8 +598,7 @@ def test_ci_feature_repeated_exit_1(tmp_path, capsys):
      ": not UTF-8 (line 1: invalid continuation byte)"),
 ])
 def test_bad_resource_file_exit_1(tmp_path, capsys, flag, content, message):
-    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
-                                    dataset_id=1)
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3)
     res = tmp_path / "resource"
     if isinstance(content, bytes):
         res.write_bytes(content)
@@ -642,8 +619,7 @@ def test_category_lexicon_without_a_catalog_category_exit_1(tmp_path, capsys):
     res = tmp_path / "categories.dic"
     res.write_text(head + "".join(f"\n%{block}" for block in blocks
                                   if block.split("\n", 1)[0] != "netspeak"), encoding="utf-8")
-    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
-                                    dataset_id=1)
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3)
     out = tmp_path / "m.csv"
     assert main(["extract", "--corpus", str(corpus), "--dataset-id", "1", "--part", "body",
                  "--out", str(out), "--category-lexicon", str(res)]) == 1
@@ -671,8 +647,7 @@ def test_tagger_model_bad_value_exit_1(tmp_path, capsys, where, value, message):
         model["lexical_backoff"]["the"] = value
     res = tmp_path / "model.json"
     res.write_text(json.dumps(model), encoding="utf-8")
-    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
-                                    dataset_id=1)
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3)
     out = tmp_path / "m.csv"
     assert main(["extract", "--corpus", str(corpus), "--dataset-id", "1", "--part", "title",
                  "--out", str(out), "--tagger-model", str(res)]) == 1
@@ -683,8 +658,7 @@ def test_tagger_model_bad_value_exit_1(tmp_path, capsys, where, value, message):
 @pytest.mark.parametrize("flag", ["--tagger-model", "--category-lexicon", "--frequency-table",
                                   "--sentiment-lexicon", "--stoplist"])
 def test_resource_path_is_directory_exit_1(tmp_path, capsys, flag):
-    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
-                                    dataset_id=1)
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3)
     res = tmp_path / "resources"
     res.mkdir()
     out = tmp_path / "m.csv"
@@ -780,8 +754,7 @@ _LAYERS = {
 
 @pytest.mark.parametrize("command", sorted(_LAYERS))
 def test_each_subcommand_loads_only_its_layers(tmp_path, command):
-    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
-                                    dataset_id=1)
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3)
     m = str(_small_matrix(tmp_path / "m.csv"))
     argv = {
         "ingest": ["ingest", "--corpus", str(corpus), "--dataset-id", "1",
@@ -890,23 +863,23 @@ def test_input_errors_share_one_base():
     from newsstyle import InputError
     from newsstyle.cli import CliError
     from newsstyle.corpus import CorpusError
+    from newsstyle.learn import LearnError
     from newsstyle.lexicon import LexiconFormatError
     from newsstyle.matrix import MatrixFormatError
     from newsstyle.postag import TaggerError
 
     for error in (CliError, CorpusError):
         assert issubclass(error, InputError)
-    for error in (MatrixFormatError, LexiconFormatError, TaggerError):
+    for error in (MatrixFormatError, LexiconFormatError, TaggerError, LearnError):
         assert issubclass(error, InputError) and issubclass(error, ValueError)
 
 
 @pytest.mark.parametrize("error", ["CliError", "CorpusError", "MatrixFormatError",
                                    "MatrixFormatError-not-UTF-8", "LexiconFormatError",
-                                   "TaggerError"])
+                                   "TaggerError", "LearnError"])
 def test_input_error_exit_1_in_a_fresh_process(tmp_path, error):
     # main catches every input error without importing the layer that raises it
-    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3,
-                                    dataset_id=1)
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 2, "fake": 2}, seed=3)
     bad = tmp_path / "bad"
     extract = ["extract", "--corpus", str(corpus), "--dataset-id", "1", "--part", "body",
                "--out", str(tmp_path / "b.csv")]
@@ -922,6 +895,10 @@ def test_input_error_exit_1_in_a_fresh_process(tmp_path, error):
             f"{bad}: not UTF-8 (line 1: unexpected end of data)"),
         "LexiconFormatError": (extract + ["--stoplist", str(bad)], f"{bad}: not UTF-8"),
         "TaggerError": (extract + ["--tagger-model", str(bad)], f"{bad}:1: not JSON"),
+        "LearnError": (["classify", "--matrix", str(_small_matrix(tmp_path / "m.csv")),
+                        "--pair", "fake:real", "--preset", "body4", "--folds", "21",
+                        "--out", str(tmp_path / "cv.tsv")],
+                       "need at least k=21 samples per class; class 'fake' has 20"),
     }[error]
     bad.write_bytes(b"x\xe9" if "not UTF-8" in message else b"doc,label,part\n")
     proc = run_fresh(["-m", "newsstyle.cli", *argv])

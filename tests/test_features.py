@@ -442,8 +442,7 @@ def _oracle_complexity(pairs, n_sent, metrics, freq):
         counts = [tok.syllables for tok in word_toks]
         syllables = sum(counts)
         poly = sum(1 for c in counts if c >= 3)
-        complex_words = sum(1 for (tok, t), c in zip(words, counts)
-                            if c >= 3 and ts.is_complex_word(tok.norm, t, c))
+        complex_words = sum(1 for tok, t in words if ts.is_complex_word(tok, t))
         out["GI"] = 0.4 * (n_words / n_sent + 100.0 * complex_words / n_words)
         out["FK"] = 0.39 * n_words / n_sent + 11.8 * syllables / n_words - 15.59
         out["SMOG"] = 1.0430 * math.sqrt(poly * 30.0 / n_sent) + 3.1291
@@ -810,8 +809,7 @@ class TestNoVectorKept:
     def test_extract_holds_no_earlier_values(self, tmp_path, monkeypatch):
         import newsstyle.features as ft
 
-        corpus = write_synthetic_corpus(tmp_path / "c", {"real": 3, "fake": 3}, seed=1,
-                                        dataset_id=1)
+        corpus = write_synthetic_corpus(tmp_path / "c", {"real": 3, "fake": 3}, seed=1)
         refs, alive = [], []
         extract = ft.extract_all
 

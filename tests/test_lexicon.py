@@ -16,6 +16,8 @@ from newsstyle.lexicon import (
     match_categories,
     sentiment_strength,
 )
+import build_frequency_table
+import newsstyle.lexicon
 import newsstyle.textseg as ts
 from newsstyle.textseg import WORD, split_sentences, token, tokenize
 
@@ -179,6 +181,15 @@ class TestCompiledLookup:
         counts = match_categories(tokens, lex)
         assert counts == {"a": 3, "b": 1, "c": 3}
         assert counts == _scan_counts(tokens, lex)
+
+
+class TestBuildFrequencyTool:
+    def test_regenerates_the_shipped_table_byte_for_byte(self, tmp_path, monkeypatch):
+        out = tmp_path / "frequency.tsv"
+        monkeypatch.setattr(build_frequency_table, "OUT", out)
+        build_frequency_table.main()
+        shipped = newsstyle.lexicon._RESOURCE_DIR / "frequency.tsv"
+        assert out.read_bytes() == shipped.read_bytes()
 
 
 class TestFluency:

@@ -42,8 +42,7 @@ def _sent(text):
 def _tagged(pairs):
     toks = []
     for text, t in pairs:
-        toks.append((Token(text=text, kind="word" if text[0].isalpha() else "punctuation",
-                           is_all_caps=len(text) >= 2 and text.isalpha() and text.isupper()), t))
+        toks.append((Token(text, "word" if text[0].isalpha() else "punctuation"), t))
     return TaggedSentence(tokens=tuple(toks))
 
 

@@ -126,6 +126,8 @@ class TestToken:
         assert token("'s", WORD) is not token("'s", PUNCT)
         assert token("'s", WORD) == Token("'s", WORD)
         assert token("NYPD", WORD).is_all_caps
+        assert token("NYPD", WORD) == Token("NYPD", WORD)
+        assert Token("NYPD", WORD).is_all_caps
         assert not token("I", WORD).is_all_caps
         assert not token("!!", PUNCT).is_all_caps
 
@@ -333,16 +335,16 @@ class TestSyllables:
 
 class TestComplexWord:
     def test_polysyllabic_adjective(self):
-        assert is_complex_word("beautiful", "JJ")
+        assert is_complex_word(token("beautiful", WORD), "JJ")
 
     def test_proper_noun_excluded(self):
-        assert not is_complex_word("Washington", "NNP")
+        assert not is_complex_word(token("Washington", WORD), "NNP")
 
     def test_short_word(self):
-        assert not is_complex_word("cat", "NN")
+        assert not is_complex_word(token("cat", WORD), "NN")
 
     def test_hyphenated_excluded(self):
-        assert not is_complex_word("well-intentioned", "JJ")
+        assert not is_complex_word(token("well-intentioned", WORD), "JJ")
 
 
 def _uncached_syllables(word):

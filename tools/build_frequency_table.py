@@ -7,6 +7,8 @@ only the relative ordering matters for the fluency features.
 
 from pathlib import Path
 
+OUT = Path(__file__).resolve().parents[1] / "src" / "newsstyle" / "resources" / "frequency.tsv"
+
 WORDS = """
 the of and a to in is was that for it he on as with his at by are this
 be from or had not but have an they which one you were all her she there
@@ -65,15 +67,14 @@ sunday today tomorrow yesterday
 
 
 def main() -> None:
-    out = Path(__file__).resolve().parents[1] / "src/newsstyle/resources/frequency.tsv"
     seen = {}
     for rank, word in enumerate(WORDS, 1):
         if word not in seen:
             seen[word] = round(60000.0 / rank, 3)
     lines = ["# word<TAB>frequency per million tokens (Zipf-shaped open list)"]
     lines += [f"{w}\t{f}" for w, f in seen.items()]
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {out} ({len(seen)} words)")
+    OUT.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {OUT} ({len(seen)} words)")
 
 
 if __name__ == "__main__":
