@@ -25,17 +25,21 @@ def float_sum(values: list[float]) -> float:
         return reduce(operator.add, values, 0.0)
 
 
-def float_mean(xs: list[float]) -> float:
-    """The exactly rounded sum over len(xs). A sum of finite values past
-    the float range is taken again over the values scaled by 2**-k, with
-    2**k > len(xs); scaling by a power of two is exact, so the mean has
-    the bits it would have if the sum had not overflowed."""
-    n = len(xs)
+def float_quotient(xs: list[float], divisor: int) -> float:
+    """The exactly rounded sum of ``xs`` over ``divisor``. A sum of finite
+    values past the float range is taken again over the values scaled by
+    2**-k, with 2**k > len(xs); scaling by a power of two is exact, so the
+    quotient has the bits it would have if the sum had not overflowed."""
     total = float_sum(xs)
     if math.isinf(total) and all(map(math.isfinite, xs)):
-        k = n.bit_length()
-        return math.ldexp(float_sum([math.ldexp(x, -k) for x in xs]) / n, k)
-    return total / n
+        k = len(xs).bit_length()
+        return math.ldexp(float_sum([math.ldexp(x, -k) for x in xs]) / divisor, k)
+    return total / divisor
+
+
+def float_mean(xs: list[float]) -> float:
+    """``float_quotient`` of xs over len(xs)."""
+    return float_quotient(xs, len(xs))
 
 
 def decode(data: bytes) -> str:

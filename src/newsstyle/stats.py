@@ -15,7 +15,7 @@ from collections import Counter
 from functools import cache
 from itertools import combinations
 
-from . import Record, float_mean, float_sum
+from . import Record, float_mean, float_quotient, float_sum
 
 ALPHA_DEFAULT = 0.05
 
@@ -487,20 +487,18 @@ def rank_features(results: list[TestResult], k: int) -> list[str]:
 
 def confidence_interval(sample: list[float]) -> tuple[float, float, float]:
     """(mean, lower, upper) t-based 95% CI for the mean; (mean, -inf, inf)
+    when the mean is not finite (the sample holds an inf or a nan) or
     when a squared deviation or the variance overflows."""
     n = len(sample)
     m = float_mean(sample)
+    if not math.isfinite(m):
+        return m, -math.inf, math.inf
     if n < 2:
         return m, m, m
     try:
         squares = [(x - m) ** 2 for x in sample]
     except OverflowError:
         return m, -math.inf, math.inf
-    var = float_sum(squares) / (n - 1)
-    if math.isinf(var) and all(map(math.isfinite, squares)):
-        # finite squares whose sum passes the range: sum them scaled by
-        # 2**-k, with 2**k > n, as float_mean does
-        k = n.bit_length()
-        var = math.ldexp(float_sum([math.ldexp(s, -k) for s in squares]) / (n - 1), k)
+    var = float_quotient(squares, n - 1)
     half = t_ppf(0.975, n - 1) * math.sqrt(var / n)
     return m, m - half, m + half

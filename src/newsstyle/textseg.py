@@ -39,8 +39,8 @@ _TOKEN_RE = re.compile(
 
 
 class Token(FrozenRecord):
-    """One token type: the tokens of a text share one record (see
-    ``token``), and each token's span is kept beside it.
+    """One token type: the tokens of a text share one record in the type
+    table that ``tokenize`` fills, and each token's span is kept beside it.
 
     ``text`` and ``kind`` are its value. ``is_all_caps`` (a word of two or
     more letters, all capitals), ``norm``, ``lower`` and ``syllables``
@@ -78,24 +78,20 @@ class Token(FrozenRecord):
  _set_categories, _set_tagging) = slot_setters(Token)
 
 
-# The type table: text -> its shared record. It holds at most TYPE_CAP
-# records; past that, each token of a new type gets a record of its own, so
-# its per-type results are computed again for each token. So does each token
-# of a text met first with another kind, which the tokenizer never makes:
-# its rules give each text one kind.
+# The type table: text -> its shared record, written only by tokenize, whose
+# rules give each text one kind. It holds at most TYPE_CAP records; past
+# that, each token of a new type gets a record of its own, so its per-type
+# results are computed again for each token.
 TYPE_CAP = 1 << 13
 _types: dict[str, Token] = {}
 
 
-def token(text: str, kind: str) -> Token:
-    """The record of a token type, shared when the table holds it."""
-    tok = _types.get(text)
-    if tok is not None and tok.kind == kind:
-        return tok
-    new = Token(text, kind)
-    if tok is None and len(_types) < TYPE_CAP:
-        _types[text] = new
-    return new
+def _new_type(text: str, kind: str) -> Token:
+    """A record for a text the table does not hold, stored while there is room."""
+    tok = Token(text, kind)
+    if len(_types) < TYPE_CAP:
+        _types[text] = tok
+    return tok
 
 
 class Sentence(FrozenRecord):
@@ -131,7 +127,7 @@ def tokenize(text: str) -> list[tuple[Token, tuple[int, int]]]:
     ("don't" -> "do" + "n't").
     """
     normalized = text.translate(_NORMALIZE)
-    types = _types
+    lookup = _types.get
     out: list[tuple[Token, tuple[int, int]]] = []
     append = out.append
     for m in _TOKEN_RE.finditer(normalized):
@@ -141,13 +137,12 @@ def tokenize(text: str) -> list[tuple[Token, tuple[int, int]]]:
             cut = _split_clitic(m.group())
             if cut is not None:
                 cut += start
-                append((token(text[start:cut], WORD), (start, cut)))
-                append((token(text[cut:end], WORD), (cut, end)))
+                head, tail = text[start:cut], text[cut:end]
+                append((lookup(head) or _new_type(head, WORD), (start, cut)))
+                append((lookup(tail) or _new_type(tail, WORD), (cut, end)))
                 continue
         piece = text[start:end]
-        # token()'s table lookup, inlined for the common case of a known type
-        tok = types.get(piece)
-        append((tok if tok is not None and tok.kind == kind else token(piece, kind), span))
+        append((lookup(piece) or _new_type(piece, kind), span))
     return out
 
 

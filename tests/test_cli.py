@@ -960,6 +960,21 @@ def test_infinite_cell_outside_the_training_data_exit_0(tmp_path, cells):
     assert "mean_accuracy=" in out.read_text()
 
 
+def test_report_gives_an_infinite_cell_an_unbounded_interval(tmp_path):
+    # an infinite mean used to give the interval nan bounds
+    m = _small_matrix(tmp_path / "m.csv")
+    lines = m.read_text().splitlines()
+    assert lines[2:4] == ["d1,real,body,2,0.1,101,1", "d2,fake,body,2,0.2,102,2"]
+    lines[2:4] = ["d1,real,body,inf,0.1,101,1", "d2,fake,body,2,-inf,102,2"]  # NN, TTR
+    m.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--matrix", str(m), "--ci-features", "NN,TTR",
+                 "--out", str(tmp_path / "r")]) == 0
+    ci = (tmp_path / "r" / "ci_plot_data.csv").read_text().splitlines()
+    assert "NN,real,20,inf,-inf,inf" in ci
+    assert "TTR,fake,20,-inf,-inf,inf" in ci
+    assert [line for line in ci if "nan" in line] == []
+
+
 def _title_matrix_with_nnp(tmp_path, value, rows):
     """The title matrix of a seed-3 synthetic corpus, 22 docs per label,
     with the NNP cell of each fake row in ``rows`` (1 is the first) set to

@@ -31,7 +31,7 @@ from newsstyle.postag import (
 from newsstyle.corpus import load_corpus
 from newsstyle.features import Resources, extract_all
 import newsstyle.textseg
-from newsstyle.textseg import WORD, Sentence, Token, split_sentences, token, tokenize
+from newsstyle.textseg import WORD, Sentence, Token, split_sentences, tokenize
 
 
 def _sent(text):
@@ -365,13 +365,13 @@ class TestWordScoreMemo:
         model = _fresh_model()
         tag(_sent("zzqing"), model)
         # same last three letters, no word weights: one table
-        assert model._entry(token("yyqing", WORD))[2] is model._entry(token("zzqing", WORD))[2]
+        assert model._entry(Token("yyqing", WORD))[2] is model._entry(Token("zzqing", WORD))[2]
         # suffixes the model has no suf3 or suf2 weight for, the same last
         # letter: two types, the same weighted features, one table
         for suffix in ("qxs", "zxs"):
             assert f"suf3={suffix}" not in model.weights
         assert "suf2=xs" not in model.weights
-        a, b = model._entry(token("aaqxs", WORD)), model._entry(token("aazxs", WORD))
+        a, b = model._entry(Token("aaqxs", WORD)), model._entry(Token("aazxs", WORD))
         assert a is b and a[2] is b[2]
 
 

@@ -515,6 +515,13 @@ class TestConfidenceInterval:
         xs = [1.0, 2.0, 1e200]
         assert confidence_interval(xs) == (float_mean(xs), -math.inf, math.inf)
 
+    def test_infinite_cell_gives_unbounded_interval(self):
+        # the squared deviations of an infinite mean are nan, not an overflow
+        assert confidence_interval([1.0, math.inf, 2.0]) == (math.inf, -math.inf, math.inf)
+        assert confidence_interval([-math.inf, 1.0]) == (-math.inf, -math.inf, math.inf)
+        m, lo, hi = confidence_interval([1.0, math.inf, -math.inf])
+        assert math.isnan(m) and (lo, hi) == (-math.inf, math.inf)
+
     def test_overflowing_sum_of_finite_squares_keeps_the_interval_finite(self):
         # each squared deviation is 1e308, their sum is not finite, but the
         # variance 22e308 / 21 is

@@ -1,3 +1,4 @@
+import itertools
 import re
 import string
 
@@ -17,7 +18,6 @@ from newsstyle.textseg import (
     is_complex_word,
     load_abbreviations,
     split_sentences,
-    token,
     tokenize,
 )
 
@@ -120,26 +120,51 @@ class TestToken:
             assert getattr(tok, name) is before
         assert not hasattr(tok, "__dict__")
 
-    def test_token_shares_one_record_per_text_and_kind(self, monkeypatch):
+    def test_tokenize_shares_one_record_per_text(self, monkeypatch):
         monkeypatch.setattr(ts, "_types", {})
-        assert token("Dogs", WORD) is token("Dogs", WORD)
-        assert token("'s", WORD) is not token("'s", PUNCT)
-        assert token("'s", WORD) == Token("'s", WORD)
-        assert token("NYPD", WORD).is_all_caps
-        assert token("NYPD", WORD) == Token("NYPD", WORD)
+        dogs, again, _, s, nypd, i = _records("Dogs Dogs it's NYPD I")
+        assert dogs is again
+        assert s is _records("he's")[1]
+        assert s == Token("'s", WORD)
+        assert nypd.is_all_caps
+        assert nypd == Token("NYPD", WORD)
         assert Token("NYPD", WORD).is_all_caps
-        assert not token("I", WORD).is_all_caps
-        assert not token("!!", PUNCT).is_all_caps
+        assert not i.is_all_caps
+        assert not Token("!!", PUNCT).is_all_caps
 
-    def test_a_text_met_with_a_second_kind_gets_a_record_of_its_own(self, monkeypatch):
-        # the table is keyed by text; the tokenizer gives each text one kind
-        monkeypatch.setattr(ts, "_types", {})
-        word = token("x", WORD)
-        punct = token("x", PUNCT)
-        assert punct == Token("x", PUNCT)
-        assert punct is not token("x", PUNCT)
-        assert ts._types == {"x": word}
-        assert token("x", WORD) is word
+
+# clitics, lone quotes, numbers with separators, hyphens, punctuation,
+# symbols and non-ASCII letters, run together or apart
+_MIXED_PIECES = hs.one_of(
+    hs.sampled_from(["don't", "it's", "John’s", "'s", "n't", "'", "’", "‘", "1,000",
+                     "2.5", "well-known", "-", ".", ",", "!", "(", "$", "%", "café",
+                     "Σ", "NYPD", "I"]),
+    hs.text(alphabet="aZ1'’-.,$éΣ", min_size=1, max_size=6),
+)
+_MIXED_TEXT = hs.lists(hs.tuples(_MIXED_PIECES, hs.sampled_from(["", " "])),
+                       max_size=8).map(lambda pairs: "".join(p + sep for p, sep in pairs))
+
+
+class TestTypeTable:
+    @settings(max_examples=300, deadline=None)
+    @given(hs.lists(_MIXED_TEXT, min_size=1, max_size=4))
+    def test_each_text_has_one_kind_and_one_record(self, texts):
+        # the table lookup compares no kinds: it relies on the tokenizer's
+        # rules giving each text one kind, wherever the text stands
+        saved = ts._types
+        try:
+            kinds = {}
+            for text in texts:
+                ts._types = {}  # the kinds the rules give, not the table
+                for tok, _ in tokenize(text):
+                    assert kinds.setdefault(tok.text, tok.kind) == tok.kind
+            ts._types = {}
+            for text in texts:
+                for tok, _ in tokenize(text):
+                    assert tok.kind == kinds[tok.text]
+                    assert ts._types.get(tok.text, tok) is tok
+        finally:
+            ts._types = saved
 
 
 # the tokenizer rules as they were before the fast paths: every word goes
@@ -335,16 +360,16 @@ class TestSyllables:
 
 class TestComplexWord:
     def test_polysyllabic_adjective(self):
-        assert is_complex_word(token("beautiful", WORD), "JJ")
+        assert is_complex_word(Token("beautiful", WORD), "JJ")
 
     def test_proper_noun_excluded(self):
-        assert not is_complex_word(token("Washington", WORD), "NNP")
+        assert not is_complex_word(Token("Washington", WORD), "NNP")
 
     def test_short_word(self):
-        assert not is_complex_word(token("cat", WORD), "NN")
+        assert not is_complex_word(Token("cat", WORD), "NN")
 
     def test_hyphenated_excluded(self):
-        assert not is_complex_word(token("well-intentioned", WORD), "JJ")
+        assert not is_complex_word(Token("well-intentioned", WORD), "JJ")
 
 
 def _uncached_syllables(word):
@@ -368,7 +393,7 @@ class TestWordMemos:
     @given(_MEMO_TEXT)
     def test_count_syllables_matches_uncached(self, word):
         assert count_syllables(word) == _uncached_syllables(word)
-        assert token(word, WORD).syllables == _uncached_syllables(word)
+        assert Token(word, WORD).syllables == _uncached_syllables(word)
 
     @settings(max_examples=300, deadline=None)
     @given(_MEMO_TEXT, hs.sampled_from([WORD, NUMBER, PUNCT, SYMBOL]))
@@ -385,14 +410,15 @@ class TestWordMemos:
 
     def test_type_table_stays_under_cap(self, monkeypatch):
         monkeypatch.setattr(ts, "_types", {})
-        words = [f"syl{i}able" for i in range(ts.TYPE_CAP + 100)]
+        letters = itertools.product(string.ascii_lowercase, repeat=3)
+        words = ["syl" + "".join(next(letters)) + "able" for _ in range(ts.TYPE_CAP + 100)]
         for word in words:
-            assert token(word, WORD).syllables == _uncached_syllables(word)
+            assert _records(word)[0].syllables == _uncached_syllables(word)
         assert len(ts._types) == ts.TYPE_CAP
         # types past the cap are still answered, each time by a new record
         for word in (words[0], words[-1]):
-            assert token(word, WORD) == Token(word, WORD)
-            assert token(word, WORD).syllables == _uncached_syllables(word)
-        assert token(words[0], WORD) is token(words[0], WORD)
-        assert token(words[-1], WORD) is not token(words[-1], WORD)
+            assert _records(word) == [Token(word, WORD)]
+            assert _records(word)[0].syllables == _uncached_syllables(word)
+        assert _records(words[0])[0] is _records(words[0])[0]
+        assert _records(words[-1])[0] is not _records(words[-1])[0]
         assert len(ts._types) == ts.TYPE_CAP

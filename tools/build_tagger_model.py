@@ -33,7 +33,7 @@ from newsstyle.postag import (  # noqa: E402
     _shape_features,
     _word_features,
 )
-from newsstyle.textseg import NUMBER, PUNCT, WORD, Token, token  # noqa: E402
+from newsstyle.textseg import NUMBER, PUNCT, WORD, Token  # noqa: E402
 
 CORPUS = TOOLS_DIR / "tagged_corpus.tsv"
 CLOSED_CLASS = TOOLS_DIR / "closed_class.tsv"
@@ -246,7 +246,7 @@ def load_pretagged(path: str | Path) -> list[TaggedSentence]:
         if t not in TAGSET:
             raise TaggerError(f"{path}:{lineno}: tag {t!r} not in tagset")
         kind = WORD if text[0].isalpha() else (NUMBER if text[0].isdigit() else PUNCT)
-        current.append((token(text, kind), t))
+        current.append((Token(text, kind), t))
     if current:
         sentences.append(TaggedSentence(tokens=tuple(current)))
     return sentences
