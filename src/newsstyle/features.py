@@ -38,8 +38,6 @@ _TAG_FOLD = {
     "VBD": "VBD", "VBG": "VBG", "VBN": "VBN", "VBP": "VBP", "VBZ": "VBZ",
 }
 
-_QUOTE_CHARS = set('"\'“”‘’')
-
 NA = None
 
 
@@ -127,9 +125,9 @@ def extract_all(doc: Document, part: str, resources: Resources) -> dict[str, flo
                 caps += tok.is_all_caps
                 stop += tok.lower in stopwords
                 letters += len(tok.norm)
-            elif kind == ts.PUNCT or kind == ts.SYMBOL:
-                punct += kind == ts.PUNCT
-                quotes += tok.text in _QUOTE_CHARS
+            elif kind == ts.PUNCT:
+                punct += 1
+                quotes += tok.norm in ('"', "'")  # norm straightens curly quotes
                 exclaim += tok.text == "!"
 
     n_words = len(words)

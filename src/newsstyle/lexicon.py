@@ -37,6 +37,19 @@ class LexiconFormatError(ValueError, InputError):
     """Raised for malformed lexicon files."""
 
 
+def _stem_values(word: str, values: dict, prefixes: frozenset[str]) -> list:
+    """The values of the stems in ``values`` that prefix ``word``, shortest
+    first; ``prefixes`` holds every non-empty prefix of those stems."""
+    found = []
+    for end in range(1, len(word) + 1):
+        prefix = word[:end]
+        if prefix not in prefixes:
+            break  # no stem starts with it, so none starts with a longer prefix
+        if prefix in values:
+            found.append(values[prefix])
+    return found
+
+
 class CategoryLexicon(Record):
     __slots__ = ("exact", "stems", "_names", "_exact_cats", "_stem_cats", "_stem_prefixes",
                  "_pairs")
@@ -48,18 +61,16 @@ class CategoryLexicon(Record):
         self.stems = stems
         # compiled here: the category names, word or stem -> indices of its
         # categories, and every non-empty prefix of every stem
-        exact_cats: dict[str, list[int]] = {}
-        stem_cats: dict[str, list[int]] = {}
+        self._names = tuple(exact)
+        self._exact_cats: dict[str, list[int]] = {}
+        self._stem_cats: dict[str, list[int]] = {}
         for i, cat in enumerate(exact):
             for word in exact[cat]:
-                exact_cats.setdefault(word, []).append(i)
+                self._exact_cats.setdefault(word, []).append(i)
             for stem in stems[cat]:
-                stem_cats.setdefault(stem, []).append(i)
-        self._names = tuple(exact)
-        self._exact_cats = {w: tuple(ix) for w, ix in exact_cats.items()}
-        self._stem_cats = {s: tuple(ix) for s, ix in stem_cats.items()}
+                self._stem_cats.setdefault(stem, []).append(i)
         self._stem_prefixes = frozenset(
-            s[:end] for s in stem_cats for end in range(1, len(s) + 1))
+            s[:end] for s in self._stem_cats for end in range(1, len(s) + 1))
         # hits -> the one (self, hits) pair that every record with them holds
         self._pairs = {}
 
@@ -70,11 +81,7 @@ class CategoryLexicon(Record):
         the pair that every record with the same hits shares."""
         word = tok.lower
         cats = set(self._exact_cats.get(word, ()))
-        for end in range(1, len(word) + 1):
-            prefix = word[:end]
-            if prefix not in self._stem_prefixes:
-                break  # no stem starts with it, so none starts with a longer prefix
-            cats.update(self._stem_cats.get(prefix, ()))
+        cats.update(*_stem_values(word, self._stem_cats, self._stem_prefixes))
         found = tuple(sorted(cats))
         pair = self._pairs.setdefault(found, (self, found))
         object.__setattr__(tok, "categories", pair)
@@ -173,28 +180,24 @@ def fluency_least3(tokens: list[Token], freqs: dict[str, float]) -> float | None
 
 
 class SentimentLexicon(Record):
-    __slots__ = _fields = ("terms", "boosters", "negators", "_stems")
+    __slots__ = _fields = ("terms", "boosters", "negators", "_stem_strengths", "_stem_prefixes")
 
     def __init__(self, terms: dict[str, int], boosters: dict[str, int],
                  negators: frozenset[str]):
         self.terms = terms  # word or trailing-* stem -> strength
         self.boosters = boosters  # word -> magnitude shift
         self.negators = negators
-        # compiled here from the trailing-* terms, longest stem first
-        self._stems = sorted(
-            ((k[:-1], v) for k, v in terms.items() if k.endswith("*")),
-            key=lambda kv: len(kv[0]),
-            reverse=True,
-        )
+        self._stem_strengths = {k[:-1]: v for k, v in terms.items() if k.endswith("*")}
+        self._stem_prefixes = frozenset(
+            s[:end] for s in self._stem_strengths for end in range(1, len(s) + 1))
 
     def strength(self, word: str) -> int | None:
+        """The exact term's strength, else the longest stem's, else None."""
         w = word.lower()
         if w in self.terms:
             return self.terms[w]
-        for stem, s in self._stems:
-            if w.startswith(stem):
-                return s
-        return None
+        found = self._stem_strengths and _stem_values(w, self._stem_strengths, self._stem_prefixes)
+        return found[-1] if found else None
 
 
 def load_sentiment_lexicon(path: str | Path | None = None) -> SentimentLexicon:

@@ -43,12 +43,12 @@ class Token(FrozenRecord):
     table that ``tokenize`` fills, and each token's span is kept beside it.
 
     ``text`` and ``kind`` are its value. ``is_all_caps`` (a word of two or
-    more letters, all capitals), ``norm``, ``lower`` and ``syllables``
-    (``count_syllables`` of ``lower`` for a word, 0 for the other kinds)
-    are derived from them when the record is made. ``categories`` and
-    ``tagging`` are per-type results that ``lexicon.match_categories`` and
-    ``postag.tag`` store the first time they need them, each paired with
-    the resource object it was computed from.
+    more letters, all capitals, so ``DON'T`` gives two and ``IT'S`` one),
+    ``norm``, ``lower`` and ``syllables`` (``count_syllables`` of ``lower``
+    for a word, 0 for the other kinds) are derived from them when the
+    record is made. ``categories`` and ``tagging`` are per-type results
+    that ``lexicon.match_categories`` and ``postag.tag`` store the first
+    time they need them, each paired with the resource it was computed from.
     """
     __slots__ = ("text", "kind", "is_all_caps",
                  # not part of equality, hashing or repr
@@ -63,9 +63,8 @@ class Token(FrozenRecord):
         lower = norm.lower()
         _set_text(self, text)
         _set_kind(self, kind)
-        # letters are the only cased characters a word token can hold, so
-        # isupper() means "every letter is a capital"
-        _set_is_all_caps(self, kind == WORD and len(text) >= 2 and text.isupper())
+        # isupper(): a word's cased characters, its letters, are all capitals
+        _set_is_all_caps(self, kind == WORD and text.isupper() and sum(map(str.isalpha, text)) > 1)
         _set_norm(self, norm)
         # one string, not two equal ones, for a type already in lowercase
         _set_lower(self, norm if lower == norm else lower)

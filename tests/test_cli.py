@@ -785,6 +785,35 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, command):
     assert sorted(loaded & set(unneeded)) == []
 
 
+def test_every_file_the_chain_reads_or_writes_names_its_encoding(tmp_path):
+    # EncodingWarning marks an open() or read_text() that takes the locale's
+    # encoding; as an error it fails the subcommand that makes the call
+    corpus = write_synthetic_corpus(tmp_path / "c", {"real": 20, "fake": 20, "satire": 20},
+                                    seed=3)
+    sentiment = Path(SRC) / "newsstyle" / "resources" / "sentiment.tsv"
+    body, title = str(tmp_path / "body.csv"), str(tmp_path / "title.csv")
+    extract = ["extract", "--corpus", str(corpus), "--dataset-id", "2"]
+    chain = [
+        ["ingest", "--corpus", str(corpus), "--dataset-id", "2", "--out", str(tmp_path / "i")],
+        [*extract, "--part", "body", "--out", body],
+        [*extract, "--part", "title", "--out", title],
+        [*extract, "--part", "body", "--sentiment-lexicon", str(sentiment),
+         "--out", str(tmp_path / "body2.csv")],
+        ["analyze", "--matrix", body, "--out", str(tmp_path / "a")],
+        ["classify", "--matrix", body, "--pair", "fake:real", "--out", str(tmp_path / "r.tsv")],
+        ["classify", "--matrix", body, "--pair", "fake:real", "--preset", "body4",
+         "--out", str(tmp_path / "p.tsv")],
+        ["report", "--matrix", body, "--analysis", str(tmp_path / "a" / "ordering.tsv"),
+         "--classification", str(tmp_path / "r.tsv"), str(tmp_path / "p.tsv"),
+         "--out", str(tmp_path / "report")],
+    ]
+    for argv in chain:
+        proc = run_fresh(["-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                          "-m", "newsstyle.cli", *argv])
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+    assert (tmp_path / "body.csv").read_bytes() == (tmp_path / "body2.csv").read_bytes()
+
+
 def test_no_package_module_imports_dataclasses_or_typing():
     # the record classes are plain classes and annotations stay strings, so
     # no subcommand pays at start-up for either module or what they import

@@ -20,7 +20,6 @@ import newsstyle.textseg as ts
 from newsstyle.cli import main
 from newsstyle.corpus import LABELS, Document, load_corpus
 from newsstyle.features import (
-    _QUOTE_CHARS,
     _TAG_FOLD,
     Resources,
     _median,
@@ -454,6 +453,10 @@ def _oracle_complexity(pairs, n_sent, metrics, freq):
     out["flu_coca_d"] = lx.fluency_doc(word_toks, freq)
     out["flu_coca_c"] = lx.fluency_least3(word_toks, freq)
     return out
+
+
+# the oracle's own quote characters: straight and curly, single and double
+_QUOTE_CHARS = set('"\'“”‘’')
 
 
 def _oracle_stylistic(pairs, n_sent, metrics, cat_counts, stopwords):

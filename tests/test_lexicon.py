@@ -1,3 +1,4 @@
+import itertools
 import string
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from newsstyle.lexicon import (
+    CategoryLexicon,
     LexiconFormatError,
     SentimentLexicon,
     fluency_doc,
@@ -303,10 +305,10 @@ class TestSentiment:
             sentiment_strength([], self._lex())
 
     def test_stems_not_a_constructor_argument(self):
-        # the stem list is compiled from `terms`; a passed one was overwritten
-        with pytest.raises(TypeError):
-            SentimentLexicon(terms={"bad*": -2}, boosters={}, negators=frozenset(),
-                             _stems=[("good", 3)])
+        # the stem table is compiled from `terms`; a passed one was overwritten
+        for table in ({"_stem_strengths": {"good": 3}}, {"_stem_prefixes": frozenset("g")}):
+            with pytest.raises(TypeError):
+                SentimentLexicon(terms={"bad*": -2}, boosters={}, negators=frozenset(), **table)
 
     @staticmethod
     def _reference_strength(terms, word):
@@ -325,6 +327,69 @@ class TestSentiment:
         shipped = load_sentiment_lexicon()
         for word in (*shipped.terms, "Horrific", "terrifying", "wonderfully", "table"):
             assert shipped.strength(word) == self._reference_strength(shipped.terms, word), word
+
+
+class _CountingSet(frozenset):
+    """A frozenset that counts its membership tests."""
+    probes = 0
+
+    def __contains__(self, item):
+        self.probes += 1
+        return super().__contains__(item)
+
+
+# 3,000 stems: every string of two and three letters over a-h, and the first
+# 2,424 of four letters, so most stems prefix others
+_GENERATED_STEMS = ["".join(p) for n in (2, 3, 4)
+                    for p in itertools.product("abcdefgh", repeat=n)][:3000]
+
+
+class TestStemWalk:
+    """Both lexicons find a word's stems by one walk over its prefixes."""
+
+    @staticmethod
+    @hs.composite
+    def _lexicons(draw):
+        # stems and words over three letters, so stems nest and overlap; exact
+        # entries include stems' texts, and lookups mix in capitals
+        piece = hs.text(alphabet="abc", min_size=1, max_size=4)
+        stems = draw(hs.lists(piece, max_size=10, unique=True))
+        texts = hs.one_of(piece, hs.sampled_from(stems)) if stems else piece
+        exact = draw(hs.lists(texts, max_size=10, unique=True))
+        strengths = hs.sampled_from([-5, -4, -3, -2, 2, 3, 4, 5])
+        terms = {**{w: draw(strengths) for w in exact}, **{s + "*": draw(strengths) for s in stems}}
+        cats = ["x", "y", "z"]
+        where = hs.lists(hs.sampled_from(cats), min_size=1, max_size=3, unique=True)
+        exact_in = {cat: {} for cat in cats}
+        stems_in = {cat: [] for cat in cats}
+        for w in exact:
+            for cat in draw(where):
+                exact_in[cat][w] = None
+        for s in stems:
+            for cat in draw(where):
+                stems_in[cat].append(s)
+        words = draw(hs.lists(hs.text(alphabet="abcABC", min_size=1, max_size=7), max_size=12))
+        return terms, CategoryLexicon(exact=exact_in, stems=stems_in), words
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lexicons())
+    def test_matches_the_scan_of_every_stem(self, drawn):
+        terms, categories, words = drawn
+        sentiment = SentimentLexicon(terms=terms, boosters={}, negators=frozenset())
+        for word in words:
+            assert sentiment.strength(word) == TestSentiment._reference_strength(terms, word)
+            tokens = _word(word)
+            assert match_categories(tokens, categories) == _scan_counts(tokens, categories)
+        tokens = _tokens(" ".join(words))
+        assert match_categories(tokens, categories) == _scan_counts(tokens, categories)
+
+    def test_lookup_probes_bounded_by_word_length(self):
+        terms = {s + "*": 2 + i % 4 for i, s in enumerate(_GENERATED_STEMS)}
+        sl = SentimentLexicon(terms=terms, boosters={}, negators=frozenset())
+        for word in ("abcdefgh", "ABCD", "abca", "hgfedcba", "hhhh", "zzz", "a", "ab"):
+            sl._stem_prefixes = counting = _CountingSet(sl._stem_prefixes)
+            assert sl.strength(word) == TestSentiment._reference_strength(terms, word), word
+            assert counting.probes <= len(word) + 1, word
 
 
 class TestSentimentFileFormat:
