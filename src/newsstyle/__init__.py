@@ -7,34 +7,33 @@ SVM on the top-ranked features.
 """
 
 import math
-import operator
-from functools import reduce
 
 __version__ = "0.1.0"
 
 
 def float_sum(values: list[float]) -> float:
-    """The correctly rounded sum (``math.fsum``): the same bits in any
-    order and on every Python version, where builtin ``sum`` of floats
-    became compensated in 3.12. Where fsum raises, on an inf with a -inf
-    or a total past the float range, the left-to-right float sum (nan or
-    +-inf)."""
-    try:
-        return math.fsum(values)
-    except (OverflowError, ValueError):
-        return reduce(operator.add, values, 0.0)
+    """``float_quotient`` of values over 1."""
+    return float_quotient(values, 1)
 
 
 def float_quotient(xs: list[float], divisor: int) -> float:
-    """The exactly rounded sum of ``xs`` over ``divisor``. A sum of finite
-    values past the float range is taken again over the values scaled by
-    2**-k, with 2**k > len(xs); scaling by a power of two is exact, so the
-    quotient has the bits it would have if the sum had not overflowed."""
-    total = float_sum(xs)
-    if math.isinf(total) and all(map(math.isfinite, xs)):
+    """The exactly rounded sum of ``xs`` (``math.fsum``) over ``divisor``:
+    the same bits in any order and on every Python version, where builtin
+    ``sum`` of floats became compensated in 3.12. A sum that fsum finds
+    past the float range is taken again over the values scaled by 2**-k,
+    with 2**k > len(xs), and the quotient scaled back: scaling by a power
+    of two is exact, so the quotient has the bits it would have if the sum
+    had not overflowed, or is +-inf past the range. A value below
+    2**(k - 1022), subnormal once scaled, loses bits in that retry. An inf
+    with a -inf gives nan."""
+    try:
+        return math.fsum(xs) / divisor
+    except OverflowError:
         k = len(xs).bit_length()
-        return math.ldexp(float_sum([math.ldexp(x, -k) for x in xs]) / divisor, k)
-    return total / divisor
+        # the scaled sum stays in range; a product past it is +-inf
+        return float_quotient([math.ldexp(x, -k) for x in xs], divisor) * 2.0 ** k
+    except ValueError:  # fsum of an inf and a -inf
+        return math.nan
 
 
 def float_mean(xs: list[float]) -> float:

@@ -161,7 +161,7 @@ def _write_ordering_table(rows: list[st.TestResult], out: Path, part: str, alpha
                           bold_p: float) -> None:
     """Fixed-width human-readable table of the significant ones of
     ``rows``, which are in ``st.sorted_rows`` order."""
-    rows = [r for r in rows if r.test_used != "skipped" and r.significant]
+    rows = [r for r in rows if r.significant]
     lines = [f"Features that differ in the {part} (alpha={alpha})", ""]
     lines.append(f"{'Feature':<14}{'Ordering':<28}{'p':<12}{'test':<8}bold")
     for r in rows:

@@ -421,18 +421,10 @@ class CvReport(Record):
         self.fold_gaps = fold_gaps  # each fold's SvmModel.gap
 
 
-def cross_validate(
-    X: Rows,
-    labels,
-    k: int = 5,
-    C: float = 1.0,
-    seed: int = 0,
-    tol: float = 1e-4,
-    max_epochs: int = 1000,
-) -> CvReport:
-    """Stratified k-fold CV of the linear SVM; the standardizer is refit
-    on each fold's training rows only. X must have one row per label, all
-    of one length."""
+def cross_validate(X: Rows, labels, k: int = 5, C: float = 1.0, seed: int = 0) -> CvReport:
+    """Stratified k-fold CV of the linear SVM, each fold trained with
+    ``train_svm``'s defaults; the standardizer is refit on each fold's
+    training rows only. X must have one row per label, all of one length."""
     labels = list(labels)
     if len(X) != len(labels):
         raise LearnError(f"cross_validate got {len(X)} rows and {len(labels)} labels")
@@ -450,8 +442,7 @@ def cross_validate(
     for fold in folds:
         held_out = set(fold)
         train = [i for i in range(len(labels)) if i not in held_out]
-        model = train_svm([X[i] for i in train], [y[i] for i in train],
-                          C=C, tol=tol, max_epochs=max_epochs, seed=seed)
+        model = train_svm([X[i] for i in train], [y[i] for i in train], C=C, seed=seed)
         values = model.decision_values([X[i] for i in fold])
         # an exact zero decision value goes to the positive class
         hits = sum((v >= 0.0) == (y[i] > 0.0) for v, i in zip(values, fold))

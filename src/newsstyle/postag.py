@@ -20,12 +20,6 @@ from .textseg import NUMBER, PUNCT, SYMBOL, Sentence, Token
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
 
-TAGSET = (
-    "NN NNS NNP NNPS PRP PRP$ WP WP$ DT WDT PDT CD RB RBR RBS UH "
-    "VB VBD VBG VBN VBP VBZ JJ JJR JJS IN TO MD CC EX POS RP WRB FW "
-    "SYM PUNCT"
-).split()
-
 VERB_TAGS = frozenset({"VB", "VBD", "VBG", "VBN", "VBP", "VBZ"})
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 
@@ -173,9 +167,6 @@ class TaggedSentence(FrozenRecord):
     def __init__(self, tokens: tuple[tuple[Token, str], ...]):
         _set_tokens(self, tokens)
 
-    def tags(self) -> list[str]:
-        return [tag for _, tag in self.tokens]
-
 
 [_set_tokens] = slot_setters(TaggedSentence)
 
@@ -192,8 +183,6 @@ def _shape_features(tok: Token) -> list[str]:
     feats = []
     if tok.is_all_caps:
         feats.append("allcaps")
-    if tok.kind == NUMBER:
-        feats.append("num")
     if tok.norm[:1].isupper():
         feats.append("cap")
     return feats

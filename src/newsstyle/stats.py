@@ -480,9 +480,9 @@ def compare_feature(
 
 
 def rank_features(results: list[TestResult], k: int) -> list[str]:
-    """The first k features of ``sorted_rows`` that are significant."""
-    return [r.feature for r in sorted_rows(results)
-            if r.test_used != "skipped" and r.significant][:k]
+    """The first k features of ``sorted_rows`` that are significant; a
+    skipped row never is."""
+    return [r.feature for r in sorted_rows(results) if r.significant][:k]
 
 
 def confidence_interval(sample: list[float]) -> tuple[float, float, float]:

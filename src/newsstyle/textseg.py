@@ -159,7 +159,7 @@ def _abbreviations() -> frozenset[str]:
 _NEXT_START = re.compile(r'\s+["\'“”‘’(]*[A-Z0-9]')  # whitespace, then a sentence start
 
 
-def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[Sentence]:
+def split_sentences(text: str) -> list[Sentence]:
     """Segment text into sentences over its token stream.
 
     A boundary is a ``.``, ``!`` or ``?`` token followed by whitespace and a
@@ -167,8 +167,7 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     abbreviation. Text without a terminator is a single sentence. Every
     token lands in exactly one sentence.
     """
-    if abbreviations is None:
-        abbreviations = _abbreviations()
+    abbreviations = _abbreviations()
     pairs = tokenize(text)
     if not pairs:
         return []

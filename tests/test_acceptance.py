@@ -291,9 +291,6 @@ def test_criterion_9_property_suites():
             failures.append("tokenizer round-trip")
             break
 
-    from newsstyle.postag import TaggedSentence
-    from newsstyle.textseg import Token, WORD
-
     for _ in range(1000):
         n = rng.randint(1, 30)
         words = ["".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(1, 8)))

@@ -1004,6 +1004,17 @@ def test_report_gives_an_infinite_cell_an_unbounded_interval(tmp_path):
     assert [line for line in ci if "nan" in line] == []
 
 
+def test_report_gives_an_overflowing_variance_an_unbounded_interval(tmp_path):
+    # the two squared deviations sum to 2.88e308: the variance used to end
+    # report in an OverflowError
+    m = tmp_path / "m.csv"
+    m.write_text("doc_id,label,part,NN\nd1,real,body,-1.2e154\nd2,real,body,1.2e154\n")
+    assert main(["report", "--matrix", str(m), "--ci-features", "NN",
+                 "--out", str(tmp_path / "r")]) == 0
+    ci = (tmp_path / "r" / "ci_plot_data.csv").read_text().splitlines()
+    assert ci == ["feature,label,n,mean,ci_lower,ci_upper", "NN,real,2,0,-inf,inf"]
+
+
 def _title_matrix_with_nnp(tmp_path, value, rows):
     """The title matrix of a seed-3 synthetic corpus, 22 docs per label,
     with the NNP cell of each fake row in ``rows`` (1 is the first) set to

@@ -8,8 +8,6 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hs
 
 from build_tagger_model import CORPUS, load_pretagged, save_model, train_tagger
 from conftest import run_fresh, write_synthetic_corpus

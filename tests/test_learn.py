@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import operator
 import random
@@ -15,7 +16,6 @@ from newsstyle import learn
 from newsstyle import matrix as ft
 from newsstyle.cli import PRESETS, main
 from newsstyle.learn import (
-    CvReport,
     LearnError,
     Standardizer,
     SvmModel,
@@ -512,11 +512,14 @@ class TestPythonFloatSolver:
         assert model.max_violation >= 1e-4
         assert len(model.dual_objective_history) == 3
 
-    def test_cv_report_carries_fold_convergence(self):
+    def test_cv_report_carries_fold_convergence(self, monkeypatch):
         X, y = _overlapping(1)
         labels = ["a" if v < 0 else "b" for v in y]
         assert cross_validate(X, labels, k=3, C=0.01).fold_converged == [True] * 3
-        report = cross_validate(X, labels, k=3, C=10.0, max_epochs=2)
+        original = learn.train_svm
+        monkeypatch.setattr(learn, "train_svm",
+                            lambda *args, **kwargs: original(*args, max_epochs=2, **kwargs))
+        report = cross_validate(X, labels, k=3, C=10.0)
         assert report.fold_converged == [False] * 3
         assert len(report.fold_gaps) == 3 and all(gap > 1e-3 for gap in report.fold_gaps)
 
@@ -700,14 +703,18 @@ def _signed(model, X, y):
 
 
 def _record_folds(monkeypatch):
-    """Collects (X, y, C, tol, max_epochs, model) of every train_svm call."""
+    """Collects (X, y, C, tol, max_epochs, model) of every train_svm call,
+    each with its default where the call leaves it out."""
     folds = []
     original = learn.train_svm
+    signature = inspect.signature(original)
 
     def recorded(X, y, **kwargs):
         model = original(X, y, **kwargs)
-        folds.append((X, [float(v) for v in y], kwargs["C"], kwargs["tol"],
-                      kwargs["max_epochs"], model))
+        call = signature.bind(X, y, **kwargs)
+        call.apply_defaults()
+        folds.append((X, [float(v) for v in y], call.arguments["C"], call.arguments["tol"],
+                      call.arguments["max_epochs"], model))
         return model
 
     monkeypatch.setattr(learn, "train_svm", recorded)
@@ -962,8 +969,8 @@ class TestClassifyCli:
         assert not out.exists()
 
     def test_each_unconverged_fold_named_with_its_gap(self, tmp_path, capsys, monkeypatch):
-        original = learn.cross_validate
-        monkeypatch.setattr(learn, "cross_validate",
+        original = learn.train_svm
+        monkeypatch.setattr(learn, "train_svm",
                             lambda *args, **kwargs: original(*args, max_epochs=3, **kwargs))
         _write_overlapping_matrix(tmp_path / "m.csv")
         out = tmp_path / "cv.tsv"

@@ -9,6 +9,7 @@ import pytest
 import build_tagger_model
 from build_tagger_model import (
     CORPUS as TAGGED_CORPUS,
+    TAGSET,
     load_closed_class,
     load_pretagged,
     save_model,
@@ -18,7 +19,6 @@ from conftest import write_synthetic_corpus
 import newsstyle.postag
 from newsstyle.postag import (
     NOUN_TAGS,
-    TAGSET,
     VERB_TAGS,
     TaggedSentence,
     TaggerError,
@@ -39,6 +39,10 @@ def _sent(text):
     return Sentence(tokens=tokens, spans=spans)
 
 
+def _tags(ts):
+    return [t for _, t in ts.tokens]
+
+
 def _tagged(pairs):
     toks = []
     for text, t in pairs:
@@ -51,7 +55,7 @@ class TestTrainTagger:
         ts = _tagged([("dogs", "NNS"), ("chase", "VBP"), ("cats", "NNS")])
         model = train_tagger([ts, ts], epochs=5, seed=1, backoff={})
         sent = Sentence(tokens=tuple(t for t, _ in ts.tokens))
-        assert tag(sent, model).tags() == ["NNS", "VBP", "NNS"]
+        assert _tags(tag(sent, model)) == ["NNS", "VBP", "NNS"]
 
     def test_deterministic_for_seed(self):
         data = load_pretagged(TAGGED_CORPUS)[:200]
@@ -114,17 +118,17 @@ class TestBuildTool:
 class TestTag:
     def test_closed_class_backoff(self):
         model = default_model()
-        tags = tag(_sent("the dog"), model).tags()
+        tags = _tags(tag(_sent("the dog"), model))
         assert tags[0] == "DT"
 
     def test_unknown_all_caps_is_nnp(self):
         model = default_model()
-        tags = tag(_sent("NYPD spoke"), model).tags()
+        tags = _tags(tag(_sent("NYPD spoke"), model))
         assert tags[0] == "NNP"
 
     def test_number_is_cd(self):
         model = default_model()
-        assert tag(_sent("35 dogs"), model).tags()[0] == "CD"
+        assert _tags(tag(_sent("35 dogs"), model))[0] == "CD"
 
     def test_deterministic(self):
         model = default_model()
@@ -140,7 +144,7 @@ class TestTag:
             from newsstyle.textseg import split_sentences
             c = Counter()
             for s in split_sentences(text):
-                c.update(tag(s, model).tags())
+                c.update(_tags(tag(s, model)))
             return c
 
         assert counts("The dog ran. The cat sat.") == counts("The cat sat. The dog ran.")
@@ -227,7 +231,7 @@ class TestTagDifferential:
         n_tokens = 0
         for _ in range(400):
             for sent in split_sentences(_random_text(rng, vocab)):
-                assert tag(sent, model).tags() == _old_tag(sent, model)
+                assert _tags(tag(sent, model)) == _old_tag(sent, model)
                 n_tokens += len(sent.tokens)
         assert n_tokens > 5000
 
@@ -245,7 +249,7 @@ class TestTagDifferential:
         vocab = sorted(model.vocab)
         for _ in range(200):
             for sent in split_sentences(_random_text(rng, vocab)):
-                assert tag(sent, model).tags() == _old_tag(sent, model)
+                assert _tags(tag(sent, model)) == _old_tag(sent, model)
 
 
 def _fresh_model():
@@ -272,7 +276,7 @@ class TestWordScoreMemo:
             pair = [_sent(context.format(w)) for w in (lexical, "zq" + lexical)]
             for order in (pair, pair[::-1]):
                 model = _fresh_model()
-                tags = [tag(s, model).tags() for s in order]
+                tags = [_tags(tag(s, model)) for s in order]
                 assert tags == [_old_tag(s, model) for s in order]
                 assert tags[0] != tags[1]
 
@@ -283,7 +287,7 @@ class TestWordScoreMemo:
         model = TaggerModel(tagset=("NN", "VB"), lexical_backoff={}, vocab={"aazqx"},
                             weights={"bias": {"NN": 1.0}, "w=Zqx": {"VB": 5.0}})
         sents = [_sent(text) for text in ("aazqx", "Zqx", "zqx", "Zqx aazqx")]
-        assert [tag(s, model).tags() for s in sents] == [_old_tag(s, model) for s in sents]
+        assert [_tags(tag(s, model)) for s in sents] == [_old_tag(s, model) for s in sents]
         assert [_old_tag(s, model) for s in sents] == [["NN"], ["VB"], ["NN"], ["VB", "NN"]]
 
     def test_short_words_and_casing_variants_match_old_loop(self):
@@ -294,20 +298,20 @@ class TestWordScoreMemo:
         for _ in range(300):
             text = " ".join(rng.choice(words) for _ in range(rng.randint(1, 8))) + " ."
             for sent in split_sentences(text):
-                assert tag(sent, model).tags() == _old_tag(sent, model)
+                assert _tags(tag(sent, model)) == _old_tag(sent, model)
 
     def test_reassigned_weights_are_used(self):
         model = _fresh_model()
         vocab = sorted(model.vocab)
         rng = random.Random(8)
         sents = [s for _ in range(100) for s in split_sentences(_random_text(rng, vocab))]
-        shipped_tags = [tag(s, model).tags() for s in sents]
+        shipped_tags = [_tags(tag(s, model)) for s in sents]
         model = TaggerModel(tagset=model.tagset,
                             weights=train_tagger(load_pretagged(TAGGED_CORPUS)[:60],
                                                  epochs=1, seed=3).weights,
                             lexical_backoff=model.lexical_backoff, version=model.version,
                             vocab=model.vocab)
-        new_tags = [tag(s, model).tags() for s in sents]
+        new_tags = [_tags(tag(s, model)) for s in sents]
         assert new_tags == [_old_tag(s, model) for s in sents]
         assert new_tags != shipped_tags
 
@@ -316,14 +320,14 @@ class TestWordScoreMemo:
         model = _fresh_model()
         sent = _sent("the NYPD said the BBC lied")
         nypd = sent.tokens[1]
-        assert tag(sent, model).tags() == _old_tag(sent, model)
-        assert tag(sent, model).tags()[0] == "DT"
+        assert _tags(tag(sent, model)) == _old_tag(sent, model)
+        assert _tags(tag(sent, model))[0] == "DT"
         assert nypd.tagging[1] == "NNP"  # unknown and all-caps: a fixed tag
         model = TaggerModel(tagset=model.tagset, weights=model.weights,
                             lexical_backoff={**model.lexical_backoff, "the": "PDT"},
                             version=model.version, vocab=model.vocab | {"nypd"})
-        assert tag(sent, model).tags() == _old_tag(sent, model)
-        assert tag(sent, model).tags()[0] == "PDT"
+        assert _tags(tag(sent, model)) == _old_tag(sent, model)
+        assert _tags(tag(sent, model))[0] == "PDT"
         assert nypd.tagging[0] is model and nypd.tagging[1] is None  # scored
 
     def test_cap_bounds_the_memo_and_keeps_the_tags(self, monkeypatch):
@@ -336,7 +340,7 @@ class TestWordScoreMemo:
         rng = random.Random(12)
         for _ in range(100):
             for sent in split_sentences(_random_text(rng, vocab)):
-                assert tag(sent, model).tags() == _old_tag(sent, model)
+                assert _tags(tag(sent, model)) == _old_tag(sent, model)
                 assert len(newsstyle.textseg._types) <= 5
         assert len(newsstyle.textseg._types) == 5
         assert 0 < len(_entries(model)) <= 5
@@ -614,7 +618,7 @@ class TestLoadPretagged:
         f.write_text("the\tDT\ndog\tNN\n\nit\tPRP\nran\tVBD\n")
         sents = load_pretagged(f)
         assert len(sents) == 2
-        assert sents[0].tags() == ["DT", "NN"]
+        assert _tags(sents[0]) == ["DT", "NN"]
 
     def test_bad_tag(self, tmp_path):
         f = tmp_path / "t.tsv"

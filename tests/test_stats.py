@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from newsstyle import float_mean
+from newsstyle import float_mean, float_quotient, float_sum
 from newsstyle.stats import (
     DomainError,
     Ranking,
@@ -454,8 +454,10 @@ class TestRankFeatures:
         assert rank_features(rs, 3) == ["c", "a", "b"]
 
     def test_skipped_excluded(self):
-        rs = [self._r("a", 0.001, used="skipped"), self._r("b", 0.01)]
-        assert rank_features(rs, 2) == ["b"]
+        # the skipped row as compare_feature builds it: a group of one value
+        skipped = compare_feature("a", {"real": [1.0], "fake": [2.0, 3.0]})
+        assert skipped.test_used == "skipped"
+        assert rank_features([skipped, self._r("b", 0.01)], 2) == ["b"]
 
     def test_k_truncates(self):
         rs = [self._r(n, 0.01 * (i + 1)) for i, n in enumerate("abcd")]
@@ -494,6 +496,29 @@ class TestMean:
         assert float_mean([1.0, math.inf]) == math.inf
         assert math.isnan(float_mean([math.inf, -math.inf]))
         assert math.isnan(float_mean([1e308, 1e308, math.nan]))
+
+
+# magnitudes whose sums pass the float range in some orders and not in
+# others; no subnormals, which lose bits when scaled down for the retry
+_SUM_VALUES = hs.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 8.9e307, -8.9e307,
+                               math.inf, -math.inf, 1.0, -1.0, 0.5, -0.5, 0.0])
+
+
+class TestExactSums:
+    @settings(max_examples=500)
+    @given(hs.lists(_SUM_VALUES, min_size=1, max_size=8).flatmap(
+        lambda xs: hs.tuples(hs.just(xs), hs.permutations(xs))))
+    def test_same_bits_in_any_order(self, orders):
+        # the sum used to fall back on a left-to-right float sum where fsum
+        # overflowed: [1e308, 1e308, -1e308] gave inf, and another order 1e308
+        xs, shuffled = orders
+        for f in (float_sum, float_mean, lambda v: float_quotient(v, 3)):
+            assert f(shuffled).hex() == f(xs).hex()
+
+    def test_sum_past_the_range_is_inf(self):
+        # its scaled sum used to raise OverflowError when scaled back
+        assert float_quotient([1.7e308, 1.7e308], 1) == math.inf
+        assert float_sum([-1.7e308, -1.7e308]) == -math.inf
 
 
 class TestConfidenceInterval:

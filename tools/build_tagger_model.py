@@ -23,7 +23,6 @@ TOOLS_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(TOOLS_DIR.parent / "src"))
 
 from newsstyle.postag import (  # noqa: E402
-    TAGSET,
     TaggedSentence,
     TaggerError,
     TaggerModel,
@@ -38,6 +37,14 @@ from newsstyle.textseg import NUMBER, PUNCT, WORD, Token  # noqa: E402
 CORPUS = TOOLS_DIR / "tagged_corpus.tsv"
 CLOSED_CLASS = TOOLS_DIR / "closed_class.tsv"
 MODEL = TOOLS_DIR.parent / "src" / "newsstyle" / "resources" / "tagger_model.json"
+
+# the Penn-style tags a trained model may use; a model file lists its own
+# in its "tagset" field, which is what the package checks tags against
+TAGSET = (
+    "NN NNS NNP NNPS PRP PRP$ WP WP$ DT WDT PDT CD RB RBR RBS UH "
+    "VB VBD VBG VBN VBP VBZ JJ JJR JJS IN TO MD CC EX POS RP WRB FW "
+    "SYM PUNCT"
+).split()
 
 POOLS = {
     "NN": """story report article election campaign government city state country
