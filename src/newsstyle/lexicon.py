@@ -25,6 +25,7 @@ byte-order mark, text after ``#`` a comment, blank lines skipped.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from pathlib import Path
 
 from . import InputError, Record, float_mean
@@ -78,12 +79,22 @@ class CategoryLexicon(Record):
         """Category indices of a word token's lowercase form, ascending:
         those of its exact entry plus those of every prefix that is a
         wildcard stem. Stored on the token's record with this lexicon, as
-        the pair that every record with the same hits shares."""
+        the pair that every record with the same hits shares.
+
+        A word that no stem prefixes, such as a word the lexicon does not
+        list, has its exact entry's indices as they stand: they were
+        appended in category order, each once, so they are already the
+        ascending, unique tuple that merging and sorting would give."""
         word = tok.lower
-        cats = set(self._exact_cats.get(word, ()))
-        cats.update(*_stem_values(word, self._stem_cats, self._stem_prefixes))
-        found = tuple(sorted(cats))
-        pair = self._pairs.setdefault(found, (self, found))
+        exact = self._exact_cats.get(word, ())
+        stem_hits = _stem_values(word, self._stem_cats, self._stem_prefixes)
+        if stem_hits:
+            found = tuple(sorted(set(exact).union(*stem_hits)))
+        else:
+            found = tuple(exact)
+        pair = self._pairs.get(found)
+        if pair is None:
+            pair = self._pairs[found] = (self, found)
         object.__setattr__(tok, "categories", pair)
         return pair[1]
 
@@ -171,12 +182,19 @@ def fluency_doc(tokens: list[Token], freqs: dict[str, float]) -> float | None:
 
 def fluency_least3(tokens: list[Token], freqs: dict[str, float]) -> float | None:
     """Mean frequency of the 3 rarest distinct word types (fewer if the
-    document has fewer types); frequency ties broken alphabetically."""
+    document has fewer types); frequency ties broken alphabetically.
+
+    The three are the smallest ``(frequency, word)`` pairs, compared in C:
+    the types are distinct, so no two pairs are equal and the three are
+    those of a full sort by that key (a ``-0.0`` frequency equals ``0.0``
+    there as well)."""
+    from heapq import nsmallest  # imported here so that loading the resources skips it
+
     types = {t.lower for t in tokens if t.kind == WORD}
     if not types:
         return None
-    ranked = sorted(types, key=lambda w: (freqs.get(w, 0.0), w))[:3]
-    return float_mean([freqs.get(w, 0.0) for w in ranked])
+    ranked = nsmallest(3, zip(map(freqs.get, types, repeat(0.0)), types))
+    return float_mean([freq for freq, _ in ranked])
 
 
 class SentimentLexicon(Record):
@@ -252,10 +270,16 @@ def load_sentiment_lexicon(path: str | Path | None = None) -> SentimentLexicon:
 
 
 def _sentence_scores(sent: Sentence, sl: SentimentLexicon) -> tuple[int, int]:
+    """(most negative, most positive) adjusted strength of one sentence.
+
+    A word's strength is ``sl.strength`` of its lowercase form. A token's
+    ``.lower`` is already lowercase, so for a lexicon without stems that
+    is the exact term's strength, read straight from ``sl.terms``."""
     neg, pos = -1, 1
+    strength = sl.strength if sl._stem_strengths else sl.terms.get
     words = [t for t in sent.tokens if t.kind == WORD]
     for i, tok in enumerate(words):
-        s = sl.strength(tok.lower)
+        s = strength(tok.lower)
         if s is None:
             continue
         if i > 0 and words[i - 1].lower in sl.boosters:

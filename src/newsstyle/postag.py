@@ -30,9 +30,10 @@ class TaggerError(ValueError, InputError):
 
 class TaggerModel(FrozenRecord):
     """A tagger model is a value: to change a field, build a new model
-    from the old one's fields rather than editing one in place. Its
-    context rows are built from the weights when it is made, and the score
-    tables that ``tag`` fills belong to it from its construction on.
+    from the old one's fields rather than editing one in place. The rows of
+    its features that take a value are filed by that value when it is
+    made, and the score tables that ``tag`` fills belong to it from its
+    construction on.
 
     A tag's perceptron score is a sum in feature order: the word features
     first, then the context features, then the shape features. The first
@@ -46,9 +47,19 @@ class TaggerModel(FrozenRecord):
     features, not with the types seen; types whose entries hold the same
     fixed tag, score table, shape rows and neighbour rows share one entry
     too. The entry is stored on the token's record, paired with the model.
+
+    Most words of open text are plain: no fixed tag, and no weighted
+    ``w=``, ``lw=``, ``pw=`` or ``nw=`` feature. A plain word's entry
+    depends only on its shape and on which of its last three, two and one
+    letters carry a suffix weight, so plain words with the same five
+    values share the entry the full path built for the first of them. The
+    memo holds at most one entry per shape for each weighted suffix, and
+    one per shape for none, so the model's suffix rows bound it, not the
+    words seen.
     """
     __slots__ = ("tagset", "weights", "lexical_backoff", "version", "vocab",
-                 "_tables", "_entries", "_p1", "_p2", "_pw", "_nw")
+                 "_tables", "_entries", "_plain", "_p1", "_p2", "_pw", "_nw", "_w", "_lw",
+                 "_suf1", "_suf2", "_suf3")
     _fields = __slots__[:5]
 
     def __init__(self, tagset: tuple[str, ...], weights: dict[str, dict[str, float]],
@@ -63,15 +74,19 @@ class TaggerModel(FrozenRecord):
         object.__setattr__(self, "_tables", {})
         # the identities of an entry's parts -> the one entry that holds them
         object.__setattr__(self, "_entries", {})
-        # the weight rows of the context features by the value that fills
-        # the template: p1= by tag, p2= by (tag, tag), pw= and nw= by word
-        p1, p2, pw, nw = {}, {}, {}, {}
-        by_head = {"p1=": p1, "p2=": p2, "pw=": pw, "nw=": nw}
+        # a plain word's shape and weighted suffixes -> its entry
+        object.__setattr__(self, "_plain", {})
+        # the non-empty weight rows of the templates that take a value: the
+        # context features p1= by tag, p2= by (tag, tag), pw= and nw= by
+        # word, and the word features w=, lw= and suf1= to suf3= by text
+        p1, p2, pw, nw, w, lw, suf1, suf2, suf3 = {}, {}, {}, {}, {}, {}, {}, {}, {}
+        by_head = {"p1": p1, "p2": p2, "pw": pw, "nw": nw, "w": w, "lw": lw,
+                   "suf1": suf1, "suf2": suf2, "suf3": suf3}
         for f, row in self.weights.items():
-            table = by_head.get(f[:3])
-            if table is None or not row:
+            head, sep, value = f.partition("=")
+            table = by_head.get(head)
+            if table is None or not sep or not row:
                 continue
-            value = f[3:]
             if table is p2:
                 # the feature is f"p2={prev2}|{prev}": file it under every cut
                 for i, c in enumerate(value):
@@ -79,17 +94,41 @@ class TaggerModel(FrozenRecord):
                         p2[value[:i], value[i + 1:]] = row
             else:
                 table[value] = row
-        object.__setattr__(self, "_p1", p1)
-        object.__setattr__(self, "_p2", p2)
-        object.__setattr__(self, "_pw", pw)
-        object.__setattr__(self, "_nw", nw)
+        for name, table in (("_p1", p1), ("_p2", p2), ("_pw", pw), ("_nw", nw), ("_w", w),
+                            ("_lw", lw), ("_suf1", suf1), ("_suf2", suf2), ("_suf3", suf3)):
+            object.__setattr__(self, name, table)
 
     def _entry(self, tok: Token) -> tuple:
         """(self, fixed tag or None, word scores, shape rows, pw= row, nw=
         row) of ``tok``'s type, stored on its record; the entry and its
-        word scores are shared, so copy the scores before adding."""
-        weights = self.weights
+        word scores are shared, so copy the scores before adding.
+
+        A plain word takes the short path: its weighted word features are
+        ``bias`` and its weighted suffixes, its shape rows follow from
+        ``is_all_caps`` and a capital first letter, and it has no
+        neighbour rows. Those five values are the key of ``_plain``, which
+        holds the entry ``_build_entry`` gave the first plain word with
+        them, the very object it gives every other one. Any other word
+        takes the full path."""
         fixed = _fixed_tag(self.lexical_backoff, self.vocab, tok)
+        low = tok.lower
+        if (fixed is None and tok.norm not in self._w and low not in self._lw
+                and low not in self._pw and low not in self._nw):
+            s3, s2, s1 = low[-3:], low[-2:], low[-1:]
+            key = (tok.is_all_caps, tok.norm[:1].isupper(), s3 if s3 in self._suf3 else None,
+                   s2 if s2 in self._suf2 else None, s1 if s1 in self._suf1 else None)
+            entry = self._plain.get(key)
+            if entry is None:
+                entry = self._plain[key] = self._build_entry(tok, None)
+        else:
+            entry = self._build_entry(tok, fixed)
+        object.__setattr__(tok, "tagging", entry)
+        return entry
+
+    def _build_entry(self, tok: Token, fixed: str | None) -> tuple:
+        """The full path of ``_entry``: ``tok``'s entry from its features,
+        given its fixed tag."""
+        weights = self.weights
         scores, shape = None, ()
         if fixed is None:
             feats = tuple(f for f in _word_features(tok) if weights.get(f))
@@ -103,7 +142,6 @@ class TaggerModel(FrozenRecord):
         entry = self._entries.get(key)
         if entry is None:
             entry = self._entries[key] = (self, fixed, scores, shape, pw, nw)
-        object.__setattr__(tok, "tagging", entry)
         return entry
 
     @classmethod

@@ -550,6 +550,30 @@ _FIXED_PARTS = (
 )
 
 
+def _zipf_parts(seed: int, n: int) -> list[str]:
+    """``n`` parts drawn from a Zipf law over 3,000 word types that the
+    resources mostly do not list: pseudo-words, some ending in a common
+    suffix or starting with a lexicon stem's letters, a fifth capitalised
+    and a few in capitals, among _PIECES and the golden corpus's words."""
+    rng = random.Random(seed)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    types = [*_PIECES]
+    while len(types) < 3000:
+        word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 9)))
+        word += rng.choice(("", "", "ing", "ed", "ly", "tion", "s", "er"))
+        if rng.random() < 0.1:
+            word = rng.choice(("horr", "wonder", "terr", "educat", "govern", "anti-")) + word
+        case = rng.random()
+        types.append(word.capitalize() if case < 0.2 else word.upper() if case < 0.25 else word)
+    weights = [1.0 / (rank + 2.7) ** 1.1 for rank in range(len(types))]
+    parts = []
+    for _ in range(n):
+        words = rng.choices(types, weights, k=rng.randint(1, 120))
+        parts.append(" ".join(w + (rng.choice((".", "!", "?", ",")) if rng.random() < 0.08 else "")
+                              for w in words))
+    return parts
+
+
 class TestExtractDifferential:
     """extract_all gives the oracle's values bit for bit, in catalog order."""
 
@@ -573,6 +597,21 @@ class TestExtractDifferential:
         for doc in corpus.documents:
             for part in ("title", "body"):
                 self._assert_same(doc, part, resources)
+
+    @pytest.mark.parametrize("cap", [None, 5])
+    def test_zipf_pseudo_words(self, resources, monkeypatch, cap):
+        # most word types are ones the tagger and the lexicons do not list;
+        # under a cap of 5 nearly every token has a record of its own
+        monkeypatch.setattr(ts, "_types", {})
+        if cap is not None:
+            monkeypatch.setattr(ts, "TYPE_CAP", cap)
+        for i, text in enumerate(_zipf_parts(21, 200)):
+            for part in ("title", "body"):
+                self._assert_same(_doc(title=text, body=text, id=f"z{i}"), part, resources)
+        if cap is None:
+            assert len(ts._types) > 1000
+        else:
+            assert len(ts._types) == cap
 
     def test_one_call_per_part_to_each_lexicon_function(self, resources, monkeypatch):
         # the benchmark's trace wraps these four through the lexicon module
@@ -893,14 +932,9 @@ class TestOneRowHeld:
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
-def test_records_share_one_entry_and_one_hit_pair_per_content(tmp_path, monkeypatch, resources):
-    monkeypatch.setattr(ts, "_types", {})
-    corpus, _ = load_corpus(write_synthetic_corpus(
-        tmp_path / "corpus", {"real": 12, "fake": 12, "satire": 12}, seed=3), 2)
-    for doc in corpus.documents:
-        for part in ("title", "body"):
-            extract_all(doc, part, resources)
-    records = list(ts._types.values())
+def _assert_shared(records):
+    """Records with the same tagger entry parts hold one entry, and records
+    with the same hits one pair, and some records share them."""
     entries = [tok.tagging for tok in records if tok.tagging is not None]
     pairs = [tok.categories for tok in records if tok.categories is not None]
 
@@ -911,3 +945,38 @@ def test_records_share_one_entry_and_one_hit_pair_per_content(tmp_path, monkeypa
 
     assert len({id(e) for e in entries}) == len({parts(e) for e in entries}) < len(entries)
     assert len({id(p) for p in pairs}) == len({(id(p[0]), p[1]) for p in pairs}) < len(pairs)
+
+
+def test_records_share_one_entry_and_one_hit_pair_per_content(tmp_path, monkeypatch, resources):
+    monkeypatch.setattr(ts, "_types", {})
+    corpus, _ = load_corpus(write_synthetic_corpus(
+        tmp_path / "corpus", {"real": 12, "fake": 12, "satire": 12}, seed=3), 2)
+    for doc in corpus.documents:
+        for part in ("title", "body"):
+            extract_all(doc, part, resources)
+    _assert_shared(list(ts._types.values()))
+
+
+@pytest.mark.parametrize("cap", [None, 5])
+def test_pseudo_word_records_share_one_entry_and_one_hit_pair_per_content(
+        monkeypatch, resources, cap):
+    # the records of every sentence extracted, those past the cap included
+    monkeypatch.setattr(ts, "_types", {})
+    if cap is not None:
+        monkeypatch.setattr(ts, "TYPE_CAP", cap)
+    records = {}
+
+    def recording(text, _split=ts.split_sentences):
+        sentences = _split(text)
+        records.update((id(tok), tok) for sent in sentences for tok in sent.tokens)
+        return sentences
+
+    monkeypatch.setattr(ts, "split_sentences", recording)
+    for text in _zipf_parts(22, 150):
+        for part in ("title", "body"):
+            extract_all(_doc(title=text, body=text), part, resources)
+    if cap is None:
+        assert len(records) == len(ts._types)
+    else:
+        assert len(records) > 2 * len(ts._types)
+    _assert_shared(list(records.values()))

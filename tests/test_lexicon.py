@@ -1,14 +1,17 @@
 import itertools
+import random
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from newsstyle import float_mean
 from newsstyle.lexicon import (
     CategoryLexicon,
     LexiconFormatError,
     SentimentLexicon,
+    _sentence_scores,
     fluency_doc,
     fluency_least3,
     load_category_lexicon,
@@ -511,6 +514,120 @@ class TestHitMemo:
             assert _hits(word, lex) == _scan_hits(word, lex) != []
             assert match_categories(_tokens(word), lex) == _scan_counts(_tokens(word), lex)
         assert _tokens(words[-1])[0].categories is None
+
+
+def _random_words(rng, entries, n):
+    """``n`` words: lexicon entries, entries with letters added, and random
+    letters, which no entry lists; some capitalised."""
+    words = []
+    for _ in range(n):
+        letters = "".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(1, 9)))
+        kind = rng.random()
+        word = (rng.choice(entries) if kind < 0.3 else rng.choice(entries) + letters[:3]
+                if kind < 0.5 else letters)
+        words.append(word.capitalize() if rng.random() < 0.2 else word)
+    return words
+
+
+class TestShortPaths:
+    """Each lexicon short path gives what its full path gives."""
+
+    @staticmethod
+    def _stem_heavy():
+        # _GENERATED_STEMS over four categories, each stem in one or two of
+        # them, and exact entries that are stems, extend stems or stand alone
+        rng = random.Random(7)
+        cats = ["w", "x", "y", "z"]
+        exact = {cat: {} for cat in cats}
+        stems = {cat: [] for cat in cats}
+        for stem in _GENERATED_STEMS:
+            for cat in rng.sample(cats, rng.randint(1, 2)):
+                stems[cat].append(stem)
+        for word in [*_GENERATED_STEMS[::7], "abcdefgh", "hhhhh", "zz", "q", "wxyz"]:
+            for cat in rng.sample(cats, rng.randint(1, 3)):
+                exact[cat][word] = None
+        return CategoryLexicon(exact=exact, stems=stems)
+
+    @pytest.mark.parametrize("which", ["shipped", "stem-heavy"])
+    def test_hit_indices_are_exact_hits_joined_with_stem_hits(self, which):
+        lex = _SHIPPED if which == "shipped" else self._stem_heavy()
+        entries = sorted({w for cat in lex.exact for w in lex.exact[cat]}
+                         | {s for cat in lex.stems for s in lex.stems[cat]})
+        names = list(lex.exact)
+        stemless = 0
+        for word in _random_words(random.Random(8), entries, 3000):
+            tok = Token(word, WORD)
+            low = tok.lower
+            exact = {names.index(cat) for cat in lex.exact if low in lex.exact[cat]}
+            stemmed = {names.index(cat) for cat in lex.stems
+                       if any(low.startswith(s) for s in lex.stems[cat])}
+            stemless += not stemmed
+            found = lex._hit_indices(tok)
+            assert found == tuple(sorted(exact | stemmed)), word
+            assert tok.categories == (lex, found) and tok.categories is lex._pairs[found]
+        assert 0 < stemless < 3000
+
+    def test_least3_is_the_sorted_rarest_three(self):
+        def old_least3(tokens, freqs):
+            types = {t.lower for t in tokens if t.kind == WORD}
+            if not types:
+                return None
+            ranked = sorted(types, key=lambda w: (freqs.get(w, 0.0), w))[:3]
+            return float_mean([freqs.get(w, 0.0) for w in ranked])
+
+        rng = random.Random(9)
+        values = [0.0, -0.0, 0.0, 1.0, 1.0, 2.5, 0.1, 0.2, 0.30000000000000004, 1e308, 5e-324]
+        words = ["".join(p) for n in (1, 2) for p in itertools.product("abcd", repeat=n)]
+        for _ in range(2000):
+            freqs = {w: rng.choice(values) for w in rng.sample(words, rng.randint(0, 12))}
+            freqs[rng.choice(words)] = -0.0
+            tokens = [Token(w if rng.random() < 0.8 else w.upper(), WORD)
+                      for w in rng.choices(words, k=rng.randint(0, 10))]
+            assert repr(fluency_least3(tokens, freqs)) == repr(old_least3(tokens, freqs))
+        # -0.0 ties with 0.0 and with an unlisted word, so "a", "b" and "c"
+        # are the rarest three, not "e"
+        freqs = {"a": -0.0, "c": -0.0, "d": 1.0, "e": -0.0}
+        tokens = _tokens("e d c b a")
+        assert repr(fluency_least3(tokens, freqs)) == repr(old_least3(tokens, freqs)) == "0.0"
+        freqs = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 0.0, "e": -0.0}
+        assert fluency_least3(tokens, freqs) == old_least3(tokens, freqs) == 1.0 / 3
+
+    @pytest.mark.parametrize("stems", [False, True])
+    def test_sentence_scores_match_strength_calls(self, stems):
+        def old_scores(sent, sl):
+            neg, pos = -1, 1
+            words = [t for t in sent.tokens if t.kind == WORD]
+            for i, tok in enumerate(words):
+                s = sl.strength(tok.lower)
+                if s is None:
+                    continue
+                if i > 0 and words[i - 1].lower in sl.boosters:
+                    s = (1 if s > 0 else -1) * max(abs(s) + sl.boosters[words[i - 1].lower], 1)
+                negated = any(w.lower in sl.negators for w in words[max(0, i - 2):i])
+                if negated:
+                    s = -abs(s) + 1 if s > 0 else -1
+                if s < 0:
+                    neg = min(neg, max(s, -5))
+                else:
+                    pos = max(pos, min(s, 5))
+            return neg, pos
+
+        shipped = load_sentiment_lexicon()
+        terms = dict(shipped.terms)
+        if stems:
+            terms.update({"horr*": -4, "wonder*": 4, "bad*": -2, "sh*": 2})
+        sl = SentimentLexicon(terms=terms, boosters=shipped.boosters, negators=shipped.negators)
+        assert bool(sl._stem_strengths) == stems
+        entries = sorted({*shipped.terms, *shipped.boosters, *shipped.negators})
+        rng = random.Random(10)
+        text = " ".join(w + rng.choice(["", "", "", ".", "!"])
+                        for w in _random_words(rng, entries, 4000))
+        sentences = split_sentences(text)
+        assert len(sentences) > 100
+        for sent in sentences:
+            assert _sentence_scores(sent, sl) == old_scores(sent, sl)
+        scored = [old_scores(sent, sl) for sent in sentences]
+        assert {s for s in scored if s != (-1, 1)}  # the sentences hit the lexicon
 
 
 def test_stopwords_load():

@@ -23,6 +23,7 @@ from newsstyle.postag import (
     TaggedSentence,
     TaggerError,
     TaggerModel,
+    _fixed_tag,
     chunk,
     default_model,
     tag,
@@ -236,20 +237,24 @@ class TestTagDifferential:
         assert n_tokens > 5000
 
     def test_matches_old_loop_when_scores_tie(self):
-        # integer weights make equal top scores and zero scores common, so
-        # the tie rule (smallest tag name) decides many tokens
-        data = load_pretagged(TAGGED_CORPUS)[:60]
-        model = train_tagger(data, epochs=1, seed=3)
-        model = TaggerModel(tagset=model.tagset,
-                            weights={f: {t: round(w) for t, w in tw.items()}
-                                     for f, tw in model.weights.items()},
-                            lexical_backoff=model.lexical_backoff, version=model.version,
-                            vocab=model.vocab)
+        model = _tie_heavy_model()
         rng = random.Random(5)
         vocab = sorted(model.vocab)
         for _ in range(200):
             for sent in split_sentences(_random_text(rng, vocab)):
                 assert _tags(tag(sent, model)) == _old_tag(sent, model)
+
+
+def _tie_heavy_model():
+    """A model trained on 60 sentences with its weights rounded to integers:
+    equal top scores and zero scores are common, so the tie rule (smallest
+    tag name) decides many tokens."""
+    model = train_tagger(load_pretagged(TAGGED_CORPUS)[:60], epochs=1, seed=3)
+    return TaggerModel(tagset=model.tagset,
+                       weights={f: {t: round(w) for t, w in tw.items()}
+                                for f, tw in model.weights.items()},
+                       lexical_backoff=model.lexical_backoff, version=model.version,
+                       vocab=model.vocab)
 
 
 def _fresh_model():
@@ -377,6 +382,119 @@ class TestWordScoreMemo:
         assert "suf2=xs" not in model.weights
         a, b = model._entry(Token("aaqxs", WORD)), model._entry(Token("aazxs", WORD))
         assert a is b and a[2] is b[2]
+
+
+def _pseudo_words(rng, model, n):
+    """``n`` words a model mostly does not list: random letters, random
+    letters ending in a suffix the model weights, and vocabulary words behind
+    a random prefix; a fifth capitalised and a tenth in capitals."""
+    suffixes = sorted(f.split("=", 1)[1] for f, row in model.weights.items()
+                      if f.startswith(("suf2=", "suf3=")) and row)
+    vocab = sorted(model.vocab)
+    words = []
+    for _ in range(n):
+        stem = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz")
+                       for _ in range(rng.randint(1, 8)))
+        kind = rng.random()
+        word = (stem if kind < 0.4 else stem + rng.choice(suffixes) if kind < 0.8
+                else stem[:2] + rng.choice(vocab))
+        case = rng.random()
+        words.append(word.capitalize() if case < 0.2 else word.upper() if case < 0.3 else word)
+    return words
+
+
+def _is_plain(model, tok):
+    """No fixed tag and no weighted w=, lw=, pw= or nw= feature."""
+    features = (f"w={tok.norm}", f"lw={tok.lower}", f"pw={tok.lower}", f"nw={tok.lower}")
+    return (_fixed_tag(model.lexical_backoff, model.vocab, tok) is None
+            and not any(model.weights.get(f) for f in features))
+
+
+# TestWordScoreMemo's words: one and two letters, casing variants,
+# capitalised and all-caps vocabulary words, and unknown words that share a
+# vocabulary word's suffix
+_MEMO_WORDS = ("q", "zq", "Q", "ZQ", "x", "ox", "qox", "a", "I", "new", "New", "NEW", "nEw",
+               "neW", "old", "Old", "OLD", "zqold", "Zqold", "zqnew", "met", "zqmet", "won",
+               "zqwon", "w", "lw", "suf", "aazqx", "Zqx", "zqx")
+
+
+class TestPlainWords:
+    """A word with no fixed tag and no weighted w=, lw=, pw= or nw= row
+    takes its entry from the model's plain-word memo; that entry is the one
+    the full path builds for it."""
+
+    @staticmethod
+    def _check(model, words):
+        """Each word's entry is the full path's; returns how many were plain."""
+        plain = 0
+        for text in words:
+            tok = Token(text, WORD)
+            memo = len(model._plain)
+            entry = model._entry(tok)
+            assert tok.tagging is entry
+            fixed = _fixed_tag(model.lexical_backoff, model.vocab, tok)
+            assert model._build_entry(Token(text, WORD), fixed) is entry, text
+            if _is_plain(model, tok):
+                plain += 1
+                assert any(e is entry for e in model._plain.values())
+            else:
+                assert len(model._plain) == memo, text  # the full path alone
+        return plain
+
+    @pytest.mark.parametrize("make", [_fresh_model, _tie_heavy_model])
+    def test_plain_entry_is_the_full_path_entry(self, make):
+        model = make()
+        shipped = default_model()
+        # words with pw= or nw= rows and no w= or lw= row: never plain
+        neighbours = [f[3:] for f, row in shipped.weights.items()
+                      if f[:3] in ("pw=", "nw=") and row and f[3:].isalpha()
+                      and not shipped.weights.get(f"lw={f[3:]}")
+                      and not shipped.weights.get(f"w={f[3:]}")][:20]
+        assert neighbours
+        words = [*_MEMO_WORDS, *neighbours, *_pseudo_words(random.Random(43), model, 3000)]
+        plain = self._check(model, words)
+        # most words are plain, and plain words share far fewer entries
+        assert 0 < len(model._plain) < plain / 4
+        assert plain < len(words)
+
+    def test_rows_decide_plainness(self):
+        # "Zqx" has only a case-sensitive w= weight and "zqy" an empty lw=
+        # row; "zqz" and "qqz" are neighbours with weights; "AAZQX" is an
+        # all-caps vocabulary word, so it is scored, while "ZQX" is unknown
+        # and gets a fixed tag
+        model = TaggerModel(
+            tagset=("JJ", "NN", "VB"), lexical_backoff={}, vocab=frozenset({"aazqx"}),
+            weights={"bias": {"NN": 1.0}, "w=Zqx": {"VB": 5.0}, "lw=zqy": {},
+                     "pw=zqz": {"JJ": 1.0}, "nw=qqz": {"VB": 1.0}, "suf1=x": {"JJ": 0.5},
+                     "suf2=qx": {}, "suf3=zqy": {"VB": 0.25}, "cap": {"NN": 0.5},
+                     "allcaps": {"VB": 0.25}})
+        words = ["Zqx", "zqx", "ZQX", "AAZQX", "aazqx", "zqy", "Zqy", "zqz", "qqz", "x", "qx",
+                 "X", "Xx", "XX", "aqx", "y"]
+        assert [text for text in words if _is_plain(model, Token(text, WORD))] == [
+            "zqx", "AAZQX", "aazqx", "zqy", "Zqy", "x", "qx", "X", "Xx", "aqx", "y"]
+        assert self._check(model, words) == 11
+        # plain words share entries by shape and weighted suffixes: "zqx",
+        # "qx" and "aqx" end in a weighted x only, as "x" does
+        assert len(model._plain) < 11
+        sents = [_sent(text) for text in (" ".join(words), "Zqx zqx . zqy zqz qqz")]
+        assert [_tags(tag(s, model)) for s in sents] == [_old_tag(s, model) for s in sents]
+
+    def test_memo_is_bounded_by_the_suffix_rows(self):
+        model, full = _fresh_model(), _fresh_model()
+        tokens = [Token(text, WORD) for text in _pseudo_words(random.Random(44), model, 20_000)]
+        for i in range(0, len(tokens), 25):
+            tag(Sentence(tokens=tuple(tokens[i:i + 25])), model)
+        for tok in tokens:
+            full._build_entry(tok, _fixed_tag(full.lexical_backoff, full.vocab, tok))
+        rows = {n: sum(1 for f, row in model.weights.items() if f.startswith(f"suf{n}=") and row)
+                for n in (1, 2, 3)}
+        # a key's suffixes are fixed by its weighted suf3=, else by its
+        # weighted suf2=, else by its weighted suf1= or by none; its shape is
+        # two booleans
+        assert 0 < len(model._plain) <= 4 * (rows[3] + rows[2] + rows[1] + 1)
+        # the memo adds no score table and no entry
+        assert len(model._tables) == len(full._tables)
+        assert len(model._entries) == len(full._entries)
 
 
 class TestChunk:
