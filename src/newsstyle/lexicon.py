@@ -185,15 +185,21 @@ def fluency_least3(tokens: list[Token], freqs: dict[str, float]) -> float | None
     document has fewer types); frequency ties broken alphabetically.
 
     The three are the smallest ``(frequency, word)`` pairs, compared in C:
-    the types are distinct, so no two pairs are equal and the three are
-    those of a full sort by that key (a ``-0.0`` frequency equals ``0.0``
-    there as well)."""
-    from heapq import nsmallest  # imported here so that loading the resources skips it
-
+    the types are distinct, so no two pairs are equal, and any method of
+    picking the three smallest gives the first three of a sort by that key
+    (a ``-0.0`` frequency equals ``0.0`` in every comparison). A part with
+    a few dozen types or fewer, such as a title, sorts its pairs; past
+    that, a heap's set-up pays for itself and ``heapq.nsmallest`` scans
+    them once."""
     types = {t.lower for t in tokens if t.kind == WORD}
     if not types:
         return None
-    ranked = nsmallest(3, zip(map(freqs.get, types, repeat(0.0)), types))
+    pairs = zip(map(freqs.get, types, repeat(0.0)), types)
+    if len(types) <= 64:
+        ranked = sorted(pairs)[:3]
+    else:
+        from heapq import nsmallest  # imported here so that loading the resources skips it
+        ranked = nsmallest(3, pairs)
     return float_mean([freq for freq, _ in ranked])
 
 

@@ -577,13 +577,20 @@ class TestShortPaths:
 
         rng = random.Random(9)
         values = [0.0, -0.0, 0.0, 1.0, 1.0, 2.5, 0.1, 0.2, 0.30000000000000004, 1e308, 5e-324]
-        words = ["".join(p) for n in (1, 2) for p in itertools.product("abcd", repeat=n)]
-        for _ in range(2000):
-            freqs = {w: rng.choice(values) for w in rng.sample(words, rng.randint(0, 12))}
+        # up to 258 types, so parts fall on both sides of the sort-or-heap cut
+        words = ["".join(p) for n in (1, 2, 3) for p in itertools.product("abcdef", repeat=n)]
+        sizes = set()
+        for i in range(2000):
+            freqs = {w: rng.choice(values) for w in rng.sample(words, rng.randint(0, 200))}
+            if i % 2:  # every word listed, most with a frequency of its own
+                freqs = {w: freqs.get(w, rng.random()) for w in words}
             freqs[rng.choice(words)] = -0.0
             tokens = [Token(w if rng.random() < 0.8 else w.upper(), WORD)
-                      for w in rng.choices(words, k=rng.randint(0, 10))]
+                      for w in rng.choices(words, k=rng.choice((rng.randint(0, 10),
+                                                                 rng.randint(10, 400))))]
+            sizes.add(len({t.lower for t in tokens}))
             assert repr(fluency_least3(tokens, freqs)) == repr(old_least3(tokens, freqs))
+        assert min(sizes) == 0 and max(sizes) > 150
         # -0.0 ties with 0.0 and with an unlisted word, so "a", "b" and "c"
         # are the rarest three, not "e"
         freqs = {"a": -0.0, "c": -0.0, "d": 1.0, "e": -0.0}

@@ -445,7 +445,8 @@ class TestPlainWords:
     def test_plain_entry_is_the_full_path_entry(self, make):
         model = make()
         shipped = default_model()
-        # words with pw= or nw= rows and no w= or lw= row: never plain
+        # words with a pw= or nw= row and no w= or lw= row in the shipped
+        # model, which never makes them plain
         neighbours = [f[3:] for f, row in shipped.weights.items()
                       if f[:3] in ("pw=", "nw=") and row and f[3:].isalpha()
                       and not shipped.weights.get(f"lw={f[3:]}")
